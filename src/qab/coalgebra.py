@@ -8,21 +8,20 @@ homomorphisms in the representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import numerics as nm
 from .kinematics import (
     Kinematics,
     ModelParams,
+    derive_couplings,
+    make_kinematics,
     reflect_kinematics,
+    solve_shortening,
 )
-from .numerics import mdot, qint, rel_residual
+from .numerics import qint, rel_residual
 from .representation import (
     GENERATORS,
     GradedOperator,
-    RepSpace,
     all_generators,
     build_basis,
     graded_commutator,
@@ -30,59 +29,10 @@ from .representation import (
 )
 
 
-@dataclass(frozen=True)
-class BoundaryRep:
-    """The one-dimensional boundary singlet.
-
-    All E_i, F_i act as zero; all K_i and the central elements U, V act as 1.
-    Implemented as an ordinary leg so every coproduct code path is reused
-    unchanged for boundary legs.
-    """
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    @property
-    def parities(self):
-        return np.array([0])
-
-
-BOUNDARY_KIN = Kinematics(M=0, x_plus=1, x_minus=1, U=1, V=1, z=1, gamma=1)
-
-
-def boundary_generators(dtype=complex) -> dict:
-    one = np.ones((1, 1), dtype=dtype)
-    zero = np.zeros((1, 1), dtype=dtype)
-    out = {}
-    for g in GENERATORS:
-        if g.startswith("K"):
-            out[g] = GradedOperator(one.copy(), 0, (0,))
-        else:
-            parity = 1 if g[1] in "24" else 0
-            out[g] = GradedOperator(zero.copy(), parity, (0,))
-    return out
-
-
-@dataclass(frozen=True)
-class TensorSpace:
-    """Ordered tensor product of representation legs."""
-
-    factors: tuple  # RepSpace or BoundaryRep instances
-
-    @property
-    def dim(self) -> int:
-        d = 1
-        for f in self.factors:
-            d *= f.dim
-        return d
-
-    @property
-    def parities(self) -> np.ndarray:
-        p = np.zeros(1, dtype=int)
-        for f in self.factors:
-            p = (p[:, None] + np.asarray(f.parities)[None, :]).reshape(-1)
-        return p % 2
+def _joint_parities(space1, space2) -> np.ndarray:
+    """Per-state parity of V1 (x) V2 in the row-major product basis."""
+    p1, p2 = np.asarray(space1.parities), np.asarray(space2.parities)
+    return (p1[:, None] + p2[None, :]).reshape(-1) % 2
 
 
 def graded_tensor(
@@ -95,8 +45,9 @@ def graded_tensor(
     sign = np.where((p1 * B.parity) % 2 == 1, -1.0, 1.0)
     left = A.matrix * sign[None, :]  # column j1 picks up (-1)^{|B| p(j1)}
     mat = np.kron(left, B.matrix)
-    joint = TensorSpace((space1, space2))
-    return GradedOperator(mat, (A.parity + B.parity) % 2, tuple(joint.parities))
+    return GradedOperator(
+        mat, (A.parity + B.parity) % 2, tuple(_joint_parities(space1, space2))
+    )
 
 
 def graded_permutation(space1, space2) -> np.ndarray:
@@ -114,30 +65,20 @@ def graded_permutation(space1, space2) -> np.ndarray:
 class _Leg:
     """One coproduct leg: generator matrices plus the central scalars."""
 
-    def __init__(self, kin, params, space, gens=None):
-        self.kin = kin
-        self.space = space
-        if gens is not None:
-            self.gens = gens
-        elif isinstance(space, BoundaryRep):
-            self.gens = boundary_generators()
-        else:
-            self.gens = all_generators(kin, params, space)
+    def __init__(self, kin, params):
+        self.space = build_basis(kin.M)
+        self.gens = all_generators(kin, params, self.space)
         self.U = kin.U
 
     def op(self, name):
         return self.gens[name]
 
     def ident(self):
-        if isinstance(self.space, BoundaryRep):
-            return GradedOperator(np.eye(1, dtype=complex), 0, (0,))
         return identity_operator(self.space)
 
 
-def make_leg(kin, params, space=None) -> _Leg:
-    if space is None:
-        space = build_basis(kin.M) if kin.M >= 1 else BoundaryRep()
-    return _Leg(kin, params, space)
+def make_leg(kin, params) -> _Leg:
+    return _Leg(kin, params)
 
 
 def _u_power(gen: str) -> int:
@@ -177,92 +118,41 @@ def opposite_coproduct(gen: str, leg1: _Leg, leg2: _Leg) -> GradedOperator:
     P = graded_permutation(leg1.space, leg2.space)
     d21 = coproduct(gen, leg2, leg1)
     Pb = graded_permutation(leg2.space, leg1.space)
-    joint = TensorSpace((leg1.space, leg2.space))
     return GradedOperator(
-        mdot(Pb, mdot(d21.matrix, P)), d21.parity, tuple(joint.parities)
+        np.dot(Pb, np.dot(d21.matrix, P)), d21.parity,
+        tuple(_joint_parities(leg1.space, leg2.space)),
     )
-
-
-def reflected_coproduct(gen: str, leg1_in: _Leg, leg2: _Leg, params: ModelParams) -> GradedOperator:
-    """Reflected coproduct with the first leg carrying the reflected labels.
-
-    Delta^ref(E_j) = E_j (x) 1 + K_j^-1 U^{-delta_{j,2}-delta_{j,4}} (x) E_j and
-    Delta^ref(F_j) = F_j (x) K_j + U^{+delta_{j,2}+delta_{j,4}} (x) F_j, where the
-    first-leg operators are built from the reflected kinematics and U is the
-    incoming deformation parameter.
-    """
-    rleg = make_leg(reflect_kinematics(leg1_in.kin, params), params, leg1_in.space)
-    s1, s2 = rleg.space, leg2.space
-    if gen.startswith("K"):
-        # Reflected K_i equals the incoming K_i.
-        return graded_tensor(rleg.op(gen), leg2.op(gen), s1, s2)
-    j = int(gen[1])
-    dsum = (1 if j == 2 else 0) + (1 if j == 4 else 0)
-    u = leg1_in.kin.U ** (-dsum)
-    if gen.startswith("E"):
-        k_inv = rleg.op("K" + gen[1]).inv()
-        return graded_tensor(rleg.op(gen), leg2.ident(), s1, s2) + graded_tensor(
-            u * k_inv, leg2.op(gen), s1, s2
-        )
-    return graded_tensor(rleg.op(gen), leg2.op("K" + gen[1]), s1, s2) + graded_tensor(
-        (1 / u) * rleg.ident(), leg2.op(gen), s1, s2
-    )
-
-
-def reflected_coproduct_map(leg1_in: _Leg, leg2: _Leg, params: ModelParams) -> dict:
-    return {g: reflected_coproduct(g, leg1_in, leg2, params) for g in GENERATORS}
 
 
 # ---------------------------------------------------------------------------
 # Adjoint actions (Letzter dictionary: x_i = E_i, y_i = F_i, t_i = K_i).
 
 
-def adjoint_action(side: str, gen: str, b: GradedOperator, ops: dict) -> GradedOperator:
-    """Left (``ad``) or right (``ad_r``) twisted adjoint action of one generator.
+def ad_r(gen: str, b: GradedOperator, ops: dict) -> GradedOperator:
+    """Right twisted adjoint action of one generator.
 
     ad_r x_i (b) = t_i b x_i - (-1)^{[i][b]} t_i x_i b
     ad_r y_i (b) = b y_i - (-1)^{[i][b]} y_i t_i^-1 b t_i
-    ad_r t_i (b) = t_i b t_i^-1     (left versions analogous)
+    ad_r t_i (b) = t_i b t_i^-1
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     kind, i = gen[0], gen[1]
     t = ops[f"K{i}"]
-    t_inv = t.inv()
     if kind == "K":
-        return (t_inv @ b @ t) if side == "left" else (t @ b @ t_inv)
+        return t @ b @ t.inv()
     x = ops[gen]
     sign = (-1) ** (x.parity * b.parity)
     if kind == "E":
-        if side == "right":
-            out = t @ b @ x - sign * (t @ x @ b)
-        else:
-            out = x @ b - sign * (t_inv @ b @ t @ x)
-    else:
-        if side == "right":
-            out = b @ x - sign * (x @ t_inv @ b @ t)
-        else:
-            out = x @ b @ t_inv - sign * (b @ x @ t_inv)
-    return out
-
-
-def ad_r(gen: str, b: GradedOperator, ops: dict) -> GradedOperator:
-    return adjoint_action("right", gen, b, ops)
+        return t @ b @ x - sign * (t @ x @ b)
+    return b @ x - sign * (x @ t.inv() @ b @ t)
 
 
 def boundary_d_constants(params: ModelParams):
     """(d_y, d_x) fixed by invariance of the twisted central charges."""
-    _, g_tilde = _couplings(params)
+    _, g_tilde = derive_couplings(params.q, params.g)
     a, at = params.alpha, params.alpha_tilde
     d_y = g_tilde / (params.g * a * at)
     d_x = -a * at * g_tilde / params.g
     return d_y, d_x
-
-
-def _couplings(params):
-    from .kinematics import derive_couplings
-
-    return derive_couplings(params.q, params.g)
 
 
 TWISTED_CHARGES = ("Et321", "Ft321", "Et21", "Ft21", "Et1", "Ft1", "Ct2", "Ct3")
@@ -419,8 +309,6 @@ def yangian_limit_probe(
     Charges Et321, Et21, Et1, Ct2 are rescaled by alpha*alpha_tilde/(2(q-1)),
     their F partners by 1/(2 alpha alpha_tilde (q-1)).
     """
-    from .kinematics import make_kinematics, solve_shortening
-
     rescale_e = lambda q: alpha * alpha_tilde / (2 * (q - 1))
     rescale_f = lambda q: 1 / (2 * alpha * alpha_tilde * (q - 1))
     matrices = {name: [] for name in TWISTED_CHARGES}

@@ -23,13 +23,12 @@ import numpy as np
 
 from . import __version__, numerics as nm
 from . import coalgebra, kmatrix, smatrix
-from .coalgebra import make_leg, coproduct_map, opposite_coproduct
+from .coalgebra import make_leg, coproduct_map
 from .kinematics import (
     KinematicsError,
     ModelParams,
     derive_couplings,
     make_kinematics,
-    reflect_kinematics,
     solve_shortening,
 )
 from .representation import build_basis, verify_algebra
@@ -115,6 +114,9 @@ def load_config(path: str | None = None, data: dict | None = None) -> RunConfig:
     for name in ("q", "g", "alpha", "alpha_tilde", "gamma", "gamma_bar"):
         if name in data:
             out[name] = _parse_complex(data[name], name)
+    q = out.get("q", cfg.q)
+    if q == 0 or q - 1 / q == 0:
+        raise ConfigError(f"q: q - 1/q must be nonzero, got q = {q}")
     if "M" in data:
         M = data["M"]
         if not (isinstance(M, list) and M and all(isinstance(m, int) and m >= 1 for m in M)):
@@ -525,6 +527,10 @@ def run_suite(name: str, cfg: RunConfig) -> dict:
     """Execute one suite (or 'all') and assemble the verification report."""
     if name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    if cfg.precision != "double" and name != "rep-check":
+        raise ConfigError(
+            f"precision {cfg.precision!r}: only rep-check runs in high precision"
+        )
     t0 = time.monotonic()
     names = list(_SUITE_FNS) if name == "all" else [name]
     checks = []

@@ -33,7 +33,7 @@ from .kinematics import (
 )
 from .numerics import qint
 from .representation import GradedOperator, RepSpace, all_generators, build_basis
-from .smatrix import IntertwinerError, solve_intertwiner
+from .smatrix import IntertwinerError, leg_weights, solve_intertwiner, weight_nullspace
 
 #: Charges preserved without twisting, imposed alongside the twisted set.
 PRESERVED_CHARGES = ("E2", "F2", "E3", "F3", "K1", "K2", "K3", "K4")
@@ -209,16 +209,16 @@ def fundamental_kmatrix(kin: Kinematics, params: ModelParams) -> ReflectionMatri
 
 
 def _charge_pairs(kin: Kinematics, params: ModelParams, include_twisted: bool = True):
-    """(name, incoming matrix, reflected matrix) for the boundary constraints."""
+    """{name: (incoming matrix, reflected matrix)} for the boundary constraints."""
     space = build_basis(kin.M)
     kin_ref = reflect_kinematics(kin, params)
     ops = all_generators(kin, params, space)
     ops_ref = all_generators(kin_ref, params, space)
-    pairs = [(g, ops[g].matrix, ops_ref[g].matrix) for g in PRESERVED_CHARGES]
+    pairs = {g: (ops[g].matrix, ops_ref[g].matrix) for g in PRESERVED_CHARGES}
     if include_twisted:
         tw = twisted_boundary_charges(ops, params)
         tw_ref = twisted_boundary_charges(ops_ref, params)
-        pairs += [(g, tw[g].matrix, tw_ref[g].matrix) for g in TWISTED_CHARGES]
+        pairs.update((g, (tw[g].matrix, tw_ref[g].matrix)) for g in TWISTED_CHARGES)
     return space, pairs
 
 
@@ -227,29 +227,20 @@ def solve_boundary_intertwiner(
     params: ModelParams,
     include_twisted: bool = True,
     require_unique: bool = True,
-    svd_factor: float = 1e3,
 ) -> ReflectionMatrix:
     """K as the null space of J_in -> K pi(J) - pi_ref(J) K over all charges.
 
     With the twisted affine charges included the null space is one
     dimensional; dropping them (include_twisted=False) raises the dimension,
-    which is the ablation probe for the coideal charges fixing K.
+    which is the ablation probe for the coideal charges fixing K.  The
+    reflection keeps V, so pi_ref(K_i) = pi(K_i) and K preserves the (H1, H3)
+    weight, which is the support the shared solver imposes.
     """
     space, pairs = _charge_pairs(kin, params, include_twisted)
-    dim = space.dim
-    ident = np.eye(dim)
-    rows = []
-    for _, A, B in pairs:
-        # row-major vec: vec(K A - B K) = (kron(I, A^T) - kron(B, I)) vec(K)
-        rows.append(np.kron(ident, A.T) - np.kron(B, ident))
-    R = np.vstack(rows)
-    _, sv, vh = np.linalg.svd(R)
-    thresh = max(R.shape) * np.finfo(float).eps * (sv[0] if len(sv) else 1.0) * svd_factor
-    null_dim = int(np.sum(sv < thresh))
+    basis, sv, null_dim = weight_nullspace(list(pairs.values()), leg_weights(space))
     if require_unique and null_dim != 1:
         raise IntertwinerError(f"boundary null-space dimension {null_dim}, expected 1")
-    vec = vh[-1].conj()
-    K = vec.reshape(dim, dim)
+    K = basis[-1]
     anchor = space.families[1][0]
     pivot = K[anchor, anchor]
     if abs(pivot) < 1e-12:
@@ -272,15 +263,11 @@ def solve_boundary_intertwiner(
 
 
 def boundary_nullspace_dimension(
-    kin: Kinematics, params: ModelParams, include_twisted: bool, svd_factor: float = 1e3
+    kin: Kinematics, params: ModelParams, include_twisted: bool
 ) -> int:
     """Null-space dimension only (ablation probe helper)."""
     space, pairs = _charge_pairs(kin, params, include_twisted)
-    ident = np.eye(space.dim)
-    R = np.vstack([np.kron(ident, A.T) - np.kron(B, ident) for _, A, B in pairs])
-    sv = np.linalg.svd(R, compute_uv=False)
-    thresh = max(R.shape) * np.finfo(float).eps * sv[0] * svd_factor
-    return int(np.sum(sv < thresh))
+    return weight_nullspace(list(pairs.values()), leg_weights(space))[2]
 
 
 def invariance_residual(
@@ -294,8 +281,7 @@ def invariance_residual(
     By default all preserved and twisted charges are checked; pass an
     explicit charge list (e.g. ["E1"]) for negative controls.
     """
-    space, pairs = _charge_pairs(K.kin, params, include_twisted=True)
-    table = {name: (A, B) for name, A, B in pairs}
+    space, table = _charge_pairs(K.kin, params, include_twisted=True)
     if charges is None:
         charges = PRESERVED_CHARGES + (TWISTED_CHARGES if include_twisted else ())
     else:

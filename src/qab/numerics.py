@@ -45,14 +45,6 @@ def qint(n: int, q):
     return (q**n - q**-n) / (q - 1 / q)
 
 
-def qfac(n: int, q):
-    """q-factorial [n]_q!."""
-    out = 1.0 if not is_mp(q) else mpmath.mpf(1)
-    for j in range(2, n + 1):
-        out = out * qint(j, q)
-    return out
-
-
 def fnorm(a) -> float:
     """Frobenius norm that also accepts object (mpmath) arrays."""
     a = np.asarray(a)
@@ -66,11 +58,6 @@ def rel_residual(lhs, rhs) -> float:
     lhs = np.asarray(lhs)
     rhs = np.asarray(rhs)
     return fnorm(lhs - rhs) / max(1.0, fnorm(lhs), fnorm(rhs))
-
-
-def mdot(a, b):
-    """Matrix product working for both complex128 and object arrays."""
-    return np.dot(a, b)
 
 
 def minv(a):

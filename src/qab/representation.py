@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .kinematics import Kinematics, ModelParams, affine_labels, bulk_labels
-from .numerics import log, mdot, qint, rel_residual
+from .kinematics import Kinematics, ModelParams, affine_labels, bulk_labels, derive_couplings
+from .numerics import log, qint, rel_residual
 
 # Symmetrized Cartan matrix DA and normalization D = diag(1,-1,-1,-1).
 DA = np.array(
@@ -104,7 +104,7 @@ class GradedOperator:
 
     def __matmul__(self, other: "GradedOperator") -> "GradedOperator":
         return GradedOperator(
-            mdot(self.matrix, other.matrix),
+            np.dot(self.matrix, other.matrix),
             (self.parity + other.parity) % 2,
             self.parities,
         )
@@ -231,25 +231,10 @@ def graded_commutator(A: GradedOperator, B: GradedOperator) -> GradedOperator:
     """[A, B} = AB - (-1)^{|A||B|} BA."""
     sign = (-1) ** (A.parity * B.parity)
     return GradedOperator(
-        mdot(A.matrix, B.matrix) - sign * mdot(B.matrix, A.matrix),
+        np.dot(A.matrix, B.matrix) - sign * np.dot(B.matrix, A.matrix),
         (A.parity + B.parity) % 2,
         A.parities,
     )
-
-
-def composite_charge(word: str, ops: dict) -> GradedOperator:
-    """Nested graded commutator from a word such as "E321" or "F41".
-
-    "E321" means [E3, [E2, E1]]; a single index returns the generator itself.
-    ``ops`` maps generator names to matrices (representation or coproduct).
-    """
-    kind, idx = word[0], [int(ch) for ch in word[1:]]
-    if kind not in ("E", "F") or not idx:
-        raise ValueError(f"malformed charge word {word!r}")
-    out = ops[f"{kind}{idx[-1]}"]
-    for i in reversed(idx[:-1]):
-        out = graded_commutator(ops[f"{kind}{i}"], out)
-    return out
 
 
 def quartic_serre_lhs(kind: str, k: int, ops: dict) -> GradedOperator:
@@ -293,7 +278,7 @@ def verify_algebra(
     against the tolerance tier.
     """
     q = params.q
-    _, g_tilde = nm_derive(params)
+    _, g_tilde = derive_couplings(q, params.g)
     alpha, at = params.alpha, params.alpha_tilde
     g = params.g
     ops = all_generators(kin, params, space, dtype=dtype)
@@ -394,9 +379,3 @@ def verify_algebra(
         ops[gname].parity_pattern_residual() for gname in GENERATORS
     )
     return res
-
-
-def nm_derive(params: ModelParams):
-    from .kinematics import derive_couplings
-
-    return derive_couplings(params.q, params.g)

@@ -2,9 +2,12 @@
 
 S is the endomorphism of V1 (x) V2 satisfying S Delta(J) = Delta^op(J) S for
 every Chevalley generator including the affine ones (which are what make the
-null space one-dimensional).  The Cartan constraints are imposed structurally:
-S is supported on entries joining states of equal (H1, H3) weight, which cuts
-the unknown count enough that a dense SVD handles every desk-scale case.
+null space one-dimensional).  The boundary K-matrix is the same kind of null
+space on one leg, so both are solved by ``weight_nullspace``: the Cartan
+constraints are imposed structurally by supporting the unknown on entries
+that join states of equal (H1, H3) weight, only the equation rows this
+support reaches are assembled, and one SVD of the system's triangular QR
+factor gives the null space.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coalgebra import (
-    TensorSpace,
     coproduct,
     graded_permutation,
     make_leg,
@@ -27,17 +29,9 @@ DEFAULT_GENERATORS = tuple(
     f"{kind}{i}" for kind in ("E", "F") for i in (1, 2, 3, 4)
 )
 
-#: (H1, H3) weight shift of each generator's action.
-_SHIFTS = {
-    "E1": (2, 0),
-    "F1": (-2, 0),
-    "E3": (0, -2),
-    "F3": (0, 2),
-    "E2": (-1, 1),
-    "F2": (1, -1),
-    "E4": (-1, 1),
-    "F4": (1, -1),
-}
+#: Singular values below this multiple of max(shape) * eps * sigma_max count
+#: as zero when the null-space dimension is read off.
+_NULL_RTOL = 1e3
 
 
 class IntertwinerError(RuntimeError):
@@ -59,15 +53,60 @@ class SMatrix:
         return self.matrix.shape[0]
 
 
-def _leg_weights(space: RepSpace) -> list:
+def leg_weights(space: RepSpace) -> list:
+    """(H1, H3) weight of every basis state of one leg."""
     return [(l - k, n - m) for (m, n, k, l) in space.states]
 
 
 def _joint_weights(s1: RepSpace, s2: RepSpace) -> list:
-    w1, w2 = _leg_weights(s1), _leg_weights(s2)
+    w1, w2 = leg_weights(s1), leg_weights(s2)
     return [
         (a1 + b1, a2 + b2) for (a1, a2) in w1 for (b1, b2) in w2
     ]
+
+
+def weight_nullspace(pairs, weights):
+    """Null space of X -> X A - B X over every (A, B) in ``pairs``.
+
+    X is supported on the entries X[i, j] with weights[i] == weights[j].  The
+    equation (X A - B X)[a, b] = 0 has the coefficient
+    delta_ai A[j, b] - delta_bj B[a, i] on the unknown X[i, j], so each
+    unknown reaches only the rows (i, b) with A[j, b] != 0 and (a, j) with
+    B[a, i] != 0; rows reached by no unknown are identically zero and are
+    never built.  Returns (basis matrices, singular values, null_dim), the
+    basis holding the max(null_dim, 1) right singular vectors of smallest
+    singular value, the last one smallest.
+    """
+    w = np.asarray(weights)
+    dim = len(w)
+    ui, uj = np.nonzero((w[:, None, :] == w[None, :, :]).all(axis=-1))
+    rows, cols, vals = [], [], []
+    for p, (A, B) in enumerate(pairs):
+        # unknown u = X[ui, uj] times A[uj, b] lands on row (ui, b)
+        u, b = np.nonzero(A[uj])
+        rows.append((p * dim + ui[u]) * dim + b)
+        cols.append(u)
+        vals.append(A[uj[u], b])
+        # and times -B[a, ui] on row (a, uj)
+        u, a = np.nonzero(B[:, ui].T)
+        rows.append((p * dim + a) * dim + uj[u])
+        cols.append(u)
+        vals.append(-B[a, ui[u]])
+    row_ids, rows = np.unique(np.concatenate(rows), return_inverse=True)
+    R = np.zeros((len(row_ids), len(ui)), dtype=complex)
+    np.add.at(R, (rows, np.concatenate(cols)), np.concatenate(vals))
+    # R = Q T with T at most (#unknowns)^2: T has the singular values and
+    # right singular vectors of R, and Q is never formed.
+    _, sv, vh = np.linalg.svd(np.linalg.qr(R, mode="r"))
+    thresh = max(R.shape) * np.finfo(float).eps * (sv[0] if len(sv) else 1.0) * _NULL_RTOL
+    null_dim = R.shape[1] - int(np.sum(sv >= thresh))
+    basis = []
+    # Rows of vh are conjugated right singular vectors: R = U diag(s) vh.
+    for vec in vh[len(vh) - max(null_dim, 1):].conj():
+        X = np.zeros((dim, dim), dtype=complex)
+        X[ui, uj] = vec
+        basis.append(X)
+    return basis, sv, null_dim
 
 
 def intertwiner_nullspace(
@@ -75,7 +114,6 @@ def intertwiner_nullspace(
     kin2: Kinematics,
     params: ModelParams,
     generators=DEFAULT_GENERATORS,
-    svd_factor: float = 1e3,
 ):
     """Null space of the stacked maps S -> S Delta(J) - Delta^op(J) S.
 
@@ -85,47 +123,11 @@ def intertwiner_nullspace(
     """
     leg1 = make_leg(kin1, params)
     leg2 = make_leg(kin2, params)
-    s1, s2 = leg1.space, leg2.space
-    weights = _joint_weights(s1, s2)
-    dim = len(weights)
-    blocks: dict = {}
-    for i, w in enumerate(weights):
-        blocks.setdefault(w, []).append(i)
-    unknowns = [(i, j) for w, idx in blocks.items() for i in idx for j in idx]
-    col = {p: c for c, p in enumerate(unknowns)}
-
-    rows = []
-    for gen in generators:
-        A = coproduct(gen, leg1, leg2).matrix
-        B = opposite_coproduct(gen, leg1, leg2).matrix
-        dw = _SHIFTS[gen]
-        for w_out, idx_out in blocks.items():
-            w_in = (w_out[0] - dw[0], w_out[1] - dw[1])
-            if w_in not in blocks:
-                # Equation rows with no unknowns reduce to A, B entries that
-                # vanish identically by weight conservation.
-                continue
-            idx_in = blocks[w_in]
-            for i in idx_out:
-                for j in idx_in:
-                    row = np.zeros(len(unknowns), dtype=complex)
-                    for k in idx_out:  # S[i,k] A[k,j]
-                        row[col[(i, k)]] += A[k, j]
-                    for k in idx_in:  # -B[i,k] S[k,j]
-                        row[col[(k, j)]] -= B[i, k]
-                    rows.append(row)
-    R = np.array(rows)
-    _, sv, vh = np.linalg.svd(R)
-    thresh = max(R.shape) * np.finfo(float).eps * (sv[0] if len(sv) else 1.0) * svd_factor
-    null_dim = int(np.sum(sv < thresh)) + (R.shape[1] - len(sv))
-    basis = []
-    # Rows of vh are conjugated right singular vectors: R = U diag(s) vh.
-    for vec in vh[len(vh) - max(null_dim, 1):].conj():
-        S = np.zeros((dim, dim), dtype=complex)
-        for (i, j), c in col.items():
-            S[i, j] = vec[c]
-        basis.append(S)
-    return basis, sv, null_dim
+    pairs = [
+        (coproduct(gen, leg1, leg2).matrix, opposite_coproduct(gen, leg1, leg2).matrix)
+        for gen in generators
+    ]
+    return weight_nullspace(pairs, _joint_weights(leg1.space, leg2.space))
 
 
 def _anchor_index(s1: RepSpace, s2: RepSpace) -> int:

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from qab.coalgebra import (
-    BOUNDARY_KIN,
     TWISTED_CHARGES,
     boundary_d_constants,
-    boundary_generators,
     coideal_expansion_check,
     coproduct,
     coproduct_map,
@@ -43,15 +41,6 @@ def test_graded_tensor_koszul_sign(params, kin_of):
     left = graded_tensor(ident, B, s, s) @ graded_tensor(A, ident, s, s)
     right = graded_tensor(A, B, s, s)
     assert np.linalg.norm(left.matrix + right.matrix) < 1e-13
-
-
-def test_boundary_singlet_annihilated():
-    gens = boundary_generators()
-    for name, op in gens.items():
-        if name.startswith("K"):
-            assert np.allclose(op.matrix, [[1.0]])
-        else:
-            assert np.allclose(op.matrix, [[0.0]])
 
 
 @pytest.mark.parametrize("pair", [(1, 1), (2, 1), (2, 2)], ids=str)
@@ -154,8 +143,3 @@ def test_yangian_limit_cauchy():
         # differences shrink by roughly the q - 1 step ratio
         assert row["diffs"][-1] < row["diffs"][0], name
         assert row["ratios"][-1] < 0.5, (name, row["ratios"])
-
-
-def test_boundary_kin_is_trivial():
-    assert BOUNDARY_KIN.M == 0
-    assert BOUNDARY_KIN.U == 1 and BOUNDARY_KIN.V == 1 and BOUNDARY_KIN.z == 1

@@ -177,6 +177,20 @@ def test_cli_high_precision(capsys):
     assert residual < 1e-30
 
 
+@pytest.mark.parametrize("suite", ["unitarity", "all"])
+def test_cli_high_precision_rejected_outside_rep_check(suite):
+    # only rep-check evaluates in mpmath; the others would run in double
+    assert main([suite, "--M", "1", "--precision", "high:106"]) == 2
+
+
+@pytest.mark.parametrize("q", [1.0, -1.0])
+def test_cli_q_without_deformation_exits_2(q, tmp_path):
+    # q - 1/q = 0 divides by zero in the kinematics: a config error
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"q": [q, 0.0]}))
+    assert main(["unitarity", "--config", str(path), "--M", "1"]) == 2
+
+
 def test_thread_cap_respected(monkeypatch):
     from qab import harness
 
