@@ -12,10 +12,9 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from dataclasses import dataclass, field, asdict
 from itertools import product
 
@@ -44,6 +43,7 @@ SUITES = (
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class ConfigError(ValueError):
@@ -117,6 +117,9 @@ def load_config(path: str | None = None, data: dict | None = None) -> RunConfig:
     q = out.get("q", cfg.q)
     if q == 0 or q - 1 / q == 0:
         raise ConfigError(f"q: q - 1/q must be nonzero, got q = {q}")
+    for name in ("g", "alpha", "alpha_tilde"):
+        if out.get(name) == 0:
+            raise ConfigError(f"{name}: must be nonzero (the model divides by it)")
     if "M" in data:
         M = data["M"]
         if not (isinstance(M, list) and M and all(isinstance(m, int) and m >= 1 for m in M)):
@@ -225,23 +228,14 @@ def _check(suite, name, M, residual, threshold, invert=False, extra=None):
     return row
 
 
-def _workers() -> int:
-    cap = os.environ.get("QAB_THREADS")
-    n = os.cpu_count() or 1
-    if cap:
-        try:
-            n = min(n, max(1, int(cap)))
-        except ValueError:
-            pass
-    return n
-
-
 def _map_points(fn, jobs):
-    """Run independent per-point jobs through the worker pool, in order."""
-    if len(jobs) <= 1 or _workers() == 1:
-        return [fn(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        return list(pool.map(fn, jobs))
+    """Run independent per-point jobs serially, in order.
+
+    No thread pool: on top of multithreaded BLAS it oversubscribes the cores,
+    and in the pure-Python suites its threads only contend for the GIL; on 2
+    cores it cost both wall time and memory.
+    """
+    return [fn(job) for job in jobs]
 
 
 def _mp_params(params: ModelParams, bits: int) -> ModelParams:
@@ -413,14 +407,17 @@ def suite_bybe(cfg: RunConfig):
         rng = _point_rng(cfg.seed, 21000 + idx)
         kin1 = sample_kinematics(M1, params, rng)
         kin2 = sample_kinematics(M2, params, rng)
+        smats = kmatrix.reflection_smatrices(kin1, kin2, params)
         rows = [_check(
             "bybe", "reflection-equation", (M1, M2),
-            kmatrix.boundary_ybe_residual(kin1, kin2, params), tol,
+            kmatrix.boundary_ybe_residual(kin1, kin2, params, smatrices=smats), tol,
         )]
         if max(M1, M2) >= 2:
             rows.append(_check(
                 "bybe", "trivial-Ck-control", (M1, M2),
-                kmatrix.boundary_ybe_residual(kin1, kin2, params, trivial_c=True),
+                kmatrix.boundary_ybe_residual(
+                    kin1, kin2, params, trivial_c=True, smatrices=smats,
+                ),
                 1e-2, invert=True,
                 extra={"note": "constant C_k must violate the reflection equation"},
             ))
@@ -602,13 +599,18 @@ def main(argv=None) -> int:
         if args.precision:
             cfg.precision = _validate_precision(args.precision)
         report = run_suite(args.suite, cfg)
+        text = emit_report(report, args.format, args.out)
     except (ConfigError, KinematicsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except IntertwinerError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    text = emit_report(report, args.format, args.out)
+    except Exception as exc:
+        # a bug, not a verdict: keep the traceback and exit apart from FAIL
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     if not args.out:
         sys.stdout.write(text)
     else:

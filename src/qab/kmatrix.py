@@ -337,23 +337,41 @@ def _embed_boundary(Km: np.ndarray, dims, leg: int) -> np.ndarray:
     return np.kron(np.eye(dims[0]), Km)
 
 
+def reflection_smatrices(kin1: Kinematics, kin2: Kinematics, params: ModelParams):
+    """The four S matrices of the reflection equation, solved as intertwiners.
+
+    Returns (S_{12}, S_{1 2r}, P21 S_{2 1r} P12, P21 S_{2r 1r} P12): the last
+    two are conjugated by the graded permutations so that all four act on
+    V1 (x) V2.  They do not depend on the K matrices, so one solve serves both
+    the reflection equation and its trivial-C_k control.
+    """
+    s1, s2 = build_basis(kin1.M), build_basis(kin2.M)
+    kin1r = reflect_kinematics(kin1, params)
+    kin2r = reflect_kinematics(kin2, params)
+    S12 = solve_intertwiner(kin1, kin2, params).matrix
+    S_1_2r = solve_intertwiner(kin1, kin2r, params).matrix
+    P12 = graded_permutation(s1, s2)
+    P21 = graded_permutation(s2, s1)
+    S_2_1r = P21 @ solve_intertwiner(kin2, kin1r, params).matrix @ P12
+    S_2r_1r = P21 @ solve_intertwiner(kin2r, kin1r, params).matrix @ P12
+    return S12, S_1_2r, S_2_1r, S_2r_1r
+
+
 def boundary_ybe_residual(
     kin1: Kinematics,
     kin2: Kinematics,
     params: ModelParams,
     trivial_c: bool = False,
+    smatrices=None,
 ) -> float:
     """Relative residual of K2 S_{2 1r} K1 S_{12} = S_{2r 1r} K1 S_{1 2r} K2.
 
-    All four S variants are solved as intertwiners on the appropriate
-    (possibly reflected) kinematics; K matrices act on single legs.  With
-    trivial_c=True the constant solution C_k = C_0 is substituted, which is
-    expected to violate the identity for M >= 2 (negative control).
+    The four S variants come from `smatrices` (the tuple returned by
+    reflection_smatrices for the same points), or are solved here when it
+    is None; K matrices act on single legs.  With trivial_c=True the constant
+    solution C_k = C_0 is substituted, which is expected to violate the
+    identity for M >= 2 (negative control).
     """
-    s1, s2 = build_basis(kin1.M), build_basis(kin2.M)
-    dims = (s1.dim, s2.dim)
-    kin1r = reflect_kinematics(kin1, params)
-    kin2r = reflect_kinematics(kin2, params)
 
     def kmat(kin):
         if trivial_c:
@@ -362,14 +380,13 @@ def boundary_ybe_residual(
             return closed_form_kmatrix(kin, params, c_override=C, cross_check=False)
         return closed_form_kmatrix(kin, params)
 
-    K1 = _embed_boundary(kmat(kin1).operator.matrix, dims, 0)
-    K2 = _embed_boundary(kmat(kin2).operator.matrix, dims, 1)
-    S12 = solve_intertwiner(kin1, kin2, params).matrix
-    S_1_2r = solve_intertwiner(kin1, kin2r, params).matrix
-    P12 = graded_permutation(s1, s2)
-    P21 = graded_permutation(s2, s1)
-    S_2_1r = P21 @ solve_intertwiner(kin2, kin1r, params).matrix @ P12
-    S_2r_1r = P21 @ solve_intertwiner(kin2r, kin1r, params).matrix @ P12
+    Km1, Km2 = kmat(kin1).operator.matrix, kmat(kin2).operator.matrix
+    dims = (Km1.shape[0], Km2.shape[0])
+    K1 = _embed_boundary(Km1, dims, 0)
+    K2 = _embed_boundary(Km2, dims, 1)
+    if smatrices is None:
+        smatrices = reflection_smatrices(kin1, kin2, params)
+    S12, S_1_2r, S_2_1r, S_2r_1r = smatrices
     lhs = K2 @ S_2_1r @ K1 @ S12
     rhs = S_2r_1r @ K1 @ S_1_2r @ K2
     return float(

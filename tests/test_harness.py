@@ -191,10 +191,46 @@ def test_cli_q_without_deformation_exits_2(q, tmp_path):
     assert main(["unitarity", "--config", str(path), "--M", "1"]) == 2
 
 
-def test_thread_cap_respected(monkeypatch):
+@pytest.mark.parametrize("name", ["g", "alpha", "alpha_tilde"])
+def test_cli_zero_coupling_exits_2(name, tmp_path):
+    # the kinematics and the representation labels divide by these couplings
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({name: 0}))
+    assert main(["kmatrix", "--config", str(path), "--M", "1,2"]) == 2
+
+
+def test_cli_internal_error_exits_3(monkeypatch, capsys):
     from qab import harness
 
-    monkeypatch.setenv("QAB_THREADS", "1")
-    assert harness._workers() == 1
-    monkeypatch.setenv("QAB_THREADS", "not-a-number")
-    assert harness._workers() >= 1
+    def broken(cfg):
+        raise RuntimeError("broken suite")
+
+    monkeypatch.setitem(harness._SUITE_FNS, "unitarity", broken)
+    assert main(["unitarity", "--M", "1"]) == harness.EXIT_INTERNAL == 3
+    assert "internal error: RuntimeError: broken suite" in capsys.readouterr().err
+
+
+def test_python_m_qab_runs():
+    proc = subprocess.run(
+        [sys.executable, "-m", "qab", "unitarity", "--M", "1", "--format", "csv-summary"],
+        capture_output=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith(b"suite,check,M,residual,threshold,pass")
+
+
+def test_bybe_solves_each_smatrix_once_per_point(monkeypatch):
+    from qab import kmatrix
+
+    calls = []
+    solve = kmatrix.solve_intertwiner
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(kmatrix, "solve_intertwiner", counted)
+    run_suite("bybe", RunConfig())
+    # four (M1, M2) pairs at M = (1, 2), four S matrices per pair; the
+    # trivial-C_k control reuses the reflection equation's matrices
+    assert len(calls) == 16

@@ -19,6 +19,7 @@ from qab.kmatrix import (
     rational_limit_kmatrix,
     rational_shortening_residual,
     rational_u,
+    reflection_smatrices,
     solve_boundary_intertwiner,
     unitarity_residual,
 )
@@ -159,6 +160,22 @@ def test_trivial_ck_fails_reflection_equation(params_gammas):
     kin2 = kin_at(1, 1.3 + 0.8j, params_gammas)
     res = boundary_ybe_residual(kin1, kin2, params_gammas, trivial_c=True)
     assert res > 1e-2
+
+
+@pytest.mark.parametrize("trivial_c", [False, True])
+@pytest.mark.parametrize(
+    "pair", [((1, 1.3 + 0.8j), (2, 1.4 + 0.5j)),
+             ((2, 0.9 - 1.1j), (2, 1.4 + 0.5j))],
+    ids=["12", "22"],
+)
+def test_shared_smatrices_give_identical_residual(pair, trivial_c, params_gammas):
+    kin1 = kin_at(pair[0][0], pair[0][1], params_gammas)
+    kin2 = kin_at(pair[1][0], pair[1][1], params_gammas)
+    smats = reflection_smatrices(kin1, kin2, params_gammas)
+    shared = boundary_ybe_residual(
+        kin1, kin2, params_gammas, trivial_c=trivial_c, smatrices=smats,
+    )
+    assert shared == boundary_ybe_residual(kin1, kin2, params_gammas, trivial_c=trivial_c)
 
 
 def _rational_pair(xm, M, g):
