@@ -29,32 +29,22 @@ from .representation import (
 )
 
 
-def _joint_parities(space1, space2) -> np.ndarray:
-    """Per-state parity of V1 (x) V2 in the row-major product basis."""
-    p1, p2 = np.asarray(space1.parities), np.asarray(space2.parities)
-    return (p1[:, None] + p2[None, :]).reshape(-1) % 2
-
-
 def graded_tensor(
     A: GradedOperator, B: GradedOperator, space1, space2
 ) -> GradedOperator:
     """A (x) B with the Koszul sign applied against the first-leg input parity."""
-    p1 = np.asarray(space1.parities)
-    if A.matrix.shape[0] != len(p1) or B.matrix.shape[0] != len(space2.parities):
+    p1 = space1.parities
+    if A.matrix.shape[0] != len(p1) or B.matrix.shape[0] != space2.dim:
         raise ValueError("operator/space dimension mismatch")
     sign = np.where((p1 * B.parity) % 2 == 1, -1.0, 1.0)
     left = A.matrix * sign[None, :]  # column j1 picks up (-1)^{|B| p(j1)}
-    mat = np.kron(left, B.matrix)
-    return GradedOperator(
-        mat, (A.parity + B.parity) % 2, tuple(_joint_parities(space1, space2))
-    )
+    return GradedOperator(np.kron(left, B.matrix), (A.parity + B.parity) % 2)
 
 
 def graded_permutation(space1, space2) -> np.ndarray:
     """Matrix of P(v (x) w) = (-1)^{|v||w|} w (x) v from V1 (x) V2 to V2 (x) V1."""
     d1, d2 = space1.dim, space2.dim
-    p1 = np.asarray(space1.parities)
-    p2 = np.asarray(space2.parities)
+    p1, p2 = space1.parities, space2.parities
     P = np.zeros((d2 * d1, d1 * d2))
     for i in range(d1):
         for j in range(d2):
@@ -69,12 +59,6 @@ class _Leg:
         self.space = build_basis(kin.M)
         self.gens = all_generators(kin, params, self.space)
         self.U = kin.U
-
-    def op(self, name):
-        return self.gens[name]
-
-    def ident(self):
-        return identity_operator(self.space)
 
 
 def make_leg(kin, params) -> _Leg:
@@ -95,16 +79,17 @@ def coproduct(gen: str, leg1: _Leg, leg2: _Leg) -> GradedOperator:
     (the representation fixes U_2 = U, U_4 = 1/U); Delta(K_j) = K_j (x) K_j.
     """
     s1, s2 = leg1.space, leg2.space
+    o1, o2 = leg1.gens, leg2.gens
     if gen.startswith("K"):
-        return graded_tensor(leg1.op(gen), leg2.op(gen), s1, s2)
+        return graded_tensor(o1[gen], o2[gen], s1, s2)
     u = leg1.U ** _u_power(gen)
     if gen.startswith("E"):
-        k_inv = leg1.op("K" + gen[1]).inv()
-        return graded_tensor(leg1.op(gen), leg2.ident(), s1, s2) + graded_tensor(
-            u * k_inv, leg2.op(gen), s1, s2
+        k_inv = o1["K" + gen[1]].inv()
+        return graded_tensor(o1[gen], identity_operator(s2), s1, s2) + graded_tensor(
+            u * k_inv, o2[gen], s1, s2
         )
-    return graded_tensor(leg1.op(gen), leg2.op("K" + gen[1]), s1, s2) + graded_tensor(
-        (1 / u) * leg1.ident(), leg2.op(gen), s1, s2
+    return graded_tensor(o1[gen], o2["K" + gen[1]], s1, s2) + graded_tensor(
+        (1 / u) * identity_operator(s1), o2[gen], s1, s2
     )
 
 
@@ -118,10 +103,7 @@ def opposite_coproduct(gen: str, leg1: _Leg, leg2: _Leg) -> GradedOperator:
     P = graded_permutation(leg1.space, leg2.space)
     d21 = coproduct(gen, leg2, leg1)
     Pb = graded_permutation(leg2.space, leg1.space)
-    return GradedOperator(
-        np.dot(Pb, np.dot(d21.matrix, P)), d21.parity,
-        tuple(_joint_parities(leg1.space, leg2.space)),
-    )
+    return GradedOperator(np.dot(Pb, np.dot(d21.matrix, P)), d21.parity)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +197,7 @@ def coideal_expansion_check(
 
     theta_f4_1 = ad_r("E3", ad_r("E2", e1p_1, o1), o1)
     rhs_e = (
-        gt(o1["F4"] @ k4i_1, leg2.ident())
+        gt(o1["F4"] @ k4i_1, identity_operator(s2))
         + gt(U1 * k4i_1, tw2["Et321"])
         + d_y * gt(theta_f4_1 @ k4i_1, k5_2)
         + (d_y * (q**2 - 1))
@@ -228,7 +210,7 @@ def coideal_expansion_check(
     theta_e4p_1 = ad_r("F3", ad_r("F2", o1["F1"], o1), o1)
     e4p_1 = o1["K4"] @ o1["E4"]
     rhs_f = (
-        gt(e4p_1 @ k4i_1, leg2.ident())
+        gt(e4p_1 @ k4i_1, identity_operator(s2))
         + gt((1 / U1) * k4i_1, tw2["Ft321"])
         + d_x * gt(theta_e4p_1 @ k4i_1, k5_2)
         - (d_x * (q**2 - 1))

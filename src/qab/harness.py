@@ -83,31 +83,39 @@ class RunConfig:
         return float(self.tolerances.get(tier, defaults[tier]))
 
 
+def _is_number(value, kinds=(int, float)) -> bool:
+    """JSON number of the given kinds; JSON true/false are not numbers."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _parse_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
     if (
         isinstance(value, (list, tuple))
         and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
+        and all(_is_number(v) for v in value)
     ):
         return complex(value[0], value[1])
     raise ConfigError(f"{where}: expected a number or [re, im] pair, got {value!r}")
 
 
-def _complex_pair(z: complex):
-    return [z.real, z.imag]
+def _read_config(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config root must be an object")
+    return data
 
 
 def load_config(path: str | None = None, data: dict | None = None) -> RunConfig:
     """Read a JSON config, applying defaults and validating each field."""
     if data is None:
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(data, dict):
+        data = _read_config(path)
+    elif not isinstance(data, dict):
         raise ConfigError("config root must be an object")
     cfg = RunConfig()
     out = {}
@@ -122,16 +130,25 @@ def load_config(path: str | None = None, data: dict | None = None) -> RunConfig:
             raise ConfigError(f"{name}: must be nonzero (the model divides by it)")
     if "M" in data:
         M = data["M"]
-        if not (isinstance(M, list) and M and all(isinstance(m, int) and m >= 1 for m in M)):
+        if not (isinstance(M, list) and M and all(_is_number(m, int) and m >= 1 for m in M)):
             raise ConfigError("M: expected a non-empty list of positive integers")
         out["M"] = tuple(M)
     for name in ("samples", "seed"):
         if name in data:
-            if not isinstance(data[name], int) or data[name] < 0:
+            if not _is_number(data[name], int) or data[name] < 0:
                 raise ConfigError(f"{name}: expected a non-negative integer")
             out[name] = data[name]
     if "precision" in data:
-        out["precision"] = _validate_precision(data["precision"])
+        text = data["precision"]
+        if text != "double":
+            bits = text[5:] if isinstance(text, str) and text.startswith("high:") else ""
+            if not bits.isdecimal():
+                raise ConfigError(
+                    f"precision: expected 'double' or 'high:<bits>', got {text!r}"
+                )
+            if int(bits) < 64:
+                raise ConfigError("precision: high-precision mantissa must be >= 64 bits")
+        out["precision"] = text
     if "tolerances" in data:
         tols = data["tolerances"]
         if not isinstance(tols, dict):
@@ -139,37 +156,22 @@ def load_config(path: str | None = None, data: dict | None = None) -> RunConfig:
         for key, val in tols.items():
             if key not in ("closed_form", "algebra", "intertwiner", "composite"):
                 raise ConfigError(f"tolerances.{key}: unknown tier")
-            if not isinstance(val, (int, float)) or val <= 0:
+            if not _is_number(val) or val <= 0:
                 raise ConfigError(f"tolerances.{key}: must be a positive number")
         out["tolerances"] = dict(tols)
-    if "schema_version" in data and data["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(
-            f"schema_version: expected {SCHEMA_VERSION}, got {data['schema_version']}"
-        )
+    version = data.get("schema_version", SCHEMA_VERSION)
+    if not _is_number(version, int) or version != SCHEMA_VERSION:
+        raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
     for key, val in out.items():
         setattr(cfg, key, val)
     return cfg
-
-
-def _validate_precision(text) -> str:
-    if text == "double":
-        return text
-    if isinstance(text, str) and text.startswith("high:"):
-        try:
-            bits = int(text.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"precision: bad bit count in {text!r}") from None
-        if bits < 64:
-            raise ConfigError("precision: high-precision mantissa must be >= 64 bits")
-        return text
-    raise ConfigError(f"precision: expected 'double' or 'high:<bits>', got {text!r}")
 
 
 def config_echo(cfg: RunConfig) -> dict:
     """JSON-safe copy of the config, complex values as [re, im]."""
     d = asdict(cfg)
     for name in ("q", "g", "alpha", "alpha_tilde", "gamma", "gamma_bar"):
-        d[name] = _complex_pair(d[name])
+        d[name] = [d[name].real, d[name].imag]
     d["M"] = list(d["M"])
     return d
 
@@ -254,8 +256,6 @@ def suite_rep_check(cfg: RunConfig):
     params = cfg.params()
     high = cfg.precision.startswith("high:")
     if high:
-        import mpmath
-
         params = _mp_params(params, int(cfg.precision.split(":")[1]))
     tol = cfg.tol("algebra")
 
@@ -284,103 +284,99 @@ def suite_rep_check(cfg: RunConfig):
     return _map_points(one, jobs)
 
 
-def suite_coalgebra(cfg: RunConfig):
+def _per_point(cfg: RunConfig, offset: int, jobs, check):
+    """Run ``check(params, *kins)`` once per job and flatten the rows.
+
+    Job idx is a tuple of bound-state numbers; it draws its rng from
+    (seed, offset + idx) and samples one kinematic point per M, in order.
+    """
     params = cfg.params()
-    tol = cfg.tol("algebra")
-    checks = []
-    pairs = [p for p in product(cfg.M, repeat=2) if max(p) <= 2][:4] or [(1, 1)]
 
     def one(job):
-        idx, (M1, M2) = job
-        rng = _point_rng(cfg.seed, 5000 + idx)
-        kin1 = sample_kinematics(M1, params, rng)
-        kin2 = sample_kinematics(M2, params, rng)
-        rows = []
+        idx, Ms = job
+        rng = _point_rng(cfg.seed, offset + idx)
+        return check(params, *[sample_kinematics(M, params, rng) for M in Ms])
+
+    return [row for rows in _map_points(one, list(enumerate(jobs))) for row in rows]
+
+
+def suite_coalgebra(cfg: RunConfig):
+    tol = cfg.tol("algebra")
+    pairs = [p for p in product(cfg.M, repeat=2) if max(p) <= 2][:4] or [(1, 1)]
+
+    def check(params, kin1, kin2):
+        M1, M2 = kin1.M, kin2.M
         leg1, leg2 = make_leg(kin1, params), make_leg(kin2, params)
         hom = coalgebra.hom_check(leg1, leg2, coproduct_map(leg1, leg2), params)
-        rows.append(_check("coalgebra", "coproduct-homomorphism", (M1, M2), max(hom.values()), tol))
         exp = coalgebra.coideal_expansion_check(kin1, kin2, params)
-        rows.append(_check("coalgebra", "coideal-expansion", (M1, M2), max(exp.values()), tol))
-        rows.append(_check(
-            "coalgebra", "twisted-F1-raising", M1,
-            coalgebra.twisted_f1_action_residual(kin1, params), tol,
-        ))
         inv = coalgebra.twisted_central_invariance(kin1, params)
-        worst = max(v for d in inv.values() for v in d.values())
-        rows.append(_check("coalgebra", "twisted-central-invariance", M1, worst, tol))
-        return rows
+        return [
+            _check("coalgebra", "coproduct-homomorphism", (M1, M2), max(hom.values()), tol),
+            _check("coalgebra", "coideal-expansion", (M1, M2), max(exp.values()), tol),
+            _check(
+                "coalgebra", "twisted-F1-raising", M1,
+                coalgebra.twisted_f1_action_residual(kin1, params), tol,
+            ),
+            _check(
+                "coalgebra", "twisted-central-invariance", M1,
+                max(v for d in inv.values() for v in d.values()), tol,
+            ),
+        ]
 
-    for rows in _map_points(one, list(enumerate(pairs))):
-        checks.extend(rows)
-    return checks
+    return _per_point(cfg, 5000, pairs, check)
 
 
 def suite_smatrix(cfg: RunConfig):
-    params = cfg.params()
     tol = cfg.tol("algebra")
-    pairs = list(product(cfg.M, repeat=2))
 
-    def one(job):
-        idx, (M1, M2) = job
-        rng = _point_rng(cfg.seed, 9000 + idx)
-        kin1 = sample_kinematics(M1, params, rng)
-        kin2 = sample_kinematics(M2, params, rng)
-        rows = []
+    def check(params, kin1, kin2):
+        Ms = (kin1.M, kin2.M)
         S = smatrix.solve_intertwiner(kin1, kin2, params)
-        rows.append(_check(
-            "smatrix", "null-dimension", (M1, M2), abs(S.null_dim - 1), 0.5,
-        ))
         res = smatrix.intertwining_residual(S, params)
-        rows.append(_check("smatrix", "intertwining", (M1, M2), max(res.values()), tol))
-        if min(M1, M2) >= 2:
+        rows = [
+            _check("smatrix", "null-dimension", Ms, abs(S.null_dim - 1), 0.5),
+            _check("smatrix", "intertwining", Ms, max(res.values()), tol),
+        ]
+        if min(Ms) >= 2:
             gens = tuple(g for g in smatrix.DEFAULT_GENERATORS if g not in ("E4", "F4"))
             _, _, nd = smatrix.intertwiner_nullspace(kin1, kin2, params, generators=gens)
             rows.append(_check(
-                "smatrix", "affine-ablation", (M1, M2), nd, 1.5, invert=True,
+                "smatrix", "affine-ablation", Ms, nd, 1.5, invert=True,
                 extra={"note": "null dimension must exceed 1 without E4, F4"},
             ))
         return rows
 
-    checks = []
-    for rows in _map_points(one, list(enumerate(pairs))):
-        checks.extend(rows)
-    return checks
+    return _per_point(cfg, 9000, list(product(cfg.M, repeat=2)), check)
 
 
 def suite_ybe(cfg: RunConfig):
-    params = cfg.params()
     tol = cfg.tol("composite")
-    Ms = [M for M in cfg.M if M <= 2] or [1]
-    triples = sorted(set(product(Ms, repeat=3)))[:6]
+    small = [M for M in cfg.M if M <= 2] or [1]
+    triples = sorted(set(product(small, repeat=3)))[:6]
 
-    def one(job):
-        idx, (M1, M2, M3) = job
-        rng = _point_rng(cfg.seed, 13000 + idx)
-        kins = [sample_kinematics(M, params, rng) for M in (M1, M2, M3)]
-        res = smatrix.ybe_residual(*kins, params)
-        return _check("ybe", "yang-baxter", (M1, M2, M3), res, tol)
+    def check(params, *kins):
+        Ms = tuple(k.M for k in kins)
+        return [_check("ybe", "yang-baxter", Ms, smatrix.ybe_residual(*kins, params), tol)]
 
-    return _map_points(one, list(enumerate(triples)))
+    return _per_point(cfg, 13000, triples, check)
 
 
 def suite_kmatrix(cfg: RunConfig):
-    params = cfg.params()
     tol_i = cfg.tol("intertwiner")
     tol_a = cfg.tol("algebra")
 
-    def one(job):
-        idx, M = job
-        rng = _point_rng(cfg.seed, 17000 + idx)
-        kin = sample_kinematics(M, params, rng)
-        rows = []
+    def check(params, kin):
+        M = kin.M
         K = kmatrix.closed_form_kmatrix(kin, params)
         Ks = kmatrix.solve_boundary_intertwiner(kin, params)
-        rows.append(_check(
-            "kmatrix", "closed-vs-intertwiner", M,
-            kmatrix.compare_kmatrices(K, Ks), tol_i,
-        ))
         inv = kmatrix.invariance_residual(K, params)
-        rows.append(_check("kmatrix", "invariance", M, max(inv.values()), tol_i))
+        rows = [
+            _check(
+                "kmatrix", "closed-vs-intertwiner", M,
+                kmatrix.compare_kmatrices(K, Ks), tol_i,
+            ),
+            _check("kmatrix", "invariance", M, max(inv.values()), tol_i),
+        ]
         if M >= 2:
             nd = kmatrix.boundary_nullspace_dimension(kin, params, include_twisted=False)
             rows.append(_check(
@@ -391,30 +387,23 @@ def suite_kmatrix(cfg: RunConfig):
             rows.append(_check("kmatrix", "ck-covariance", M, sym.max(), tol_a))
         return rows
 
-    checks = []
-    for rows in _map_points(one, list(enumerate(cfg.M))):
-        checks.extend(rows)
-    return checks
+    return _per_point(cfg, 17000, [(M,) for M in cfg.M], check)
 
 
 def suite_bybe(cfg: RunConfig):
-    params = cfg.params()
     tol = cfg.tol("composite")
     pairs = [p for p in product(cfg.M, repeat=2) if max(p) <= 2] or [(1, 1)]
 
-    def one(job):
-        idx, (M1, M2) = job
-        rng = _point_rng(cfg.seed, 21000 + idx)
-        kin1 = sample_kinematics(M1, params, rng)
-        kin2 = sample_kinematics(M2, params, rng)
+    def check(params, kin1, kin2):
+        Ms = (kin1.M, kin2.M)
         smats = kmatrix.reflection_smatrices(kin1, kin2, params)
         rows = [_check(
-            "bybe", "reflection-equation", (M1, M2),
+            "bybe", "reflection-equation", Ms,
             kmatrix.boundary_ybe_residual(kin1, kin2, params, smatrices=smats), tol,
         )]
-        if max(M1, M2) >= 2:
+        if max(Ms) >= 2:
             rows.append(_check(
-                "bybe", "trivial-Ck-control", (M1, M2),
+                "bybe", "trivial-Ck-control", Ms,
                 kmatrix.boundary_ybe_residual(
                     kin1, kin2, params, trivial_c=True, smatrices=smats,
                 ),
@@ -423,26 +412,19 @@ def suite_bybe(cfg: RunConfig):
             ))
         return rows
 
-    checks = []
-    for rows in _map_points(one, list(enumerate(pairs))):
-        checks.extend(rows)
-    return checks
+    return _per_point(cfg, 21000, pairs, check)
 
 
 def suite_unitarity(cfg: RunConfig):
-    params = cfg.params()
     tol = cfg.tol("intertwiner")
 
-    def one(job):
-        idx, M = job
-        rng = _point_rng(cfg.seed, 25000 + idx)
-        kin = sample_kinematics(M, params, rng)
-        return _check(
-            "unitarity", "K(p)K(-p)=Id", M,
+    def check(params, kin):
+        return [_check(
+            "unitarity", "K(p)K(-p)=Id", kin.M,
             kmatrix.unitarity_residual(kin, params), tol,
-        )
+        )]
 
-    return _map_points(one, list(enumerate(cfg.M)))
+    return _per_point(cfg, 25000, [(M,) for M in cfg.M], check)
 
 
 def suite_limits(cfg: RunConfig):
@@ -582,22 +564,16 @@ def main(argv=None) -> int:
     parser.add_argument("--format", choices=("json", "csv-summary"), default="json")
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else RunConfig()
+        data = _read_config(args.config) if args.config else {}
         if args.M:
             try:
-                cfg.M = tuple(int(m) for m in args.M.split(","))
+                data["M"] = [int(m) for m in args.M.split(",")]
             except ValueError:
                 raise ConfigError(f"--M: bad list {args.M!r}") from None
-            if any(m < 1 for m in cfg.M):
-                raise ConfigError("--M: entries must be >= 1")
-        if args.samples is not None:
-            if args.samples < 0:
-                raise ConfigError("--samples: must be non-negative")
-            cfg.samples = args.samples
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.precision:
-            cfg.precision = _validate_precision(args.precision)
+        for name in ("samples", "seed", "precision"):
+            if getattr(args, name) is not None:
+                data[name] = getattr(args, name)
+        cfg = load_config(data=data)
         report = run_suite(args.suite, cfg)
         text = emit_report(report, args.format, args.out)
     except (ConfigError, KinematicsError) as exc:

@@ -10,7 +10,7 @@ U -> 1/U, V -> V, z -> 1/z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import numerics as nm
 from .numerics import qint, sqrt
@@ -45,14 +45,6 @@ class ModelParams:
     alpha_tilde: complex = 1.0 + 0j
     gamma: complex = 1.0 + 0j
     gamma_bar: complex = 1.0 + 0j
-
-    @property
-    def xi(self):
-        return derive_couplings(self.q, self.g)[0]
-
-    @property
-    def g_tilde(self):
-        return derive_couplings(self.q, self.g)[1]
 
     def check_not_root_of_unity(self, m_max: int = 8, tol: float = 1e-6) -> None:
         for n in range(1, 4 * m_max + 1):
@@ -266,8 +258,3 @@ def reflect_kinematics(kin: Kinematics, params: ModelParams, gamma=None) -> Kine
     return Kinematics(
         M=kin.M, x_plus=xp, x_minus=xm, U=1 / kin.U, V=kin.V, z=1 / kin.z, gamma=gamma
     )
-
-
-def with_gamma(kin: Kinematics, gamma) -> Kinematics:
-    """Same kinematic point in a rescaled basis."""
-    return replace(kin, gamma=gamma)

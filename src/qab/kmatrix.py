@@ -62,6 +62,21 @@ class ReflectionMatrix:
     singular_values: np.ndarray | None = None
 
 
+def _c_recursion(c0, M: int, ratio, tol: float) -> np.ndarray:
+    """C_0..C_{M-1} with C_n = C_{n-1} num / den, (num, den) = ratio(n).
+
+    The q-deformed and the rational C_k are both this product; a ratio
+    denominator below tol is a pole of the recursion.
+    """
+    C = [c0]
+    for n in range(1, M):
+        num, den = ratio(n)
+        if abs(den) < tol:
+            raise PoleError(f"C_{n} pole: ratio denominator ~ 0")
+        C.append(C[-1] * num / den)
+    return np.array(C)
+
+
 def c_coefficients(kin: Kinematics, params: ModelParams, c0=None) -> np.ndarray:
     """C_0..C_{M-1}: C_k = C_0 prod_{n<=k} (q^M - q^{2n}/z)/(q^M - q^{2n}z).
 
@@ -71,70 +86,98 @@ def c_coefficients(kin: Kinematics, params: ModelParams, c0=None) -> np.ndarray:
     q, z, M = params.q, kin.z, kin.M
     if c0 is None:
         c0 = reflect_kinematics(kin, params).gamma / kin.gamma
-    out = [c0]
-    for n in range(1, M):
-        den = q**M - q ** (2 * n) * z
-        if abs(den) < 1e-6:
-            raise PoleError(f"C_{n} pole: q^M - q^{2 * n} z ~ 0")
-        out.append(out[-1] * (q**M - q ** (2 * n) / z) / den)
-    return np.array(out)
+    return _c_recursion(
+        c0, M, lambda n: (q**M - q ** (2 * n) / z, q**M - q ** (2 * n) * z), 1e-6
+    )
 
 
-def _assemble(space: RepSpace, A, B, C, D, E) -> GradedOperator:
-    M = space.M
+def _over_k(M: int, C):
+    """k = 0..M beside the padded C_{k-1} and C_k (zero outside 0..M-1).
+
+    The arrays are object arrays of numpy scalars, so the coefficient
+    formulas below run entrywise in numpy's scalar arithmetic: no SIMD loop
+    with fused multiply-adds, whose rounding depends on the host CPU and
+    which the rational-limit rate check would amplify a thousandfold.
+    """
+    k = np.empty(M + 1, dtype=object)
+    k[:] = list(np.arange(M + 1))
+    return k, np.array([0.0, *C], dtype=object), np.array([*C, 0.0], dtype=object)
+
+
+def _check_poles(N, what: str) -> None:
+    small = np.flatnonzero(np.abs(N.astype(complex)) < 1e-10)
+    if small.size:
+        raise PoleError(f"{what} pole: N vanishes at k={small[0]}")
+
+
+def _k_entries(space: RepSpace):
+    """(coefficient, rows, cols) for the entries of K holding each coefficient.
+
+    A_k sits at (|k>1, |k>1), k = 0..M; B_k at (|k>2, |k>2), D_k at
+    (|k>2, |k>1) and E_k at (|k>1, |k>2), k = 1..M-1; C_k at (|k>3, |k>3) and
+    (|k>4, |k>4).  D is stored over k = 0..M, zero at both ends.
+    """
+    f1, f2, f3, f4 = (np.asarray(space.families[i], dtype=int) for i in (1, 2, 3, 4))
+    return (
+        ("A", f1, f1), ("B", f2, f2), ("C", f3, f3), ("C", f4, f4),
+        ("D", f2, f1[1:-1]), ("E", f1[1:-1], f2),
+    )
+
+
+def _from_coefficients(kin, gamma_bar, A, B, C, D, E) -> ReflectionMatrix:
+    """The ReflectionMatrix whose K is assembled from these coefficients."""
+    space = build_basis(kin.M)
+    coeffs = {"A": A, "B": B, "C": C, "D": D[1:-1], "E": E}
     mat = np.zeros((space.dim, space.dim), dtype=complex)
-    f1, f2 = space.families[1], space.families[2]
-    for k in range(M + 1):
-        mat[f1[k], f1[k]] = A[k]
-        if 1 <= k <= M - 1:
-            mat[f2[k - 1], f1[k]] = D[k]
-            mat[f2[k - 1], f2[k - 1]] = B[k - 1]
-            mat[f1[k], f2[k - 1]] = E[k - 1]
-    for fam in (3, 4):
-        for k in range(M):
-            i = space.families[fam][k]
-            mat[i, i] = C[k]
-    return GradedOperator(mat, 0, tuple(space.parities))
+    for name, rows, cols in _k_entries(space):
+        mat[rows, cols] = coeffs[name]
+    return ReflectionMatrix(
+        M=kin.M, A=A, B=B, C=C, D=D, E=E, operator=GradedOperator(mat, 0),
+        kin=kin, gamma=kin.gamma, gamma_bar=gamma_bar,
+    )
 
 
-def _explicit_coefficients(kin, kin_ref, C, params):
-    """The x-parametrized forms of A, B, D, E (independent cross-check)."""
+def _read_coefficients(space: RepSpace, K: np.ndarray):
+    """(A, B, C, D, E) read back from the entries of K (C from family 3)."""
+    coeffs = {}
+    for name, rows, cols in _k_entries(space):
+        coeffs.setdefault(name, K[rows, cols])
+    D = np.concatenate(([0], coeffs["D"], [0]))
+    return coeffs["A"], coeffs["B"], coeffs["C"], D, coeffs["E"]
+
+
+def _explicit_coefficients(kin, kin_ref, C, params, N):
+    """The x-parametrized forms of A, B, D, E (independent cross-check).
+
+    N is the x-form of the normalization, (V q^{M/2-k} - q^{k-M/2}/V)/(q - 1/q).
+    """
     q, g, M = params.q, params.g, kin.M
     xi, gt = derive_couplings(q, g)
     xp, xm, V = kin.x_plus, kin.x_minus, kin.V
     gam, gam_b = kin.gamma, kin_ref.gamma
     alpha = params.alpha
     qm = qint(M, q)
-    A = np.zeros(M + 1, dtype=complex)
-    D = np.zeros(M + 1, dtype=complex)
-    B = np.zeros(max(M - 1, 0), dtype=complex)
-    E = np.zeros(max(M - 1, 0), dtype=complex)
-    Cm1 = lambda k: C[k - 1] if k >= 1 else 0.0
-    Cat = lambda k: C[k] if k <= M - 1 else 0.0
-    for k in range(M + 1):
-        N = (V * q ** (M / 2 - k) - q ** (k - M / 2) / V) / (q - 1 / q)
-        A[k] = (
-            gam * gt * q ** (M / 2) * (xm - xp)
-            * (gt**2 * q**M * qint(k, q) * Cm1(k)
-               - g**2 * qint(M - k, q) * Cat(k) * (xi + xp) ** 2)
-            * V
-        ) / (1j * gam_b * g**2 * qm * (xi + xp) ** 2 * (1 + xi * xp) * N)
-        D[k] = (
-            gam * gam_b * q ** (M / 2) * qint(k, q) * qint(M - k, q)
-            * (gt**2 * Cm1(k) * xm + g**2 * Cat(k) * (1 + xi * xm) * (xi + xp))
-        ) / (1j * alpha * gt * qm * xm * (xi + xp) * V * N)
-        if 1 <= k <= M - 1:
-            B[k - 1] = (
-                1j * gam_b * q ** (-M / 2) * (xm - xp)
-                * (gt**2 * qint(M - k, q) * Cm1(k) * xm**2
-                   - g**2 * q**M * qint(k, q) * Cat(k) * (1 + xi * xm) ** 2)
-            ) / (gam * gt * qm * xm**2 * (1 + xi * xm) * V * N)
-            E[k - 1] = (
-                1j * alpha * gt * q ** (M / 2) * (xm - xp) ** 2
-                * (gt**2 * Cm1(k) * xm + g**2 * Cat(k) * (1 + xi * xm) * (xi + xp))
-                * V
-            ) / (gam * gam_b * g**2 * qm * xm * (1 + xi * xm) * (xi + xp) * (1 + xi * xp) * N)
-    return A, B, D, E
+    k, Cm1, Cat = _over_k(M, C)
+    qk, qMk = qint(k, q), qint(M - k, q)
+    A = (
+        gam * gt * q ** (M / 2) * (xm - xp)
+        * (gt**2 * q**M * qk * Cm1 - g**2 * qMk * Cat * (xi + xp) ** 2)
+        * V
+    ) / (1j * gam_b * g**2 * qm * (xi + xp) ** 2 * (1 + xi * xp) * N)
+    D = (
+        gam * gam_b * q ** (M / 2) * qk * qMk
+        * (gt**2 * Cm1 * xm + g**2 * Cat * (1 + xi * xm) * (xi + xp))
+    ) / (1j * alpha * gt * qm * xm * (xi + xp) * V * N)
+    B = (
+        1j * gam_b * q ** (-M / 2) * (xm - xp)
+        * (gt**2 * qMk * Cm1 * xm**2 - g**2 * q**M * qk * Cat * (1 + xi * xm) ** 2)
+    ) / (gam * gt * qm * xm**2 * (1 + xi * xm) * V * N)
+    E = (
+        1j * alpha * gt * q ** (M / 2) * (xm - xp) ** 2
+        * (gt**2 * Cm1 * xm + g**2 * Cat * (1 + xi * xm) * (xi + xp))
+        * V
+    ) / (gam * gam_b * g**2 * qm * xm * (1 + xi * xm) * (xi + xp) * (1 + xi * xp) * N)
+    return tuple(np.asarray(x, dtype=complex) for x in (A, B[1:M], D, E[1:M]))
 
 
 def closed_form_kmatrix(
@@ -147,48 +190,41 @@ def closed_form_kmatrix(
     """K from the label-form coefficient solution.
 
     A_k = (C_{k-1}[k] b_ c + C_k[M-k] a d_) / N and companions, with
-    N = [k] b_ c_ + [M-k] a_ d_ (underscore marks reflected labels).  The
-    explicit x-parametrized forms are evaluated independently and compared
-    entrywise unless cross_check is disabled.  c_override substitutes a
-    different C array (used by the trivial-solution negative control).
+    N = [k] b_ c_ + [M-k] a_ d_ (underscore marks reflected labels), all
+    evaluated at once over k = 0..M.  The explicit x-parametrized forms are
+    evaluated independently and compared entrywise unless cross_check is
+    disabled.  c_override substitutes a different C array (used by the
+    trivial-solution negative control).
     """
     M, q = kin.M, params.q
     kin_ref = reflect_kinematics(kin, params)
     a, b, c, d = bulk_labels(kin, params)
     a_, b_, c_, d_ = bulk_labels(kin_ref, params)
     C = np.asarray(c_override) if c_override is not None else c_coefficients(kin, params)
-    Cm1 = lambda k: C[k - 1] if k >= 1 else 0.0
-    Cat = lambda k: C[k] if k <= M - 1 else 0.0
-    A = np.zeros(M + 1, dtype=complex)
-    D = np.zeros(M + 1, dtype=complex)
-    B = np.zeros(max(M - 1, 0), dtype=complex)
-    E = np.zeros(max(M - 1, 0), dtype=complex)
-    for k in range(M + 1):
-        N = qint(k, q) * b_ * c_ + qint(M - k, q) * a_ * d_
-        N_closed = (kin.V * q ** (M / 2 - k) - q ** (k - M / 2) / kin.V) / (q - 1 / q)
-        if abs(N) < 1e-10:
-            raise PoleError(f"boundary pole: N vanishes at k={k}")
-        if cross_check and abs(N - N_closed) / max(1.0, abs(N)) > tol:
+    k, Cm1, Cat = _over_k(M, C)
+    qk, qMk = qint(k, q), qint(M - k, q)
+    N = qk * b_ * c_ + qMk * a_ * d_
+    _check_poles(N, "boundary")
+    A, B, D, E = (np.asarray(x, dtype=complex) for x in (
+        (Cm1 * qk * b_ * c + Cat * qMk * a * d_) / N,
+        ((Cat * qk * b * c_ + Cm1 * qMk * a_ * d) / N)[1:M],
+        qk * qMk * (Cat * a * c_ - Cm1 * a_ * c) / N,
+        ((Cat * b * d_ - Cm1 * b_ * d) / N)[1:M],
+    ))
+    if cross_check:
+        N_x = (kin.V * q ** (M / 2 - k) - q ** (k - M / 2) / kin.V) / (q - 1 / q)
+        N_c = N.astype(complex)
+        if np.any(np.abs(N_c - N_x.astype(complex)) / np.maximum(1.0, np.abs(N_c)) > tol):
             raise KinematicsError("normalization factor closed form disagrees")
-        A[k] = (Cm1(k) * qint(k, q) * b_ * c + Cat(k) * qint(M - k, q) * a * d_) / N
-        D[k] = qint(k, q) * qint(M - k, q) * (Cat(k) * a * c_ - Cm1(k) * a_ * c) / N
-        if 1 <= k <= M - 1:
-            B[k - 1] = (Cat(k) * qint(k, q) * b * c_ + Cm1(k) * qint(M - k, q) * a_ * d) / N
-            E[k - 1] = (Cat(k) * b * d_ - Cm1(k) * b_ * d) / N
-    if cross_check and c_override is None:
-        Ax, Bx, Dx, Ex = _explicit_coefficients(kin, kin_ref, C, params)
-        for name, lhs, rhs in (("A", A, Ax), ("B", B, Bx), ("D", D, Dx), ("E", E, Ex)):
-            res = nm.rel_residual(lhs, rhs)
-            if res > tol:
-                raise KinematicsError(
-                    f"{name} coefficients disagree with explicit form ({res:.3e})"
-                )
-    space = build_basis(M)
-    return ReflectionMatrix(
-        M=M, A=A, B=B, C=C, D=D, E=E,
-        operator=_assemble(space, A, B, C, D, E),
-        kin=kin, gamma=kin.gamma, gamma_bar=kin_ref.gamma,
-    )
+        if c_override is None:
+            explicit = _explicit_coefficients(kin, kin_ref, C, params, N_x)
+            for name, lhs, rhs in zip("ABDE", (A, B, D, E), explicit):
+                res = nm.rel_residual(lhs, rhs)
+                if res > tol:
+                    raise KinematicsError(
+                        f"{name} coefficients disagree with explicit form ({res:.3e})"
+                    )
+    return _from_coefficients(kin, kin_ref.gamma, A, B, C, D, E)
 
 
 def fundamental_kmatrix(kin: Kinematics, params: ModelParams) -> ReflectionMatrix:
@@ -198,28 +234,24 @@ def fundamental_kmatrix(kin: Kinematics, params: ModelParams) -> ReflectionMatri
     kin_ref = reflect_kinematics(kin, params)
     c0 = kin_ref.gamma / kin.gamma
     A = np.array([1.0, -1.0 / (kin.z * kin.U**2)], dtype=complex)
-    C = np.array([c0])
-    space = build_basis(1)
     empty = np.zeros(0, dtype=complex)
-    return ReflectionMatrix(
-        M=1, A=A, B=empty, C=C, D=np.zeros(2, dtype=complex), E=empty,
-        operator=_assemble(space, A, empty, C, np.zeros(2), empty),
-        kin=kin, gamma=kin.gamma, gamma_bar=kin_ref.gamma,
-    )
+    D = np.zeros(2, dtype=complex)
+    return _from_coefficients(kin, kin_ref.gamma, A, empty, np.array([c0]), D, empty)
 
 
-def _charge_pairs(kin: Kinematics, params: ModelParams, include_twisted: bool = True):
-    """{name: (incoming matrix, reflected matrix)} for the boundary constraints."""
+def _boundary_charges(include_twisted: bool) -> tuple:
+    return PRESERVED_CHARGES + (TWISTED_CHARGES if include_twisted else ())
+
+
+def _charge_pairs(kin: Kinematics, params: ModelParams, names):
+    """[(incoming matrix, reflected matrix)] of the named charges, in order."""
     space = build_basis(kin.M)
-    kin_ref = reflect_kinematics(kin, params)
     ops = all_generators(kin, params, space)
-    ops_ref = all_generators(kin_ref, params, space)
-    pairs = {g: (ops[g].matrix, ops_ref[g].matrix) for g in PRESERVED_CHARGES}
-    if include_twisted:
-        tw = twisted_boundary_charges(ops, params)
-        tw_ref = twisted_boundary_charges(ops_ref, params)
-        pairs.update((g, (tw[g].matrix, tw_ref[g].matrix)) for g in TWISTED_CHARGES)
-    return space, pairs
+    ops_ref = all_generators(reflect_kinematics(kin, params), params, space)
+    if set(names) & set(TWISTED_CHARGES):
+        ops.update(twisted_boundary_charges(ops, params))
+        ops_ref.update(twisted_boundary_charges(ops_ref, params))
+    return space, [(ops[n].matrix, ops_ref[n].matrix) for n in names]
 
 
 def solve_boundary_intertwiner(
@@ -236,8 +268,8 @@ def solve_boundary_intertwiner(
     reflection keeps V, so pi_ref(K_i) = pi(K_i) and K preserves the (H1, H3)
     weight, which is the support the shared solver imposes.
     """
-    space, pairs = _charge_pairs(kin, params, include_twisted)
-    basis, sv, null_dim = weight_nullspace(list(pairs.values()), leg_weights(space))
+    space, pairs = _charge_pairs(kin, params, _boundary_charges(include_twisted))
+    basis, sv, null_dim = weight_nullspace(pairs, leg_weights(space))
     if require_unique and null_dim != 1:
         raise IntertwinerError(f"boundary null-space dimension {null_dim}, expected 1")
     K = basis[-1]
@@ -246,17 +278,11 @@ def solve_boundary_intertwiner(
     if abs(pivot) < 1e-12:
         raise IntertwinerError("A_0 element vanishes; resample kinematics")
     K = K / pivot
-    M = kin.M
-    f1, f2 = space.families[1], space.families[2]
-    A = np.array([K[f1[k], f1[k]] for k in range(M + 1)])
-    D = np.array([K[f2[k - 1], f1[k]] if 1 <= k <= M - 1 else 0.0 for k in range(M + 1)])
-    B = np.array([K[f2[k - 1], f2[k - 1]] for k in range(1, M)])
-    E = np.array([K[f1[k], f2[k - 1]] for k in range(1, M)])
-    C = np.array([K[space.families[3][k], space.families[3][k]] for k in range(M)])
+    A, B, C, D, E = _read_coefficients(space, K)
     kin_ref = reflect_kinematics(kin, params)
     return ReflectionMatrix(
-        M=M, A=A, B=B, C=C, D=D, E=E,
-        operator=GradedOperator(K, 0, tuple(space.parities)),
+        M=kin.M, A=A, B=B, C=C, D=D, E=E,
+        operator=GradedOperator(K, 0),
         kin=kin, gamma=kin.gamma, gamma_bar=kin_ref.gamma,
         null_dim=null_dim, singular_values=sv,
     )
@@ -266,8 +292,8 @@ def boundary_nullspace_dimension(
     kin: Kinematics, params: ModelParams, include_twisted: bool
 ) -> int:
     """Null-space dimension only (ablation probe helper)."""
-    space, pairs = _charge_pairs(kin, params, include_twisted)
-    return weight_nullspace(list(pairs.values()), leg_weights(space))[2]
+    space, pairs = _charge_pairs(kin, params, _boundary_charges(include_twisted))
+    return weight_nullspace(pairs, leg_weights(space))[2]
 
 
 def invariance_residual(
@@ -281,23 +307,15 @@ def invariance_residual(
     By default all preserved and twisted charges are checked; pass an
     explicit charge list (e.g. ["E1"]) for negative controls.
     """
-    space, table = _charge_pairs(K.kin, params, include_twisted=True)
     if charges is None:
-        charges = PRESERVED_CHARGES + (TWISTED_CHARGES if include_twisted else ())
-    else:
-        kin_ref = reflect_kinematics(K.kin, params)
-        ops = all_generators(K.kin, params, space)
-        ops_ref = all_generators(kin_ref, params, space)
-        for name in charges:
-            if name not in table:
-                table[name] = (ops[name].matrix, ops_ref[name].matrix)
+        charges = _boundary_charges(include_twisted)
+    _, pairs = _charge_pairs(K.kin, params, charges)
     Km = K.operator.matrix
     norm = max(1.0, float(np.linalg.norm(Km)))
-    out = {}
-    for name in charges:
-        A, B = table[name]
-        out[name] = float(np.linalg.norm(Km @ A - B @ Km)) / norm
-    return out
+    return {
+        name: float(np.linalg.norm(Km @ A - B @ Km)) / norm
+        for name, (A, B) in zip(charges, pairs)
+    }
 
 
 def unitarity_residual(kin: Kinematics, params: ModelParams) -> float:
@@ -322,19 +340,12 @@ def ck_symmetry_residual(kin: Kinematics, params: ModelParams) -> np.ndarray:
     C = c_coefficients(kin, params)
     z = kin.z
     sign = -1.0 if M % 2 == 0 else 1.0
-    ks = range(M // 2) if M % 2 == 0 else range((M - 1) // 2)
     out = []
-    for k in ks:
+    for k in range(M // 2):  # (M - 1) // 2 pairs for odd M, the middle C_k is free
         lhs = z**k * C[k]
         rhs = sign * z ** (M - k - 1) * C[M - k - 1]
         out.append(abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
     return np.array(out)
-
-
-def _embed_boundary(Km: np.ndarray, dims, leg: int) -> np.ndarray:
-    if leg == 0:
-        return np.kron(Km, np.eye(dims[1]))
-    return np.kron(np.eye(dims[0]), Km)
 
 
 def reflection_smatrices(kin1: Kinematics, kin2: Kinematics, params: ModelParams):
@@ -381,9 +392,8 @@ def boundary_ybe_residual(
         return closed_form_kmatrix(kin, params)
 
     Km1, Km2 = kmat(kin1).operator.matrix, kmat(kin2).operator.matrix
-    dims = (Km1.shape[0], Km2.shape[0])
-    K1 = _embed_boundary(Km1, dims, 0)
-    K2 = _embed_boundary(Km2, dims, 1)
+    K1 = np.kron(Km1, np.eye(Km2.shape[0]))
+    K2 = np.kron(np.eye(Km1.shape[0]), Km2)
     if smatrices is None:
         smatrices = reflection_smatrices(kin1, kin2, params)
     S12, S_1_2r, S_2_1r, S_2r_1r = smatrices
@@ -440,46 +450,28 @@ def rational_limit_kmatrix(
         raise KinematicsError("x pair violates the rational shortening condition")
     if u is None:
         u = rational_u(x_plus, x_minus, M, g)
-    C = [gamma_bar / gamma]
-    for k in range(1, M):
-        den = -2j * g * u - M + 2 * k
-        if abs(den) < 1e-10:
-            raise PoleError(f"rational C_{k} pole")
-        C.append(C[-1] * (2j * g * u - M + 2 * k) / den)
-    C = np.array(C)
-    Cm1 = lambda k: C[k - 1] if k >= 1 else 0.0
-    Cat = lambda k: C[k] if k <= M - 1 else 0.0
-    A = np.zeros(M + 1, dtype=complex)
-    D = np.zeros(M + 1, dtype=complex)
-    B = np.zeros(max(M - 1, 0), dtype=complex)
-    E = np.zeros(max(M - 1, 0), dtype=complex)
-    for k in range(M + 1):
-        N = k + (M - k) * x_minus * x_plus
-        if abs(N) < 1e-10:
-            raise PoleError(f"rational boundary pole at k={k}")
-        A[k] = (gamma / gamma_bar) * x_minus / (x_plus * N) * (
-            (M - k) * Cat(k) * x_plus**2 - k * Cm1(k)
-        )
-        D[k] = (gamma * gamma_bar / alpha) * k * (M - k) * (
-            Cat(k) * x_plus + Cm1(k) * x_minus
-        ) / (N * (x_plus - x_minus))
-        if 1 <= k <= M - 1:
-            B[k - 1] = (gamma_bar / gamma) * x_plus / (x_minus * N) * (
-                (M - k) * Cm1(k) * x_minus**2 - k * Cat(k)
-            )
-            E[k - 1] = (alpha / (gamma * gamma_bar)) * (x_minus - x_plus) / N * (
-                Cat(k) * x_plus + Cm1(k) * x_minus
-            )
-    space = build_basis(M)
+    C = _c_recursion(
+        gamma_bar / gamma, M,
+        lambda k: (2j * g * u - M + 2 * k, -2j * g * u - M + 2 * k), 1e-10,
+    )
+    k, Cm1, Cat = _over_k(M, C)
+    N = k + (M - k) * x_minus * x_plus
+    _check_poles(N, "rational boundary")
+    A, B, D, E = (np.asarray(x, dtype=complex) for x in (
+        (gamma / gamma_bar) * x_minus / (x_plus * N)
+        * ((M - k) * Cat * x_plus**2 - k * Cm1),
+        ((gamma_bar / gamma) * x_plus / (x_minus * N)
+         * ((M - k) * Cm1 * x_minus**2 - k * Cat))[1:M],
+        (gamma * gamma_bar / alpha) * k * (M - k)
+        * (Cat * x_plus + Cm1 * x_minus) / (N * (x_plus - x_minus)),
+        ((alpha / (gamma * gamma_bar)) * (x_minus - x_plus) / N
+         * (Cat * x_plus + Cm1 * x_minus))[1:M],
+    ))
     kin = Kinematics(
         M=M, x_plus=x_plus, x_minus=x_minus,
         U=nm.sqrt(x_plus / x_minus), V=1.0, z=1.0, gamma=gamma,
     )
-    return ReflectionMatrix(
-        M=M, A=A, B=B, C=C, D=D, E=E,
-        operator=_assemble(space, A, B, C, D, E),
-        kin=kin, gamma=gamma, gamma_bar=gamma_bar,
-    )
+    return _from_coefficients(kin, gamma_bar, A, B, C, D, E)
 
 
 def compare_kmatrices(K1: ReflectionMatrix, K2: ReflectionMatrix) -> float:

@@ -64,24 +64,5 @@ def minv(a):
     """Matrix inverse; object arrays go through mpmath to keep precision."""
     a = np.asarray(a)
     if a.dtype == object:
-        m = mpmath.matrix(a.shape[0], a.shape[1])
-        for i in range(a.shape[0]):
-            for j in range(a.shape[1]):
-                m[i, j] = a[i, j]
-        inv = m**-1
-        out = np.empty(a.shape, dtype=object)
-        for i in range(a.shape[0]):
-            for j in range(a.shape[1]):
-                out[i, j] = inv[i, j]
-        return out
+        return np.array((mpmath.matrix(a.tolist()) ** -1).tolist(), dtype=object)
     return np.linalg.inv(a)
-
-
-def to_complex(a):
-    """Downcast an object (mpmath) array or scalar to complex128."""
-    if np.isscalar(a) or isinstance(a, (mpmath.mpf, mpmath.mpc)):
-        return complex(a)
-    a = np.asarray(a)
-    if a.dtype == object:
-        return np.array([[complex(x) for x in row] for row in a])
-    return a.astype(complex)

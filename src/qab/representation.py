@@ -49,18 +49,11 @@ class RepSpace:
     states: tuple  # tuples (m, n, k, l), family-major
     index: dict = field(repr=False)
     families: dict = field(repr=False)  # family -> list of basis indices, k ascending
+    parities: np.ndarray = field(repr=False, compare=False)  # (m + n) % 2 per state
 
     @property
     def dim(self) -> int:
         return len(self.states)
-
-    def parity(self, i: int) -> int:
-        m, n, _, _ = self.states[i]
-        return (m + n) % 2
-
-    @property
-    def parities(self) -> np.ndarray:
-        return np.array([self.parity(i) for i in range(self.dim)])
 
 
 def build_basis(M: int) -> RepSpace:
@@ -87,7 +80,10 @@ def build_basis(M: int) -> RepSpace:
         states.append((0, 1, k, M - k - 1))
     index = {s: i for i, s in enumerate(states)}
     assert len(states) == 4 * M
-    return RepSpace(M=M, states=tuple(states), index=index, families=families)
+    parities = np.array([(m + n) % 2 for m, n, _, _ in states])
+    return RepSpace(
+        M=M, states=tuple(states), index=index, families=families, parities=parities
+    )
 
 
 @dataclass(frozen=True)
@@ -96,44 +92,38 @@ class GradedOperator:
 
     matrix: np.ndarray
     parity: int
-    parities: tuple  # per-state parity of the (co)domain basis
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     def __matmul__(self, other: "GradedOperator") -> "GradedOperator":
         return GradedOperator(
             np.dot(self.matrix, other.matrix),
             (self.parity + other.parity) % 2,
-            self.parities,
         )
 
     def __add__(self, other: "GradedOperator") -> "GradedOperator":
         if self.parity != other.parity:
             raise ValueError("cannot add operators of different parity")
-        return GradedOperator(self.matrix + other.matrix, self.parity, self.parities)
+        return GradedOperator(self.matrix + other.matrix, self.parity)
 
     def __sub__(self, other: "GradedOperator") -> "GradedOperator":
         if self.parity != other.parity:
             raise ValueError("cannot subtract operators of different parity")
-        return GradedOperator(self.matrix - other.matrix, self.parity, self.parities)
+        return GradedOperator(self.matrix - other.matrix, self.parity)
 
     def __mul__(self, scalar) -> "GradedOperator":
-        return GradedOperator(self.matrix * scalar, self.parity, self.parities)
+        return GradedOperator(self.matrix * scalar, self.parity)
 
     __rmul__ = __mul__
 
     def inv(self) -> "GradedOperator":
         if self.parity != 0:
             raise ValueError("only even operators are invertible here")
-        return GradedOperator(nm.minv(self.matrix), 0, self.parities)
+        return GradedOperator(nm.minv(self.matrix), 0)
 
-    def parity_pattern_residual(self) -> float:
-        """Norm of entries violating the parity zero-pattern."""
-        p = np.array(self.parities)
+    def parity_pattern_residual(self, parities) -> float:
+        """Norm of entries violating the zero-pattern of the basis parities."""
+        p = np.asarray(parities)
         bad = (p[:, None] + p[None, :] + self.parity) % 2 == 1
-        m = nm.to_complex(self.matrix)
+        m = self.matrix.astype(complex)  # object (mpmath) entries too
         return float(np.linalg.norm(np.where(bad, m, 0.0)))
 
 
@@ -142,13 +132,11 @@ def _operator(space: RepSpace, parity: int, entries, dtype=complex) -> GradedOpe
     mat = np.zeros((space.dim, space.dim), dtype=dtype)
     for (row, col), val in entries.items():
         mat[space.index[row], space.index[col]] += val
-    return GradedOperator(mat, parity, tuple(space.parities))
+    return GradedOperator(mat, parity)
 
 
 def identity_operator(space: RepSpace, dtype=complex) -> GradedOperator:
-    return GradedOperator(
-        np.eye(space.dim, dtype=dtype), 0, tuple(space.parities)
-    )
+    return GradedOperator(np.eye(space.dim, dtype=dtype), 0)
 
 
 def _valid(state) -> bool:
@@ -233,7 +221,6 @@ def graded_commutator(A: GradedOperator, B: GradedOperator) -> GradedOperator:
     return GradedOperator(
         np.dot(A.matrix, B.matrix) - sign * np.dot(B.matrix, A.matrix),
         (A.parity + B.parity) % 2,
-        A.parities,
     )
 
 
@@ -376,6 +363,6 @@ def verify_algebra(
 
     # Parity zero-patterns.
     res["parity_pattern"] = max(
-        ops[gname].parity_pattern_residual() for gname in GENERATORS
+        ops[gname].parity_pattern_residual(space.parities) for gname in GENERATORS
     )
     return res

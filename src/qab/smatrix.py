@@ -22,7 +22,7 @@ from .coalgebra import (
     make_leg,
     opposite_coproduct,
 )
-from .kinematics import Kinematics, ModelParams, reflect_kinematics
+from .kinematics import Kinematics, ModelParams
 from .representation import RepSpace, build_basis
 
 DEFAULT_GENERATORS = tuple(
@@ -47,10 +47,6 @@ class SMatrix:
     kin2: Kinematics
     null_dim: int
     singular_values: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def leg_weights(space: RepSpace) -> list:
@@ -174,19 +170,6 @@ def intertwining_residual(S: SMatrix, params: ModelParams, generators=DEFAULT_GE
         B = opposite_coproduct(gen, leg1, leg2).matrix
         out[gen] = float(np.linalg.norm(S.matrix @ A - B @ S.matrix)) / norm
     return out
-
-
-def s_at(
-    kin1: Kinematics,
-    kin2: Kinematics,
-    params: ModelParams,
-    reflect1: bool = False,
-    reflect2: bool = False,
-) -> SMatrix:
-    """S for the given pair with either leg optionally reflected (z -> 1/z)."""
-    k1 = reflect_kinematics(kin1, params) if reflect1 else kin1
-    k2 = reflect_kinematics(kin2, params) if reflect2 else kin2
-    return solve_intertwiner(k1, k2, params)
 
 
 def _embed_pair(S: np.ndarray, spaces, i: int, j: int) -> np.ndarray:

@@ -37,7 +37,7 @@ def test_graded_tensor_koszul_sign(params, kin_of):
     s = build_basis(1)
     ops = all_generators(kin, params, s)
     A, B = ops["E2"], ops["F4"]
-    ident = type(A)(np.eye(s.dim, dtype=complex), 0, A.parities)
+    ident = type(A)(np.eye(s.dim, dtype=complex), 0)
     left = graded_tensor(ident, B, s, s) @ graded_tensor(A, ident, s, s)
     right = graded_tensor(A, B, s, s)
     assert np.linalg.norm(left.matrix + right.matrix) < 1e-13

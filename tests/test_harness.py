@@ -49,6 +49,17 @@ def test_malformed_field_names_the_field():
         load_config(data={"schema_version": 99})
 
 
+@pytest.mark.parametrize(
+    "data",
+    [{"M": [True]}, {"samples": True}, {"seed": False}, {"g": True},
+     {"alpha": [True, 0.0]}, {"tolerances": {"algebra": True}}, {"schema_version": True}],
+    ids=["M", "samples", "seed", "g", "alpha-pair", "tolerance", "schema_version"],
+)
+def test_json_booleans_are_not_numbers(data):
+    with pytest.raises(ConfigError, match=next(iter(data))):
+        load_config(data=data)
+
+
 def test_config_roundtrip(tmp_path):
     cfg = load_config(data={"q": [1.08, 0.0], "M": [1, 2], "seed": 13})
     echoed = config_echo(cfg)
@@ -159,6 +170,32 @@ def test_cli_unknown_suite_exits_2():
 def test_cli_bad_m_list_exits_2():
     assert main(["unitarity", "--M", "1,zebra"]) == 2
     assert main(["unitarity", "--M", "0"]) == 2
+
+
+def test_cli_negative_seed_exits_2(tmp_path):
+    # the CLI flags go through the same validation as a config file
+    assert main(["unitarity", "--M", "1", "--seed", "-1"]) == 2
+    assert main(["unitarity", "--M", "1", "--samples", "-1"]) == 2
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": -1}))
+    assert main(["unitarity", "--config", str(path), "--M", "1"]) == 2
+
+
+def test_cli_boolean_config_exits_2(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"M": [True]}))
+    assert main(["unitarity", "--config", str(path)]) == 2
+
+
+def test_cli_overrides_config_file(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"M": [2], "seed": 5, "samples": 4}))
+    out = tmp_path / "r.json"
+    assert main(["unitarity", "--config", str(path), "--M", "1", "--seed", "3",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["M"] == [1] and report["seed"] == 3
+    assert report["config"]["samples"] == 4
 
 
 def test_cli_csv_output(capsys):

@@ -23,7 +23,6 @@ from qab.kinematics import (
     reflect_kinematics,
     shortening_residual,
     solve_shortening,
-    with_gamma,
 )
 from qab.numerics import TOL_CLOSED_FORM, qint
 
@@ -182,12 +181,6 @@ def test_reflection_swaps_gamma(params_gammas):
     ref = reflect_kinematics(kin, params_gammas)
     assert ref.gamma == params_gammas.gamma_bar
     assert reflect_kinematics(ref, params_gammas).gamma == params_gammas.gamma
-
-
-def test_with_gamma(params, kin_of):
-    kin = kin_of(1, 1.3 + 0.8j)
-    k2 = with_gamma(kin, 2j)
-    assert k2.gamma == 2j and k2.x_plus == kin.x_plus
 
 
 def test_root_of_unity_guard():

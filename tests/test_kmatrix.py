@@ -23,7 +23,9 @@ from qab.kmatrix import (
     solve_boundary_intertwiner,
     unitarity_residual,
 )
+from qab.kmatrix import _read_coefficients
 from qab.numerics import TOL_ALGEBRA, TOL_COMPOSITE, TOL_INTERTWINER
+from qab.representation import build_basis
 
 from conftest import kin_at
 
@@ -64,6 +66,57 @@ def test_closed_form_boundary_values(M, gpoints, params_gammas):
     # A_M = -gamma C_{M-1} / (z U^2 gamma_bar)
     want = -K.gamma * K.C[M - 1] / (kin.z * kin.U**2 * K.gamma_bar)
     assert abs(K.A[M] - want) < 1e-11
+
+
+@pytest.mark.parametrize("M", range(1, 9))
+def test_k_layout_round_trip(M, params_gammas):
+    # the entries K is assembled into are the entries the solver's K is read from
+    K = closed_form_kmatrix(kin_at(M, 1.3 + 0.8j, params_gammas), params_gammas)
+    space = build_basis(M)
+    back = _read_coefficients(space, K.operator.matrix)
+    for name, got in zip("ABCDE", back):
+        assert np.array_equal(got, getattr(K, name)), name
+    # family 4 repeats C, and no entry lies outside the layout
+    rebuilt = np.zeros_like(K.operator.matrix)
+    f1, f2 = space.families[1], space.families[2]
+    rebuilt[f1, f1] = K.A
+    rebuilt[f2, f2] = K.B
+    rebuilt[f2, f1[1:-1]] = K.D[1:-1]
+    rebuilt[f1[1:-1], f2] = K.E
+    for fam in (3, 4):
+        rebuilt[space.families[fam], space.families[fam]] = K.C
+    assert np.array_equal(rebuilt, K.operator.matrix)
+
+
+def _label_form_by_loop(kin, params, C):
+    """Reference: the label-form coefficients one k at a time."""
+    from qab.kinematics import bulk_labels
+    from qab.numerics import qint
+
+    M, q = kin.M, params.q
+    a, b, c, d = bulk_labels(kin, params)
+    a_, b_, c_, d_ = bulk_labels(reflect_kinematics(kin, params), params)
+    A, D, B, E = [], [], [], []
+    for k in range(M + 1):
+        Cm1 = C[k - 1] if k >= 1 else 0.0
+        Cat = C[k] if k <= M - 1 else 0.0
+        N = qint(k, q) * b_ * c_ + qint(M - k, q) * a_ * d_
+        A.append((Cm1 * qint(k, q) * b_ * c + Cat * qint(M - k, q) * a * d_) / N)
+        D.append(qint(k, q) * qint(M - k, q) * (Cat * a * c_ - Cm1 * a_ * c) / N)
+        if 1 <= k <= M - 1:
+            B.append((Cat * qint(k, q) * b * c_ + Cm1 * qint(M - k, q) * a_ * d) / N)
+            E.append((Cat * b * d_ - Cm1 * b_ * d) / N)
+    return A, B, D, E
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 5])
+def test_closed_form_equals_per_k_loop(M, params_gammas):
+    # the arithmetic per entry is unchanged, so the results are bit-identical
+    kin = kin_at(M, 1.3 + 0.8j, params_gammas)
+    K = closed_form_kmatrix(kin, params_gammas)
+    want = _label_form_by_loop(kin, params_gammas, K.C)
+    for name, ref in zip("ABDE", want):
+        assert np.array_equal(getattr(K, name), np.array(ref, dtype=complex)), name
 
 
 def test_label_and_explicit_forms_cross_checked(gpoints, params_gammas):

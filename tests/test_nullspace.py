@@ -11,6 +11,7 @@ import pytest
 
 from qab.coalgebra import coproduct, make_leg, opposite_coproduct
 from qab.kmatrix import (
+    _boundary_charges,
     _charge_pairs,
     boundary_nullspace_dimension,
     closed_form_kmatrix,
@@ -49,9 +50,9 @@ def test_smatrix_matches_dense_reference(kin_of, params):
 @pytest.mark.parametrize("M", [2, 3])
 def test_kmatrix_matches_dense_reference(M, params_gammas):
     kin = kin_at(M, 0.9 - 1.1j, params_gammas)
-    space, pairs = _charge_pairs(kin, params_gammas)
+    space, pairs = _charge_pairs(kin, params_gammas, _boundary_charges(True))
     K = solve_boundary_intertwiner(kin, params_gammas)
-    ref = _dense_null_vector(list(pairs.values()), space.families[1][0])
+    ref = _dense_null_vector(pairs, space.families[1][0])
     assert rel_residual(K.operator.matrix, ref) < 1e-12
 
 

@@ -35,9 +35,9 @@ def test_basis_parities():
     space = build_basis(2)
     # families 1, 2 bosonic; 3, 4 fermionic
     for i in space.families[1] + space.families[2]:
-        assert space.parity(i) == 0
+        assert space.parities[i] == 0
     for i in space.families[3] + space.families[4]:
-        assert space.parity(i) == 1
+        assert space.parities[i] == 1
 
 
 def test_generator_parities():
@@ -51,7 +51,7 @@ def test_parity_zero_patterns(params, kin_of):
     space = build_basis(2)
     ops = all_generators(kin, params, space)
     for name, op in ops.items():
-        assert op.parity_pattern_residual() < 1e-14, name
+        assert op.parity_pattern_residual(space.parities) < 1e-14, name
 
 
 def test_cartan_generators_diagonal(params, kin_of):

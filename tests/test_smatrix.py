@@ -11,7 +11,6 @@ from qab.smatrix import (
     IntertwinerError,
     intertwiner_nullspace,
     intertwining_residual,
-    s_at,
     solve_intertwiner,
     ybe_residual,
 )
@@ -111,8 +110,8 @@ def test_degenerate_request_raises(points, params):
 
 
 def test_s_at_reflected_legs(points, params):
-    S = s_at(points[1], points["1b"], params, reflect2=True)
     kin2r = reflect_kinematics(points["1b"], params)
+    S = solve_intertwiner(points[1], kin2r, params)
     assert abs(S.kin2.z - kin2r.z) < 1e-12
     assert S.null_dim == 1
 
