@@ -41,15 +41,22 @@ def graded_tensor(
     return GradedOperator(np.kron(left, B.matrix), (A.parity + B.parity) % 2)
 
 
-def graded_permutation(space1, space2) -> np.ndarray:
-    """Matrix of P(v (x) w) = (-1)^{|v||w|} w (x) v from V1 (x) V2 to V2 (x) V1."""
-    d1, d2 = space1.dim, space2.dim
-    p1, p2 = space1.parities, space2.parities
-    P = np.zeros((d2 * d1, d1 * d2))
-    for i in range(d1):
-        for j in range(d2):
-            P[j * d1 + i, i * d2 + j] = (-1.0) ** (p1[i] * p2[j])
-    return P
+def swap_legs(X: np.ndarray, spaces, i: int) -> np.ndarray:
+    """P X P^-1 for X on the graded product of ``spaces``, where
+    P(.. v (x) w ..) = (-1)^{|v||w|} (.. w (x) v ..) exchanges legs i and i+1.
+
+    P is a signed permutation, so the result is X reindexed with Koszul signs:
+    exact, with no rounding.
+    """
+    dims = [s.dim for s in spaces]
+    state = np.indices(dims)  # state[k]: leg k's basis index of each product state
+    koszul = spaces[i].parities[state[i]] * spaces[i + 1].parities[state[i + 1]] % 2
+    # per state of the swapped product, in its basis order: source state, sign
+    src, sign = (
+        np.swapaxes(a, i, i + 1).ravel()
+        for a in (np.arange(len(X)).reshape(dims), 1 - 2 * koszul)
+    )
+    return X[np.ix_(src, src)] * np.outer(sign, sign)
 
 
 class _Leg:
@@ -100,10 +107,8 @@ def coproduct_map(leg1: _Leg, leg2: _Leg) -> dict:
 
 def opposite_coproduct(gen: str, leg1: _Leg, leg2: _Leg) -> GradedOperator:
     """Delta^op = P o Delta o P with the graded permutation and swapped legs."""
-    P = graded_permutation(leg1.space, leg2.space)
     d21 = coproduct(gen, leg2, leg1)
-    Pb = graded_permutation(leg2.space, leg1.space)
-    return GradedOperator(np.dot(Pb, np.dot(d21.matrix, P)), d21.parity)
+    return GradedOperator(swap_legs(d21.matrix, [leg2.space, leg1.space], 0), d21.parity)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +285,6 @@ def yangian_limit_probe(
     x_minus,
     M: int,
     g,
-    params_template: ModelParams | None = None,
     alpha=1j,
     alpha_tilde=1.0 + 0j,
 ):

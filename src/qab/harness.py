@@ -164,6 +164,10 @@ def load_config(path: str | None = None, data: dict | None = None) -> RunConfig:
         raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
     for key, val in out.items():
         setattr(cfg, key, val)
+    try:
+        cfg.params().check_not_root_of_unity(max(cfg.M))
+    except KinematicsError as exc:
+        raise ConfigError(f"q: {exc}") from None
     return cfg
 
 

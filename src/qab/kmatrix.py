@@ -15,11 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .coalgebra import (
-    TWISTED_CHARGES,
-    graded_permutation,
-    twisted_boundary_charges,
-)
+from .coalgebra import TWISTED_CHARGES, swap_legs, twisted_boundary_charges
 from .kinematics import (
     Kinematics,
     KinematicsError,
@@ -33,7 +29,13 @@ from .kinematics import (
 )
 from .numerics import qint
 from .representation import GradedOperator, RepSpace, all_generators, build_basis
-from .smatrix import IntertwinerError, leg_weights, solve_intertwiner, weight_nullspace
+from .smatrix import (
+    IntertwinerError,
+    leg_weights,
+    pair_residuals,
+    solve_intertwiner,
+    weight_nullspace,
+)
 
 #: Charges preserved without twisting, imposed alongside the twisted set.
 PRESERVED_CHARGES = ("E2", "F2", "E3", "F3", "K1", "K2", "K3", "K4")
@@ -258,7 +260,6 @@ def solve_boundary_intertwiner(
     kin: Kinematics,
     params: ModelParams,
     include_twisted: bool = True,
-    require_unique: bool = True,
 ) -> ReflectionMatrix:
     """K as the null space of J_in -> K pi(J) - pi_ref(J) K over all charges.
 
@@ -270,7 +271,7 @@ def solve_boundary_intertwiner(
     """
     space, pairs = _charge_pairs(kin, params, _boundary_charges(include_twisted))
     basis, sv, null_dim = weight_nullspace(pairs, leg_weights(space))
-    if require_unique and null_dim != 1:
+    if null_dim != 1:
         raise IntertwinerError(f"boundary null-space dimension {null_dim}, expected 1")
     K = basis[-1]
     anchor = space.families[1][0]
@@ -310,12 +311,7 @@ def invariance_residual(
     if charges is None:
         charges = _boundary_charges(include_twisted)
     _, pairs = _charge_pairs(K.kin, params, charges)
-    Km = K.operator.matrix
-    norm = max(1.0, float(np.linalg.norm(Km)))
-    return {
-        name: float(np.linalg.norm(Km @ A - B @ Km)) / norm
-        for name, (A, B) in zip(charges, pairs)
-    }
+    return dict(zip(charges, pair_residuals(K.operator.matrix, pairs)))
 
 
 def unitarity_residual(kin: Kinematics, params: ModelParams) -> float:
@@ -351,8 +347,8 @@ def ck_symmetry_residual(kin: Kinematics, params: ModelParams) -> np.ndarray:
 def reflection_smatrices(kin1: Kinematics, kin2: Kinematics, params: ModelParams):
     """The four S matrices of the reflection equation, solved as intertwiners.
 
-    Returns (S_{12}, S_{1 2r}, P21 S_{2 1r} P12, P21 S_{2r 1r} P12): the last
-    two are conjugated by the graded permutations so that all four act on
+    Returns (S_{12}, S_{1 2r}, S_{2 1r}, S_{2r 1r}), the last two carried from
+    V2 (x) V1 to V1 (x) V2 by the graded swap, so that all four act on
     V1 (x) V2.  They do not depend on the K matrices, so one solve serves both
     the reflection equation and its trivial-C_k control.
     """
@@ -361,10 +357,8 @@ def reflection_smatrices(kin1: Kinematics, kin2: Kinematics, params: ModelParams
     kin2r = reflect_kinematics(kin2, params)
     S12 = solve_intertwiner(kin1, kin2, params).matrix
     S_1_2r = solve_intertwiner(kin1, kin2r, params).matrix
-    P12 = graded_permutation(s1, s2)
-    P21 = graded_permutation(s2, s1)
-    S_2_1r = P21 @ solve_intertwiner(kin2, kin1r, params).matrix @ P12
-    S_2r_1r = P21 @ solve_intertwiner(kin2r, kin1r, params).matrix @ P12
+    S_2_1r = swap_legs(solve_intertwiner(kin2, kin1r, params).matrix, [s2, s1], 0)
+    S_2r_1r = swap_legs(solve_intertwiner(kin2r, kin1r, params).matrix, [s2, s1], 0)
     return S12, S_1_2r, S_2_1r, S_2r_1r
 
 
@@ -397,11 +391,7 @@ def boundary_ybe_residual(
     if smatrices is None:
         smatrices = reflection_smatrices(kin1, kin2, params)
     S12, S_1_2r, S_2_1r, S_2r_1r = smatrices
-    lhs = K2 @ S_2_1r @ K1 @ S12
-    rhs = S_2r_1r @ K1 @ S_1_2r @ K2
-    return float(
-        np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(lhs), np.linalg.norm(rhs))
-    )
+    return nm.rel_residual(K2 @ S_2_1r @ K1 @ S12, S_2r_1r @ K1 @ S_1_2r @ K2)
 
 
 def rational_u(x_plus, x_minus, M: int, g, eps: float = 1e-6):

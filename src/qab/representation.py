@@ -256,7 +256,6 @@ def verify_algebra(
     kin: Kinematics,
     params: ModelParams,
     space: RepSpace,
-    tol: float = nm.TOL_ALGEBRA,
     dtype=complex,
 ) -> dict:
     """Residuals of every defining relation of the algebra on this module.

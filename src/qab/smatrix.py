@@ -16,13 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coalgebra import (
-    coproduct,
-    graded_permutation,
-    make_leg,
-    opposite_coproduct,
-)
+from .coalgebra import coproduct, make_leg, opposite_coproduct, swap_legs
 from .kinematics import Kinematics, ModelParams
+from .numerics import rel_residual
 from .representation import RepSpace, build_basis
 
 DEFAULT_GENERATORS = tuple(
@@ -105,6 +101,19 @@ def weight_nullspace(pairs, weights):
     return basis, sv, null_dim
 
 
+def pair_residuals(X: np.ndarray, pairs) -> list:
+    """||X A - B X|| / max(1, ||X||) for every (A, B) in ``pairs``."""
+    norm = max(1.0, float(np.linalg.norm(X)))
+    return [float(np.linalg.norm(X @ A - B @ X)) / norm for A, B in pairs]
+
+
+def _coproduct_pairs(leg1, leg2, generators) -> list:
+    return [
+        (coproduct(gen, leg1, leg2).matrix, opposite_coproduct(gen, leg1, leg2).matrix)
+        for gen in generators
+    ]
+
+
 def intertwiner_nullspace(
     kin1: Kinematics,
     kin2: Kinematics,
@@ -119,10 +128,7 @@ def intertwiner_nullspace(
     """
     leg1 = make_leg(kin1, params)
     leg2 = make_leg(kin2, params)
-    pairs = [
-        (coproduct(gen, leg1, leg2).matrix, opposite_coproduct(gen, leg1, leg2).matrix)
-        for gen in generators
-    ]
+    pairs = _coproduct_pairs(leg1, leg2, generators)
     return weight_nullspace(pairs, _joint_weights(leg1.space, leg2.space))
 
 
@@ -163,45 +169,22 @@ def intertwining_residual(S: SMatrix, params: ModelParams, generators=DEFAULT_GE
     """Per-generator residual ||S Delta(J) - Delta^op(J) S|| (relative)."""
     leg1 = make_leg(S.kin1, params)
     leg2 = make_leg(S.kin2, params)
-    out = {}
-    norm = max(1.0, float(np.linalg.norm(S.matrix)))
-    for gen in list(generators) + [f"K{i}" for i in (1, 2, 3, 4)]:
-        A = coproduct(gen, leg1, leg2).matrix
-        B = opposite_coproduct(gen, leg1, leg2).matrix
-        out[gen] = float(np.linalg.norm(S.matrix @ A - B @ S.matrix)) / norm
-    return out
-
-
-def _embed_pair(S: np.ndarray, spaces, i: int, j: int) -> np.ndarray:
-    """Embed an even two-leg operator on legs (i, j) of a three-leg space.
-
-    Adjacent legs embed by a plain Kronecker product (the operator is even);
-    legs (0, 2) are conjugated through the graded permutation of legs 1, 2.
-    """
-    dims = [s.dim for s in spaces]
-    if (i, j) == (0, 1):
-        return np.kron(S, np.eye(dims[2]))
-    if (i, j) == (1, 2):
-        return np.kron(np.eye(dims[0]), S)
-    if (i, j) == (0, 2):
-        P = np.kron(np.eye(dims[0]), graded_permutation(spaces[1], spaces[2]))
-        Pb = np.kron(np.eye(dims[0]), graded_permutation(spaces[2], spaces[1]))
-        inner = np.kron(S, np.eye(dims[1]))  # on V1 (x) V3 (x) V2
-        return Pb @ inner @ P
-    raise ValueError(f"unsupported leg pair {(i, j)}")
+    gens = list(generators) + [f"K{i}" for i in (1, 2, 3, 4)]
+    return dict(zip(gens, pair_residuals(S.matrix, _coproduct_pairs(leg1, leg2, gens))))
 
 
 def ybe_residual(
     kin1: Kinematics, kin2: Kinematics, kin3: Kinematics, params: ModelParams
 ) -> float:
-    """Relative residual of S23 S13 S12 = S12 S13 S23 on V1 (x) V2 (x) V3."""
-    spaces = [build_basis(k.M) for k in (kin1, kin2, kin3)]
-    S12 = _embed_pair(solve_intertwiner(kin1, kin2, params).matrix, spaces, 0, 1)
-    S13 = _embed_pair(solve_intertwiner(kin1, kin3, params).matrix, spaces, 0, 2)
-    S23 = _embed_pair(solve_intertwiner(kin2, kin3, params).matrix, spaces, 1, 2)
-    lhs = S23 @ S13 @ S12
-    rhs = S12 @ S13 @ S23
-    return float(
-        np.linalg.norm(lhs - rhs)
-        / max(1.0, np.linalg.norm(lhs), np.linalg.norm(rhs))
-    )
+    """Relative residual of S23 S13 S12 = S12 S13 S23 on V1 (x) V2 (x) V3.
+
+    S is even, so S12 and S23 embed by a plain Kronecker product; S13 is
+    embedded on V1 (x) V3 (x) V2 and carried to V1 (x) V2 (x) V3 by the
+    graded swap of its last two legs.
+    """
+    s1, s2, s3 = (build_basis(k.M) for k in (kin1, kin2, kin3))
+    S12 = np.kron(solve_intertwiner(kin1, kin2, params).matrix, np.eye(s3.dim))
+    S13 = np.kron(solve_intertwiner(kin1, kin3, params).matrix, np.eye(s2.dim))
+    S13 = swap_legs(S13, [s1, s3, s2], 1)
+    S23 = np.kron(np.eye(s1.dim), solve_intertwiner(kin2, kin3, params).matrix)
+    return rel_residual(S23 @ S13 @ S12, S12 @ S13 @ S23)

@@ -228,6 +228,22 @@ def test_cli_q_without_deformation_exits_2(q, tmp_path):
     assert main(["unitarity", "--config", str(path), "--M", "1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "q, argv",
+    [
+        # q = i: [2]_q vanishes in the representation labels
+        ([0.0, 1.0], ["unitarity"]),
+        # q = e^{2 pi i/3}: the M = 3 intertwiner is not unique
+        ([np.cos(2 * np.pi / 3), np.sin(2 * np.pi / 3)], ["smatrix", "--M", "3"]),
+    ],
+    ids=["fourth-root", "third-root"],
+)
+def test_cli_q_root_of_unity_exits_2(q, argv, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"q": q}))
+    assert main(argv + ["--config", str(path)]) == 2
+
+
 @pytest.mark.parametrize("name", ["g", "alpha", "alpha_tilde"])
 def test_cli_zero_coupling_exits_2(name, tmp_path):
     # the kinematics and the representation labels divide by these couplings
