@@ -14,6 +14,7 @@ from .kinematics import (
     KinematicsError,
     ModelParams,
     make_kinematics,
+    on_shell,
     reflect_kinematics,
     solve_shortening,
 )
@@ -23,6 +24,7 @@ __all__ = [
     "KinematicsError",
     "ModelParams",
     "make_kinematics",
+    "on_shell",
     "reflect_kinematics",
     "solve_shortening",
     "__version__",

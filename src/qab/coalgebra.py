@@ -8,16 +8,11 @@ homomorphisms in the representation.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .kinematics import (
-    Kinematics,
-    ModelParams,
-    derive_couplings,
-    make_kinematics,
-    reflect_kinematics,
-    solve_shortening,
-)
+from .kinematics import Kinematics, ModelParams, derive_couplings, on_shell, reflect_kinematics
 from .numerics import qint, rel_residual
 from .representation import (
     GENERATORS,
@@ -59,7 +54,7 @@ def swap_legs(X: np.ndarray, spaces, i: int) -> np.ndarray:
     return X[np.ix_(src, src)] * np.outer(sign, sign)
 
 
-class _Leg:
+class Leg:
     """One coproduct leg: generator matrices plus the central scalars."""
 
     def __init__(self, kin, params):
@@ -68,17 +63,13 @@ class _Leg:
         self.U = kin.U
 
 
-def make_leg(kin, params) -> _Leg:
-    return _Leg(kin, params)
-
-
 def _u_power(gen: str) -> int:
     """Exponent of the first-leg central U in the standard coproduct tail."""
     i = int(gen[1])
     return (1 if i == 2 else 0) + (-1 if i == 4 else 0)
 
 
-def coproduct(gen: str, leg1: _Leg, leg2: _Leg) -> GradedOperator:
+def coproduct(gen: str, leg1: Leg, leg2: Leg) -> GradedOperator:
     """Standard coproduct Delta(J) as a matrix on V1 (x) V2.
 
     Delta(E_j) = E_j (x) 1 + K_j^-1 U^{d_j} (x) E_j and
@@ -100,12 +91,12 @@ def coproduct(gen: str, leg1: _Leg, leg2: _Leg) -> GradedOperator:
     )
 
 
-def coproduct_map(leg1: _Leg, leg2: _Leg) -> dict:
+def coproduct_map(leg1: Leg, leg2: Leg) -> dict:
     """All generators' coproduct matrices (an algebra homomorphism's image)."""
     return {g: coproduct(g, leg1, leg2) for g in GENERATORS}
 
 
-def opposite_coproduct(gen: str, leg1: _Leg, leg2: _Leg) -> GradedOperator:
+def opposite_coproduct(gen: str, leg1: Leg, leg2: Leg) -> GradedOperator:
     """Delta^op = P o Delta o P with the graded permutation and swapped legs."""
     d21 = coproduct(gen, leg2, leg1)
     return GradedOperator(swap_legs(d21.matrix, [leg2.space, leg1.space], 0), d21.parity)
@@ -178,8 +169,7 @@ def coideal_expansion_check(
 ) -> dict:
     """Residuals of the two displayed coproduct expansions of the twisted
     level-one charges, as matrix identities on V1 (x) V2."""
-    leg1 = make_leg(kin1, params)
-    leg2 = make_leg(kin2, params)
+    leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
     s1, s2 = leg1.space, leg2.space
     dmap = coproduct_map(leg1, leg2)
     d_y, d_x = boundary_d_constants(params)
@@ -253,10 +243,9 @@ def twisted_f1_action_residual(kin: Kinematics, params: ModelParams) -> float:
                 / kin.V
             )
             expected[idx[k + 1], idx[k]] = f_k
-    actual = tw["Ft1"].matrix.copy()
     rows = [i for fam in (3, 4) for i in space.families[fam]]
-    cols = rows
-    return rel_residual(actual[np.ix_(rows, cols)], expected[np.ix_(rows, cols)])
+    block = np.ix_(rows, rows)
+    return rel_residual(tw["Ft1"].matrix[block], expected[block])
 
 
 def twisted_central_invariance(kin: Kinematics, params: ModelParams) -> dict:
@@ -280,39 +269,29 @@ def twisted_central_invariance(kin: Kinematics, params: ModelParams) -> dict:
     return out
 
 
-def yangian_limit_probe(
-    q_values,
-    x_minus,
-    M: int,
-    g,
-    alpha=1j,
-    alpha_tilde=1.0 + 0j,
-):
+def yangian_limit_probe(q_values, x_minus, M: int, params: ModelParams):
     """Convergence table of the rescaled twisted charges along q -> 1.
 
+    ``params`` supplies every coupling but q, which runs over ``q_values``.
     The kinematic point is held at fixed x-; x+ is re-solved from the
     shortening condition at every q (tracking the root continuously).
     Charges Et321, Et21, Et1, Ct2 are rescaled by alpha*alpha_tilde/(2(q-1)),
     their F partners by 1/(2 alpha alpha_tilde (q-1)).
     """
-    rescale_e = lambda q: alpha * alpha_tilde / (2 * (q - 1))
-    rescale_f = lambda q: 1 / (2 * alpha * alpha_tilde * (q - 1))
+    a, at = params.alpha, params.alpha_tilde
     matrices = {name: [] for name in TWISTED_CHARGES}
-    prev_root = None
+    space = build_basis(M)
+    x_plus = None
     for q in q_values:
-        params = ModelParams(q=q, g=g, alpha=alpha, alpha_tilde=alpha_tilde)
-        roots = solve_shortening(x_minus, M, params)
-        if prev_root is None:
-            root = max(roots, key=abs)
-        else:
-            root = min(roots, key=lambda r: abs(r - prev_root))
-        prev_root = root
-        kin = make_kinematics(M, root, x_minus, params)
-        space = build_basis(M)
-        ops = all_generators(kin, params, space)
-        tw = twisted_boundary_charges(ops, params)
+        p = replace(params, q=q)
+        kin = on_shell(M, x_minus, p, near=x_plus)
+        x_plus = kin.x_plus
+        tw = twisted_boundary_charges(all_generators(kin, p, space), p)
         for name in TWISTED_CHARGES:
-            scale = rescale_e(q) if name.startswith(("Et", "Ct2")) else rescale_f(q)
+            if name.startswith(("Et", "Ct2")):
+                scale = a * at / (2 * (q - 1))
+            else:
+                scale = 1 / (2 * a * at * (q - 1))
             matrices[name].append(scale * tw[name].matrix)
     table = {}
     for name, mats in matrices.items():
@@ -324,16 +303,11 @@ def yangian_limit_probe(
             diffs[i + 1] / diffs[i] if diffs[i] > 0 else 0.0
             for i in range(len(diffs) - 1)
         ]
-        table[name] = {
-            "norms": norms,
-            "diffs": diffs,
-            "ratios": ratios,
-            "limit": mats[-1],
-        }
+        table[name] = {"norms": norms, "diffs": diffs, "ratios": ratios}
     return table
 
 
-def hom_check(leg1: _Leg, leg2: _Leg, dmap: dict, params: ModelParams) -> dict:
+def hom_check(dmap: dict, params: ModelParams) -> dict:
     """Residuals showing the coproduct map is an algebra homomorphism on the
     diagonal [E_j, F_j} relations."""
     q = params.q

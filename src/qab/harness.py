@@ -15,19 +15,20 @@ import json
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from itertools import product
 
 import numpy as np
 
 from . import __version__, numerics as nm
 from . import coalgebra, kmatrix, smatrix
-from .coalgebra import make_leg, coproduct_map
+from .coalgebra import Leg, coproduct_map
 from .kinematics import (
     KinematicsError,
     ModelParams,
     derive_couplings,
     make_kinematics,
+    on_shell,
     solve_shortening,
 )
 from .representation import build_basis, verify_algebra
@@ -271,10 +272,7 @@ def suite_rep_check(cfg: RunConfig):
             import mpmath
 
             # re-solve x+ at working precision so shortening holds exactly
-            xm = mpmath.mpc(kin.x_minus)
-            roots = solve_shortening(xm, M, params)
-            xp = min(roots, key=lambda r: abs(complex(r) - kin.x_plus))
-            kin = make_kinematics(M, xp, xm, params)
+            kin = on_shell(M, mpmath.mpc(kin.x_minus), params, near=kin.x_plus)
         space = build_basis(M)
         dtype = object if high else complex
         residuals = verify_algebra(kin, params, space, dtype=dtype)
@@ -310,8 +308,7 @@ def suite_coalgebra(cfg: RunConfig):
 
     def check(params, kin1, kin2):
         M1, M2 = kin1.M, kin2.M
-        leg1, leg2 = make_leg(kin1, params), make_leg(kin2, params)
-        hom = coalgebra.hom_check(leg1, leg2, coproduct_map(leg1, leg2), params)
+        hom = coalgebra.hom_check(coproduct_map(Leg(kin1, params), Leg(kin2, params)), params)
         exp = coalgebra.coideal_expansion_check(kin1, kin2, params)
         inv = coalgebra.twisted_central_invariance(kin1, params)
         return [
@@ -342,8 +339,7 @@ def suite_smatrix(cfg: RunConfig):
             _check("smatrix", "intertwining", Ms, max(res.values()), tol),
         ]
         if min(Ms) >= 2:
-            gens = tuple(g for g in smatrix.DEFAULT_GENERATORS if g not in ("E4", "F4"))
-            _, _, nd = smatrix.intertwiner_nullspace(kin1, kin2, params, generators=gens)
+            _, _, nd = smatrix.intertwiner_nullspace(kin1, kin2, params, smatrix.SANS_AFFINE)
             rows.append(_check(
                 "smatrix", "affine-ablation", Ms, nd, 1.5, invert=True,
                 extra={"note": "null dimension must exceed 1 without E4, F4"},
@@ -382,7 +378,7 @@ def suite_kmatrix(cfg: RunConfig):
             _check("kmatrix", "invariance", M, max(inv.values()), tol_i),
         ]
         if M >= 2:
-            nd = kmatrix.boundary_nullspace_dimension(kin, params, include_twisted=False)
+            _, _, nd = kmatrix.boundary_nullspace(kin, params, kmatrix.PRESERVED_CHARGES)
             rows.append(_check(
                 "kmatrix", "twisted-ablation", M, nd, 1.5, invert=True,
                 extra={"note": "null dimension must reach 2 without twisted charges"},
@@ -443,14 +439,13 @@ def suite_limits(cfg: RunConfig):
     s = xm + 1 / xm + 1j * M / g
     xp = (s + np.sqrt(complex(s * s - 4))) / 2
     gam = nm.sqrt(1j * (xm - xp))
-    Kr = kmatrix.rational_limit_kmatrix(xp, xm, g, M, gamma=gam, gamma_bar=gam)
+    Kr = kmatrix.rational_limit_kmatrix(
+        xp, xm, g, M, gamma=gam, gamma_bar=gam, alpha=params.alpha,
+    )
     errs = []
     for eps in (1e-3, 1e-4):
-        p_eps = ModelParams(q=1 + eps, g=g, gamma=gam, gamma_bar=gam)
-        roots = solve_shortening(xm, M, p_eps)
-        xpq = min(roots, key=lambda r: abs(r - xp))
-        kin_q = make_kinematics(M, xpq, xm, p_eps)
-        Kq = kmatrix.closed_form_kmatrix(kin_q, p_eps)
+        p_eps = replace(params, q=1 + eps, gamma=gam, gamma_bar=gam)
+        Kq = kmatrix.closed_form_kmatrix(on_shell(M, xm, p_eps, near=xp), p_eps)
         err = max(
             (np.abs(np.asarray(getattr(Kq, f)) - np.asarray(getattr(Kr, f)))
              / np.maximum(1.0, np.abs(np.asarray(getattr(Kr, f))))).max(initial=0.0)
@@ -468,11 +463,8 @@ def suite_limits(cfg: RunConfig):
 
     # fundamental M=1 coefficient limit A_1/A_0 -> -x-/x+
     eps = 1e-6
-    p_eps = ModelParams(q=1 + eps, g=g)
-    xm1 = complex(sample_kinematics(1, params, rng).x_minus)
-    roots = solve_shortening(xm1, 1, p_eps)
-    xp1 = max(roots, key=abs)
-    kin1 = make_kinematics(1, xp1, xm1, p_eps)
+    p_eps = replace(params, q=1 + eps)
+    kin1 = on_shell(1, complex(sample_kinematics(1, params, rng).x_minus), p_eps)
     K1 = kmatrix.fundamental_kmatrix(kin1, p_eps)
     checks.append(_check(
         "limits", "fundamental-A1/A0", 1,
@@ -483,7 +475,7 @@ def suite_limits(cfg: RunConfig):
     q_values = [1 + 1e-2, 1 + 1e-3, 1 + 1e-4]
     M_y = min(cfg.M)
     xm_y = complex(sample_kinematics(M_y, params, rng).x_minus)
-    table = coalgebra.yangian_limit_probe(q_values, xm_y, M_y, g)
+    table = coalgebra.yangian_limit_probe(q_values, xm_y, M_y, params)
     for name, row in table.items():
         diverging = row["diffs"][-1] > row["diffs"][0] or not np.isfinite(row["norms"][-1])
         checks.append(_check(

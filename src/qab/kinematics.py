@@ -99,8 +99,6 @@ def solve_shortening(x_minus, M: int, params: ModelParams):
     """Both roots in x+ of the shortening condition at fixed x-.
 
     Returns a pair; substituting either back gives a vanishing residual.
-    A degenerate (double) root is reported via ``degenerate_root`` on the
-    returned pair's third element.
     """
     if x_minus == 0:
         raise KinematicsError("x_minus must be nonzero")
@@ -117,24 +115,24 @@ def solve_shortening(x_minus, M: int, params: ModelParams):
     return roots
 
 
-def make_kinematics(
-    M: int,
-    x_plus,
-    x_minus,
-    params: ModelParams,
-    gamma=None,
-    tol: float = DEFAULT_TOL,
-    check: bool = True,
-) -> Kinematics:
+def make_kinematics(M: int, x_plus, x_minus, params: ModelParams) -> Kinematics:
     """Assemble a Kinematics record, validating shortening and centrals."""
-    if check:
-        res = shortening_residual(x_plus, x_minus, M, params)
-        if res > tol:
-            raise KinematicsError(f"shortening residual {res:.3e} exceeds {tol:.1e}")
-    U, V, z = _central_elements(M, x_plus, x_minus, params, tol=tol, check=check)
-    if gamma is None:
-        gamma = params.gamma
-    return Kinematics(M=M, x_plus=x_plus, x_minus=x_minus, U=U, V=V, z=z, gamma=gamma)
+    res = shortening_residual(x_plus, x_minus, M, params)
+    if res > DEFAULT_TOL:
+        raise KinematicsError(f"shortening residual {res:.3e} exceeds {DEFAULT_TOL:.1e}")
+    U, V, z = _central_elements(M, x_plus, x_minus, params)
+    return Kinematics(M=M, x_plus=x_plus, x_minus=x_minus, U=U, V=V, z=z, gamma=params.gamma)
+
+
+def on_shell(M: int, x_minus, params: ModelParams, near=None) -> Kinematics:
+    """The on-shell point at x-: the shortening root in x+ nearest ``near``,
+    or the root of larger modulus when ``near`` is None."""
+    roots = solve_shortening(x_minus, M, params)
+    if near is None:
+        x_plus = max(roots, key=abs)
+    else:
+        x_plus = min(roots, key=lambda r: abs(r - near))
+    return make_kinematics(M, x_plus, x_minus, params)
 
 
 def _theta(x, xi):
@@ -142,37 +140,35 @@ def _theta(x, xi):
     return -((x + xi) * (1 + 1 / (xi * x))) / (xi - 1 / xi)
 
 
-def _central_elements(M, x_plus, x_minus, params, tol=DEFAULT_TOL, check=True):
+def _central_elements(M, x_plus, x_minus, params):
     q = params.q
     xi, _ = derive_couplings(q, params.g)
     u2_a = q**-M * (x_plus + xi) / (x_minus + xi)
     u2_b = q**M * (x_plus / x_minus) * (xi * x_minus + 1) / (xi * x_plus + 1)
     v2_a = q**-M * (xi * x_plus + 1) / (xi * x_minus + 1)
     v2_b = q**M * (x_plus / x_minus) * (x_minus + xi) / (x_plus + xi)
-    if check:
-        for name, lhs, rhs in (("U^2", u2_a, u2_b), ("V^2", v2_a, v2_b)):
-            res = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-            if res > tol:
-                raise KinematicsError(
-                    f"{name} expressions disagree (residual {res:.3e}); "
-                    "kinematics is off shell"
-                )
+    for name, lhs, rhs in (("U^2", u2_a, u2_b), ("V^2", v2_a, v2_b)):
+        res = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+        if res > DEFAULT_TOL:
+            raise KinematicsError(
+                f"{name} expressions disagree (residual {res:.3e}); "
+                "kinematics is off shell"
+            )
     U = sqrt(u2_a)
     V = sqrt(v2_a)
     z = (1 - u2_a * v2_a) / (v2_a - u2_a)
-    if check:
-        za = q**-M * _theta(x_plus, xi)
-        zb = q**M * _theta(x_minus, xi)
-        for other in (za, zb):
-            res = abs(z - other) / max(1.0, abs(z), abs(other))
-            if res > tol:
-                raise KinematicsError(f"z expressions disagree (residual {res:.3e})")
+    za = q**-M * _theta(x_plus, xi)
+    zb = q**M * _theta(x_minus, xi)
+    for other in (za, zb):
+        res = abs(z - other) / max(1.0, abs(z), abs(other))
+        if res > DEFAULT_TOL:
+            raise KinematicsError(f"z expressions disagree (residual {res:.3e})")
     return U, V, z
 
 
-def central_elements(kin: Kinematics, params: ModelParams, tol: float = DEFAULT_TOL):
+def central_elements(kin: Kinematics, params: ModelParams):
     """Re-derive (U, V, z) from x±, cross-checking both closed forms."""
-    return _central_elements(kin.M, kin.x_plus, kin.x_minus, params, tol=tol)
+    return _central_elements(kin.M, kin.x_plus, kin.x_minus, params)
 
 
 def _labels(M, x_plus, x_minus, V, gamma, alpha, params: ModelParams):
@@ -240,12 +236,12 @@ def label_constraint_residuals(kin: Kinematics, params: ModelParams, affine=Fals
     return out
 
 
-def reflect_kinematics(kin: Kinematics, params: ModelParams, gamma=None) -> Kinematics:
+def reflect_kinematics(kin: Kinematics, params: ModelParams) -> Kinematics:
     """Reflected partner: x± -> -(x∓ + xi)/(xi x∓ + 1), U -> 1/U, V and z -> 1/z.
 
-    The reflected state carries the swapped basis normalization; by default
-    gamma_bar is used for an incoming state and gamma for a reflected one,
-    making the map an involution.
+    The reflected state carries the swapped basis normalization: gamma_bar
+    for an incoming state and gamma for a reflected one, making the map an
+    involution.
     """
     xi, _ = derive_couplings(params.q, params.g)
     for x in (kin.x_plus, kin.x_minus):
@@ -253,8 +249,7 @@ def reflect_kinematics(kin: Kinematics, params: ModelParams, gamma=None) -> Kine
             raise PoleError("reflection map pole: xi*x + 1 = 0")
     xp = -(kin.x_minus + xi) / (xi * kin.x_minus + 1)
     xm = -(kin.x_plus + xi) / (xi * kin.x_plus + 1)
-    if gamma is None:
-        gamma = params.gamma if kin.gamma == params.gamma_bar else params.gamma_bar
+    gamma = params.gamma if kin.gamma == params.gamma_bar else params.gamma_bar
     return Kinematics(
         M=kin.M, x_plus=xp, x_minus=xm, U=1 / kin.U, V=kin.V, z=1 / kin.z, gamma=gamma
     )

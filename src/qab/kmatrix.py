@@ -23,22 +23,24 @@ from .kinematics import (
     PoleError,
     bulk_labels,
     derive_couplings,
-    make_kinematics,
+    on_shell,
     reflect_kinematics,
-    solve_shortening,
 )
 from .numerics import qint
 from .representation import GradedOperator, RepSpace, all_generators, build_basis
 from .smatrix import (
-    IntertwinerError,
     leg_weights,
     pair_residuals,
     solve_intertwiner,
+    unique_intertwiner,
     weight_nullspace,
 )
 
-#: Charges preserved without twisting, imposed alongside the twisted set.
+#: Charges preserved without twisting.  They alone are the ablation set: from
+#: M = 2 on they leave the null space more than one-dimensional.
 PRESERVED_CHARGES = ("E2", "F2", "E3", "F3", "K1", "K2", "K3", "K4")
+#: Every charge of the boundary coideal algebra; together they fix K.
+BOUNDARY_CHARGES = PRESERVED_CHARGES + TWISTED_CHARGES
 
 
 @dataclass
@@ -182,21 +184,16 @@ def _explicit_coefficients(kin, kin_ref, C, params, N):
     return tuple(np.asarray(x, dtype=complex) for x in (A, B[1:M], D, E[1:M]))
 
 
-def closed_form_kmatrix(
-    kin: Kinematics,
-    params: ModelParams,
-    c_override=None,
-    cross_check: bool = True,
-    tol: float = nm.TOL_ALGEBRA,
-) -> ReflectionMatrix:
+def closed_form_kmatrix(kin: Kinematics, params: ModelParams, c_override=None) -> ReflectionMatrix:
     """K from the label-form coefficient solution.
 
     A_k = (C_{k-1}[k] b_ c + C_k[M-k] a d_) / N and companions, with
     N = [k] b_ c_ + [M-k] a_ d_ (underscore marks reflected labels), all
-    evaluated at once over k = 0..M.  The explicit x-parametrized forms are
-    evaluated independently and compared entrywise unless cross_check is
-    disabled.  c_override substitutes a different C array (used by the
-    trivial-solution negative control).
+    evaluated at once over k = 0..M.  N is cross-checked against its x-form,
+    and the explicit x-parametrized forms of A, B, D, E are evaluated
+    independently and compared entrywise.  c_override substitutes a
+    different C array (used by the trivial-solution negative control); the
+    explicit forms assume the true C_k, so that comparison is skipped then.
     """
     M, q = kin.M, params.q
     kin_ref = reflect_kinematics(kin, params)
@@ -213,19 +210,19 @@ def closed_form_kmatrix(
         qk * qMk * (Cat * a * c_ - Cm1 * a_ * c) / N,
         ((Cat * b * d_ - Cm1 * b_ * d) / N)[1:M],
     ))
-    if cross_check:
-        N_x = (kin.V * q ** (M / 2 - k) - q ** (k - M / 2) / kin.V) / (q - 1 / q)
-        N_c = N.astype(complex)
-        if np.any(np.abs(N_c - N_x.astype(complex)) / np.maximum(1.0, np.abs(N_c)) > tol):
-            raise KinematicsError("normalization factor closed form disagrees")
-        if c_override is None:
-            explicit = _explicit_coefficients(kin, kin_ref, C, params, N_x)
-            for name, lhs, rhs in zip("ABDE", (A, B, D, E), explicit):
-                res = nm.rel_residual(lhs, rhs)
-                if res > tol:
-                    raise KinematicsError(
-                        f"{name} coefficients disagree with explicit form ({res:.3e})"
-                    )
+    tol = nm.TOL_ALGEBRA
+    N_x = (kin.V * q ** (M / 2 - k) - q ** (k - M / 2) / kin.V) / (q - 1 / q)
+    N_c = N.astype(complex)
+    if np.any(np.abs(N_c - N_x.astype(complex)) / np.maximum(1.0, np.abs(N_c)) > tol):
+        raise KinematicsError("normalization factor closed form disagrees")
+    if c_override is None:
+        explicit = _explicit_coefficients(kin, kin_ref, C, params, N_x)
+        for name, lhs, rhs in zip("ABDE", (A, B, D, E), explicit):
+            res = nm.rel_residual(lhs, rhs)
+            if res > tol:
+                raise KinematicsError(
+                    f"{name} coefficients disagree with explicit form ({res:.3e})"
+                )
     return _from_coefficients(kin, kin_ref.gamma, A, B, C, D, E)
 
 
@@ -241,10 +238,6 @@ def fundamental_kmatrix(kin: Kinematics, params: ModelParams) -> ReflectionMatri
     return _from_coefficients(kin, kin_ref.gamma, A, empty, np.array([c0]), D, empty)
 
 
-def _boundary_charges(include_twisted: bool) -> tuple:
-    return PRESERVED_CHARGES + (TWISTED_CHARGES if include_twisted else ())
-
-
 def _charge_pairs(kin: Kinematics, params: ModelParams, names):
     """[(incoming matrix, reflected matrix)] of the named charges, in order."""
     space = build_basis(kin.M)
@@ -256,60 +249,40 @@ def _charge_pairs(kin: Kinematics, params: ModelParams, names):
     return space, [(ops[n].matrix, ops_ref[n].matrix) for n in names]
 
 
-def solve_boundary_intertwiner(
-    kin: Kinematics,
-    params: ModelParams,
-    include_twisted: bool = True,
-) -> ReflectionMatrix:
-    """K as the null space of J_in -> K pi(J) - pi_ref(J) K over all charges.
+def boundary_nullspace(kin: Kinematics, params: ModelParams, charges=BOUNDARY_CHARGES):
+    """Null space of K -> K pi(J) - pi_ref(J) K over ``charges``; returns
+    weight_nullspace's (K, singular values, null_dim).
 
-    With the twisted affine charges included the null space is one
-    dimensional; dropping them (include_twisted=False) raises the dimension,
-    which is the ablation probe for the coideal charges fixing K.  The
-    reflection keeps V, so pi_ref(K_i) = pi(K_i) and K preserves the (H1, H3)
-    weight, which is the support the shared solver imposes.
+    The ablation probe: with PRESERVED_CHARGES the dimension exceeds 1 from
+    M = 2 on.
     """
-    space, pairs = _charge_pairs(kin, params, _boundary_charges(include_twisted))
-    basis, sv, null_dim = weight_nullspace(pairs, leg_weights(space))
-    if null_dim != 1:
-        raise IntertwinerError(f"boundary null-space dimension {null_dim}, expected 1")
-    K = basis[-1]
-    anchor = space.families[1][0]
-    pivot = K[anchor, anchor]
-    if abs(pivot) < 1e-12:
-        raise IntertwinerError("A_0 element vanishes; resample kinematics")
-    K = K / pivot
+    space, pairs = _charge_pairs(kin, params, charges)
+    return weight_nullspace(pairs, leg_weights(space))
+
+
+def solve_boundary_intertwiner(kin: Kinematics, params: ModelParams) -> ReflectionMatrix:
+    """K as the unique intertwiner of every boundary charge, A_0 = 1.
+
+    The reflection keeps V, so pi_ref(K_i) = pi(K_i) and K preserves the
+    (H1, H3) weight, which is the support the shared solver imposes.
+    """
+    space, pairs = _charge_pairs(kin, params, BOUNDARY_CHARGES)
+    K, sv = unique_intertwiner(pairs, leg_weights(space), space.families[1][0])
     A, B, C, D, E = _read_coefficients(space, K)
-    kin_ref = reflect_kinematics(kin, params)
     return ReflectionMatrix(
         M=kin.M, A=A, B=B, C=C, D=D, E=E,
         operator=GradedOperator(K, 0),
-        kin=kin, gamma=kin.gamma, gamma_bar=kin_ref.gamma,
-        null_dim=null_dim, singular_values=sv,
+        kin=kin, gamma=kin.gamma, gamma_bar=reflect_kinematics(kin, params).gamma,
+        null_dim=1, singular_values=sv,
     )
 
 
-def boundary_nullspace_dimension(
-    kin: Kinematics, params: ModelParams, include_twisted: bool
-) -> int:
-    """Null-space dimension only (ablation probe helper)."""
-    space, pairs = _charge_pairs(kin, params, _boundary_charges(include_twisted))
-    return weight_nullspace(pairs, leg_weights(space))[2]
-
-
-def invariance_residual(
-    K: ReflectionMatrix,
-    params: ModelParams,
-    charges=None,
-    include_twisted: bool = True,
-) -> dict:
+def invariance_residual(K: ReflectionMatrix, params: ModelParams, charges=BOUNDARY_CHARGES) -> dict:
     """Per-charge relative residual of K pi(J) - pi_ref(J) K.
 
-    By default all preserved and twisted charges are checked; pass an
-    explicit charge list (e.g. ["E1"]) for negative controls.
+    By default every boundary charge is checked; pass an explicit charge list
+    (e.g. ["E1"]) for negative controls.
     """
-    if charges is None:
-        charges = _boundary_charges(include_twisted)
     _, pairs = _charge_pairs(K.kin, params, charges)
     return dict(zip(charges, pair_residuals(K.operator.matrix, pairs)))
 
@@ -382,7 +355,7 @@ def boundary_ybe_residual(
         if trivial_c:
             c0 = reflect_kinematics(kin, params).gamma / kin.gamma
             C = np.full(kin.M, c0, dtype=complex)
-            return closed_form_kmatrix(kin, params, c_override=C, cross_check=False)
+            return closed_form_kmatrix(kin, params, c_override=C)
         return closed_form_kmatrix(kin, params)
 
     Km1, Km2 = kmat(kin1).operator.matrix, kmat(kin2).operator.matrix
@@ -394,19 +367,16 @@ def boundary_ybe_residual(
     return nm.rel_residual(K2 @ S_2_1r @ K1 @ S12, S_2r_1r @ K1 @ S_1_2r @ K2)
 
 
-def rational_u(x_plus, x_minus, M: int, g, eps: float = 1e-6):
+def rational_u(x_plus, x_minus, M: int, g):
     """u entering the rational C_k recursion, as the q -> 1 scaling limit
     of (z - 1)/(-2 i g (q - 1)), Richardson-extrapolated in q - 1.
 
     x+ is re-solved from the deformed shortening condition at each q, taking
     the root that tracks the rational x+.
     """
-    vals = []
+    eps, vals = 1e-6, []
     for e in (eps, eps / 2):
-        p = ModelParams(q=1 + e, g=g)
-        roots = solve_shortening(x_minus, M, p)
-        xp = min(roots, key=lambda r: abs(r - x_plus))
-        kin = make_kinematics(M, xp, x_minus, p, check=False)
+        kin = on_shell(M, x_minus, ModelParams(q=1 + e, g=g), near=x_plus)
         vals.append((kin.z - 1) / (-2j * g * e))
     # u(eps) = u + c eps: eliminate the linear error term
     return 2 * vals[1] - vals[0]
@@ -426,20 +396,17 @@ def rational_limit_kmatrix(
     gamma=1.0,
     gamma_bar=1.0,
     alpha=1j,
-    u=None,
-    tol: float = nm.TOL_ALGEBRA,
 ) -> ReflectionMatrix:
     """Rational (q -> 1) reflection coefficients.
 
     C_k = (2igu - M + 2k)/(-2igu - M + 2k) C_{k-1} with C_0 = gamma_bar/gamma,
-    N = k + (M - k) x- x+.  u defaults to the numeric scaling limit from
-    rational_u; gamma = gamma_bar = sqrt(i(x- - x+)) reproduces the standard
-    rational normalization.
+    N = k + (M - k) x- x+, and u the numeric scaling limit from rational_u;
+    gamma = gamma_bar = sqrt(i(x- - x+)) reproduces the standard rational
+    normalization.
     """
-    if rational_shortening_residual(x_plus, x_minus, M, g) > tol:
+    if rational_shortening_residual(x_plus, x_minus, M, g) > nm.TOL_ALGEBRA:
         raise KinematicsError("x pair violates the rational shortening condition")
-    if u is None:
-        u = rational_u(x_plus, x_minus, M, g)
+    u = rational_u(x_plus, x_minus, M, g)
     C = _c_recursion(
         gamma_bar / gamma, M,
         lambda k: (2j * g * u - M + 2 * k, -2j * g * u - M + 2 * k), 1e-10,

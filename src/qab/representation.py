@@ -224,32 +224,19 @@ def graded_commutator(A: GradedOperator, B: GradedOperator) -> GradedOperator:
     )
 
 
-def quartic_serre_lhs(kind: str, k: int, ops: dict) -> GradedOperator:
-    """{[X1, Xk], [X3, Xk]} - (q - 2 + 1/q) Xk X1 X3 Xk for X in {E, F}.
+def quartic_serre_lhs(kind: str, k: int, ops: dict, lam) -> GradedOperator:
+    """{[X1, Xk], [X3, Xk]} - lam Xk X1 X3 Xk for X in {E, F}, with the
+    q-Serre scalar lam = q - 2 + 1/q supplied by the caller.
 
-    The q-scalar has to be supplied by the caller via ``ops['qserre']``
-    (a plain number), keeping this function representation-agnostic.
+    At k = 2 this is also the central charge C2 (X = E) or C3 (X = F): their
+    defining brackets [X2, X1}, [X2, X3} are the negatives of these, exactly.
     """
     x1, x3, xk = ops[f"{kind}1"], ops[f"{kind}3"], ops[f"{kind}{k}"]
-    lam = ops["qserre"]
     t1 = graded_commutator(
         graded_commutator(x1, xk), graded_commutator(x3, xk)
     )
     t2 = xk @ x1 @ x3 @ xk
     return t1 - lam * t2
-
-
-def central_charge_matrix(which: int, ops: dict) -> GradedOperator:
-    """C1 = K1 K2^2 K3; C2, C3 are the quartic supercharge combinations."""
-    if which == 1:
-        return ops["K1"] @ ops["K2"] @ ops["K2"] @ ops["K3"]
-    kind = "E" if which == 2 else "F"
-    x1, x2, x3 = ops[f"{kind}1"], ops[f"{kind}2"], ops[f"{kind}3"]
-    lam = ops["qserre"]
-    t1 = graded_commutator(
-        graded_commutator(x2, x1), graded_commutator(x2, x3)
-    )
-    return t1 - lam * (x2 @ x1 @ x3 @ x2)
 
 
 def verify_algebra(
@@ -268,7 +255,7 @@ def verify_algebra(
     alpha, at = params.alpha, params.alpha_tilde
     g = params.g
     ops = all_generators(kin, params, space, dtype=dtype)
-    ops["qserre"] = q - 2 + 1 / q
+    lam = q - 2 + 1 / q
     ident = identity_operator(space, dtype=dtype)
     U, V = kin.U, kin.V
     res = {}
@@ -310,7 +297,6 @@ def verify_algebra(
     )
 
     # Cubic Serre relations and the vanishing quadratics.
-    lam = ops["qserre"]
     for kind in ("E", "F"):
         for j in (1, 3):
             for k in (2, 4):
@@ -325,26 +311,21 @@ def verify_algebra(
         put(f"{kind}4{kind}4", x4 @ x4, 0 * ident)
         put(f"{kind}2{kind}4", graded_commutator(x2, x4), 0 * ident)
 
-    # Quartic Serre relations with central right-hand sides (k = 2, 4).
+    # Quartic Serre relations with central right-hand sides (k = 2, 4); at
+    # k = 2 the left-hand sides are the central charges C2 and C3.
+    quartic = {}
     for k, (uk, vk, ak) in {
         2: (U, V, alpha),
         4: (1 / U, 1 / V, alpha * at * at),
     }.items():
-        put(
-            f"quartic_E{k}",
-            quartic_serre_lhs("E", k, ops),
-            (g * ak * (1 - vk**2 * uk**2)) * ident,
-        )
-        put(
-            f"quartic_F{k}",
-            quartic_serre_lhs("F", k, ops),
-            (g / ak * (vk**-2 - uk**-2)) * ident,
-        )
+        quartic["E", k] = quartic_serre_lhs("E", k, ops, lam)
+        quartic["F", k] = quartic_serre_lhs("F", k, ops, lam)
+        put(f"quartic_E{k}", quartic["E", k], (g * ak * (1 - vk**2 * uk**2)) * ident)
+        put(f"quartic_F{k}", quartic["F", k], (g / ak * (vk**-2 - uk**-2)) * ident)
 
-    # Central charges: scalar values and centrality.
-    c1 = central_charge_matrix(1, ops)
-    c2 = central_charge_matrix(2, ops)
-    c3 = central_charge_matrix(3, ops)
+    # Central charges C1 = K1 K2^2 K3, C2, C3: scalar values and centrality.
+    c1 = ops["K1"] @ ops["K2"] @ ops["K2"] @ ops["K3"]
+    c2, c3 = quartic["E", 2], quartic["F", 2]
     put("C1_scalar", c1, (V**-2) * ident)
     put("C2_scalar", c2, (g * alpha * (1 - U**2 * V**2)) * ident)
     put("C3_scalar", c3, (g / alpha * (V**-2 - U**-2)) * ident)
@@ -357,7 +338,7 @@ def verify_algebra(
 
     # K constraints.
     put("K1K2K3K4", ops["K1"] @ ops["K2"] @ ops["K3"] @ ops["K4"], ident)
-    put("V2_constraint", (ops["K1"] @ ops["K2"] @ ops["K2"] @ ops["K3"]).inv(), (V**2) * ident)
+    put("V2_constraint", c1.inv(), (V**2) * ident)
     put("V4_constraint", (ops["K1"] @ ops["K4"] @ ops["K4"] @ ops["K3"]).inv(), (V**-2) * ident)
 
     # Parity zero-patterns.

@@ -3,11 +3,12 @@
 S is the endomorphism of V1 (x) V2 satisfying S Delta(J) = Delta^op(J) S for
 every Chevalley generator including the affine ones (which are what make the
 null space one-dimensional).  The boundary K-matrix is the same kind of null
-space on one leg, so both are solved by ``weight_nullspace``: the Cartan
-constraints are imposed structurally by supporting the unknown on entries
-that join states of equal (H1, H3) weight, only the equation rows this
-support reaches are assembled, and one SVD of the system's triangular QR
-factor gives the null space.
+space on one leg, so both are fixed by ``unique_intertwiner``: one
+``weight_nullspace`` solve, a null dimension of exactly 1, and the
+normalization at an anchor entry.  The solver imposes the Cartan constraints
+structurally by supporting the unknown on entries that join states of equal
+(H1, H3) weight, assembles only the equation rows this support reaches, and
+reads the null space off one SVD of the system's triangular QR factor.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coalgebra import coproduct, make_leg, opposite_coproduct, swap_legs
+from .coalgebra import Leg, coproduct, opposite_coproduct, swap_legs
 from .kinematics import Kinematics, ModelParams
 from .numerics import rel_residual
 from .representation import RepSpace, build_basis
@@ -24,6 +25,9 @@ from .representation import RepSpace, build_basis
 DEFAULT_GENERATORS = tuple(
     f"{kind}{i}" for kind in ("E", "F") for i in (1, 2, 3, 4)
 )
+#: The ablation set: without the affine E4, F4 the null space of a pair of
+#: bound states (both M >= 2) is no longer one-dimensional.
+SANS_AFFINE = tuple(g for g in DEFAULT_GENERATORS if g not in ("E4", "F4"))
 
 #: Singular values below this multiple of max(shape) * eps * sigma_max count
 #: as zero when the null-space dimension is read off.
@@ -65,9 +69,8 @@ def weight_nullspace(pairs, weights):
     delta_ai A[j, b] - delta_bj B[a, i] on the unknown X[i, j], so each
     unknown reaches only the rows (i, b) with A[j, b] != 0 and (a, j) with
     B[a, i] != 0; rows reached by no unknown are identically zero and are
-    never built.  Returns (basis matrices, singular values, null_dim), the
-    basis holding the max(null_dim, 1) right singular vectors of smallest
-    singular value, the last one smallest.
+    never built.  Returns (X, singular values, null_dim), X being the right
+    singular vector of smallest singular value.
     """
     w = np.asarray(weights)
     dim = len(w)
@@ -92,13 +95,26 @@ def weight_nullspace(pairs, weights):
     _, sv, vh = np.linalg.svd(np.linalg.qr(R, mode="r"))
     thresh = max(R.shape) * np.finfo(float).eps * (sv[0] if len(sv) else 1.0) * _NULL_RTOL
     null_dim = R.shape[1] - int(np.sum(sv >= thresh))
-    basis = []
     # Rows of vh are conjugated right singular vectors: R = U diag(s) vh.
-    for vec in vh[len(vh) - max(null_dim, 1):].conj():
-        X = np.zeros((dim, dim), dtype=complex)
-        X[ui, uj] = vec
-        basis.append(X)
-    return basis, sv, null_dim
+    X = np.zeros((dim, dim), dtype=complex)
+    X[ui, uj] = vh[-1].conj()
+    return X, sv, null_dim
+
+
+def unique_intertwiner(pairs, weights, anchor: int):
+    """The one intertwiner of ``pairs`` (see weight_nullspace), scaled so its
+    (anchor, anchor) element is 1; returns (X, singular values).
+
+    Raises IntertwinerError unless the null space is one-dimensional and the
+    anchor element is nonzero.
+    """
+    X, sv, null_dim = weight_nullspace(pairs, weights)
+    if null_dim != 1:
+        raise IntertwinerError(f"null-space dimension {null_dim}, expected 1")
+    pivot = X[anchor, anchor]
+    if abs(pivot) < 1e-12:
+        raise IntertwinerError("anchor matrix element vanishes; resample")
+    return X / pivot, sv
 
 
 def pair_residuals(X: np.ndarray, pairs) -> list:
@@ -120,56 +136,32 @@ def intertwiner_nullspace(
     params: ModelParams,
     generators=DEFAULT_GENERATORS,
 ):
-    """Null space of the stacked maps S -> S Delta(J) - Delta^op(J) S.
+    """Null space of the stacked maps S -> S Delta(J) - Delta^op(J) S over
+    ``generators``; returns weight_nullspace's (X, singular values, null_dim).
 
-    Returns (basis matrices, singular values, null_dim).  Unknowns are
-    restricted to the (H1, H3) weight-diagonal entries, equivalent to
-    imposing the K-generator constraints exactly.
+    The ablation probe: with SANS_AFFINE the dimension exceeds 1.
     """
-    leg1 = make_leg(kin1, params)
-    leg2 = make_leg(kin2, params)
+    leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
     pairs = _coproduct_pairs(leg1, leg2, generators)
     return weight_nullspace(pairs, _joint_weights(leg1.space, leg2.space))
 
 
-def _anchor_index(s1: RepSpace, s2: RepSpace) -> int:
-    i1 = s1.index[(0, 0, 0, s1.M)]
-    i2 = s2.index[(0, 0, 0, s2.M)]
-    return i1 * s2.dim + i2
-
-
-def solve_intertwiner(
-    kin1: Kinematics,
-    kin2: Kinematics,
-    params: ModelParams,
-    generators=DEFAULT_GENERATORS,
-    require_unique: bool = True,
-) -> SMatrix:
+def solve_intertwiner(kin1: Kinematics, kin2: Kinematics, params: ModelParams) -> SMatrix:
     """The unique intertwiner, normalized so the highest joint state
     |0,0,0,M1> (x) |0,0,0,M2> maps to itself with coefficient 1."""
-    basis, sv, null_dim = intertwiner_nullspace(kin1, kin2, params, generators)
-    if require_unique:
-        if null_dim == 0:
-            raise IntertwinerError("no intertwiner: kinematics off shell?")
-        if null_dim > 1:
-            raise IntertwinerError(
-                f"degenerate point: null-space dimension {null_dim}"
-            )
-    S = basis[-1]
-    s1, s2 = build_basis(kin1.M), build_basis(kin2.M)
-    anchor = _anchor_index(s1, s2)
-    pivot = S[anchor, anchor]
-    if abs(pivot) < 1e-12:
-        raise IntertwinerError("anchor matrix element vanishes; resample")
-    S = S / pivot
-    return SMatrix(matrix=S, kin1=kin1, kin2=kin2, null_dim=null_dim, singular_values=sv)
+    leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
+    s1, s2 = leg1.space, leg2.space
+    anchor = s1.index[(0, 0, 0, s1.M)] * s2.dim + s2.index[(0, 0, 0, s2.M)]
+    S, sv = unique_intertwiner(
+        _coproduct_pairs(leg1, leg2, DEFAULT_GENERATORS), _joint_weights(s1, s2), anchor
+    )
+    return SMatrix(matrix=S, kin1=kin1, kin2=kin2, null_dim=1, singular_values=sv)
 
 
-def intertwining_residual(S: SMatrix, params: ModelParams, generators=DEFAULT_GENERATORS) -> dict:
+def intertwining_residual(S: SMatrix, params: ModelParams) -> dict:
     """Per-generator residual ||S Delta(J) - Delta^op(J) S|| (relative)."""
-    leg1 = make_leg(S.kin1, params)
-    leg2 = make_leg(S.kin2, params)
-    gens = list(generators) + [f"K{i}" for i in (1, 2, 3, 4)]
+    leg1, leg2 = Leg(S.kin1, params), Leg(S.kin2, params)
+    gens = list(DEFAULT_GENERATORS) + [f"K{i}" for i in (1, 2, 3, 4)]
     return dict(zip(gens, pair_residuals(S.matrix, _coproduct_pairs(leg1, leg2, gens))))
 
 

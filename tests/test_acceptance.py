@@ -15,7 +15,8 @@ from qab.coalgebra import coideal_expansion_check, yangian_limit_probe
 from qab.harness import RunConfig, sample_kinematics
 from qab.kinematics import ModelParams, make_kinematics, solve_shortening
 from qab.kmatrix import (
-    boundary_nullspace_dimension,
+    PRESERVED_CHARGES,
+    boundary_nullspace,
     boundary_ybe_residual,
     ck_symmetry_residual,
     closed_form_kmatrix,
@@ -27,7 +28,7 @@ from qab.kmatrix import (
 )
 from qab.representation import build_basis, verify_algebra
 from qab.smatrix import (
-    DEFAULT_GENERATORS,
+    SANS_AFFINE,
     intertwiner_nullspace,
     intertwining_residual,
     solve_intertwiner,
@@ -70,7 +71,6 @@ def test_criterion_2_smatrix_uniqueness():
     worst = 0.0
     dims_ok = True
     ablation_ok = True
-    sans_affine = tuple(g for g in DEFAULT_GENERATORS if g not in ("E4", "F4"))
     for i, (M1, M2) in enumerate((a, b) for a in (1, 2, 3) for b in (1, 2, 3)):
         kin1 = _sample(M1, 200 + 2 * i)
         kin2 = _sample(M2, 201 + 2 * i)
@@ -81,7 +81,7 @@ def test_criterion_2_smatrix_uniqueness():
             # the affine supercharges are what force uniqueness; with a
             # fundamental leg the subalgebra suffices, so the ablation is
             # probed on the bound-state pairs
-            _, _, nd = intertwiner_nullspace(kin1, kin2, PARAMS, generators=sans_affine)
+            _, _, nd = intertwiner_nullspace(kin1, kin2, PARAMS, SANS_AFFINE)
             ablation_ok &= nd > 1
     _report(
         2, "S-matrix uniqueness and affine ablation",
@@ -115,7 +115,7 @@ def test_criterion_4_kmatrix_equivalence():
         if M >= 2:
             # at M = 1 the preserved subalgebra already fixes K; the twisted
             # charges become essential from M = 2 on
-            ablation_ok &= boundary_nullspace_dimension(kin, PARAMS, include_twisted=False) >= 2
+            ablation_ok &= boundary_nullspace(kin, PARAMS, PRESERVED_CHARGES)[2] >= 2
     _report(
         4, "closed-form K equals intertwiner K",
         worst < 1e-9 and ablation_ok,
@@ -193,7 +193,9 @@ def test_criterion_8_rational_limit():
 
 
 def test_criterion_9_yangian_limit_existence():
-    table = yangian_limit_probe([1 + 1e-2, 1 + 1e-3, 1 + 1e-4], 1.3 + 0.8j, 1, 0.4)
+    table = yangian_limit_probe(
+        [1 + 1e-2, 1 + 1e-3, 1 + 1e-4], 1.3 + 0.8j, 1, ModelParams(q=1.1, g=0.4)
+    )
     ok = True
     worst_ratio = 0.0
     for name, row in table.items():

@@ -10,8 +10,8 @@ from qab.coalgebra import (
     coproduct,
     coproduct_map,
     graded_tensor,
+    Leg,
     hom_check,
-    make_leg,
     opposite_coproduct,
     swap_legs,
     twisted_boundary_charges,
@@ -19,7 +19,7 @@ from qab.coalgebra import (
     twisted_f1_action_residual,
     yangian_limit_probe,
 )
-from qab.kinematics import reflect_kinematics
+from qab.kinematics import ModelParams, reflect_kinematics
 from qab.numerics import TOL_ALGEBRA, qint
 from qab.representation import all_generators, build_basis, graded_commutator
 
@@ -83,8 +83,7 @@ def test_graded_tensor_koszul_sign(params, kin_of):
 def test_coproduct_is_homomorphism(pair, params, kin_of):
     kin1 = kin_of(pair[0], 1.3 + 0.8j)
     kin2 = kin_of(pair[1], 0.9 - 1.1j)
-    leg1, leg2 = make_leg(kin1, params), make_leg(kin2, params)
-    res = hom_check(leg1, leg2, coproduct_map(leg1, leg2), params)
+    res = hom_check(coproduct_map(Leg(kin1, params), Leg(kin2, params)), params)
     assert max(res.values()) < TOL_ALGEBRA, res
 
 
@@ -94,7 +93,7 @@ def test_mixed_e2f4_relation_on_tensor_product(params, kin_of):
 
     kin1 = kin_of(1, 1.3 + 0.8j)
     kin2 = kin_of(1, 0.9 - 1.1j)
-    leg1, leg2 = make_leg(kin1, params), make_leg(kin2, params)
+    leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
     _, gt = derive_couplings(params.q, params.g)
     d = coproduct_map(leg1, leg2)
     lhs = graded_commutator(d["E2"], d["F4"])
@@ -106,7 +105,7 @@ def test_mixed_e2f4_relation_on_tensor_product(params, kin_of):
 def test_opposite_coproduct_permutation_conjugate(params, kin_of):
     kin1 = kin_of(1, 1.3 + 0.8j)
     kin2 = kin_of(2, 0.9 - 1.1j)
-    leg1, leg2 = make_leg(kin1, params), make_leg(kin2, params)
+    leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
     s1, s2 = leg1.space, leg2.space
     P12 = graded_permutation(s1, s2)
     P21 = graded_permutation(s2, s1)
@@ -173,7 +172,7 @@ def test_twisted_charges_commute_with_reflection(params, kin_of):
 
 def test_yangian_limit_cauchy():
     qs = [1 + 1e-2, 1 + 1e-3, 1 + 1e-4]
-    table = yangian_limit_probe(qs, 1.3 + 0.8j, 1, 0.4)
+    table = yangian_limit_probe(qs, 1.3 + 0.8j, 1, ModelParams(q=1.1, g=0.4))
     for name, row in table.items():
         assert np.isfinite(row["norms"][-1]), name
         # differences shrink by roughly the q - 1 step ratio

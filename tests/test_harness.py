@@ -18,7 +18,7 @@ from qab.harness import (
     sample_kinematics,
 )
 from qab.kinematics import shortening_residual
-from qab.smatrix import solve_intertwiner
+from qab.smatrix import intertwiner_nullspace
 
 
 def test_defaults_applied():
@@ -94,8 +94,7 @@ def test_sampled_points_generically_unique_smatrix():
     for _ in range(n):
         kin1 = sample_kinematics(2, params, rng)
         kin2 = sample_kinematics(1, params, rng)
-        S = solve_intertwiner(kin1, kin2, params, require_unique=False)
-        good += S.null_dim == 1
+        good += intertwiner_nullspace(kin1, kin2, params)[2] == 1
     assert good >= int(0.95 * n)
 
 
@@ -287,3 +286,19 @@ def test_bybe_solves_each_smatrix_once_per_point(monkeypatch):
     # four (M1, M2) pairs at M = (1, 2), four S matrices per pair; the
     # trivial-C_k control reuses the reflection equation's matrices
     assert len(calls) == 16
+
+
+def test_limits_honour_config_alpha():
+    # the Yangian probe rescales by alpha * alpha_tilde and builds its
+    # charges with the configured couplings, so its differences move with them
+    def yangian_diffs(extra):
+        report = run_suite("limits", load_config(data={"M": [1, 2], "seed": 1, **extra}))
+        return {
+            c["check"]: c["diffs"] for c in report["checks"]
+            if c["check"].startswith("yangian-cauchy")
+        }
+
+    default = yangian_diffs({})
+    other = yangian_diffs({"alpha": [2, 0.5], "alpha_tilde": [0.7, 0.2]})
+    assert default.keys() == other.keys() and len(default) == 8
+    assert any(default[name] != other[name] for name in default)

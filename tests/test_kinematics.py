@@ -20,6 +20,7 @@ from qab.kinematics import (
     derive_couplings,
     label_constraint_residuals,
     make_kinematics,
+    on_shell,
     reflect_kinematics,
     shortening_residual,
     solve_shortening,
@@ -193,3 +194,22 @@ def test_root_of_unity_guard():
 def test_qint_values():
     assert abs(qint(3, 1.2) - (1.2**3 - 1.2**-3) / (1.2 - 1 / 1.2)) < 1e-15
     assert qint(4, 1) == 4.0
+
+
+@pytest.mark.parametrize("mp", [False, True], ids=["complex128", "mpmath"])
+def test_on_shell_picks_root(mp):
+    import mpmath
+
+    num = mpmath.mpc if mp else complex
+    with mpmath.workprec(106):
+        p = ModelParams(q=num(1.2), g=num(0.5))
+        xm = num(1.3 + 0.8j)
+        big, small = sorted(solve_shortening(xm, 2, p), key=abs, reverse=True)
+        assert abs(big) > abs(small)
+        kin = on_shell(2, xm, p)
+        assert kin.x_plus == big and kin.x_minus == xm and kin.M == 2
+        assert shortening_residual(kin.x_plus, xm, 2, p) < (1e-28 if mp else 1e-14)
+        # near either root, or a point just off it, selects that root
+        for root in (big, small):
+            assert on_shell(2, xm, p, near=root).x_plus == root
+            assert on_shell(2, xm, p, near=complex(root) + 1e-3).x_plus == root

@@ -8,7 +8,8 @@ import pytest
 
 from qab.kinematics import ModelParams, make_kinematics, reflect_kinematics, solve_shortening
 from qab.kmatrix import (
-    boundary_nullspace_dimension,
+    PRESERVED_CHARGES,
+    boundary_nullspace,
     boundary_ybe_residual,
     c_coefficients,
     ck_symmetry_residual,
@@ -120,9 +121,10 @@ def test_closed_form_equals_per_k_loop(M, params_gammas):
 
 
 def test_label_and_explicit_forms_cross_checked(gpoints, params_gammas):
-    # closed_form_kmatrix raises if Eq-level and x-level coefficients differ;
-    # reaching here means the two independent evaluations agreed
-    closed_form_kmatrix(gpoints[3], params_gammas, tol=1e-10)
+    # closed_form_kmatrix raises if Eq-level and x-level coefficients differ
+    # by more than TOL_ALGEBRA = 1e-10; reaching here means the two
+    # independent evaluations agreed
+    closed_form_kmatrix(gpoints[3], params_gammas)
 
 
 def test_fundamental_matches_general_form(gpoints, params_gammas):
@@ -143,9 +145,9 @@ def test_intertwiner_matches_closed_form(M, gpoints, params_gammas):
 
 @pytest.mark.parametrize("M", [2, 3])
 def test_twisted_charge_ablation(M, gpoints, params_gammas):
-    nd = boundary_nullspace_dimension(gpoints[M], params_gammas, include_twisted=False)
+    _, _, nd = boundary_nullspace(gpoints[M], params_gammas, PRESERVED_CHARGES)
     assert nd >= 2
-    nd_full = boundary_nullspace_dimension(gpoints[M], params_gammas, include_twisted=True)
+    _, _, nd_full = boundary_nullspace(gpoints[M], params_gammas)
     assert nd_full == 1
 
 

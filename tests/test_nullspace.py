@@ -9,11 +9,12 @@ normalized null vector for S and for K.
 import numpy as np
 import pytest
 
-from qab.coalgebra import coproduct, make_leg, opposite_coproduct
+from qab.coalgebra import Leg, coproduct, opposite_coproduct
 from qab.kmatrix import (
-    _boundary_charges,
+    BOUNDARY_CHARGES,
+    PRESERVED_CHARGES,
     _charge_pairs,
-    boundary_nullspace_dimension,
+    boundary_nullspace,
     closed_form_kmatrix,
     compare_kmatrices,
     solve_boundary_intertwiner,
@@ -37,7 +38,7 @@ def _dense_null_vector(pairs, anchor):
 
 def test_smatrix_matches_dense_reference(kin_of, params):
     kin1, kin2 = kin_of(1, 1.3 + 0.8j), kin_of(1, 0.9 - 1.1j)
-    leg1, leg2 = make_leg(kin1, params), make_leg(kin2, params)
+    leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
     pairs = [
         (coproduct(g, leg1, leg2).matrix, opposite_coproduct(g, leg1, leg2).matrix)
         for g in DEFAULT_GENERATORS
@@ -50,7 +51,7 @@ def test_smatrix_matches_dense_reference(kin_of, params):
 @pytest.mark.parametrize("M", [2, 3])
 def test_kmatrix_matches_dense_reference(M, params_gammas):
     kin = kin_at(M, 0.9 - 1.1j, params_gammas)
-    space, pairs = _charge_pairs(kin, params_gammas, _boundary_charges(True))
+    space, pairs = _charge_pairs(kin, params_gammas, BOUNDARY_CHARGES)
     K = solve_boundary_intertwiner(kin, params_gammas)
     ref = _dense_null_vector(pairs, space.families[1][0])
     assert rel_residual(K.operator.matrix, ref) < 1e-12
@@ -63,4 +64,4 @@ def test_kmatrix_solve_at_m8(params_gammas):
     Ks = solve_boundary_intertwiner(kin, params_gammas)
     assert Ks.null_dim == 1
     assert compare_kmatrices(closed_form_kmatrix(kin, params_gammas), Ks) < TOL_INTERTWINER
-    assert boundary_nullspace_dimension(kin, params_gammas, include_twisted=False) >= 2
+    assert boundary_nullspace(kin, params_gammas, PRESERVED_CHARGES)[2] >= 2

@@ -11,10 +11,10 @@ from qab.representation import (
     GradedOperator,
     all_generators,
     build_basis,
-    central_charge_matrix,
     generator_matrix,
     graded_commutator,
     identity_operator,
+    quartic_serre_lhs,
     verify_algebra,
 )
 
@@ -119,7 +119,7 @@ def test_central_charges_scalar(params, kin_of):
     kin = kin_of(M, 0.9 - 1.1j)
     space = build_basis(M)
     ops = all_generators(kin, params, space)
-    ops["qserre"] = params.q - 2 + 1 / params.q
+    lam = params.q - 2 + 1 / params.q
     g, a = params.g, params.alpha
     U, V = kin.U, kin.V
     want = {
@@ -128,9 +128,30 @@ def test_central_charges_scalar(params, kin_of):
         3: (g / a) * (V**-2 - U**-2),
     }
     ident = np.eye(space.dim)
+    # C1 = K1 K2^2 K3; C2 and C3 are the k = 2 quartic Serre combinations
+    central = {
+        1: (ops["K1"] @ ops["K2"] @ ops["K2"] @ ops["K3"]).matrix,
+        2: quartic_serre_lhs("E", 2, ops, lam).matrix,
+        3: quartic_serre_lhs("F", 2, ops, lam).matrix,
+    }
     for which, scalar in want.items():
-        C = central_charge_matrix(which, ops).matrix
+        C = central[which]
         assert np.linalg.norm(C - scalar * ident) < 1e-11, which
+
+
+@pytest.mark.parametrize("M", [1, 2, 5])
+def test_central_charges_equal_quartic_serre_bit_for_bit(M, params, kin_of):
+    # C2 = {[X2, X1}, [X2, X3}} - lam X2 X1 X3 X2 with X = E (C3: X = F);
+    # both brackets are exact negatives of quartic_serre_lhs's, so
+    # verify_algebra may reuse the k = 2 quartic matrices as C2 and C3
+    kin = kin_of(M, 0.9 - 1.1j)
+    ops = all_generators(kin, params, build_basis(M))
+    lam = params.q - 2 + 1 / params.q
+    for kind in "EF":
+        x1, x2, x3 = (ops[f"{kind}{i}"] for i in (1, 2, 3))
+        C = graded_commutator(graded_commutator(x2, x1), graded_commutator(x2, x3))
+        C = C - lam * (x2 @ x1 @ x3 @ x2)
+        assert np.array_equal(C.matrix, quartic_serre_lhs(kind, 2, ops, lam).matrix), kind
 
 
 def test_vanishing_ef_cross_terms(params, kin_of):

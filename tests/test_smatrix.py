@@ -3,20 +3,22 @@
 import numpy as np
 import pytest
 
-from qab.coalgebra import coproduct, make_leg, opposite_coproduct
+from qab.coalgebra import Leg, coproduct, opposite_coproduct
 from qab.kinematics import reflect_kinematics
 from qab.numerics import TOL_ALGEBRA, TOL_COMPOSITE
 from qab.smatrix import (
     DEFAULT_GENERATORS,
+    SANS_AFFINE,
     IntertwinerError,
+    _coproduct_pairs,
+    _joint_weights,
     intertwiner_nullspace,
     intertwining_residual,
     solve_intertwiner,
+    unique_intertwiner,
     ybe_residual,
 )
 from qab.representation import build_basis
-
-SANS_AFFINE = tuple(g for g in DEFAULT_GENERATORS if g not in ("E4", "F4"))
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +64,6 @@ def test_anchor_normalization(points, params):
 
 def test_weight_block_structure(points, params):
     # S vanishes between states of different (H1, H3) joint weight
-    from qab.smatrix import _joint_weights
-
     S = solve_intertwiner(points[1], points["1b"], params)
     w = _joint_weights(build_basis(1), build_basis(1))
     for i in range(16):
@@ -76,8 +76,8 @@ def test_nullspace_vector_satisfies_full_equations(points, params):
     # independent of the solver's internal assembly: apply the coproduct
     # difference directly to the returned matrix
     S = solve_intertwiner(points[1], points["1b"], params)
-    leg1 = make_leg(points[1], params)
-    leg2 = make_leg(points["1b"], params)
+    leg1 = Leg(points[1], params)
+    leg2 = Leg(points["1b"], params)
     for gen in DEFAULT_GENERATORS:
         A = coproduct(gen, leg1, leg2).matrix
         B = opposite_coproduct(gen, leg1, leg2).matrix
@@ -103,10 +103,10 @@ def test_fundamental_leg_stays_unique_without_affine(points, params):
 
 
 def test_degenerate_request_raises(points, params):
+    leg1, leg2 = Leg(points[2], params), Leg(points["2b"], params)
+    pairs = _coproduct_pairs(leg1, leg2, SANS_AFFINE)
     with pytest.raises(IntertwinerError):
-        solve_intertwiner(
-            points[2], points["2b"], params, generators=SANS_AFFINE
-        )
+        unique_intertwiner(pairs, _joint_weights(leg1.space, leg2.space), 0)
 
 
 def test_s_at_reflected_legs(points, params):
