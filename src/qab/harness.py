@@ -245,10 +245,9 @@ def _map_points(fn, jobs):
     return [fn(job) for job in jobs]
 
 
-def _mp_params(params: ModelParams, bits: int) -> ModelParams:
+def _mp_params(params: ModelParams) -> ModelParams:
     import mpmath
 
-    mpmath.mp.prec = bits
     c = lambda z: mpmath.mpc(z)
     return ModelParams(
         q=c(params.q), g=c(params.g), alpha=c(params.alpha),
@@ -261,7 +260,9 @@ def suite_rep_check(cfg: RunConfig):
     params = cfg.params()
     high = cfg.precision.startswith("high:")
     if high:
-        params = _mp_params(params, int(cfg.precision.split(":")[1]))
+        import mpmath
+
+        params = _mp_params(params)
     tol = cfg.tol("algebra")
 
     def one(job):
@@ -269,8 +270,6 @@ def suite_rep_check(cfg: RunConfig):
         rng = _point_rng(cfg.seed, M * 1000 + s)
         kin = sample_kinematics(M, cfg.params(), rng)
         if high:
-            import mpmath
-
             # re-solve x+ at working precision so shortening holds exactly
             kin = on_shell(M, mpmath.mpc(kin.x_minus), params, near=kin.x_plus)
         space = build_basis(M)
@@ -283,7 +282,17 @@ def suite_rep_check(cfg: RunConfig):
         )
 
     jobs = [(M, s) for M in cfg.M for s in range(cfg.samples)]
-    return _map_points(one, jobs)
+    if not high:
+        return _map_points(one, jobs)
+    # the working precision holds inside this suite only, not process-wide
+    with mpmath.workprec(int(cfg.precision.split(":")[1])):
+        return _map_points(one, jobs)
+
+
+def _certificate(sv, shape) -> dict:
+    """sigma_1 and sigma_2 over sigma_max, and the system's [rows, unknowns]."""
+    return {"sigma_1_over_max": float(sv[-1] / sv[0]),
+            "sigma_2_over_max": float(sv[-2] / sv[0]), "shape": list(shape)}
 
 
 def _per_point(cfg: RunConfig, offset: int, jobs, check):
@@ -335,14 +344,18 @@ def suite_smatrix(cfg: RunConfig):
         S = smatrix.solve_intertwiner(kin1, kin2, params)
         res = smatrix.intertwining_residual(S, params)
         rows = [
-            _check("smatrix", "null-dimension", Ms, abs(S.null_dim - 1), 0.5),
+            _check(
+                "smatrix", "null-dimension", Ms, abs(S.null_dim - 1), 0.5,
+                extra=_certificate(S.singular_values, S.system_shape),
+            ),
             _check("smatrix", "intertwining", Ms, max(res.values()), tol),
         ]
         if min(Ms) >= 2:
-            _, _, nd = smatrix.intertwiner_nullspace(kin1, kin2, params, smatrix.SANS_AFFINE)
+            _, sv, nd, shape = smatrix.intertwiner_nullspace(kin1, kin2, params, smatrix.SANS_AFFINE)
             rows.append(_check(
                 "smatrix", "affine-ablation", Ms, nd, 1.5, invert=True,
-                extra={"note": "null dimension must exceed 1 without E4, F4"},
+                extra={"note": "null dimension must exceed 1 without E4, F4",
+                       **_certificate(sv, shape)},
             ))
         return rows
 
@@ -378,10 +391,11 @@ def suite_kmatrix(cfg: RunConfig):
             _check("kmatrix", "invariance", M, max(inv.values()), tol_i),
         ]
         if M >= 2:
-            _, _, nd = kmatrix.boundary_nullspace(kin, params, kmatrix.PRESERVED_CHARGES)
+            _, sv, nd, shape = kmatrix.boundary_nullspace(kin, params, kmatrix.PRESERVED_CHARGES)
             rows.append(_check(
                 "kmatrix", "twisted-ablation", M, nd, 1.5, invert=True,
-                extra={"note": "null dimension must reach 2 without twisted charges"},
+                extra={"note": "null dimension must reach 2 without twisted charges",
+                       **_certificate(sv, shape)},
             ))
             sym = kmatrix.ck_symmetry_residual(kin, params)
             rows.append(_check("kmatrix", "ck-covariance", M, sym.max(), tol_a))

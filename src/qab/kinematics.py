@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import numerics as nm
 from .numerics import qint, sqrt
 
 DEFAULT_TOL = 1e-10
@@ -166,11 +165,6 @@ def _central_elements(M, x_plus, x_minus, params):
     return U, V, z
 
 
-def central_elements(kin: Kinematics, params: ModelParams):
-    """Re-derive (U, V, z) from x±, cross-checking both closed forms."""
-    return _central_elements(kin.M, kin.x_plus, kin.x_minus, params)
-
-
 def _labels(M, x_plus, x_minus, V, gamma, alpha, params: ModelParams):
     q = params.q
     xi, g_tilde = derive_couplings(q, params.g)
@@ -207,33 +201,6 @@ def affine_labels(kin: Kinematics, params: ModelParams):
         params.alpha * at * at,
         params,
     )
-
-
-def label_constraint_residuals(kin: Kinematics, params: ModelParams, affine=False):
-    """Residuals of the four label constraints (ad, bc, ab, cd).
-
-    With affine=True the constraints are evaluated for the affine labels,
-    i.e. with (U, V) -> (1/U, 1/V) and alpha -> alpha*alpha_tilde^2.
-    """
-    q = params.q
-    M = kin.M
-    if affine:
-        a, b, c, d = affine_labels(kin, params)
-        U, V = 1 / kin.U, 1 / kin.V
-        alpha = params.alpha * params.alpha_tilde**2
-    else:
-        a, b, c, d = bulk_labels(kin, params)
-        U, V = kin.U, kin.V
-        alpha = params.alpha
-    g = params.g
-    qm = q**M
-    out = {
-        "ad": nm.rel_residual(a * d, (q ** (M / 2) * V - q ** (-M / 2) / V) / (qm - 1 / qm)),
-        "bc": nm.rel_residual(b * c, (q ** (-M / 2) * V - q ** (M / 2) / V) / (qm - 1 / qm)),
-        "ab": nm.rel_residual(a * b, g * alpha / qint(M, q) * (1 - U**2 * V**2)),
-        "cd": nm.rel_residual(c * d, g / alpha / qint(M, q) * (V**-2 - U**-2)),
-    }
-    return out
 
 
 def reflect_kinematics(kin: Kinematics, params: ModelParams) -> Kinematics:

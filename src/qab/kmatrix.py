@@ -251,7 +251,7 @@ def _charge_pairs(kin: Kinematics, params: ModelParams, names):
 
 def boundary_nullspace(kin: Kinematics, params: ModelParams, charges=BOUNDARY_CHARGES):
     """Null space of K -> K pi(J) - pi_ref(J) K over ``charges``; returns
-    weight_nullspace's (K, singular values, null_dim).
+    weight_nullspace's (K, singular values, null_dim, shape).
 
     The ablation probe: with PRESERVED_CHARGES the dimension exceeds 1 from
     M = 2 on.
@@ -267,7 +267,7 @@ def solve_boundary_intertwiner(kin: Kinematics, params: ModelParams) -> Reflecti
     (H1, H3) weight, which is the support the shared solver imposes.
     """
     space, pairs = _charge_pairs(kin, params, BOUNDARY_CHARGES)
-    K, sv = unique_intertwiner(pairs, leg_weights(space), space.families[1][0])
+    K, sv, _ = unique_intertwiner(pairs, leg_weights(space), space.families[1][0])
     A, B, C, D, E = _read_coefficients(space, K)
     return ReflectionMatrix(
         M=kin.M, A=A, B=B, C=C, D=D, E=E,

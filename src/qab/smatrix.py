@@ -7,8 +7,10 @@ space on one leg, so both are fixed by ``unique_intertwiner``: one
 ``weight_nullspace`` solve, a null dimension of exactly 1, and the
 normalization at an anchor entry.  The solver imposes the Cartan constraints
 structurally by supporting the unknown on entries that join states of equal
-(H1, H3) weight, assembles only the equation rows this support reaches, and
-reads the null space off one SVD of the system's triangular QR factor.
+(H1, H3) weight and keeps only the equation rows this support reaches, as
+sparse entries.  It never forms the system densely and runs no SVD: block
+inverse iteration on the Gram matrix finds the smallest singular vectors,
+which are then refined and measured on the system itself.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ SANS_AFFINE = tuple(g for g in DEFAULT_GENERATORS if g not in ("E4", "F4"))
 #: Singular values below this multiple of max(shape) * eps * sigma_max count
 #: as zero when the null-space dimension is read off.
 _NULL_RTOL = 1e3
+#: Shift s of the Gram matrix G before inversion, relative to ||G||_1: far
+#: below sigma_2^2, so the null space converges in one step, yet far above
+#: eps, since the inverse errs by eps ||G|| / s next to the null space.
+_SHIFT = 1e-12
 
 
 class IntertwinerError(RuntimeError):
@@ -47,6 +53,7 @@ class SMatrix:
     kin2: Kinematics
     null_dim: int
     singular_values: np.ndarray
+    system_shape: tuple
 
 
 def leg_weights(space: RepSpace) -> list:
@@ -61,6 +68,11 @@ def _joint_weights(s1: RepSpace, s2: RepSpace) -> list:
     ]
 
 
+def _scatter(index, values, size):
+    """Sums of the complex ``values`` binned by ``index``."""
+    return np.bincount(index, values.real, size) + 1j * np.bincount(index, values.imag, size)
+
+
 def weight_nullspace(pairs, weights):
     """Null space of X -> X A - B X over every (A, B) in ``pairs``.
 
@@ -69,8 +81,15 @@ def weight_nullspace(pairs, weights):
     delta_ai A[j, b] - delta_bj B[a, i] on the unknown X[i, j], so each
     unknown reaches only the rows (i, b) with A[j, b] != 0 and (a, j) with
     B[a, i] != 0; rows reached by no unknown are identically zero and are
-    never built.  Returns (X, singular values, null_dim), X being the right
-    singular vector of smallest singular value.
+    never built.  R stays a list of (row, unknown, value) entries, and its
+    Gram matrix G = R^H R is summed from the entry pairs that share a row.
+    Rayleigh-Ritz on a Krylov space of G gives sigma_max, and on a block
+    Krylov space of (G + s I)^-1 the k smallest right singular vectors, k
+    doubling while all of them are null.  The smallest gets one corrected
+    semi-normal equations step on R (Bjorck 1996).  Each sigma is ||R v||, so
+    null_dim = #{sigma < 1e3 max(m, n) eps sigma_max} as from a full SVD.
+    Returns (X, [sigma_max, sigma_k, ..., sigma_1], null_dim, (m, n)), X
+    being the right singular vector of sigma_1.
     """
     w = np.asarray(weights)
     dim = len(w)
@@ -88,33 +107,61 @@ def weight_nullspace(pairs, weights):
         cols.append(u)
         vals.append(-B[a, ui[u]])
     row_ids, rows = np.unique(np.concatenate(rows), return_inverse=True)
-    R = np.zeros((len(row_ids), len(ui)), dtype=complex)
-    np.add.at(R, (rows, np.concatenate(cols)), np.concatenate(vals))
-    # R = Q T with T at most (#unknowns)^2: T has the singular values and
-    # right singular vectors of R, and Q is never formed.
-    _, sv, vh = np.linalg.svd(np.linalg.qr(R, mode="r"))
-    thresh = max(R.shape) * np.finfo(float).eps * (sv[0] if len(sv) else 1.0) * _NULL_RTOL
-    null_dim = R.shape[1] - int(np.sum(sv >= thresh))
-    # Rows of vh are conjugated right singular vectors: R = U diag(s) vh.
+    order = np.argsort(rows, kind="stable")
+    rows, cols, vals = rows[order], np.concatenate(cols)[order], np.concatenate(vals)[order]
+    m, n = len(row_ids), len(ui)
+    starts = np.searchsorted(rows, np.arange(m))
+    R = lambda V: np.add.reduceat(vals[:, None] * V[cols], starts)
+    # entry e pairs with every entry of its row, which starts at first[e]
+    count, first = np.bincount(rows)[rows], starts[rows]
+    e1 = np.repeat(np.arange(len(rows)), count)
+    e2 = np.arange(len(e1)) - np.repeat(np.cumsum(count) - count - first, count)
+    G = _scatter(cols[e1] * n + cols[e2], vals[e1].conj() * vals[e2], n * n).reshape(n, n)
+    rng = np.random.default_rng(0)
+    K = [rng.standard_normal(n) + 0j]
+    for _ in range(min(n, 24)):
+        K.append(G @ (K[-1] / np.linalg.norm(K[-1])))
+    Q = np.linalg.qr(np.column_stack(K))[0]
+    smax = np.sqrt(np.linalg.eigvalsh(Q.conj().T @ G @ Q)[-1])
+    thresh = max(m, n) * np.finfo(float).eps * smax * _NULL_RTOL
+    G.flat[:: n + 1] += _SHIFT * np.abs(G).sum(axis=0).max()  # G + s I, in place
+    Finv = np.linalg.inv(G)
+    k = 3
+    while True:
+        k = min(k, n)
+        V = np.linalg.qr(rng.standard_normal((n, k, 2)) @ [1, 1j])[0]
+        for _ in range(8):
+            V = np.linalg.qr(np.column_stack([V, Finv @ V[:, -k:]]))[0]
+        W = R(V)
+        V = V @ np.linalg.eigh(W.conj().T @ W)[1][:, :k]
+        x = V[:, 0]
+        d = Finv @ _scatter(cols, vals.conj() * R(x[:, None])[rows, 0], n)
+        x = x - (d - x * (x.conj() @ d))
+        V[:, 0] = x / np.linalg.norm(x)
+        sv = np.sort(np.linalg.norm(R(V), axis=0))
+        null_dim = int(np.sum(sv < thresh))
+        if null_dim < k or k == n:
+            break
+        k *= 2
     X = np.zeros((dim, dim), dtype=complex)
-    X[ui, uj] = vh[-1].conj()
-    return X, sv, null_dim
+    X[ui, uj] = V[:, 0]
+    return X, np.concatenate([[smax], sv[::-1]]), null_dim, (m, n)
 
 
 def unique_intertwiner(pairs, weights, anchor: int):
     """The one intertwiner of ``pairs`` (see weight_nullspace), scaled so its
-    (anchor, anchor) element is 1; returns (X, singular values).
+    (anchor, anchor) element is 1; returns (X, singular values, system shape).
 
     Raises IntertwinerError unless the null space is one-dimensional and the
     anchor element is nonzero.
     """
-    X, sv, null_dim = weight_nullspace(pairs, weights)
+    X, sv, null_dim, shape = weight_nullspace(pairs, weights)
     if null_dim != 1:
         raise IntertwinerError(f"null-space dimension {null_dim}, expected 1")
     pivot = X[anchor, anchor]
     if abs(pivot) < 1e-12:
         raise IntertwinerError("anchor matrix element vanishes; resample")
-    return X / pivot, sv
+    return X / pivot, sv, shape
 
 
 def pair_residuals(X: np.ndarray, pairs) -> list:
@@ -137,7 +184,7 @@ def intertwiner_nullspace(
     generators=DEFAULT_GENERATORS,
 ):
     """Null space of the stacked maps S -> S Delta(J) - Delta^op(J) S over
-    ``generators``; returns weight_nullspace's (X, singular values, null_dim).
+    ``generators``; returns weight_nullspace's (X, sv, null_dim, shape).
 
     The ablation probe: with SANS_AFFINE the dimension exceeds 1.
     """
@@ -152,10 +199,10 @@ def solve_intertwiner(kin1: Kinematics, kin2: Kinematics, params: ModelParams) -
     leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
     s1, s2 = leg1.space, leg2.space
     anchor = s1.index[(0, 0, 0, s1.M)] * s2.dim + s2.index[(0, 0, 0, s2.M)]
-    S, sv = unique_intertwiner(
+    S, sv, shape = unique_intertwiner(
         _coproduct_pairs(leg1, leg2, DEFAULT_GENERATORS), _joint_weights(s1, s2), anchor
     )
-    return SMatrix(matrix=S, kin1=kin1, kin2=kin2, null_dim=1, singular_values=sv)
+    return SMatrix(S, kin1, kin2, null_dim=1, singular_values=sv, system_shape=shape)
 
 
 def intertwining_residual(S: SMatrix, params: ModelParams) -> dict:

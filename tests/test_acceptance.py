@@ -81,7 +81,7 @@ def test_criterion_2_smatrix_uniqueness():
             # the affine supercharges are what force uniqueness; with a
             # fundamental leg the subalgebra suffices, so the ablation is
             # probed on the bound-state pairs
-            _, _, nd = intertwiner_nullspace(kin1, kin2, PARAMS, SANS_AFFINE)
+            nd = intertwiner_nullspace(kin1, kin2, PARAMS, SANS_AFFINE)[2]
             ablation_ok &= nd > 1
     _report(
         2, "S-matrix uniqueness and affine ablation",

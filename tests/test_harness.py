@@ -302,3 +302,26 @@ def test_limits_honour_config_alpha():
     other = yangian_diffs({"alpha": [2, 0.5], "alpha_tilde": [0.7, 0.2]})
     assert default.keys() == other.keys() and len(default) == 8
     assert any(default[name] != other[name] for name in default)
+
+
+def test_high_precision_rep_check_leaves_mpmath_precision():
+    import mpmath
+
+    before = mpmath.mp.prec
+    cfg = load_config(data={"M": [1], "samples": 1, "precision": "high:128"})
+    assert run_suite("rep-check", cfg)["passed"]
+    assert mpmath.mp.prec == before == 53
+
+
+def test_solver_rows_carry_the_certificate():
+    rows = run_suite("smatrix", load_config(data={"M": [2], "samples": 1}))["checks"]
+    rows += run_suite("kmatrix", load_config(data={"M": [3], "samples": 1}))["checks"]
+    solver_rows = [r for r in rows if r["check"] in
+                   ("null-dimension", "affine-ablation", "twisted-ablation")]
+    assert len(solver_rows) == 3
+    for row in solver_rows:
+        assert np.isfinite([row["sigma_1_over_max"], row["sigma_2_over_max"]]).all()
+        rows_, unknowns = row["shape"]
+        assert rows_ > unknowns > 0
+    null_row = solver_rows[0]
+    assert null_row["sigma_1_over_max"] < 1e-12 < null_row["sigma_2_over_max"]

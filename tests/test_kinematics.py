@@ -16,16 +16,15 @@ from qab.kinematics import (
     ModelParams,
     affine_labels,
     bulk_labels,
-    central_elements,
+    _central_elements,
     derive_couplings,
-    label_constraint_residuals,
     make_kinematics,
     on_shell,
     reflect_kinematics,
     shortening_residual,
     solve_shortening,
 )
-from qab.numerics import TOL_CLOSED_FORM, qint
+from qab.numerics import TOL_CLOSED_FORM, qint, rel_residual
 
 from conftest import kin_at
 
@@ -116,7 +115,7 @@ def test_central_elements_against_oracle():
     assert abs(kin.U - UVZ_M2["U"]) < 1e-11
     assert abs(kin.V - UVZ_M2["V"]) < 1e-11
     assert abs(kin.z - UVZ_M2["z"]) < 1e-11
-    U, V, z = central_elements(kin, p)
+    U, V, z = _central_elements(kin.M, kin.x_plus, kin.x_minus, p)
     assert abs(U - kin.U) < TOL_CLOSED_FORM
 
 
@@ -144,6 +143,32 @@ def test_affine_labels_against_oracle(params, kin_of):
     kin = kin_of(2, 1.3 + 0.8j)
     for got, want in zip(affine_labels(kin, params), AFFINE_M2):
         assert abs(got - want) < 1e-11
+
+
+def label_constraint_residuals(kin, params, affine=False):
+    """Residuals of the four label constraints (ad, bc, ab, cd).
+
+    With affine=True the constraints are evaluated for the affine labels,
+    i.e. with (U, V) -> (1/U, 1/V) and alpha -> alpha*alpha_tilde^2.
+    """
+    q = params.q
+    M = kin.M
+    if affine:
+        a, b, c, d = affine_labels(kin, params)
+        U, V = 1 / kin.U, 1 / kin.V
+        alpha = params.alpha * params.alpha_tilde**2
+    else:
+        a, b, c, d = bulk_labels(kin, params)
+        U, V = kin.U, kin.V
+        alpha = params.alpha
+    g = params.g
+    qm = q**M
+    return {
+        "ad": rel_residual(a * d, (q ** (M / 2) * V - q ** (-M / 2) / V) / (qm - 1 / qm)),
+        "bc": rel_residual(b * c, (q ** (-M / 2) * V - q ** (M / 2) / V) / (qm - 1 / qm)),
+        "ab": rel_residual(a * b, g * alpha / qint(M, q) * (1 - U**2 * V**2)),
+        "cd": rel_residual(c * d, g / alpha / qint(M, q) * (V**-2 - U**-2)),
+    }
 
 
 @pytest.mark.parametrize("M", [1, 2, 3])

@@ -87,10 +87,10 @@ def test_nullspace_vector_satisfies_full_equations(points, params):
 def test_affine_ablation_raises_dimension(points, params):
     # with both bound-state numbers >= 2 the subalgebra alone no longer fixes
     # S; the affine generators are what force uniqueness
-    _, _, nd_full = intertwiner_nullspace(points[2], points["2b"], params)
-    _, _, nd_ablated = intertwiner_nullspace(
+    nd_full = intertwiner_nullspace(points[2], points["2b"], params)[2]
+    nd_ablated = intertwiner_nullspace(
         points[2], points["2b"], params, generators=SANS_AFFINE
-    )
+    )[2]
     assert nd_full == 1
     assert nd_ablated > 1
 
@@ -98,7 +98,7 @@ def test_affine_ablation_raises_dimension(points, params):
 def test_fundamental_leg_stays_unique_without_affine(points, params):
     # known exception: a fundamental (M=1) factor leaves the product
     # irreducible under the subalgebra, so the ablation does not degenerate
-    _, _, nd = intertwiner_nullspace(points[1], points["1b"], params, generators=SANS_AFFINE)
+    nd = intertwiner_nullspace(points[1], points["1b"], params, generators=SANS_AFFINE)[2]
     assert nd == 1
 
 
