@@ -46,10 +46,13 @@ def qint(n: int, q):
 
 
 def fnorm(a) -> float:
-    """Frobenius norm that also accepts object (mpmath) arrays."""
+    """Frobenius norm that also accepts object (mpmath) arrays.
+
+    Object arrays skip exact zeros, which never change an mpmath sum.
+    """
     a = np.asarray(a)
     if a.dtype == object:
-        return float(mpmath.sqrt(sum(abs(x) ** 2 for x in a.flat)))
+        return float(mpmath.sqrt(sum(abs(x) ** 2 for x in a.flat if x)))
     return float(np.linalg.norm(a))
 
 
@@ -60,9 +63,46 @@ def rel_residual(lhs, rhs) -> float:
     return fnorm(lhs - rhs) / max(1.0, fnorm(lhs), fnorm(rhs))
 
 
+def mdot(a, b):
+    """Matrix product; object (mpmath) arrays sum only nonzero products.
+
+    An object entry folds a[i, k] * b[k, j] left to right over ascending k,
+    as ``np.dot`` does, but leaves out the products with an exact-zero
+    factor; adding an exact zero never changes an mpmath value, so the
+    result is ``np.dot``'s bit for bit.  An entry with no product left is 0.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.dtype != object and b.dtype != object:
+        return np.dot(a, b)
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b.tolist()]
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=object)
+    for i, row in enumerate(a.tolist()):
+        acc = {}
+        for k, x in enumerate(row):
+            if x:
+                for j, y in b_rows[k]:
+                    acc[j] = acc[j] + x * y if j in acc else x * y
+        for j, v in acc.items():
+            out[i, j] = v
+    return out
+
+
 def minv(a):
-    """Matrix inverse; object arrays go through mpmath to keep precision."""
+    """Matrix inverse; object arrays must be diagonal.
+
+    Every object matrix inverted here is a product of the diagonal K_i.  Its
+    inverse is the reciprocal of the diagonal at 10 extra bits, unrounded,
+    which is what ``mpmath.inverse`` returns for a diagonal matrix.
+    """
     a = np.asarray(a)
     if a.dtype == object:
-        return np.array((mpmath.matrix(a.tolist()) ** -1).tolist(), dtype=object)
+        diag = np.diag(a)
+        if np.count_nonzero(a) != np.count_nonzero(diag):
+            raise ValueError("object matrices are inverted only when diagonal")
+        out = np.zeros(a.shape, dtype=object)
+        with mpmath.extraprec(10):
+            for i, x in enumerate(diag):
+                out[i, i] = 1 / mpmath.mpmathify(x)
+        return out
     return np.linalg.inv(a)

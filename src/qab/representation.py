@@ -90,12 +90,14 @@ def build_basis(M: int) -> RepSpace:
 class GradedOperator:
     """Dense matrix over a graded basis together with its parity."""
 
-    matrix: np.ndarray
+    # an object matrix's repr formats every mpmath entry; mpmath builds one
+    # for its error message each time `mpc * op` falls back to __rmul__
+    matrix: np.ndarray = field(repr=False)
     parity: int
 
     def __matmul__(self, other: "GradedOperator") -> "GradedOperator":
         return GradedOperator(
-            np.dot(self.matrix, other.matrix),
+            nm.mdot(self.matrix, other.matrix),
             (self.parity + other.parity) % 2,
         )
 
@@ -219,7 +221,7 @@ def graded_commutator(A: GradedOperator, B: GradedOperator) -> GradedOperator:
     """[A, B} = AB - (-1)^{|A||B|} BA."""
     sign = (-1) ** (A.parity * B.parity)
     return GradedOperator(
-        np.dot(A.matrix, B.matrix) - sign * np.dot(B.matrix, A.matrix),
+        nm.mdot(A.matrix, B.matrix) - sign * nm.mdot(B.matrix, A.matrix),
         (A.parity + B.parity) % 2,
     )
 
@@ -255,6 +257,7 @@ def verify_algebra(
     alpha, at = params.alpha, params.alpha_tilde
     g = params.g
     ops = all_generators(kin, params, space, dtype=dtype)
+    k_inv = {i: ops[f"K{i}"].inv() for i in range(1, 5)}
     lam = q - 2 + 1 / q
     ident = identity_operator(space, dtype=dtype)
     U, V = kin.U, kin.V
@@ -267,16 +270,15 @@ def verify_algebra(
     # Cartan relations K_i X_j K_i^-1 = q^{±DA_ij} X_j.
     for i in range(1, 5):
         Ki = ops[f"K{i}"]
-        Ki_inv = Ki.inv()
         for j in range(1, 5):
             daij = DA[i - 1][j - 1]
-            put(f"K{i}E{j}", Ki @ ops[f"E{j}"] @ Ki_inv, q**daij * ops[f"E{j}"])
-            put(f"K{i}F{j}", Ki @ ops[f"F{j}"] @ Ki_inv, q**-daij * ops[f"F{j}"])
+            put(f"K{i}E{j}", Ki @ ops[f"E{j}"] @ k_inv[i], q**daij * ops[f"E{j}"])
+            put(f"K{i}F{j}", Ki @ ops[f"F{j}"] @ k_inv[i], q**-daij * ops[f"F{j}"])
 
     # Diagonal and off-diagonal [E_i, F_j} relations.
     for j in range(1, 5):
         lhs = graded_commutator(ops[f"E{j}"], ops[f"F{j}"])
-        rhs = (D_DIAG[j - 1] / (q - 1 / q)) * (ops[f"K{j}"] - ops[f"K{j}"].inv())
+        rhs = (D_DIAG[j - 1] / (q - 1 / q)) * (ops[f"K{j}"] - k_inv[j])
         put(f"E{j}F{j}", lhs, rhs)
     for i in range(1, 5):
         for j in range(1, 5):
@@ -288,12 +290,12 @@ def verify_algebra(
     put(
         "E2F4",
         graded_commutator(ops["E2"], ops["F4"]),
-        (-g_tilde / at) * (ops["K4"] - (U**2) * ops["K2"].inv()),
+        (-g_tilde / at) * (ops["K4"] - (U**2) * k_inv[2]),
     )
     put(
         "E4F2",
         graded_commutator(ops["E4"], ops["F2"]),
-        (g_tilde * at) * (ops["K2"] - (U**-2) * ops["K4"].inv()),
+        (g_tilde * at) * (ops["K2"] - (U**-2) * k_inv[4]),
     )
 
     # Cubic Serre relations and the vanishing quadratics.

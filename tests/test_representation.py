@@ -91,13 +91,24 @@ def test_relations_at_second_point(params, kin_of):
 def test_residuals_are_roundoff_not_model_error():
     # the same relations at 128-bit precision: residuals drop to ~1e-38,
     # confirming the double-precision numbers are pure roundoff
-    mpmath.mp.prec = 128
-    p = ModelParams(q=mpmath.mpc("1.1"), g=mpmath.mpc("0.4"))
-    xm = mpmath.mpc("1.3", "0.8")
-    xp = max(solve_shortening(xm, 1, p), key=abs)
-    kin = make_kinematics(1, xp, xm, p)
-    res = verify_algebra(kin, p, build_basis(1), dtype=object)
+    with mpmath.workprec(128):
+        p = ModelParams(q=mpmath.mpc("1.1"), g=mpmath.mpc("0.4"))
+        xm = mpmath.mpc("1.3", "0.8")
+        xp = max(solve_shortening(xm, 1, p), key=abs)
+        kin = make_kinematics(1, xp, xm, p)
+        res = verify_algebra(kin, p, build_basis(1), dtype=object)
     assert max(res.values()) < 1e-30
+
+
+def test_scalar_times_operator_skips_matrix_repr():
+    # mpc * op reaches __rmul__ only after mpmath formats repr(op) for an
+    # error message, so the repr must not format the matrix
+    with mpmath.workprec(106):
+        op = identity_operator(build_basis(2), dtype=object) * mpmath.mpc(1, 3)
+        left, right = mpmath.mpc(2) * op, op * mpmath.mpc(2)
+    assert left.parity == right.parity == 0
+    assert all(x == y for x, y in zip(left.matrix.flat, right.matrix.flat))
+    assert "mpc" not in repr(op) and "matrix" not in repr(op)
 
 
 def test_graded_commutator_signs(params, kin_of):
