@@ -15,7 +15,7 @@ import json
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 from itertools import product
 
 import numpy as np
@@ -46,6 +46,16 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
+#: The couplings a config may set, as named in ModelParams.
+COUPLINGS = tuple(f.name for f in fields(ModelParams))
+
+#: Default tolerance of each tier a config may override.
+TOL_TIERS = {
+    "algebra": nm.TOL_ALGEBRA,
+    "intertwiner": nm.TOL_INTERTWINER,
+    "composite": nm.TOL_COMPOSITE,
+}
+
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
@@ -69,19 +79,10 @@ class RunConfig:
     schema_version: int = SCHEMA_VERSION
 
     def params(self) -> ModelParams:
-        return ModelParams(
-            q=self.q, g=self.g, alpha=self.alpha, alpha_tilde=self.alpha_tilde,
-            gamma=self.gamma, gamma_bar=self.gamma_bar,
-        )
+        return ModelParams(**{name: getattr(self, name) for name in COUPLINGS})
 
     def tol(self, tier: str) -> float:
-        defaults = {
-            "closed_form": nm.TOL_CLOSED_FORM,
-            "algebra": nm.TOL_ALGEBRA,
-            "intertwiner": nm.TOL_INTERTWINER,
-            "composite": nm.TOL_COMPOSITE,
-        }
-        return float(self.tolerances.get(tier, defaults[tier]))
+        return float(self.tolerances.get(tier, TOL_TIERS[tier]))
 
 
 def _is_number(value, kinds=(int, float)) -> bool:
@@ -120,7 +121,7 @@ def load_config(path: str | None = None, data: dict | None = None) -> RunConfig:
         raise ConfigError("config root must be an object")
     cfg = RunConfig()
     out = {}
-    for name in ("q", "g", "alpha", "alpha_tilde", "gamma", "gamma_bar"):
+    for name in COUPLINGS:
         if name in data:
             out[name] = _parse_complex(data[name], name)
     q = out.get("q", cfg.q)
@@ -155,7 +156,7 @@ def load_config(path: str | None = None, data: dict | None = None) -> RunConfig:
         if not isinstance(tols, dict):
             raise ConfigError("tolerances: expected an object")
         for key, val in tols.items():
-            if key not in ("closed_form", "algebra", "intertwiner", "composite"):
+            if key not in TOL_TIERS:
                 raise ConfigError(f"tolerances.{key}: unknown tier")
             if not _is_number(val) or val <= 0:
                 raise ConfigError(f"tolerances.{key}: must be a positive number")
@@ -175,7 +176,7 @@ def load_config(path: str | None = None, data: dict | None = None) -> RunConfig:
 def config_echo(cfg: RunConfig) -> dict:
     """JSON-safe copy of the config, complex values as [re, im]."""
     d = asdict(cfg)
-    for name in ("q", "g", "alpha", "alpha_tilde", "gamma", "gamma_bar"):
+    for name in COUPLINGS:
         d[name] = [d[name].real, d[name].imag]
     d["M"] = list(d["M"])
     return d
@@ -248,12 +249,7 @@ def _map_points(fn, jobs):
 def _mp_params(params: ModelParams) -> ModelParams:
     import mpmath
 
-    c = lambda z: mpmath.mpc(z)
-    return ModelParams(
-        q=c(params.q), g=c(params.g), alpha=c(params.alpha),
-        alpha_tilde=c(params.alpha_tilde), gamma=c(params.gamma),
-        gamma_bar=c(params.gamma_bar),
-    )
+    return ModelParams(**{name: mpmath.mpc(getattr(params, name)) for name in COUPLINGS})
 
 
 def suite_rep_check(cfg: RunConfig):
@@ -445,27 +441,12 @@ def suite_limits(cfg: RunConfig):
     params = cfg.params()
     checks = []
     rng = _point_rng(cfg.seed, 29000)
-    g = params.g
 
     # rational limit of the reflection coefficients, O(eps) convergence
     M = max([m for m in cfg.M if m >= 2], default=2)
     xm = complex(sample_kinematics(1, params, rng).x_minus)
-    s = xm + 1 / xm + 1j * M / g
-    xp = (s + np.sqrt(complex(s * s - 4))) / 2
-    gam = nm.sqrt(1j * (xm - xp))
-    Kr = kmatrix.rational_limit_kmatrix(
-        xp, xm, g, M, gamma=gam, gamma_bar=gam, alpha=params.alpha,
-    )
-    errs = []
-    for eps in (1e-3, 1e-4):
-        p_eps = replace(params, q=1 + eps, gamma=gam, gamma_bar=gam)
-        Kq = kmatrix.closed_form_kmatrix(on_shell(M, xm, p_eps, near=xp), p_eps)
-        err = max(
-            (np.abs(np.asarray(getattr(Kq, f)) - np.asarray(getattr(Kr, f)))
-             / np.maximum(1.0, np.abs(np.asarray(getattr(Kr, f))))).max(initial=0.0)
-            for f in "ABCDE"
-        )
-        errs.append(err)
+    errs = kmatrix.rational_limit_errors(xm, M, params)
+    for eps, err in zip(kmatrix.RATIONAL_LIMIT_EPS, errs):
         checks.append(_check(
             "limits", f"rational-coefficients[eps={eps:g}]", M, err, 10 * eps,
         ))

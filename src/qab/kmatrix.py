@@ -10,7 +10,7 @@ to the overall normalization A_0 = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -429,6 +429,37 @@ def rational_limit_kmatrix(
         U=nm.sqrt(x_plus / x_minus), V=1.0, z=1.0, gamma=gamma,
     )
     return _from_coefficients(kin, gamma_bar, A, B, C, D, E)
+
+
+#: The q = 1 + eps points at which the rational limit is compared.
+RATIONAL_LIMIT_EPS = (1e-3, 1e-4)
+
+
+def rational_limit_errors(x_minus, M: int, params: ModelParams) -> list:
+    """Entrywise relative error of the closed-form K at q = 1 + eps against
+    its rational limit, the largest over A-E, for each eps in RATIONAL_LIMIT_EPS.
+
+    x+ is the rational shortening partner of x-, both states are normalized
+    by gamma = gamma_bar = sqrt(i(x- - x+)), and at each q the deformed x+
+    is the shortening root nearest the rational one.
+    """
+    g = params.g
+    s = x_minus + 1 / x_minus + 1j * M / g
+    xp = (s + np.sqrt(complex(s * s - 4))) / 2
+    gam = nm.sqrt(1j * (x_minus - xp))
+    Kr = rational_limit_kmatrix(
+        xp, x_minus, g, M, gamma=gam, gamma_bar=gam, alpha=params.alpha,
+    )
+    errs = []
+    for eps in RATIONAL_LIMIT_EPS:
+        p_eps = replace(params, q=1 + eps, gamma=gam, gamma_bar=gam)
+        Kq = closed_form_kmatrix(on_shell(M, x_minus, p_eps, near=xp), p_eps)
+        errs.append(max(
+            (np.abs(np.asarray(getattr(Kq, f)) - np.asarray(getattr(Kr, f)))
+             / np.maximum(1.0, np.abs(np.asarray(getattr(Kr, f))))).max(initial=0.0)
+            for f in "ABCDE"
+        ))
+    return errs
 
 
 def compare_kmatrices(K1: ReflectionMatrix, K2: ReflectionMatrix) -> float:

@@ -129,92 +129,46 @@ class GradedOperator:
         return float(np.linalg.norm(np.where(bad, m, 0.0)))
 
 
-def _operator(space: RepSpace, parity: int, entries, dtype=complex) -> GradedOperator:
-    """Build a GradedOperator from {(row_state, col_state): coeff} entries."""
-    mat = np.zeros((space.dim, space.dim), dtype=dtype)
-    for (row, col), val in entries.items():
-        mat[space.index[row], space.index[col]] += val
-    return GradedOperator(mat, parity)
-
-
 def identity_operator(space: RepSpace, dtype=complex) -> GradedOperator:
     return GradedOperator(np.eye(space.dim, dtype=dtype), 0)
 
 
-def _valid(state) -> bool:
-    m, n, k, l = state
-    return 0 <= m <= 1 and 0 <= n <= 1 and k >= 0 and l >= 0
+def all_generators(kin, params, space, dtype=complex) -> dict:
+    """Matrices of the twelve Chevalley generators E_i, F_i, K_i on the bound state.
 
-
-def generator_matrix(
-    gen: str,
-    kin: Kinematics,
-    params: ModelParams,
-    space: RepSpace,
-    dtype=complex,
-) -> GradedOperator:
-    """Matrix of one Chevalley generator E_i, F_i or K_i on the bound state.
-
-    The affine supercharges E4, F4 use the affine labels and C -> -C; K_i is
-    q^{H_i} with the diagonal H_i action, V = q^C.
+    E2, F2 use the bulk labels (a, b, c, d); the affine supercharges E4, F4
+    use the affine labels and C -> -C.  K_i is q^{H_i} with the diagonal H_i
+    action, V = q^C.
     """
-    if gen not in GENERATOR_PARITY:
-        raise ValueError(f"unknown generator {gen!r}")
     q = params.q
     C = log(kin.V) / log(q)
-    a, b, c, d = bulk_labels(kin, params)
-    at, bt, ct, dt = affine_labels(kin, params)
-    entries = {}
-    for state in space.states:
-        m, n, k, l = state
-        if gen == "E1":
-            tgt = (m, n, k - 1, l + 1)
-            if _valid(tgt):
-                entries[(tgt, state)] = qint(k, q)
-        elif gen == "F1":
-            tgt = (m, n, k + 1, l - 1)
-            if _valid(tgt):
-                entries[(tgt, state)] = qint(l, q)
-        elif gen == "E3":
-            tgt = (m + 1, n - 1, k, l)
-            if _valid(tgt):
-                entries[(tgt, state)] = 1
-        elif gen == "F3":
-            tgt = (m - 1, n + 1, k, l)
-            if _valid(tgt):
-                entries[(tgt, state)] = 1
-        elif gen in ("E2", "E4"):
-            aa, bb = (a, b) if gen == "E2" else (at, bt)
-            tgt = (m, n + 1, k, l - 1)
-            if _valid(tgt):
-                entries[(tgt, state)] = aa * (-1) ** m * qint(l, q)
-            tgt = (m - 1, n, k + 1, l)
-            if _valid(tgt):
-                entries[(tgt, state)] = bb
-        elif gen in ("F2", "F4"):
-            cc, dd = (c, d) if gen == "F2" else (ct, dt)
-            tgt = (m + 1, n, k - 1, l)
-            if _valid(tgt):
-                entries[(tgt, state)] = cc * qint(k, q)
-            tgt = (m, n - 1, k, l + 1)
-            if _valid(tgt):
-                entries[(tgt, state)] = dd * (-1) ** m
-        else:  # K_i = q^{H_i}
-            i = int(gen[1])
-            if i == 1:
-                h = l - k
-            elif i == 3:
-                h = n - m
-            elif i == 2:
-                h = -(C - (k - l + m - n) / 2)
-            else:
-                h = C + (k - l + m - n) / 2
-            entries[(state, state)] = q**h
-    return _operator(space, GENERATOR_PARITY[gen], entries, dtype=dtype)
-
-
-def all_generators(kin, params, space, dtype=complex) -> dict:
-    return {g: generator_matrix(g, kin, params, space, dtype=dtype) for g in GENERATORS}
+    labels = ((2, bulk_labels(kin, params)), (4, affine_labels(kin, params)))
+    qn = [qint(j, q) for j in range(space.M + 1)]
+    mats = {gen: np.zeros((space.dim, space.dim), dtype=dtype) for gen in GENERATORS}
+    for col, (m, n, k, l) in enumerate(space.states):
+        sign = (-1) ** m
+        terms = [
+            ("E1", (m, n, k - 1, l + 1), qn[k]),
+            ("F1", (m, n, k + 1, l - 1), qn[l]),
+            ("E3", (m + 1, n - 1, k, l), 1),
+            ("F3", (m - 1, n + 1, k, l), 1),
+        ]
+        for i, (a, b, c, d) in labels:
+            terms += [
+                (f"E{i}", (m, n + 1, k, l - 1), a * sign * qn[l]),
+                (f"E{i}", (m - 1, n, k + 1, l), b),
+                (f"F{i}", (m + 1, n, k - 1, l), c * qn[k]),
+                (f"F{i}", (m, n - 1, k, l + 1), d * sign),
+            ]
+        # a target outside the basis has an occupation out of range
+        for gen, target, value in terms:
+            row = space.index.get(target)
+            if row is not None:
+                mats[gen][row, col] += value
+        h = (k - l + m - n) / 2
+        for i, hi in ((1, l - k), (2, -(C - h)), (3, n - m), (4, C + h)):
+            mats[f"K{i}"][col, col] += q**hi
+    return {gen: GradedOperator(mat, GENERATOR_PARITY[gen]) for gen, mat in mats.items()}
 
 
 def graded_commutator(A: GradedOperator, B: GradedOperator) -> GradedOperator:
@@ -264,38 +218,39 @@ def verify_algebra(
     res = {}
 
     def put(name, L, R):
-        res[name] = rel_residual(L.matrix if hasattr(L, "matrix") else L,
-                                 R.matrix if hasattr(R, "matrix") else R)
+        # R is a matrix, or the scalar 0 for a relation L = 0
+        res[name] = rel_residual(L.matrix, R)
 
     # Cartan relations K_i X_j K_i^-1 = q^{±DA_ij} X_j.
     for i in range(1, 5):
         Ki = ops[f"K{i}"]
         for j in range(1, 5):
             daij = DA[i - 1][j - 1]
-            put(f"K{i}E{j}", Ki @ ops[f"E{j}"] @ k_inv[i], q**daij * ops[f"E{j}"])
-            put(f"K{i}F{j}", Ki @ ops[f"F{j}"] @ k_inv[i], q**-daij * ops[f"F{j}"])
+            ej, fj = ops[f"E{j}"], ops[f"F{j}"]
+            put(f"K{i}E{j}", Ki @ ej @ k_inv[i], (q**daij * ej).matrix)
+            put(f"K{i}F{j}", Ki @ fj @ k_inv[i], (q**-daij * fj).matrix)
 
     # Diagonal and off-diagonal [E_i, F_j} relations.
     for j in range(1, 5):
         lhs = graded_commutator(ops[f"E{j}"], ops[f"F{j}"])
         rhs = (D_DIAG[j - 1] / (q - 1 / q)) * (ops[f"K{j}"] - k_inv[j])
-        put(f"E{j}F{j}", lhs, rhs)
+        put(f"E{j}F{j}", lhs, rhs.matrix)
     for i in range(1, 5):
         for j in range(1, 5):
             if i != j and i + j != 6:
                 lhs = graded_commutator(ops[f"E{i}"], ops[f"F{j}"])
-                put(f"E{i}F{j}", lhs, 0 * lhs)
+                put(f"E{i}F{j}", lhs, 0)
 
     # Mixed affine relations with g_tilde and alpha_tilde.
     put(
         "E2F4",
         graded_commutator(ops["E2"], ops["F4"]),
-        (-g_tilde / at) * (ops["K4"] - (U**2) * k_inv[2]),
+        ((-g_tilde / at) * (ops["K4"] - (U**2) * k_inv[2])).matrix,
     )
     put(
         "E4F2",
         graded_commutator(ops["E4"], ops["F2"]),
-        (g_tilde * at) * (ops["K2"] - (U**-2) * k_inv[4]),
+        ((g_tilde * at) * (ops["K2"] - (U**-2) * k_inv[4])).matrix,
     )
 
     # Cubic Serre relations and the vanishing quadratics.
@@ -306,12 +261,12 @@ def verify_algebra(
                 lhs = graded_commutator(xj, graded_commutator(xj, xk)) - lam * (
                     xj @ xk @ xj
                 )
-                put(f"serre_{kind}{j}{k}", lhs, 0 * lhs)
+                put(f"serre_{kind}{j}{k}", lhs, 0)
         x1, x2, x3, x4 = (ops[f"{kind}{i}"] for i in (1, 2, 3, 4))
-        put(f"{kind}1{kind}3", graded_commutator(x1, x3), 0 * x1)
-        put(f"{kind}2{kind}2", x2 @ x2, 0 * ident)
-        put(f"{kind}4{kind}4", x4 @ x4, 0 * ident)
-        put(f"{kind}2{kind}4", graded_commutator(x2, x4), 0 * ident)
+        put(f"{kind}1{kind}3", graded_commutator(x1, x3), 0)
+        put(f"{kind}2{kind}2", x2 @ x2, 0)
+        put(f"{kind}4{kind}4", x4 @ x4, 0)
+        put(f"{kind}2{kind}4", graded_commutator(x2, x4), 0)
 
     # Quartic Serre relations with central right-hand sides (k = 2, 4); at
     # k = 2 the left-hand sides are the central charges C2 and C3.
@@ -322,26 +277,28 @@ def verify_algebra(
     }.items():
         quartic["E", k] = quartic_serre_lhs("E", k, ops, lam)
         quartic["F", k] = quartic_serre_lhs("F", k, ops, lam)
-        put(f"quartic_E{k}", quartic["E", k], (g * ak * (1 - vk**2 * uk**2)) * ident)
-        put(f"quartic_F{k}", quartic["F", k], (g / ak * (vk**-2 - uk**-2)) * ident)
+        e_val, f_val = g * ak * (1 - vk**2 * uk**2), g / ak * (vk**-2 - uk**-2)
+        put(f"quartic_E{k}", quartic["E", k], (e_val * ident).matrix)
+        put(f"quartic_F{k}", quartic["F", k], (f_val * ident).matrix)
 
     # Central charges C1 = K1 K2^2 K3, C2, C3: scalar values and centrality.
     c1 = ops["K1"] @ ops["K2"] @ ops["K2"] @ ops["K3"]
     c2, c3 = quartic["E", 2], quartic["F", 2]
-    put("C1_scalar", c1, (V**-2) * ident)
-    put("C2_scalar", c2, (g * alpha * (1 - U**2 * V**2)) * ident)
-    put("C3_scalar", c3, (g / alpha * (V**-2 - U**-2)) * ident)
+    put("C1_scalar", c1, ((V**-2) * ident).matrix)
+    put("C2_scalar", c2, ((g * alpha * (1 - U**2 * V**2)) * ident).matrix)
+    put("C3_scalar", c3, ((g / alpha * (V**-2 - U**-2)) * ident).matrix)
     for name, cc in (("C1", c1), ("C2", c2), ("C3", c3)):
         worst = 0.0
         for gname in GENERATORS:
             lhs = graded_commutator(cc, ops[gname])
-            worst = max(worst, rel_residual(lhs.matrix, 0 * lhs.matrix))
+            worst = max(worst, rel_residual(lhs.matrix, 0))
         res[f"{name}_central"] = worst
 
     # K constraints.
-    put("K1K2K3K4", ops["K1"] @ ops["K2"] @ ops["K3"] @ ops["K4"], ident)
-    put("V2_constraint", c1.inv(), (V**2) * ident)
-    put("V4_constraint", (ops["K1"] @ ops["K4"] @ ops["K4"] @ ops["K3"]).inv(), (V**-2) * ident)
+    put("K1K2K3K4", ops["K1"] @ ops["K2"] @ ops["K3"] @ ops["K4"], ident.matrix)
+    put("V2_constraint", c1.inv(), ((V**2) * ident).matrix)
+    c1_affine = ops["K1"] @ ops["K4"] @ ops["K4"] @ ops["K3"]
+    put("V4_constraint", c1_affine.inv(), ((V**-2) * ident).matrix)
 
     # Parity zero-patterns.
     res["parity_pattern"] = max(

@@ -16,13 +16,14 @@ from qab.harness import RunConfig, sample_kinematics
 from qab.kinematics import ModelParams, make_kinematics, solve_shortening
 from qab.kmatrix import (
     PRESERVED_CHARGES,
+    RATIONAL_LIMIT_EPS,
     boundary_nullspace,
     boundary_ybe_residual,
     ck_symmetry_residual,
     closed_form_kmatrix,
     compare_kmatrices,
     fundamental_kmatrix,
-    rational_limit_kmatrix,
+    rational_limit_errors,
     solve_boundary_intertwiner,
     unitarity_residual,
 )
@@ -161,23 +162,8 @@ def test_criterion_7_ck_covariance():
 def test_criterion_8_rational_limit():
     g, M = 0.4, 2
     xm = 1.2 - 0.7j
-    s = xm + 1 / xm + 1j * M / g
-    xp = (s + cmath.sqrt(s * s - 4)) / 2
-    gam = cmath.sqrt(1j * (xm - xp))
-    Kr = rational_limit_kmatrix(xp, xm, g, M, gamma=gam, gamma_bar=gam)
-    errs = []
-    ok = True
-    for eps in (1e-3, 1e-4):
-        p = ModelParams(q=1 + eps, g=g, gamma=gam, gamma_bar=gam)
-        xpq = min(solve_shortening(xm, M, p), key=lambda r: abs(r - xp))
-        Kq = closed_form_kmatrix(make_kinematics(M, xpq, xm, p), p)
-        err = max(
-            (np.abs(np.asarray(getattr(Kq, f)) - np.asarray(getattr(Kr, f)))
-             / np.maximum(1.0, np.abs(np.asarray(getattr(Kr, f))))).max(initial=0.0)
-            for f in "ABCDE"
-        )
-        errs.append(err)
-        ok &= err <= 10 * eps
+    errs = rational_limit_errors(xm, M, ModelParams(q=1.1, g=g))
+    ok = all(err <= 10 * eps for eps, err in zip(RATIONAL_LIMIT_EPS, errs))
     rate = float(np.log10(errs[0] / errs[1]))
     # fundamental M=1 limit of the diagonal ratio
     xp1 = ((xm + 1 / xm + 1j / g) + cmath.sqrt((xm + 1 / xm + 1j / g) ** 2 - 4)) / 2

@@ -41,6 +41,8 @@ def test_malformed_field_names_the_field():
         load_config(data={"alpha_tilde": "big"})
     with pytest.raises(ConfigError, match=r"tolerances\.ybe"):
         load_config(data={"tolerances": {"ybe": 1e-8}})
+    with pytest.raises(ConfigError, match=r"tolerances\.closed_form"):
+        load_config(data={"tolerances": {"closed_form": 1e-12}})
     with pytest.raises(ConfigError, match="M"):
         load_config(data={"M": [0]})
     with pytest.raises(ConfigError, match="precision"):

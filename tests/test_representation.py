@@ -4,14 +4,22 @@ import mpmath
 import numpy as np
 import pytest
 
-from qab.kinematics import ModelParams, make_kinematics, solve_shortening
-from qab.numerics import TOL_ALGEBRA, qint
+from qab import representation
+from qab.kinematics import (
+    ModelParams,
+    affine_labels,
+    bulk_labels,
+    make_kinematics,
+    on_shell,
+    solve_shortening,
+)
+from qab.numerics import TOL_ALGEBRA, log, qint
 from qab.representation import (
     GENERATOR_PARITY,
+    GENERATORS,
     GradedOperator,
     all_generators,
     build_basis,
-    generator_matrix,
     graded_commutator,
     identity_operator,
     quartic_serre_lhs,
@@ -56,9 +64,9 @@ def test_parity_zero_patterns(params, kin_of):
 
 def test_cartan_generators_diagonal(params, kin_of):
     kin = kin_of(2, 1.3 + 0.8j)
-    space = build_basis(2)
+    ops = all_generators(kin, params, build_basis(2))
     for i in (1, 2, 3, 4):
-        K = generator_matrix(f"K{i}", kin, params, space).matrix
+        K = ops[f"K{i}"].matrix
         assert np.linalg.norm(K - np.diag(np.diag(K))) < 1e-12
 
 
@@ -68,11 +76,119 @@ def test_k2k4_measure_central_elements(params, kin_of):
     kin = kin_of(M, 1.3 + 0.8j)
     space = build_basis(M)
     i0 = space.families[1][0]
-    K2 = generator_matrix("K2", kin, params, space).matrix
-    K4 = generator_matrix("K4", kin, params, space).matrix
+    ops = all_generators(kin, params, space)
+    K2, K4 = ops["K2"].matrix, ops["K4"].matrix
     q = params.q
     assert abs(K4[i0, i0] - kin.V * q ** (-M / 2)) < 1e-12
     assert abs(K2[i0, i0] - q ** (-M / 2) / kin.V) < 1e-12
+
+
+def _valid(state) -> bool:
+    m, n, k, l = state
+    return 0 <= m <= 1 and 0 <= n <= 1 and k >= 0 and l >= 0
+
+
+def oracle_generator(gen, kin, params, space, dtype=complex) -> GradedOperator:
+    """One generator per basis walk, branching on its name: the construction
+    all_generators replaced, kept as an oracle for it."""
+    q = params.q
+    C = log(kin.V) / log(q)
+    a, b, c, d = bulk_labels(kin, params)
+    at, bt, ct, dt = affine_labels(kin, params)
+    entries = {}
+    for state in space.states:
+        m, n, k, l = state
+        if gen == "E1":
+            tgt = (m, n, k - 1, l + 1)
+            if _valid(tgt):
+                entries[(tgt, state)] = qint(k, q)
+        elif gen == "F1":
+            tgt = (m, n, k + 1, l - 1)
+            if _valid(tgt):
+                entries[(tgt, state)] = qint(l, q)
+        elif gen == "E3":
+            tgt = (m + 1, n - 1, k, l)
+            if _valid(tgt):
+                entries[(tgt, state)] = 1
+        elif gen == "F3":
+            tgt = (m - 1, n + 1, k, l)
+            if _valid(tgt):
+                entries[(tgt, state)] = 1
+        elif gen in ("E2", "E4"):
+            aa, bb = (a, b) if gen == "E2" else (at, bt)
+            tgt = (m, n + 1, k, l - 1)
+            if _valid(tgt):
+                entries[(tgt, state)] = aa * (-1) ** m * qint(l, q)
+            tgt = (m - 1, n, k + 1, l)
+            if _valid(tgt):
+                entries[(tgt, state)] = bb
+        elif gen in ("F2", "F4"):
+            cc, dd = (c, d) if gen == "F2" else (ct, dt)
+            tgt = (m + 1, n, k - 1, l)
+            if _valid(tgt):
+                entries[(tgt, state)] = cc * qint(k, q)
+            tgt = (m, n - 1, k, l + 1)
+            if _valid(tgt):
+                entries[(tgt, state)] = dd * (-1) ** m
+        else:  # K_i = q^{H_i}
+            i = int(gen[1])
+            if i == 1:
+                h = l - k
+            elif i == 3:
+                h = n - m
+            elif i == 2:
+                h = -(C - (k - l + m - n) / 2)
+            else:
+                h = C + (k - l + m - n) / 2
+            entries[(state, state)] = q**h
+    mat = np.zeros((space.dim, space.dim), dtype=dtype)
+    for (row, col), val in entries.items():
+        mat[space.index[row], space.index[col]] += val
+    return GradedOperator(mat, GENERATOR_PARITY[gen])
+
+
+def _assert_matches_oracle(kin, params, space, dtype):
+    ops = all_generators(kin, params, space, dtype=dtype)
+    assert tuple(ops) == GENERATORS
+    for gen in GENERATORS:
+        want = oracle_generator(gen, kin, params, space, dtype=dtype)
+        assert ops[gen].parity == want.parity, gen
+        assert ops[gen].matrix.dtype == want.matrix.dtype, gen
+        assert np.array_equal(ops[gen].matrix, want.matrix), gen
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4, 5])
+def test_all_generators_match_oracle_bit_for_bit(M, params_gammas):
+    p = ModelParams(q=1.1, g=0.4, alpha_tilde=0.7 + 0.2j, gamma=1.2 + 0.3j)
+    for par in (params_gammas, p):
+        kin = on_shell(M, 1.3 + 0.8j, par)
+        _assert_matches_oracle(kin, par, build_basis(M), complex)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4, 5])
+def test_all_generators_match_oracle_bit_for_bit_mpmath(M):
+    with mpmath.workprec(106):
+        p = ModelParams(
+            q=mpmath.mpc("1.5"), g=mpmath.mpc("0.4"),
+            alpha_tilde=mpmath.mpc("0.7", "0.2"), gamma=mpmath.mpc("1.2", "0.3"),
+        )
+        kin = on_shell(M, mpmath.mpc("1.3", "0.8"), p)
+        _assert_matches_oracle(kin, p, build_basis(M), object)
+
+
+def test_all_generators_evaluates_each_label_set_once(params, kin_of, monkeypatch):
+    calls = {"bulk": 0, "affine": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(representation, "bulk_labels", counted("bulk", bulk_labels))
+    monkeypatch.setattr(representation, "affine_labels", counted("affine", affine_labels))
+    all_generators(kin_of(2, 1.3 + 0.8j), params, build_basis(2))
+    assert calls == {"bulk": 1, "affine": 1}
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 4])
