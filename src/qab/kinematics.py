@@ -45,7 +45,8 @@ class ModelParams:
     gamma: complex = 1.0 + 0j
     gamma_bar: complex = 1.0 + 0j
 
-    def check_not_root_of_unity(self, m_max: int = 8, tol: float = 1e-6) -> None:
+    def check_not_root_of_unity(self, m_max: int = 8) -> None:
+        tol = 1e-6
         for n in range(1, 4 * m_max + 1):
             if abs(self.q**n - 1) <= tol and abs(self.q - 1) > tol:
                 raise KinematicsError(f"q is numerically a {n}-th root of unity")

@@ -27,14 +27,8 @@ from .kinematics import (
     reflect_kinematics,
 )
 from .numerics import qint
-from .representation import GradedOperator, RepSpace, all_generators, build_basis
-from .smatrix import (
-    leg_weights,
-    pair_residuals,
-    solve_intertwiner,
-    unique_intertwiner,
-    weight_nullspace,
-)
+from .representation import RepSpace, all_generators, build_basis
+from .smatrix import leg_weights, pair_residuals, solve_intertwiner, unique_intertwiner
 
 #: Charges preserved without twisting.  They alone are the ablation set: from
 #: M = 2 on they leave the null space more than one-dimensional.
@@ -45,25 +39,20 @@ BOUNDARY_CHARGES = PRESERVED_CHARGES + TWISTED_CHARGES
 
 @dataclass
 class ReflectionMatrix:
-    """Reflection coefficients and the assembled one-leg operator.
+    """Reflection coefficients and the assembled one-leg (even) matrix.
 
     A has length M+1, D length M+1 (zero at both ends), B and E length M-1
-    (indexed k=1..M-1), C length M.  null_dim and singular_values are set
-    only when the matrix came out of the intertwiner solver.
+    (indexed k=1..M-1), C length M.
     """
 
-    M: int
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
     E: np.ndarray
-    operator: GradedOperator
+    matrix: np.ndarray
     kin: Kinematics
-    gamma: complex
     gamma_bar: complex
-    null_dim: int | None = None
-    singular_values: np.ndarray | None = None
 
 
 def _c_recursion(c0, M: int, ratio, tol: float) -> np.ndarray:
@@ -81,17 +70,16 @@ def _c_recursion(c0, M: int, ratio, tol: float) -> np.ndarray:
     return np.array(C)
 
 
-def c_coefficients(kin: Kinematics, params: ModelParams, c0=None) -> np.ndarray:
+def c_coefficients(kin: Kinematics, params: ModelParams) -> np.ndarray:
     """C_0..C_{M-1}: C_k = C_0 prod_{n<=k} (q^M - q^{2n}/z)/(q^M - q^{2n}z).
 
-    The default C_0 = (reflected gamma)/gamma realizes the normalization
-    A_0 = 1 for the incoming and reflected build alike.
+    C_0 = (reflected gamma)/gamma realizes the normalization A_0 = 1 for the
+    incoming and reflected build alike.
     """
     q, z, M = params.q, kin.z, kin.M
-    if c0 is None:
-        c0 = reflect_kinematics(kin, params).gamma / kin.gamma
     return _c_recursion(
-        c0, M, lambda n: (q**M - q ** (2 * n) / z, q**M - q ** (2 * n) * z), 1e-6
+        reflect_kinematics(kin, params).gamma / kin.gamma, M,
+        lambda n: (q**M - q ** (2 * n) / z, q**M - q ** (2 * n) * z), 1e-6,
     )
 
 
@@ -135,10 +123,7 @@ def _from_coefficients(kin, gamma_bar, A, B, C, D, E) -> ReflectionMatrix:
     mat = np.zeros((space.dim, space.dim), dtype=complex)
     for name, rows, cols in _k_entries(space):
         mat[rows, cols] = coeffs[name]
-    return ReflectionMatrix(
-        M=kin.M, A=A, B=B, C=C, D=D, E=E, operator=GradedOperator(mat, 0),
-        kin=kin, gamma=kin.gamma, gamma_bar=gamma_bar,
-    )
+    return ReflectionMatrix(A, B, C, D, E, mat, kin, gamma_bar)
 
 
 def _read_coefficients(space: RepSpace, K: np.ndarray):
@@ -238,53 +223,36 @@ def fundamental_kmatrix(kin: Kinematics, params: ModelParams) -> ReflectionMatri
     return _from_coefficients(kin, kin_ref.gamma, A, empty, np.array([c0]), D, empty)
 
 
-def _charge_pairs(kin: Kinematics, params: ModelParams, names):
-    """[(incoming matrix, reflected matrix)] of the named charges, in order."""
+def boundary_system(kin: Kinematics, params: ModelParams, charges=BOUNDARY_CHARGES):
+    """(pairs, weights) of K pi(J) = pi_ref(J) K over ``charges``, as
+    weight_nullspace, unique_intertwiner and pair_residuals take them.
+
+    The reflection keeps V, so pi_ref(K_i) = pi(K_i) and K preserves the
+    (H1, H3) weight, which is the support the shared solver imposes.  With
+    PRESERVED_CHARGES the null space exceeds one dimension from M = 2 on
+    (the ablation).
+    """
     space = build_basis(kin.M)
     ops = all_generators(kin, params, space)
     ops_ref = all_generators(reflect_kinematics(kin, params), params, space)
-    if set(names) & set(TWISTED_CHARGES):
+    if set(charges) & set(TWISTED_CHARGES):
         ops.update(twisted_boundary_charges(ops, params))
         ops_ref.update(twisted_boundary_charges(ops_ref, params))
-    return space, [(ops[n].matrix, ops_ref[n].matrix) for n in names]
-
-
-def boundary_nullspace(kin: Kinematics, params: ModelParams, charges=BOUNDARY_CHARGES):
-    """Null space of K -> K pi(J) - pi_ref(J) K over ``charges``; returns
-    weight_nullspace's (K, singular values, null_dim, shape).
-
-    The ablation probe: with PRESERVED_CHARGES the dimension exceeds 1 from
-    M = 2 on.
-    """
-    space, pairs = _charge_pairs(kin, params, charges)
-    return weight_nullspace(pairs, leg_weights(space))
+    return [(ops[n].matrix, ops_ref[n].matrix) for n in charges], leg_weights(space)
 
 
 def solve_boundary_intertwiner(kin: Kinematics, params: ModelParams) -> ReflectionMatrix:
-    """K as the unique intertwiner of every boundary charge, A_0 = 1.
-
-    The reflection keeps V, so pi_ref(K_i) = pi(K_i) and K preserves the
-    (H1, H3) weight, which is the support the shared solver imposes.
-    """
-    space, pairs = _charge_pairs(kin, params, BOUNDARY_CHARGES)
-    K, sv, _ = unique_intertwiner(pairs, leg_weights(space), space.families[1][0])
-    A, B, C, D, E = _read_coefficients(space, K)
-    return ReflectionMatrix(
-        M=kin.M, A=A, B=B, C=C, D=D, E=E,
-        operator=GradedOperator(K, 0),
-        kin=kin, gamma=kin.gamma, gamma_bar=reflect_kinematics(kin, params).gamma,
-        null_dim=1, singular_values=sv,
-    )
+    """K as the unique intertwiner of every boundary charge, A_0 = 1."""
+    K, _, _ = unique_intertwiner(*boundary_system(kin, params))
+    coeffs = _read_coefficients(build_basis(kin.M), K)
+    return ReflectionMatrix(*coeffs, K, kin, reflect_kinematics(kin, params).gamma)
 
 
-def invariance_residual(K: ReflectionMatrix, params: ModelParams, charges=BOUNDARY_CHARGES) -> dict:
-    """Per-charge relative residual of K pi(J) - pi_ref(J) K.
-
-    By default every boundary charge is checked; pass an explicit charge list
-    (e.g. ["E1"]) for negative controls.
-    """
-    _, pairs = _charge_pairs(K.kin, params, charges)
-    return dict(zip(charges, pair_residuals(K.operator.matrix, pairs)))
+def invariance_residual(K: ReflectionMatrix, params: ModelParams) -> dict:
+    """Per-charge relative residual of K pi(J) - pi_ref(J) K, every boundary
+    charge."""
+    pairs = boundary_system(K.kin, params)[0]
+    return dict(zip(BOUNDARY_CHARGES, pair_residuals(K.matrix, pairs)))
 
 
 def unitarity_residual(kin: Kinematics, params: ModelParams) -> float:
@@ -293,9 +261,9 @@ def unitarity_residual(kin: Kinematics, params: ModelParams) -> float:
     The reflected build swaps gamma and gamma_bar, matching the reflection
     map on the basis normalizations.
     """
-    K_in = closed_form_kmatrix(kin, params).operator.matrix
+    K_in = closed_form_kmatrix(kin, params).matrix
     kin_ref = reflect_kinematics(kin, params)
-    K_back = closed_form_kmatrix(kin_ref, params).operator.matrix
+    K_back = closed_form_kmatrix(kin_ref, params).matrix
     prod = K_back @ K_in
     ident = np.eye(prod.shape[0])
     return float(np.linalg.norm(prod - ident) / max(1.0, np.linalg.norm(prod)))
@@ -339,16 +307,15 @@ def boundary_ybe_residual(
     kin1: Kinematics,
     kin2: Kinematics,
     params: ModelParams,
+    smatrices,
     trivial_c: bool = False,
-    smatrices=None,
 ) -> float:
     """Relative residual of K2 S_{2 1r} K1 S_{12} = S_{2r 1r} K1 S_{1 2r} K2.
 
-    The four S variants come from `smatrices` (the tuple returned by
-    reflection_smatrices for the same points), or are solved here when it
-    is None; K matrices act on single legs.  With trivial_c=True the constant
-    solution C_k = C_0 is substituted, which is expected to violate the
-    identity for M >= 2 (negative control).
+    The four S variants come from `smatrices`, the tuple returned by
+    reflection_smatrices for the same points; K matrices act on single legs.
+    With trivial_c=True the constant solution C_k = C_0 is substituted,
+    which is expected to violate the identity for M >= 2 (negative control).
     """
 
     def kmat(kin):
@@ -358,11 +325,9 @@ def boundary_ybe_residual(
             return closed_form_kmatrix(kin, params, c_override=C)
         return closed_form_kmatrix(kin, params)
 
-    Km1, Km2 = kmat(kin1).operator.matrix, kmat(kin2).operator.matrix
+    Km1, Km2 = kmat(kin1).matrix, kmat(kin2).matrix
     K1 = np.kron(Km1, np.eye(Km2.shape[0]))
     K2 = np.kron(np.eye(Km1.shape[0]), Km2)
-    if smatrices is None:
-        smatrices = reflection_smatrices(kin1, kin2, params)
     S12, S_1_2r, S_2_1r, S_2r_1r = smatrices
     return nm.rel_residual(K2 @ S_2_1r @ K1 @ S12, S_2r_1r @ K1 @ S_1_2r @ K2)
 
@@ -463,11 +428,9 @@ def rational_limit_errors(x_minus, M: int, params: ModelParams) -> list:
 
 
 def compare_kmatrices(K1: ReflectionMatrix, K2: ReflectionMatrix) -> float:
-    """Entrywise relative difference after aligning on the A_0 element."""
-    m1 = K1.operator.matrix
-    m2 = K2.operator.matrix
-    anchor = build_basis(K1.M).families[1][0]
-    if abs(m2[anchor, anchor]) < 1e-14:
+    """Entrywise relative difference after aligning on the A_0 element, the
+    [0, 0] entry (basis state |0,0,0,M>)."""
+    m1, m2 = K1.matrix, K2.matrix
+    if abs(m2[0, 0]) < 1e-14:
         raise ValueError("cannot align: A_0 element vanishes")
-    m2 = m2 * (m1[anchor, anchor] / m2[anchor, anchor])
-    return nm.rel_residual(m1, m2)
+    return nm.rel_residual(m1, m2 * (m1[0, 0] / m2[0, 0]))

@@ -3,14 +3,15 @@
 S is the endomorphism of V1 (x) V2 satisfying S Delta(J) = Delta^op(J) S for
 every Chevalley generator including the affine ones (which are what make the
 null space one-dimensional).  The boundary K-matrix is the same kind of null
-space on one leg, so both are fixed by ``unique_intertwiner``: one
-``weight_nullspace`` solve, a null dimension of exactly 1, and the
-normalization at an anchor entry.  The solver imposes the Cartan constraints
-structurally by supporting the unknown on entries that join states of equal
-(H1, H3) weight and keeps only the equation rows this support reaches, as
-sparse entries.  It never forms the system densely and runs no SVD: block
-inverse iteration on the Gram matrix finds the smallest singular vectors,
-which are then refined and measured on the system itself.
+space on one leg.  Each side builds its system in one place
+(``intertwiner_system``, ``kmatrix.boundary_system``), and both are fixed by
+``unique_intertwiner``: one ``weight_nullspace`` solve, a null dimension of
+exactly 1, and the normalization at the [0, 0] entry.  The solver imposes the
+Cartan constraints structurally by supporting the unknown on entries that
+join states of equal (H1, H3) weight and keeps only the equation rows this
+support reaches, as sparse entries.  It never forms the system densely and
+runs no SVD: block inverse iteration on the Gram matrix finds the smallest
+singular vectors, which are then refined and measured on the system itself.
 """
 
 from __future__ import annotations
@@ -59,13 +60,6 @@ class SMatrix:
 def leg_weights(space: RepSpace) -> list:
     """(H1, H3) weight of every basis state of one leg."""
     return [(l - k, n - m) for (m, n, k, l) in space.states]
-
-
-def _joint_weights(s1: RepSpace, s2: RepSpace) -> list:
-    w1, w2 = leg_weights(s1), leg_weights(s2)
-    return [
-        (a1 + b1, a2 + b2) for (a1, a2) in w1 for (b1, b2) in w2
-    ]
 
 
 def _scatter(index, values, size):
@@ -148,20 +142,36 @@ def weight_nullspace(pairs, weights):
     return X, np.concatenate([[smax], sv[::-1]]), null_dim, (m, n)
 
 
-def unique_intertwiner(pairs, weights, anchor: int):
-    """The one intertwiner of ``pairs`` (see weight_nullspace), scaled so its
-    (anchor, anchor) element is 1; returns (X, singular values, system shape).
+def intertwiner_system(kin1: Kinematics, kin2: Kinematics, params: ModelParams,
+                       generators=DEFAULT_GENERATORS):
+    """(pairs, weights) of S Delta(J) = Delta^op(J) S over ``generators``, as
+    weight_nullspace, unique_intertwiner and pair_residuals take them.
 
-    Raises IntertwinerError unless the null space is one-dimensional and the
-    anchor element is nonzero.
+    With SANS_AFFINE the null space exceeds one dimension (the ablation).
+    """
+    leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
+    pairs = [
+        (coproduct(gen, leg1, leg2).matrix, opposite_coproduct(gen, leg1, leg2).matrix)
+        for gen in generators
+    ]
+    w1, w2 = leg_weights(leg1.space), leg_weights(leg2.space)
+    return pairs, [(a1 + b1, a2 + b2) for (a1, a2) in w1 for (b1, b2) in w2]
+
+
+def unique_intertwiner(pairs, weights):
+    """The one intertwiner of ``pairs`` (see weight_nullspace), scaled so its
+    [0, 0] element is 1; returns (X, singular values, system shape).
+
+    Basis index 0 is the state |0,0,0,M> of a leg, and |0,0,0,M1> (x)
+    |0,0,0,M2> of a product.  Raises IntertwinerError unless the null space
+    is one-dimensional and that element is nonzero.
     """
     X, sv, null_dim, shape = weight_nullspace(pairs, weights)
     if null_dim != 1:
         raise IntertwinerError(f"null-space dimension {null_dim}, expected 1")
-    pivot = X[anchor, anchor]
-    if abs(pivot) < 1e-12:
-        raise IntertwinerError("anchor matrix element vanishes; resample")
-    return X / pivot, sv, shape
+    if abs(X[0, 0]) < 1e-12:
+        raise IntertwinerError("[0, 0] matrix element vanishes; resample")
+    return X / X[0, 0], sv, shape
 
 
 def pair_residuals(X: np.ndarray, pairs) -> list:
@@ -170,46 +180,18 @@ def pair_residuals(X: np.ndarray, pairs) -> list:
     return [float(np.linalg.norm(X @ A - B @ X)) / norm for A, B in pairs]
 
 
-def _coproduct_pairs(leg1, leg2, generators) -> list:
-    return [
-        (coproduct(gen, leg1, leg2).matrix, opposite_coproduct(gen, leg1, leg2).matrix)
-        for gen in generators
-    ]
-
-
-def intertwiner_nullspace(
-    kin1: Kinematics,
-    kin2: Kinematics,
-    params: ModelParams,
-    generators=DEFAULT_GENERATORS,
-):
-    """Null space of the stacked maps S -> S Delta(J) - Delta^op(J) S over
-    ``generators``; returns weight_nullspace's (X, sv, null_dim, shape).
-
-    The ablation probe: with SANS_AFFINE the dimension exceeds 1.
-    """
-    leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
-    pairs = _coproduct_pairs(leg1, leg2, generators)
-    return weight_nullspace(pairs, _joint_weights(leg1.space, leg2.space))
-
-
 def solve_intertwiner(kin1: Kinematics, kin2: Kinematics, params: ModelParams) -> SMatrix:
     """The unique intertwiner, normalized so the highest joint state
     |0,0,0,M1> (x) |0,0,0,M2> maps to itself with coefficient 1."""
-    leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
-    s1, s2 = leg1.space, leg2.space
-    anchor = s1.index[(0, 0, 0, s1.M)] * s2.dim + s2.index[(0, 0, 0, s2.M)]
-    S, sv, shape = unique_intertwiner(
-        _coproduct_pairs(leg1, leg2, DEFAULT_GENERATORS), _joint_weights(s1, s2), anchor
-    )
+    S, sv, shape = unique_intertwiner(*intertwiner_system(kin1, kin2, params))
     return SMatrix(S, kin1, kin2, null_dim=1, singular_values=sv, system_shape=shape)
 
 
 def intertwining_residual(S: SMatrix, params: ModelParams) -> dict:
     """Per-generator residual ||S Delta(J) - Delta^op(J) S|| (relative)."""
-    leg1, leg2 = Leg(S.kin1, params), Leg(S.kin2, params)
     gens = list(DEFAULT_GENERATORS) + [f"K{i}" for i in (1, 2, 3, 4)]
-    return dict(zip(gens, pair_residuals(S.matrix, _coproduct_pairs(leg1, leg2, gens))))
+    pairs = intertwiner_system(S.kin1, S.kin2, params, gens)[0]
+    return dict(zip(gens, pair_residuals(S.matrix, pairs)))
 
 
 def ybe_residual(

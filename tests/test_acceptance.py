@@ -17,22 +17,24 @@ from qab.kinematics import ModelParams, make_kinematics, solve_shortening
 from qab.kmatrix import (
     PRESERVED_CHARGES,
     RATIONAL_LIMIT_EPS,
-    boundary_nullspace,
+    boundary_system,
     boundary_ybe_residual,
     ck_symmetry_residual,
     closed_form_kmatrix,
     compare_kmatrices,
     fundamental_kmatrix,
     rational_limit_errors,
+    reflection_smatrices,
     solve_boundary_intertwiner,
     unitarity_residual,
 )
 from qab.representation import build_basis, verify_algebra
 from qab.smatrix import (
     SANS_AFFINE,
-    intertwiner_nullspace,
+    intertwiner_system,
     intertwining_residual,
     solve_intertwiner,
+    weight_nullspace,
     ybe_residual,
 )
 
@@ -82,7 +84,7 @@ def test_criterion_2_smatrix_uniqueness():
             # the affine supercharges are what force uniqueness; with a
             # fundamental leg the subalgebra suffices, so the ablation is
             # probed on the bound-state pairs
-            nd = intertwiner_nullspace(kin1, kin2, PARAMS, SANS_AFFINE)[2]
+            nd = weight_nullspace(*intertwiner_system(kin1, kin2, PARAMS, SANS_AFFINE))[2]
             ablation_ok &= nd > 1
     _report(
         2, "S-matrix uniqueness and affine ablation",
@@ -116,7 +118,8 @@ def test_criterion_4_kmatrix_equivalence():
         if M >= 2:
             # at M = 1 the preserved subalgebra already fixes K; the twisted
             # charges become essential from M = 2 on
-            ablation_ok &= boundary_nullspace(kin, PARAMS, PRESERVED_CHARGES)[2] >= 2
+            system = boundary_system(kin, PARAMS, PRESERVED_CHARGES)
+            ablation_ok &= weight_nullspace(*system)[2] >= 2
     _report(
         4, "closed-form K equals intertwiner K",
         worst < 1e-9 and ablation_ok,
@@ -131,11 +134,12 @@ def test_criterion_5_reflection_equation():
         for s in range(5):
             kin1 = _sample(M1, 500 + 20 * i + 2 * s)
             kin2 = _sample(M2, 501 + 20 * i + 2 * s)
-            worst = max(worst, boundary_ybe_residual(kin1, kin2, PARAMS))
+            smats = reflection_smatrices(kin1, kin2, PARAMS)
+            worst = max(worst, boundary_ybe_residual(kin1, kin2, PARAMS, smats))
             if s == 0 and max(M1, M2) >= 2:
                 control = min(
                     control,
-                    boundary_ybe_residual(kin1, kin2, PARAMS, trivial_c=True),
+                    boundary_ybe_residual(kin1, kin2, PARAMS, smats, trivial_c=True),
                 )
     _report(
         5, "reflection equation with trivial-C control",

@@ -18,7 +18,7 @@ from qab.harness import (
     sample_kinematics,
 )
 from qab.kinematics import shortening_residual
-from qab.smatrix import intertwiner_nullspace
+from qab.smatrix import intertwiner_system, weight_nullspace
 
 
 def test_defaults_applied():
@@ -96,7 +96,7 @@ def test_sampled_points_generically_unique_smatrix():
     for _ in range(n):
         kin1 = sample_kinematics(2, params, rng)
         kin2 = sample_kinematics(1, params, rng)
-        good += intertwiner_nullspace(kin1, kin2, params)[2] == 1
+        good += weight_nullspace(*intertwiner_system(kin1, kin2, params))[2] == 1
     assert good >= int(0.95 * n)
 
 
@@ -251,6 +251,18 @@ def test_cli_zero_coupling_exits_2(name, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({name: 0}))
     assert main(["kmatrix", "--config", str(path), "--M", "1,2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [(["ybe", "--M", "3"], "M = 3"), (["bybe", "--M", "1,3"], "M = 3"),
+     (["ybe", "--M", "2,4,5"], "M = 4, 5")],
+    ids=["ybe-3", "bybe-1,3", "ybe-2,4,5"],
+)
+def test_cli_composite_suites_reject_m_above_2(argv, named, capsys):
+    # ybe and bybe check M <= 2 only: a larger M is refused, not dropped
+    assert main(argv + ["--seed", "7"]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_cli_internal_error_exits_3(monkeypatch, capsys):

@@ -15,20 +15,18 @@ from qab.coalgebra import Leg, coproduct, opposite_coproduct
 from qab.kmatrix import (
     BOUNDARY_CHARGES,
     PRESERVED_CHARGES,
-    _charge_pairs,
-    boundary_nullspace,
+    boundary_system,
     closed_form_kmatrix,
     compare_kmatrices,
     solve_boundary_intertwiner,
 )
 from qab.numerics import TOL_INTERTWINER, rel_residual
+from qab.representation import build_basis
 from qab.smatrix import (
     DEFAULT_GENERATORS,
     SANS_AFFINE,
     _NULL_RTOL,
-    _coproduct_pairs,
-    _joint_weights,
-    leg_weights,
+    intertwiner_system,
     solve_intertwiner,
     weight_nullspace,
 )
@@ -36,7 +34,8 @@ from qab.smatrix import (
 from conftest import kin_at
 
 
-def _dense_null_vector(pairs, anchor):
+def _dense_null_vector(pairs):
+    """The null vector of the full Kronecker system, scaled to 1 at [0, 0]."""
     dim = pairs[0][0].shape[0]
     ident = np.eye(dim)
     # row-major vec: vec(X A - B X) = (kron(I, A^T) - kron(B, I)) vec(X)
@@ -44,7 +43,13 @@ def _dense_null_vector(pairs, anchor):
     _, sv, vh = np.linalg.svd(R)
     assert sv[-1] < 1e-12 * sv[0] < sv[-2]
     X = vh[-1].conj().reshape(dim, dim)
-    return X / X[anchor, anchor]
+    return X / X[0, 0]
+
+
+@pytest.mark.parametrize("M", range(1, 9))
+def test_anchor_is_basis_index_0(M):
+    # unique_intertwiner normalizes S and K at [0, 0]: the state |0,0,0,M>
+    assert build_basis(M).states[0] == (0, 0, 0, M)
 
 
 def test_smatrix_matches_dense_reference(kin_of, params):
@@ -54,18 +59,18 @@ def test_smatrix_matches_dense_reference(kin_of, params):
         (coproduct(g, leg1, leg2).matrix, opposite_coproduct(g, leg1, leg2).matrix)
         for g in DEFAULT_GENERATORS
     ]
-    anchor = leg1.space.index[(0, 0, 0, 1)] * leg2.space.dim + leg2.space.index[(0, 0, 0, 1)]
     S = solve_intertwiner(kin1, kin2, params)
-    assert rel_residual(S.matrix, _dense_null_vector(pairs, anchor)) < 1e-12
+    assert S.matrix[0, 0] == 1
+    assert rel_residual(S.matrix, _dense_null_vector(pairs)) < 1e-12
 
 
 @pytest.mark.parametrize("M", [2, 3])
 def test_kmatrix_matches_dense_reference(M, params_gammas):
     kin = kin_at(M, 0.9 - 1.1j, params_gammas)
-    space, pairs = _charge_pairs(kin, params_gammas, BOUNDARY_CHARGES)
+    pairs = boundary_system(kin, params_gammas)[0]
     K = solve_boundary_intertwiner(kin, params_gammas)
-    ref = _dense_null_vector(pairs, space.families[1][0])
-    assert rel_residual(K.operator.matrix, ref) < 1e-12
+    assert K.matrix[0, 0] == 1
+    assert rel_residual(K.matrix, _dense_null_vector(pairs)) < 1e-12
 
 
 def test_kmatrix_solve_at_m8(params_gammas):
@@ -73,9 +78,9 @@ def test_kmatrix_solve_at_m8(params_gammas):
     # weight-supported one stays small
     kin = kin_at(8, 1.4 + 0.6j, params_gammas)
     Ks = solve_boundary_intertwiner(kin, params_gammas)
-    assert Ks.null_dim == 1
+    assert weight_nullspace(*boundary_system(kin, params_gammas))[2] == 1
     assert compare_kmatrices(closed_form_kmatrix(kin, params_gammas), Ks) < TOL_INTERTWINER
-    assert boundary_nullspace(kin, params_gammas, PRESERVED_CHARGES)[2] >= 2
+    assert weight_nullspace(*boundary_system(kin, params_gammas, PRESERVED_CHARGES))[2] >= 2
 
 
 def _dense_weight_nullspace(pairs, weights):
@@ -109,15 +114,11 @@ def _dense_weight_nullspace(pairs, weights):
 
 def _s_system(params, Ms, generators):
     kin1, kin2 = kin_at(Ms[0], 1.3 + 0.8j, params), kin_at(Ms[1], 0.9 - 1.1j, params)
-    leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
-    s1, s2 = leg1.space, leg2.space
-    anchor = s1.index[(0, 0, 0, s1.M)] * s2.dim + s2.index[(0, 0, 0, s2.M)]
-    return _coproduct_pairs(leg1, leg2, generators), _joint_weights(s1, s2), anchor
+    return intertwiner_system(kin1, kin2, params, generators)
 
 
 def _k_system(params, M, charges):
-    space, pairs = _charge_pairs(kin_at(M, 1.4 + 0.6j, params), params, charges)
-    return pairs, leg_weights(space), space.families[1][0]
+    return boundary_system(kin_at(M, 1.4 + 0.6j, params), params, charges)
 
 
 SYSTEMS = {
@@ -130,12 +131,12 @@ SYSTEMS = {
 
 @pytest.mark.parametrize("system,size,generators", SYSTEMS.values(), ids=SYSTEMS.keys())
 def test_solver_matches_dense_qr_svd(system, size, generators, params_gammas):
-    pairs, weights, anchor = system(params_gammas, size, generators)
+    pairs, weights = system(params_gammas, size, generators)
     X, sv, null_dim, shape = weight_nullspace(pairs, weights)
     Xo, svo, null_dim_o, shape_o, basis = _dense_weight_nullspace(pairs, weights)
     assert (null_dim, shape) == (null_dim_o, shape_o)
     if null_dim == 1:
-        assert rel_residual(X / X[anchor, anchor], Xo / Xo[anchor, anchor]) < 1e-12
+        assert rel_residual(X / X[0, 0], Xo / Xo[0, 0]) < 1e-12
     else:
         # any unit vector of the null space will do: it must lie in the oracle's
         x = X.ravel()
@@ -146,8 +147,8 @@ def test_solver_matches_dense_qr_svd(system, size, generators, params_gammas):
 
 
 def test_solver_is_deterministic(params_gammas):
-    first = _s_system(params_gammas, (2, 2), DEFAULT_GENERATORS)[:2]
-    other = _k_system(params_gammas, 4, PRESERVED_CHARGES)[:2]
+    first = _s_system(params_gammas, (2, 2), DEFAULT_GENERATORS)
+    other = _k_system(params_gammas, 4, PRESERVED_CHARGES)
     X1 = weight_nullspace(*first)[0]
     weight_nullspace(*other)
     assert np.array_equal(weight_nullspace(*first)[0], X1)

@@ -10,12 +10,11 @@ from qab.smatrix import (
     DEFAULT_GENERATORS,
     SANS_AFFINE,
     IntertwinerError,
-    _coproduct_pairs,
-    _joint_weights,
-    intertwiner_nullspace,
+    intertwiner_system,
     intertwining_residual,
     solve_intertwiner,
     unique_intertwiner,
+    weight_nullspace,
     ybe_residual,
 )
 from qab.representation import build_basis
@@ -55,6 +54,7 @@ def test_anchor_normalization(points, params):
     S = solve_intertwiner(points[2], points[1], params)
     s1, s2 = build_basis(2), build_basis(1)
     anchor = s1.index[(0, 0, 0, 2)] * s2.dim + s2.index[(0, 0, 0, 1)]
+    assert anchor == 0
     assert abs(S.matrix[anchor, anchor] - 1) < 1e-12
     # the anchor state is alone in its joint weight class, so its row is pure
     row = S.matrix[anchor].copy()
@@ -65,7 +65,7 @@ def test_anchor_normalization(points, params):
 def test_weight_block_structure(points, params):
     # S vanishes between states of different (H1, H3) joint weight
     S = solve_intertwiner(points[1], points["1b"], params)
-    w = _joint_weights(build_basis(1), build_basis(1))
+    w = intertwiner_system(points[1], points["1b"], params)[1]
     for i in range(16):
         for j in range(16):
             if w[i] != w[j]:
@@ -87,9 +87,9 @@ def test_nullspace_vector_satisfies_full_equations(points, params):
 def test_affine_ablation_raises_dimension(points, params):
     # with both bound-state numbers >= 2 the subalgebra alone no longer fixes
     # S; the affine generators are what force uniqueness
-    nd_full = intertwiner_nullspace(points[2], points["2b"], params)[2]
-    nd_ablated = intertwiner_nullspace(
-        points[2], points["2b"], params, generators=SANS_AFFINE
+    nd_full = weight_nullspace(*intertwiner_system(points[2], points["2b"], params))[2]
+    nd_ablated = weight_nullspace(
+        *intertwiner_system(points[2], points["2b"], params, generators=SANS_AFFINE)
     )[2]
     assert nd_full == 1
     assert nd_ablated > 1
@@ -98,15 +98,15 @@ def test_affine_ablation_raises_dimension(points, params):
 def test_fundamental_leg_stays_unique_without_affine(points, params):
     # known exception: a fundamental (M=1) factor leaves the product
     # irreducible under the subalgebra, so the ablation does not degenerate
-    nd = intertwiner_nullspace(points[1], points["1b"], params, generators=SANS_AFFINE)[2]
+    system = intertwiner_system(points[1], points["1b"], params, generators=SANS_AFFINE)
+    nd = weight_nullspace(*system)[2]
     assert nd == 1
 
 
 def test_degenerate_request_raises(points, params):
-    leg1, leg2 = Leg(points[2], params), Leg(points["2b"], params)
-    pairs = _coproduct_pairs(leg1, leg2, SANS_AFFINE)
+    system = intertwiner_system(points[2], points["2b"], params, SANS_AFFINE)
     with pytest.raises(IntertwinerError):
-        unique_intertwiner(pairs, _joint_weights(leg1.space, leg2.space), 0)
+        unique_intertwiner(*system)
 
 
 def test_s_at_reflected_legs(points, params):
