@@ -10,7 +10,7 @@ to the overall normalization A_0 = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -35,24 +35,6 @@ from .smatrix import leg_weights, pair_residuals, solve_intertwiner, unique_inte
 PRESERVED_CHARGES = ("E2", "F2", "E3", "F3", "K1", "K2", "K3", "K4")
 #: Every charge of the boundary coideal algebra; together they fix K.
 BOUNDARY_CHARGES = PRESERVED_CHARGES + TWISTED_CHARGES
-
-
-@dataclass
-class ReflectionMatrix:
-    """Reflection coefficients and the assembled one-leg (even) matrix.
-
-    A has length M+1, D length M+1 (zero at both ends), B and E length M-1
-    (indexed k=1..M-1), C length M.
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    E: np.ndarray
-    matrix: np.ndarray
-    kin: Kinematics
-    gamma_bar: complex
 
 
 def _c_recursion(c0, M: int, ratio, tol: float) -> np.ndarray:
@@ -107,7 +89,7 @@ def _k_entries(space: RepSpace):
 
     A_k sits at (|k>1, |k>1), k = 0..M; B_k at (|k>2, |k>2), D_k at
     (|k>2, |k>1) and E_k at (|k>1, |k>2), k = 1..M-1; C_k at (|k>3, |k>3) and
-    (|k>4, |k>4).  D is stored over k = 0..M, zero at both ends.
+    (|k>4, |k>4), k = 0..M-1.  Every other entry of K is zero.
     """
     f1, f2, f3, f4 = (np.asarray(space.families[i], dtype=int) for i in (1, 2, 3, 4))
     return (
@@ -116,23 +98,14 @@ def _k_entries(space: RepSpace):
     )
 
 
-def _from_coefficients(kin, gamma_bar, A, B, C, D, E) -> ReflectionMatrix:
-    """The ReflectionMatrix whose K is assembled from these coefficients."""
-    space = build_basis(kin.M)
-    coeffs = {"A": A, "B": B, "C": C, "D": D[1:-1], "E": E}
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
+def _assemble(M: int, A, B, C, D, E) -> np.ndarray:
+    """The K of bound-state number M holding these coefficients (_k_entries)."""
+    space = build_basis(M)
+    coeffs = {"A": A, "B": B, "C": C, "D": D, "E": E}
+    K = np.zeros((space.dim, space.dim), dtype=complex)
     for name, rows, cols in _k_entries(space):
-        mat[rows, cols] = coeffs[name]
-    return ReflectionMatrix(A, B, C, D, E, mat, kin, gamma_bar)
-
-
-def _read_coefficients(space: RepSpace, K: np.ndarray):
-    """(A, B, C, D, E) read back from the entries of K (C from family 3)."""
-    coeffs = {}
-    for name, rows, cols in _k_entries(space):
-        coeffs.setdefault(name, K[rows, cols])
-    D = np.concatenate(([0], coeffs["D"], [0]))
-    return coeffs["A"], coeffs["B"], coeffs["C"], D, coeffs["E"]
+        K[rows, cols] = coeffs[name]
+    return K
 
 
 def _explicit_coefficients(kin, kin_ref, C, params, N):
@@ -166,10 +139,10 @@ def _explicit_coefficients(kin, kin_ref, C, params, N):
         * (gt**2 * Cm1 * xm + g**2 * Cat * (1 + xi * xm) * (xi + xp))
         * V
     ) / (gam * gam_b * g**2 * qm * xm * (1 + xi * xm) * (xi + xp) * (1 + xi * xp) * N)
-    return tuple(np.asarray(x, dtype=complex) for x in (A, B[1:M], D, E[1:M]))
+    return tuple(np.asarray(x, dtype=complex) for x in (A, B[1:M], D[1:M], E[1:M]))
 
 
-def closed_form_kmatrix(kin: Kinematics, params: ModelParams, c_override=None) -> ReflectionMatrix:
+def closed_form_kmatrix(kin: Kinematics, params: ModelParams, c_override=None) -> np.ndarray:
     """K from the label-form coefficient solution.
 
     A_k = (C_{k-1}[k] b_ c + C_k[M-k] a d_) / N and companions, with
@@ -192,7 +165,7 @@ def closed_form_kmatrix(kin: Kinematics, params: ModelParams, c_override=None) -
     A, B, D, E = (np.asarray(x, dtype=complex) for x in (
         (Cm1 * qk * b_ * c + Cat * qMk * a * d_) / N,
         ((Cat * qk * b * c_ + Cm1 * qMk * a_ * d) / N)[1:M],
-        qk * qMk * (Cat * a * c_ - Cm1 * a_ * c) / N,
+        (qk * qMk * (Cat * a * c_ - Cm1 * a_ * c) / N)[1:M],
         ((Cat * b * d_ - Cm1 * b_ * d) / N)[1:M],
     ))
     tol = nm.TOL_ALGEBRA
@@ -208,19 +181,7 @@ def closed_form_kmatrix(kin: Kinematics, params: ModelParams, c_override=None) -
                 raise KinematicsError(
                     f"{name} coefficients disagree with explicit form ({res:.3e})"
                 )
-    return _from_coefficients(kin, kin_ref.gamma, A, B, C, D, E)
-
-
-def fundamental_kmatrix(kin: Kinematics, params: ModelParams) -> ReflectionMatrix:
-    """M = 1: purely diagonal with A_0 = 1, A_1 = -1/(z U^2), C_0 = gamma_bar/gamma."""
-    if kin.M != 1:
-        raise ValueError("fundamental_kmatrix requires M = 1")
-    kin_ref = reflect_kinematics(kin, params)
-    c0 = kin_ref.gamma / kin.gamma
-    A = np.array([1.0, -1.0 / (kin.z * kin.U**2)], dtype=complex)
-    empty = np.zeros(0, dtype=complex)
-    D = np.zeros(2, dtype=complex)
-    return _from_coefficients(kin, kin_ref.gamma, A, empty, np.array([c0]), D, empty)
+    return _assemble(M, A, B, C, D, E)
 
 
 def boundary_system(kin: Kinematics, params: ModelParams, charges=BOUNDARY_CHARGES):
@@ -241,18 +202,16 @@ def boundary_system(kin: Kinematics, params: ModelParams, charges=BOUNDARY_CHARG
     return [(ops[n].matrix, ops_ref[n].matrix) for n in charges], leg_weights(space)
 
 
-def solve_boundary_intertwiner(kin: Kinematics, params: ModelParams) -> ReflectionMatrix:
+def solve_boundary_intertwiner(kin: Kinematics, params: ModelParams) -> np.ndarray:
     """K as the unique intertwiner of every boundary charge, A_0 = 1."""
-    K, _, _ = unique_intertwiner(*boundary_system(kin, params))
-    coeffs = _read_coefficients(build_basis(kin.M), K)
-    return ReflectionMatrix(*coeffs, K, kin, reflect_kinematics(kin, params).gamma)
+    return unique_intertwiner(*boundary_system(kin, params))[0]
 
 
-def invariance_residual(K: ReflectionMatrix, params: ModelParams) -> dict:
-    """Per-charge relative residual of K pi(J) - pi_ref(J) K, every boundary
-    charge."""
-    pairs = boundary_system(K.kin, params)[0]
-    return dict(zip(BOUNDARY_CHARGES, pair_residuals(K.matrix, pairs)))
+def invariance_residual(K: np.ndarray, kin: Kinematics, params: ModelParams) -> dict:
+    """Per-charge relative residual of K pi(J) - pi_ref(J) K at ``kin``, every
+    boundary charge."""
+    pairs = boundary_system(kin, params)[0]
+    return dict(zip(BOUNDARY_CHARGES, pair_residuals(K, pairs)))
 
 
 def unitarity_residual(kin: Kinematics, params: ModelParams) -> float:
@@ -261,9 +220,8 @@ def unitarity_residual(kin: Kinematics, params: ModelParams) -> float:
     The reflected build swaps gamma and gamma_bar, matching the reflection
     map on the basis normalizations.
     """
-    K_in = closed_form_kmatrix(kin, params).matrix
-    kin_ref = reflect_kinematics(kin, params)
-    K_back = closed_form_kmatrix(kin_ref, params).matrix
+    K_in = closed_form_kmatrix(kin, params)
+    K_back = closed_form_kmatrix(reflect_kinematics(kin, params), params)
     prod = K_back @ K_in
     ident = np.eye(prod.shape[0])
     return float(np.linalg.norm(prod - ident) / max(1.0, np.linalg.norm(prod)))
@@ -296,10 +254,10 @@ def reflection_smatrices(kin1: Kinematics, kin2: Kinematics, params: ModelParams
     s1, s2 = build_basis(kin1.M), build_basis(kin2.M)
     kin1r = reflect_kinematics(kin1, params)
     kin2r = reflect_kinematics(kin2, params)
-    S12 = solve_intertwiner(kin1, kin2, params).matrix
-    S_1_2r = solve_intertwiner(kin1, kin2r, params).matrix
-    S_2_1r = swap_legs(solve_intertwiner(kin2, kin1r, params).matrix, [s2, s1], 0)
-    S_2r_1r = swap_legs(solve_intertwiner(kin2r, kin1r, params).matrix, [s2, s1], 0)
+    S12 = solve_intertwiner(kin1, kin2, params)
+    S_1_2r = solve_intertwiner(kin1, kin2r, params)
+    S_2_1r = swap_legs(solve_intertwiner(kin2, kin1r, params), [s2, s1], 0)
+    S_2r_1r = swap_legs(solve_intertwiner(kin2r, kin1r, params), [s2, s1], 0)
     return S12, S_1_2r, S_2_1r, S_2r_1r
 
 
@@ -325,26 +283,11 @@ def boundary_ybe_residual(
             return closed_form_kmatrix(kin, params, c_override=C)
         return closed_form_kmatrix(kin, params)
 
-    Km1, Km2 = kmat(kin1).matrix, kmat(kin2).matrix
+    Km1, Km2 = kmat(kin1), kmat(kin2)
     K1 = np.kron(Km1, np.eye(Km2.shape[0]))
     K2 = np.kron(np.eye(Km1.shape[0]), Km2)
     S12, S_1_2r, S_2_1r, S_2r_1r = smatrices
     return nm.rel_residual(K2 @ S_2_1r @ K1 @ S12, S_2r_1r @ K1 @ S_1_2r @ K2)
-
-
-def rational_u(x_plus, x_minus, M: int, g):
-    """u entering the rational C_k recursion, as the q -> 1 scaling limit
-    of (z - 1)/(-2 i g (q - 1)), Richardson-extrapolated in q - 1.
-
-    x+ is re-solved from the deformed shortening condition at each q, taking
-    the root that tracks the rational x+.
-    """
-    eps, vals = 1e-6, []
-    for e in (eps, eps / 2):
-        kin = on_shell(M, x_minus, ModelParams(q=1 + e, g=g), near=x_plus)
-        vals.append((kin.z - 1) / (-2j * g * e))
-    # u(eps) = u + c eps: eliminate the linear error term
-    return 2 * vals[1] - vals[0]
 
 
 def rational_shortening_residual(x_plus, x_minus, M: int, g) -> float:
@@ -361,17 +304,17 @@ def rational_limit_kmatrix(
     gamma=1.0,
     gamma_bar=1.0,
     alpha=1j,
-) -> ReflectionMatrix:
-    """Rational (q -> 1) reflection coefficients.
+) -> np.ndarray:
+    """K from the rational (q -> 1) reflection coefficients.
 
     C_k = (2igu - M + 2k)/(-2igu - M + 2k) C_{k-1} with C_0 = gamma_bar/gamma,
-    N = k + (M - k) x- x+, and u the numeric scaling limit from rational_u;
-    gamma = gamma_bar = sqrt(i(x- - x+)) reproduces the standard rational
-    normalization.
+    N = k + (M - k) x- x+, and u = x+ + 1/x+ - iM/(2g), the q -> 1 limit of
+    (z - 1)/(-2ig(q - 1)); gamma = gamma_bar = sqrt(i(x- - x+)) reproduces the
+    standard rational normalization.
     """
     if rational_shortening_residual(x_plus, x_minus, M, g) > nm.TOL_ALGEBRA:
         raise KinematicsError("x pair violates the rational shortening condition")
-    u = rational_u(x_plus, x_minus, M, g)
+    u = x_plus + 1 / x_plus - 1j * M / (2 * g)
     C = _c_recursion(
         gamma_bar / gamma, M,
         lambda k: (2j * g * u - M + 2 * k, -2j * g * u - M + 2 * k), 1e-10,
@@ -384,16 +327,12 @@ def rational_limit_kmatrix(
         * ((M - k) * Cat * x_plus**2 - k * Cm1),
         ((gamma_bar / gamma) * x_plus / (x_minus * N)
          * ((M - k) * Cm1 * x_minus**2 - k * Cat))[1:M],
-        (gamma * gamma_bar / alpha) * k * (M - k)
-        * (Cat * x_plus + Cm1 * x_minus) / (N * (x_plus - x_minus)),
+        ((gamma * gamma_bar / alpha) * k * (M - k)
+         * (Cat * x_plus + Cm1 * x_minus) / (N * (x_plus - x_minus)))[1:M],
         ((alpha / (gamma * gamma_bar)) * (x_minus - x_plus) / N
          * (Cat * x_plus + Cm1 * x_minus))[1:M],
     ))
-    kin = Kinematics(
-        M=M, x_plus=x_plus, x_minus=x_minus,
-        U=nm.sqrt(x_plus / x_minus), V=1.0, z=1.0, gamma=gamma,
-    )
-    return _from_coefficients(kin, gamma_bar, A, B, C, D, E)
+    return _assemble(M, A, B, C, D, E)
 
 
 #: The q = 1 + eps points at which the rational limit is compared.
@@ -402,7 +341,8 @@ RATIONAL_LIMIT_EPS = (1e-3, 1e-4)
 
 def rational_limit_errors(x_minus, M: int, params: ModelParams) -> list:
     """Entrywise relative error of the closed-form K at q = 1 + eps against
-    its rational limit, the largest over A-E, for each eps in RATIONAL_LIMIT_EPS.
+    its rational limit, the largest over the entries of K (each a coefficient
+    A-E or zero), for each eps in RATIONAL_LIMIT_EPS.
 
     x+ is the rational shortening partner of x-, both states are normalized
     by gamma = gamma_bar = sqrt(i(x- - x+)), and at each q the deformed x+
@@ -419,18 +359,13 @@ def rational_limit_errors(x_minus, M: int, params: ModelParams) -> list:
     for eps in RATIONAL_LIMIT_EPS:
         p_eps = replace(params, q=1 + eps, gamma=gam, gamma_bar=gam)
         Kq = closed_form_kmatrix(on_shell(M, x_minus, p_eps, near=xp), p_eps)
-        errs.append(max(
-            (np.abs(np.asarray(getattr(Kq, f)) - np.asarray(getattr(Kr, f)))
-             / np.maximum(1.0, np.abs(np.asarray(getattr(Kr, f))))).max(initial=0.0)
-            for f in "ABCDE"
-        ))
+        errs.append((np.abs(Kq - Kr) / np.maximum(1.0, np.abs(Kr))).max())
     return errs
 
 
-def compare_kmatrices(K1: ReflectionMatrix, K2: ReflectionMatrix) -> float:
+def compare_kmatrices(K1: np.ndarray, K2: np.ndarray) -> float:
     """Entrywise relative difference after aligning on the A_0 element, the
     [0, 0] entry (basis state |0,0,0,M>)."""
-    m1, m2 = K1.matrix, K2.matrix
-    if abs(m2[0, 0]) < 1e-14:
+    if abs(K2[0, 0]) < 1e-14:
         raise ValueError("cannot align: A_0 element vanishes")
-    return nm.rel_residual(m1, m2 * (m1[0, 0] / m2[0, 0]))
+    return nm.rel_residual(K1, K2 * (K1[0, 0] / K2[0, 0]))

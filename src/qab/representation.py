@@ -173,10 +173,9 @@ def all_generators(kin, params, space, dtype=complex) -> dict:
 
 def graded_commutator(A: GradedOperator, B: GradedOperator) -> GradedOperator:
     """[A, B} = AB - (-1)^{|A||B|} BA."""
-    sign = (-1) ** (A.parity * B.parity)
+    AB, BA = nm.mdot(A.matrix, B.matrix), nm.mdot(B.matrix, A.matrix)
     return GradedOperator(
-        nm.mdot(A.matrix, B.matrix) - sign * nm.mdot(B.matrix, A.matrix),
-        (A.parity + B.parity) % 2,
+        AB + BA if A.parity * B.parity % 2 else AB - BA, (A.parity + B.parity) % 2
     )
 
 

@@ -16,8 +16,6 @@ singular vectors, which are then refined and measured on the system itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .coalgebra import Leg, coproduct, opposite_coproduct, swap_legs
@@ -43,18 +41,6 @@ _SHIFT = 1e-12
 
 class IntertwinerError(RuntimeError):
     """Null space empty or degenerate."""
-
-
-@dataclass
-class SMatrix:
-    """Normalized intertwiner with its null-space diagnostics."""
-
-    matrix: np.ndarray
-    kin1: Kinematics
-    kin2: Kinematics
-    null_dim: int
-    singular_values: np.ndarray
-    system_shape: tuple
 
 
 def leg_weights(space: RepSpace) -> list:
@@ -180,18 +166,18 @@ def pair_residuals(X: np.ndarray, pairs) -> list:
     return [float(np.linalg.norm(X @ A - B @ X)) / norm for A, B in pairs]
 
 
-def solve_intertwiner(kin1: Kinematics, kin2: Kinematics, params: ModelParams) -> SMatrix:
-    """The unique intertwiner, normalized so the highest joint state
+def solve_intertwiner(kin1: Kinematics, kin2: Kinematics, params: ModelParams) -> np.ndarray:
+    """The unique intertwiner S, normalized so the highest joint state
     |0,0,0,M1> (x) |0,0,0,M2> maps to itself with coefficient 1."""
-    S, sv, shape = unique_intertwiner(*intertwiner_system(kin1, kin2, params))
-    return SMatrix(S, kin1, kin2, null_dim=1, singular_values=sv, system_shape=shape)
+    return unique_intertwiner(*intertwiner_system(kin1, kin2, params))[0]
 
 
-def intertwining_residual(S: SMatrix, params: ModelParams) -> dict:
+def intertwining_residual(S: np.ndarray, kin1: Kinematics, kin2: Kinematics,
+                          params: ModelParams) -> dict:
     """Per-generator residual ||S Delta(J) - Delta^op(J) S|| (relative)."""
     gens = list(DEFAULT_GENERATORS) + [f"K{i}" for i in (1, 2, 3, 4)]
-    pairs = intertwiner_system(S.kin1, S.kin2, params, gens)[0]
-    return dict(zip(gens, pair_residuals(S.matrix, pairs)))
+    pairs = intertwiner_system(kin1, kin2, params, gens)[0]
+    return dict(zip(gens, pair_residuals(S, pairs)))
 
 
 def ybe_residual(
@@ -204,8 +190,8 @@ def ybe_residual(
     graded swap of its last two legs.
     """
     s1, s2, s3 = (build_basis(k.M) for k in (kin1, kin2, kin3))
-    S12 = np.kron(solve_intertwiner(kin1, kin2, params).matrix, np.eye(s3.dim))
-    S13 = np.kron(solve_intertwiner(kin1, kin3, params).matrix, np.eye(s2.dim))
+    S12 = np.kron(solve_intertwiner(kin1, kin2, params), np.eye(s3.dim))
+    S13 = np.kron(solve_intertwiner(kin1, kin3, params), np.eye(s2.dim))
     S13 = swap_legs(S13, [s1, s3, s2], 1)
-    S23 = np.kron(np.eye(s1.dim), solve_intertwiner(kin2, kin3, params).matrix)
+    S23 = np.kron(np.eye(s1.dim), solve_intertwiner(kin2, kin3, params))
     return rel_residual(S23 @ S13 @ S12, S12 @ S13 @ S23)

@@ -1,6 +1,8 @@
 import pytest
 
 from qab.kinematics import ModelParams, make_kinematics, solve_shortening
+from qab.kmatrix import _k_entries
+from qab.representation import build_basis
 
 
 @pytest.fixture(scope="session")
@@ -24,3 +26,12 @@ def kin_at(M, x_minus, params, pick="large"):
 @pytest.fixture(scope="session")
 def kin_of(params):
     return lambda M, xm: kin_at(M, xm, params)
+
+
+def k_coefficients(K):
+    """The reflection coefficients read back from the entries of K, as a dict
+    A (k = 0..M), B, D, E (k = 1..M-1) and C (k = 0..M-1, from family 3)."""
+    coeffs = {}
+    for name, rows, cols in _k_entries(build_basis(len(K) // 4)):
+        coeffs.setdefault(name, K[rows, cols])
+    return coeffs

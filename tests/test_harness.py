@@ -256,11 +256,11 @@ def test_cli_zero_coupling_exits_2(name, tmp_path):
 @pytest.mark.parametrize(
     "argv, named",
     [(["ybe", "--M", "3"], "M = 3"), (["bybe", "--M", "1,3"], "M = 3"),
-     (["ybe", "--M", "2,4,5"], "M = 4, 5")],
-    ids=["ybe-3", "bybe-1,3", "ybe-2,4,5"],
+     (["ybe", "--M", "2,4,5"], "M = 4, 5"), (["coalgebra", "--M", "3"], "M = 3")],
+    ids=["ybe-3", "bybe-1,3", "ybe-2,4,5", "coalgebra-3"],
 )
 def test_cli_composite_suites_reject_m_above_2(argv, named, capsys):
-    # ybe and bybe check M <= 2 only: a larger M is refused, not dropped
+    # coalgebra, ybe and bybe check M <= 2 only: a larger M is refused, not dropped
     assert main(argv + ["--seed", "7"]) == 2
     assert named in capsys.readouterr().err
 
@@ -339,3 +339,49 @@ def test_solver_rows_carry_the_certificate():
         assert rows_ > unknowns > 0
     null_row = solver_rows[0]
     assert null_row["sigma_1_over_max"] < 1e-12 < null_row["sigma_2_over_max"]
+
+
+def _coalgebra_rows(M1, M2):
+    return [
+        ("coalgebra", "coproduct-homomorphism", [M1, M2]),
+        ("coalgebra", "coideal-expansion", [M1, M2]),
+        ("coalgebra", "twisted-F1-raising", [M1]),
+        ("coalgebra", "twisted-central-invariance", [M1]),
+    ]
+
+
+#: The (suite, check, M) key of every row of ``qab all --seed 7``, in order.
+ALL_SEED_7_ROWS = [
+    *[("rep-check", f"defining-relations[s{s}]", [M]) for M in (1, 2) for s in range(3)],
+    *_coalgebra_rows(1, 1), *_coalgebra_rows(1, 2),
+    *_coalgebra_rows(2, 1), *_coalgebra_rows(2, 2),
+    ("smatrix", "null-dimension", [1, 1]), ("smatrix", "intertwining", [1, 1]),
+    ("smatrix", "null-dimension", [1, 2]), ("smatrix", "intertwining", [1, 2]),
+    ("smatrix", "null-dimension", [2, 1]), ("smatrix", "intertwining", [2, 1]),
+    ("smatrix", "null-dimension", [2, 2]), ("smatrix", "intertwining", [2, 2]),
+    ("smatrix", "affine-ablation", [2, 2]),
+    ("ybe", "yang-baxter", [1, 1, 1]), ("ybe", "yang-baxter", [1, 1, 2]),
+    ("ybe", "yang-baxter", [1, 2, 1]), ("ybe", "yang-baxter", [1, 2, 2]),
+    ("ybe", "yang-baxter", [2, 1, 1]), ("ybe", "yang-baxter", [2, 1, 2]),
+    ("kmatrix", "closed-vs-intertwiner", [1]), ("kmatrix", "invariance", [1]),
+    ("kmatrix", "closed-vs-intertwiner", [2]), ("kmatrix", "invariance", [2]),
+    ("kmatrix", "twisted-ablation", [2]), ("kmatrix", "ck-covariance", [2]),
+    ("bybe", "reflection-equation", [1, 1]),
+    ("bybe", "reflection-equation", [1, 2]), ("bybe", "trivial-Ck-control", [1, 2]),
+    ("bybe", "reflection-equation", [2, 1]), ("bybe", "trivial-Ck-control", [2, 1]),
+    ("bybe", "reflection-equation", [2, 2]), ("bybe", "trivial-Ck-control", [2, 2]),
+    ("unitarity", "K(p)K(-p)=Id", [1]), ("unitarity", "K(p)K(-p)=Id", [2]),
+    ("limits", "rational-coefficients[eps=0.001]", [2]),
+    ("limits", "rational-coefficients[eps=0.0001]", [2]),
+    ("limits", "rational-convergence-rate", [2]),
+    ("limits", "fundamental-A1/A0", [1]),
+    *[("limits", f"yangian-cauchy[{name}]", [1])
+      for name in ("Et321", "Ft321", "Et21", "Ft21", "Et1", "Ft1", "Ct2", "Ct3")],
+]
+
+
+def test_all_at_seed_7_keeps_its_64_rows_and_passes():
+    rows = run_suite("all", load_config(data={"seed": 7}))["checks"]
+    assert [(r["suite"], r["check"], r["M"]) for r in rows] == ALL_SEED_7_ROWS
+    assert len(rows) == 64
+    assert [r for r in rows if not r["passed"]] == []

@@ -6,7 +6,13 @@ import cmath
 import numpy as np
 import pytest
 
-from qab.kinematics import ModelParams, make_kinematics, reflect_kinematics, solve_shortening
+from qab.kinematics import (
+    ModelParams,
+    make_kinematics,
+    on_shell,
+    reflect_kinematics,
+    solve_shortening,
+)
 from qab.kmatrix import (
     PRESERVED_CHARGES,
     boundary_system,
@@ -15,21 +21,18 @@ from qab.kmatrix import (
     ck_symmetry_residual,
     closed_form_kmatrix,
     compare_kmatrices,
-    fundamental_kmatrix,
     invariance_residual,
     rational_limit_kmatrix,
     rational_shortening_residual,
-    rational_u,
     reflection_smatrices,
     solve_boundary_intertwiner,
     unitarity_residual,
 )
-from qab.kmatrix import _read_coefficients
 from qab.numerics import TOL_ALGEBRA, TOL_COMPOSITE, TOL_INTERTWINER
 from qab.representation import build_basis
 from qab.smatrix import pair_residuals, weight_nullspace
 
-from conftest import kin_at
+from conftest import k_coefficients, kin_at
 
 
 @pytest.fixture(scope="module")
@@ -54,40 +57,37 @@ def test_c_ratios_match_intertwiner_solution(gpoints, params_gammas):
     # null-space oracle: the solver's fermionic diagonal reproduces the ratios
     kin = gpoints[3]
     C = c_coefficients(kin, params_gammas)
-    Ks = solve_boundary_intertwiner(kin, params_gammas)
+    Cs = k_coefficients(solve_boundary_intertwiner(kin, params_gammas))["C"]
     for k in (1, 2):
-        assert abs(Ks.C[k] / Ks.C[k - 1] - C[k] / C[k - 1]) < 1e-10
+        assert abs(Cs[k] / Cs[k - 1] - C[k] / C[k - 1]) < 1e-10
 
 
 @pytest.mark.parametrize("M", [1, 2, 3])
 def test_closed_form_boundary_values(M, gpoints, params_gammas):
-    K = closed_form_kmatrix(gpoints[M], params_gammas)
     kin = gpoints[M]
-    assert abs(K.A[0] - 1) < 1e-12
-    assert abs(K.D[0]) < 1e-12 and abs(K.D[M]) < 1e-12
+    K = k_coefficients(closed_form_kmatrix(kin, params_gammas))
+    assert abs(K["A"][0] - 1) < 1e-12
     # A_M = -gamma C_{M-1} / (z U^2 gamma_bar)
-    want = -kin.gamma * K.C[M - 1] / (kin.z * kin.U**2 * K.gamma_bar)
-    assert abs(K.A[M] - want) < 1e-11
+    gamma_bar = reflect_kinematics(kin, params_gammas).gamma
+    want = -kin.gamma * K["C"][M - 1] / (kin.z * kin.U**2 * gamma_bar)
+    assert abs(K["A"][M] - want) < 1e-11
 
 
 @pytest.mark.parametrize("M", range(1, 9))
 def test_k_layout_round_trip(M, params_gammas):
-    # the entries K is assembled into are the entries the solver's K is read from
+    # family 4 repeats C, and no entry of K lies outside the coefficient layout
     K = closed_form_kmatrix(kin_at(M, 1.3 + 0.8j, params_gammas), params_gammas)
     space = build_basis(M)
-    back = _read_coefficients(space, K.matrix)
-    for name, got in zip("ABCDE", back):
-        assert np.array_equal(got, getattr(K, name)), name
-    # family 4 repeats C, and no entry lies outside the layout
-    rebuilt = np.zeros_like(K.matrix)
+    coeffs = k_coefficients(K)
+    rebuilt = np.zeros_like(K)
     f1, f2 = space.families[1], space.families[2]
-    rebuilt[f1, f1] = K.A
-    rebuilt[f2, f2] = K.B
-    rebuilt[f2, f1[1:-1]] = K.D[1:-1]
-    rebuilt[f1[1:-1], f2] = K.E
+    rebuilt[f1, f1] = coeffs["A"]
+    rebuilt[f2, f2] = coeffs["B"]
+    rebuilt[f2, f1[1:-1]] = coeffs["D"]
+    rebuilt[f1[1:-1], f2] = coeffs["E"]
     for fam in (3, 4):
-        rebuilt[space.families[fam], space.families[fam]] = K.C
-    assert np.array_equal(rebuilt, K.matrix)
+        rebuilt[space.families[fam], space.families[fam]] = coeffs["C"]
+    assert np.array_equal(rebuilt, K)
 
 
 def _label_form_by_loop(kin, params, C):
@@ -104,8 +104,8 @@ def _label_form_by_loop(kin, params, C):
         Cat = C[k] if k <= M - 1 else 0.0
         N = qint(k, q) * b_ * c_ + qint(M - k, q) * a_ * d_
         A.append((Cm1 * qint(k, q) * b_ * c + Cat * qint(M - k, q) * a * d_) / N)
-        D.append(qint(k, q) * qint(M - k, q) * (Cat * a * c_ - Cm1 * a_ * c) / N)
         if 1 <= k <= M - 1:
+            D.append(qint(k, q) * qint(M - k, q) * (Cat * a * c_ - Cm1 * a_ * c) / N)
             B.append((Cat * qint(k, q) * b * c_ + Cm1 * qint(M - k, q) * a_ * d) / N)
             E.append((Cat * b * d_ - Cm1 * b_ * d) / N)
     return A, B, D, E
@@ -115,10 +115,10 @@ def _label_form_by_loop(kin, params, C):
 def test_closed_form_equals_per_k_loop(M, params_gammas):
     # the arithmetic per entry is unchanged, so the results are bit-identical
     kin = kin_at(M, 1.3 + 0.8j, params_gammas)
-    K = closed_form_kmatrix(kin, params_gammas)
-    want = _label_form_by_loop(kin, params_gammas, K.C)
+    K = k_coefficients(closed_form_kmatrix(kin, params_gammas))
+    want = _label_form_by_loop(kin, params_gammas, K["C"])
     for name, ref in zip("ABDE", want):
-        assert np.array_equal(getattr(K, name), np.array(ref, dtype=complex)), name
+        assert np.array_equal(K[name], np.array(ref, dtype=complex)), name
 
 
 def test_label_and_explicit_forms_cross_checked(gpoints, params_gammas):
@@ -129,11 +129,10 @@ def test_label_and_explicit_forms_cross_checked(gpoints, params_gammas):
 
 
 def test_fundamental_matches_general_form(gpoints, params_gammas):
-    K1 = fundamental_kmatrix(gpoints[1], params_gammas)
-    Kg = closed_form_kmatrix(gpoints[1], params_gammas)
-    assert compare_kmatrices(K1, Kg) < 1e-12
+    # M = 1: A_1/A_0 = -1/(z U^2)
     kin = gpoints[1]
-    assert abs(K1.A[1] / K1.A[0] + 1 / (kin.z * kin.U**2)) < 1e-12
+    A = k_coefficients(closed_form_kmatrix(kin, params_gammas))["A"]
+    assert abs(A[1] / A[0] + 1 / (kin.z * kin.U**2)) < 1e-12
 
 
 @pytest.mark.parametrize("M", [1, 2, 3])
@@ -141,7 +140,7 @@ def test_intertwiner_matches_closed_form(M, gpoints, params_gammas):
     K = closed_form_kmatrix(gpoints[M], params_gammas)
     Ks = solve_boundary_intertwiner(gpoints[M], params_gammas)
     assert weight_nullspace(*boundary_system(gpoints[M], params_gammas))[2] == 1
-    assert Ks.matrix[0, 0] == 1
+    assert Ks[0, 0] == 1
     assert compare_kmatrices(K, Ks) < TOL_INTERTWINER
 
 
@@ -156,19 +155,19 @@ def test_twisted_charge_ablation(M, gpoints, params_gammas):
 @pytest.mark.parametrize("M", [1, 2, 3])
 def test_invariance_under_all_boundary_charges(M, gpoints, params_gammas):
     K = closed_form_kmatrix(gpoints[M], params_gammas)
-    res = invariance_residual(K, params_gammas)
+    res = invariance_residual(K, gpoints[M], params_gammas)
     assert max(res.values()) < TOL_INTERTWINER, res
 
 
 def test_cartan_charges_exactly_block_diagonal(gpoints, params_gammas):
     K = closed_form_kmatrix(gpoints[2], params_gammas)
     pairs = boundary_system(gpoints[2], params_gammas, ["K1", "K2", "K3", "K4"])[0]
-    assert max(pair_residuals(K.matrix, pairs)) < 1e-14
+    assert max(pair_residuals(K, pairs)) < 1e-14
 
 
 def test_broken_charge_negative_control(gpoints, params_gammas):
     K = closed_form_kmatrix(gpoints[2], params_gammas)
-    [res] = pair_residuals(K.matrix, boundary_system(gpoints[2], params_gammas, ["E1"])[0])
+    [res] = pair_residuals(K, boundary_system(gpoints[2], params_gammas, ["E1"])[0])
     assert res > 0.1
 
 
@@ -227,12 +226,18 @@ def _rational_pair(xm, M, g):
 
 
 def test_rational_u_matches_closed_form():
-    g, M = 0.4, 2
+    # u = x+ + 1/x+ - iM/(2g), which rational_limit_kmatrix uses, is the
+    # scaling limit of (z - 1)/(-2ig(q - 1)): O(q - 1) off at q - 1 = eps,
+    # and within 1e-6 once the linear term is eliminated with q - 1 = eps/2
+    g, M, eps = 0.4, 2, 1e-6
     xp, xm = _rational_pair(1.2 - 0.7j, M, g)
-    u = rational_u(xp, xm, M, g)
-    # closed form of the scaling limit, derived independently
     want = xp + 1 / xp - 1j * M / (2 * g)
-    assert abs(u - want) < 1e-6
+    u = []
+    for e in (eps, eps / 2):
+        kin = on_shell(M, xm, ModelParams(q=1 + e, g=g), near=xp)
+        u.append((kin.z - 1) / (-2j * g * e))
+    assert abs(u[0] - want) < 10 * eps
+    assert abs(2 * u[1] - u[0] - want) < 1e-6
     assert rational_shortening_residual(xp, xm, M, g) < 1e-12
 
 
@@ -246,10 +251,7 @@ def test_rational_coefficients_limit_of_deformed():
         p = ModelParams(q=1 + eps, g=g, gamma=gam, gamma_bar=gam)
         xpq = min(solve_shortening(xm, M, p), key=lambda r: abs(r - xp))
         Kq = closed_form_kmatrix(make_kinematics(M, xpq, xm, p), p)
-        err = max(
-            np.abs(np.asarray(getattr(Kq, f)) - np.asarray(getattr(Kr, f))).max(initial=0.0)
-            for f in "ABCDE"
-        )
+        err = np.abs(Kq - Kr).max()
         errs.append(err)
         assert err < 50 * eps
     rate = np.log10(errs[0] / errs[1])
@@ -259,8 +261,8 @@ def test_rational_coefficients_limit_of_deformed():
 def test_rational_fundamental_limit():
     g = 0.4
     xp, xm = _rational_pair(1.2 - 0.7j, 1, g)
-    K = rational_limit_kmatrix(xp, xm, g, 1)
-    assert abs(K.A[1] / K.A[0] + xm / xp) < 1e-12
+    A = k_coefficients(rational_limit_kmatrix(xp, xm, g, 1))["A"]
+    assert abs(A[1] / A[0] + xm / xp) < 1e-12
 
 
 def test_rational_palla_normalization_real_structure():
@@ -268,9 +270,9 @@ def test_rational_palla_normalization_real_structure():
     g, M = 0.4, 3
     xp, xm = _rational_pair(1.2 - 0.7j, M, g)
     gam = cmath.sqrt(1j * (xm - xp))
-    K = rational_limit_kmatrix(xp, xm, g, M, gamma=gam, gamma_bar=gam)
-    assert abs(K.C[0] - 1) < 1e-12
-    assert abs(K.A[0] - 1) < 1e-12
+    K = k_coefficients(rational_limit_kmatrix(xp, xm, g, M, gamma=gam, gamma_bar=gam))
+    assert abs(K["C"][0] - 1) < 1e-12
+    assert abs(K["A"][0] - 1) < 1e-12
 
 
 def test_rational_off_shell_rejected():
