@@ -18,6 +18,7 @@ from .representation import (
     GENERATORS,
     GradedOperator,
     all_generators,
+    bosonic_generators,
     build_basis,
     graded_commutator,
     identity_operator,
@@ -61,6 +62,17 @@ class Leg:
         self.space = build_basis(kin.M)
         self.gens = all_generators(kin, params, self.space)
         self.U = kin.U
+
+    @classmethod
+    def bosonic(cls, M: int, q) -> "Leg":
+        """A leg of bound-state number M holding only the kinematics-free
+        generators (bosonic_generators) and U = 1: enough for the coproducts
+        of E1, F1, E3, F3, whose U power is 0."""
+        leg = cls.__new__(cls)
+        leg.space = build_basis(M)
+        leg.gens = bosonic_generators(q, leg.space)
+        leg.U = 1
+        return leg
 
 
 def _u_power(gen: str) -> int:

@@ -50,6 +50,11 @@ TOL_TIERS = {
 }
 
 
+#: The largest sigma_1 / sigma_2 of a unique intertwiner's system: above it
+#: the null vector is not separated from the next singular vector.
+NULL_GAP = 1e-6
+
+
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
@@ -334,23 +339,27 @@ def suite_smatrix(cfg: RunConfig):
 
     def check(params, kin1, kin2):
         Ms = (kin1.M, kin2.M)
+        bases = smatrix.adapted_bases(kin1.M, kin2.M, params.q)
+        conds = {"cond_V": bases.cond_V, "cond_W": bases.cond_W}
         S, sv, shape = smatrix.unique_intertwiner(
-            *smatrix.intertwiner_system(kin1, kin2, params)
+            smatrix.commutant_nullspace(kin1, kin2, params)
         )
         res = smatrix.intertwining_residual(S, kin1, kin2, params)
         rows = [
             _check(
-                "smatrix", "null-dimension", Ms, 0.0, 0.5, extra=_certificate(sv, shape),
+                "smatrix", "null-dimension", Ms, sv[-1] / sv[-2], NULL_GAP,
+                extra={**_certificate(sv, shape), **conds},
             ),
             _check("smatrix", "intertwining", Ms, max(res.values()), tol),
         ]
         if min(Ms) >= 2:
-            system = smatrix.intertwiner_system(kin1, kin2, params, smatrix.SANS_AFFINE)
-            _, sv, nd, shape = smatrix.weight_nullspace(*system)
+            _, sv, nd, shape = smatrix.commutant_nullspace(
+                kin1, kin2, params, smatrix.SANS_AFFINE
+            )
             rows.append(_check(
                 "smatrix", "affine-ablation", Ms, nd, 1.5, invert=True,
                 extra={"note": "null dimension must exceed 1 without E4, F4",
-                       **_certificate(sv, shape)},
+                       **_certificate(sv, shape), **conds},
             ))
         return rows
 

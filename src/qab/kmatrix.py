@@ -28,7 +28,13 @@ from .kinematics import (
 )
 from .numerics import qint
 from .representation import RepSpace, all_generators, build_basis
-from .smatrix import leg_weights, pair_residuals, solve_intertwiner, unique_intertwiner
+from .smatrix import (
+    leg_weights,
+    pair_residuals,
+    solve_intertwiner,
+    unique_intertwiner,
+    weight_nullspace,
+)
 
 #: Charges preserved without twisting.  They alone are the ablation set: from
 #: M = 2 on they leave the null space more than one-dimensional.
@@ -186,7 +192,7 @@ def closed_form_kmatrix(kin: Kinematics, params: ModelParams, c_override=None) -
 
 def boundary_system(kin: Kinematics, params: ModelParams, charges=BOUNDARY_CHARGES):
     """(pairs, weights) of K pi(J) = pi_ref(J) K over ``charges``, as
-    weight_nullspace, unique_intertwiner and pair_residuals take them.
+    weight_nullspace and pair_residuals take them.
 
     The reflection keeps V, so pi_ref(K_i) = pi(K_i) and K preserves the
     (H1, H3) weight, which is the support the shared solver imposes.  With
@@ -204,7 +210,7 @@ def boundary_system(kin: Kinematics, params: ModelParams, charges=BOUNDARY_CHARG
 
 def solve_boundary_intertwiner(kin: Kinematics, params: ModelParams) -> np.ndarray:
     """K as the unique intertwiner of every boundary charge, A_0 = 1."""
-    return unique_intertwiner(*boundary_system(kin, params))[0]
+    return unique_intertwiner(weight_nullspace(*boundary_system(kin, params)))[0]
 
 
 def invariance_residual(K: np.ndarray, kin: Kinematics, params: ModelParams) -> dict:

@@ -133,42 +133,67 @@ def identity_operator(space: RepSpace, dtype=complex) -> GradedOperator:
     return GradedOperator(np.eye(space.dim, dtype=dtype), 0)
 
 
+#: The generators that carry no kinematics: the bosonic U_q(su(2)) pairs.
+BOSONIC_GENERATORS = ("E1", "F1", "K1", "E3", "F3", "K3")
+
+
+def bosonic_generators(q, space, dtype=complex) -> dict:
+    """Matrices of E1, F1, K1, E3, F3, K3 on the bound state.
+
+    They step the oscillator levels (k, l) and the fermion numbers (m, n)
+    alone, with K1 = q^{l-k} and K3 = q^{n-m}, so they depend on q and M only.
+    """
+    qn = [qint(j, q) for j in range(space.M + 1)]
+    mats = {gen: np.zeros((space.dim, space.dim), dtype=dtype) for gen in BOSONIC_GENERATORS}
+    for col, (m, n, k, l) in enumerate(space.states):
+        for gen, target, value in (
+            ("E1", (m, n, k - 1, l + 1), qn[k]),
+            ("F1", (m, n, k + 1, l - 1), qn[l]),
+            ("E3", (m + 1, n - 1, k, l), 1),
+            ("F3", (m - 1, n + 1, k, l), 1),
+        ):
+            # a target outside the basis has an occupation out of range
+            row = space.index.get(target)
+            if row is not None:
+                mats[gen][row, col] += value
+        mats["K1"][col, col] += q ** (l - k)
+        mats["K3"][col, col] += q ** (n - m)
+    return {gen: GradedOperator(mat, 0) for gen, mat in mats.items()}
+
+
 def all_generators(kin, params, space, dtype=complex) -> dict:
     """Matrices of the twelve Chevalley generators E_i, F_i, K_i on the bound state.
 
-    E2, F2 use the bulk labels (a, b, c, d); the affine supercharges E4, F4
-    use the affine labels and C -> -C.  K_i is q^{H_i} with the diagonal H_i
-    action, V = q^C.
+    The bosonic six come from bosonic_generators.  E2, F2 use the bulk labels
+    (a, b, c, d); the affine supercharges E4, F4 use the affine labels and
+    C -> -C.  K_i is q^{H_i} with the diagonal H_i action, V = q^C.
     """
     q = params.q
     C = log(kin.V) / log(q)
     labels = ((2, bulk_labels(kin, params)), (4, affine_labels(kin, params)))
     qn = [qint(j, q) for j in range(space.M + 1)]
-    mats = {gen: np.zeros((space.dim, space.dim), dtype=dtype) for gen in GENERATORS}
+    mats = {
+        gen: np.zeros((space.dim, space.dim), dtype=dtype)
+        for gen in GENERATORS if gen not in BOSONIC_GENERATORS
+    }
     for col, (m, n, k, l) in enumerate(space.states):
         sign = (-1) ** m
-        terms = [
-            ("E1", (m, n, k - 1, l + 1), qn[k]),
-            ("F1", (m, n, k + 1, l - 1), qn[l]),
-            ("E3", (m + 1, n - 1, k, l), 1),
-            ("F3", (m - 1, n + 1, k, l), 1),
-        ]
         for i, (a, b, c, d) in labels:
-            terms += [
+            for gen, target, value in (
                 (f"E{i}", (m, n + 1, k, l - 1), a * sign * qn[l]),
                 (f"E{i}", (m - 1, n, k + 1, l), b),
                 (f"F{i}", (m + 1, n, k - 1, l), c * qn[k]),
                 (f"F{i}", (m, n - 1, k, l + 1), d * sign),
-            ]
-        # a target outside the basis has an occupation out of range
-        for gen, target, value in terms:
-            row = space.index.get(target)
-            if row is not None:
-                mats[gen][row, col] += value
+            ):
+                row = space.index.get(target)
+                if row is not None:
+                    mats[gen][row, col] += value
         h = (k - l + m - n) / 2
-        for i, hi in ((1, l - k), (2, -(C - h)), (3, n - m), (4, C + h)):
-            mats[f"K{i}"][col, col] += q**hi
-    return {gen: GradedOperator(mat, GENERATOR_PARITY[gen]) for gen, mat in mats.items()}
+        mats["K2"][col, col] += q ** -(C - h)
+        mats["K4"][col, col] += q ** (C + h)
+    ops = bosonic_generators(q, space, dtype)
+    ops.update((gen, GradedOperator(mat, GENERATOR_PARITY[gen])) for gen, mat in mats.items())
+    return {gen: ops[gen] for gen in GENERATORS}
 
 
 def graded_commutator(A: GradedOperator, B: GradedOperator) -> GradedOperator:

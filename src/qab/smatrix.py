@@ -3,25 +3,35 @@
 S is the endomorphism of V1 (x) V2 satisfying S Delta(J) = Delta^op(J) S for
 every Chevalley generator including the affine ones (which are what make the
 null space one-dimensional).  The boundary K-matrix is the same kind of null
-space on one leg.  Each side builds its system in one place
-(``intertwiner_system``, ``kmatrix.boundary_system``), and both are fixed by
-``unique_intertwiner``: one ``weight_nullspace`` solve, a null dimension of
-exactly 1, and the normalization at the [0, 0] entry.  The solver imposes the
-Cartan constraints structurally by supporting the unknown on entries that
-join states of equal (H1, H3) weight and keeps only the equation rows this
-support reaches, as sparse entries.  It never forms the system densely and
-runs no SVD: block inverse iteration on the Gram matrix finds the smallest
-singular vectors, which are then refined and measured on the system itself.
+space on one leg.  Both come out of one dense solver: the unknown X lives on a
+given set of entries, only the equation rows that this support reaches are
+assembled, and a QR factorisation and an SVD of its triangular factor give
+the null space with its singular values.  ``unique_intertwiner`` is the one
+uniqueness rule: a null dimension of exactly 1, and the normalization at the
+[0, 0] entry.
+
+K (``weight_nullspace``) is supported on the entries that join states of
+equal (H1, H3) weight.  S also commutes with the bosonic U_q(su(2)) +
+U_q(su(2)) of E1, F1, E3, F3, whose coproducts carry no kinematics.  In the
+bases V and W of V1 (x) V2 adapted to Delta and to Delta^op, Schur's lemma
+gives S = W C V^-1 with C the sum of c_lambda (x) I over the isotypic
+components lambda.  So ``commutant_nullspace`` solves for the sum of
+mult(lambda)^2 entries of the c_lambda, from the fermionic pairs
+(V^-1 Delta(J) V, W^-1 Delta^op(J) W) alone.  V, W and their inverses depend
+on (M1, M2, q) only and are cached (``adapted_bases``).
 """
 
 from __future__ import annotations
+
+import functools
+from typing import NamedTuple
 
 import numpy as np
 
 from .coalgebra import Leg, coproduct, opposite_coproduct, swap_legs
 from .kinematics import Kinematics, ModelParams
-from .numerics import rel_residual
-from .representation import RepSpace, build_basis
+from .numerics import qint, rel_residual, sqrt
+from .representation import BOSONIC_GENERATORS, RepSpace, build_basis
 
 DEFAULT_GENERATORS = tuple(
     f"{kind}{i}" for kind in ("E", "F") for i in (1, 2, 3, 4)
@@ -29,14 +39,12 @@ DEFAULT_GENERATORS = tuple(
 #: The ablation set: without the affine E4, F4 the null space of a pair of
 #: bound states (both M >= 2) is no longer one-dimensional.
 SANS_AFFINE = tuple(g for g in DEFAULT_GENERATORS if g not in ("E4", "F4"))
+#: The raising and lowering generators of the bosonic U_q(su(2)) pairs.
+BOSONIC = tuple(g for g in BOSONIC_GENERATORS if not g.startswith("K"))
 
 #: Singular values below this multiple of max(shape) * eps * sigma_max count
 #: as zero when the null-space dimension is read off.
 _NULL_RTOL = 1e3
-#: Shift s of the Gram matrix G before inversion, relative to ||G||_1: far
-#: below sigma_2^2, so the null space converges in one step, yet far above
-#: eps, since the inverse errs by eps ||G|| / s next to the null space.
-_SHIFT = 1e-12
 
 
 class IntertwinerError(RuntimeError):
@@ -48,116 +56,219 @@ def leg_weights(space: RepSpace) -> list:
     return [(l - k, n - m) for (m, n, k, l) in space.states]
 
 
-def _scatter(index, values, size):
-    """Sums of the complex ``values`` binned by ``index``."""
-    return np.bincount(index, values.real, size) + 1j * np.bincount(index, values.imag, size)
+def product_weights(space1: RepSpace, space2: RepSpace) -> list:
+    """(H1, H3) weight of every basis state of space1 (x) space2."""
+    w2 = leg_weights(space2)
+    return [(a1 + b1, a3 + b3) for (a1, a3) in leg_weights(space1) for (b1, b3) in w2]
+
+
+def _null_space(pairs, ui, uj, unknown):
+    """Null space of X -> X A - B X over every (A, B) in ``pairs``, for X
+    with X[ui, uj] = x[unknown] and zero elsewhere.
+
+    The equation (X A - B X)[a, b] = 0 has the coefficient
+    delta_ai A[j, b] - delta_bj B[a, i] on the entry X[i, j], so support entry
+    (i, j) reaches only the rows (i, b) with A[j, b] != 0 and (a, j) with
+    B[a, i] != 0; rows reached by no entry are identically zero and are never
+    built.  Each pair's block of rows is assembled dense and reduced to its
+    triangular QR factor, the stacked factors once more, so that no more
+    than one pair's rows are held at a time, and an SVD of that gives the
+    singular values of the whole system R with its right singular vectors.
+    null_dim = #{sigma < 1e3 max(m, n) eps sigma_max}.  Returns
+    (X, sv, null_dim, (m, n)): X holds the right singular vector of the
+    smallest sigma, and sv all n singular values, descending, padded with
+    zeros when R has fewer rows than unknowns.
+    """
+    dim, n = len(pairs[0][0]), int(unknown.max()) + 1
+    factors, m = [], 0
+    for A, B in pairs:
+        e, b = np.nonzero(A[uj])  # entry e times A[uj, b] lands on row (ui, b)
+        f, a = np.nonzero(B[:, ui].T)  # and entry f times -B[a, ui] on (a, uj)
+        rows = np.unique(np.concatenate([ui[e] * dim + b, a * dim + uj[f]]), return_inverse=True)[1]
+        block = np.zeros((rows.max() + 1, n), dtype=complex)
+        np.add.at(block, (rows, unknown[np.concatenate([e, f])]),
+                  np.concatenate([A[uj[e], b], -B[a, ui[f]]]))
+        m += len(block)
+        # only a block taller than wide shrinks under QR
+        factors.append(np.linalg.qr(block, mode="r") if len(block) > n else block)
+    _, sv, vh = np.linalg.svd(np.linalg.qr(np.vstack(factors), mode="r"))
+    sv = np.concatenate([sv, np.zeros(n - len(sv))])
+    null_dim = int(np.sum(sv < max(m, n) * np.finfo(float).eps * sv[0] * _NULL_RTOL))
+    X = np.zeros((dim, dim), dtype=complex)
+    X[ui, uj] = vh[-1].conj()[unknown]
+    return X, sv, null_dim, (m, n)
 
 
 def weight_nullspace(pairs, weights):
-    """Null space of X -> X A - B X over every (A, B) in ``pairs``.
+    """Null space of X -> X A - B X over every (A, B) in ``pairs``, X being
+    supported on the entries X[i, j] with weights[i] == weights[j].
 
-    X is supported on the entries X[i, j] with weights[i] == weights[j].  The
-    equation (X A - B X)[a, b] = 0 has the coefficient
-    delta_ai A[j, b] - delta_bj B[a, i] on the unknown X[i, j], so each
-    unknown reaches only the rows (i, b) with A[j, b] != 0 and (a, j) with
-    B[a, i] != 0; rows reached by no unknown are identically zero and are
-    never built.  R stays a list of (row, unknown, value) entries, and its
-    Gram matrix G = R^H R is summed from the entry pairs that share a row.
-    Rayleigh-Ritz on a Krylov space of G gives sigma_max, and on a block
-    Krylov space of (G + s I)^-1 the k smallest right singular vectors, k
-    doubling while all of them are null.  The smallest gets one corrected
-    semi-normal equations step on R (Bjorck 1996).  Each sigma is ||R v||, so
-    null_dim = #{sigma < 1e3 max(m, n) eps sigma_max} as from a full SVD.
-    Returns (X, [sigma_max, sigma_k, ..., sigma_1], null_dim, (m, n)), X
-    being the right singular vector of sigma_1.
+    Returns (X, sv, null_dim, (rows, unknowns)) as _null_space does.
     """
     w = np.asarray(weights)
-    dim = len(w)
     ui, uj = np.nonzero((w[:, None, :] == w[None, :, :]).all(axis=-1))
-    rows, cols, vals = [], [], []
-    for p, (A, B) in enumerate(pairs):
-        # unknown u = X[ui, uj] times A[uj, b] lands on row (ui, b)
-        u, b = np.nonzero(A[uj])
-        rows.append((p * dim + ui[u]) * dim + b)
-        cols.append(u)
-        vals.append(A[uj[u], b])
-        # and times -B[a, ui] on row (a, uj)
-        u, a = np.nonzero(B[:, ui].T)
-        rows.append((p * dim + a) * dim + uj[u])
-        cols.append(u)
-        vals.append(-B[a, ui[u]])
-    row_ids, rows = np.unique(np.concatenate(rows), return_inverse=True)
-    order = np.argsort(rows, kind="stable")
-    rows, cols, vals = rows[order], np.concatenate(cols)[order], np.concatenate(vals)[order]
-    m, n = len(row_ids), len(ui)
-    starts = np.searchsorted(rows, np.arange(m))
-    R = lambda V: np.add.reduceat(vals[:, None] * V[cols], starts)
-    # entry e pairs with every entry of its row, which starts at first[e]
-    count, first = np.bincount(rows)[rows], starts[rows]
-    e1 = np.repeat(np.arange(len(rows)), count)
-    e2 = np.arange(len(e1)) - np.repeat(np.cumsum(count) - count - first, count)
-    G = _scatter(cols[e1] * n + cols[e2], vals[e1].conj() * vals[e2], n * n).reshape(n, n)
-    rng = np.random.default_rng(0)
-    K = [rng.standard_normal(n) + 0j]
-    for _ in range(min(n, 24)):
-        K.append(G @ (K[-1] / np.linalg.norm(K[-1])))
-    Q = np.linalg.qr(np.column_stack(K))[0]
-    smax = np.sqrt(np.linalg.eigvalsh(Q.conj().T @ G @ Q)[-1])
-    thresh = max(m, n) * np.finfo(float).eps * smax * _NULL_RTOL
-    G.flat[:: n + 1] += _SHIFT * np.abs(G).sum(axis=0).max()  # G + s I, in place
-    Finv = np.linalg.inv(G)
-    k = 3
-    while True:
-        k = min(k, n)
-        V = np.linalg.qr(rng.standard_normal((n, k, 2)) @ [1, 1j])[0]
-        for _ in range(8):
-            V = np.linalg.qr(np.column_stack([V, Finv @ V[:, -k:]]))[0]
-        W = R(V)
-        V = V @ np.linalg.eigh(W.conj().T @ W)[1][:, :k]
-        x = V[:, 0]
-        d = Finv @ _scatter(cols, vals.conj() * R(x[:, None])[rows, 0], n)
-        x = x - (d - x * (x.conj() @ d))
-        V[:, 0] = x / np.linalg.norm(x)
-        sv = np.sort(np.linalg.norm(R(V), axis=0))
-        null_dim = int(np.sum(sv < thresh))
-        if null_dim < k or k == n:
-            break
-        k *= 2
-    X = np.zeros((dim, dim), dtype=complex)
-    X[ui, uj] = V[:, 0]
-    return X, np.concatenate([[smax], sv[::-1]]), null_dim, (m, n)
+    return _null_space(pairs, ui, uj, np.arange(len(ui)))
+
+
+class AdaptedBases(NamedTuple):
+    """Bases of V1 (x) V2 adapted to the bosonic Delta (V) and Delta^op (W).
+
+    Column c of either holds the same (lambda, copy, position) of the
+    isotypic decomposition, so that S = W C V^-1 for a C supported on
+    ``support`` (ui, uj, unknown), as _null_space takes it.
+    """
+
+    V: np.ndarray
+    V_inv: np.ndarray
+    W: np.ndarray
+    W_inv: np.ndarray
+    support: tuple
+    cond_V: float
+    cond_W: float
+
+
+def _adapted_basis(ops, weights, q):
+    """Basis adapted to the bosonic operators ``ops`` (E1, F1, E3, F3 on a
+    space with the (H1, H3) ``weights``): (basis, inverse, condition number,
+    support of a map that commutes with them, as _null_space takes it).
+
+    E1 raises H1 by 2 and E3 lowers H3 by 2, so the highest weights are
+    lambda = (l1, l3) = (H1, -H3) with l1, l3 >= 0, taken in ascending order.
+    With n the weight-space dimensions, lambda occurs
+    n(l1, l3) - n(l1 + 2, l3) - n(l1, l3 + 2) + n(l1 + 2, l3 + 2) times.  An
+    orthonormal basis of the null space of E1 and E3 on its weight space
+    gives the highest-weight vectors v, and each is lowered to the columns
+    F1^a F3^b v / N, b = 0..l3 and a = 0..l1, with
+    N = prod_{t <= a} ([t][l1 - t + 1])^1/2 prod_{t <= b} ([t][l3 - t + 1])^1/2.
+    N depends on lambda and (a, b) alone, so every copy of lambda carries the
+    same matrices of E1, F1, E3, F3, and a map that commutes with them is
+    c_lambda (x) I on the copies: the support.  The basis maps each weight
+    space onto itself, so it is inverted block by block.
+    """
+    E1, F1, E3, F3 = (ops[g] for g in BOSONIC)
+    dim = len(weights)
+    states = {}
+    for i, (h1, h3) in enumerate(weights):
+        states.setdefault((h1, -h3), []).append(i)
+    count = lambda w: len(states.get(w, ()))
+    V = np.zeros((dim, dim), dtype=complex)
+    columns = {}  # weight -> the columns of V in its weight space
+    ui, uj, unknown = [], [], []
+    col = n = 0
+    for l1, l3 in sorted(states):
+        mult = (count((l1, l3)) - count((l1 + 2, l3))
+                - count((l1, l3 + 2)) + count((l1 + 2, l3 + 2)))
+        if l1 < 0 or l3 < 0 or mult == 0:
+            continue
+        here = states[l1, l3]
+        above = states.get((l1 + 2, l3), []) + states.get((l1, l3 + 2), [])
+        if above:
+            raising = np.vstack([E1[np.ix_(above, here)], E3[np.ix_(above, here)]])
+            tops = np.linalg.svd(raising)[2][len(here) - mult:].conj()
+        else:
+            tops = np.eye(mult)
+        # copy alpha at position p = b (l1 + 1) + a is column col + alpha P + p
+        P = (l1 + 1) * (l3 + 1)
+        beta, alpha, p = np.indices((mult, mult, P)).reshape(3, -1)
+        ui.append(col + beta * P + p)
+        uj.append(col + alpha * P + p)
+        unknown.append(n + beta * mult + alpha)
+        n += mult * mult
+        for top in tops:
+            chain = np.zeros(dim, dtype=complex)
+            chain[here] = top
+            for b in range(l3 + 1):
+                if b:
+                    chain = F3 @ chain / sqrt(qint(b, q) * qint(l3 - b + 1, q))
+                v = chain
+                for a in range(l1 + 1):
+                    if a:
+                        v = F1 @ v / sqrt(qint(a, q) * qint(l1 - a + 1, q))
+                    V[:, col] = v
+                    columns.setdefault((l1 - 2 * a, l3 - 2 * b), []).append(col)
+                    col += 1
+    V_inv = np.zeros_like(V)
+    sv = []
+    for w, rows in states.items():
+        block = V[np.ix_(rows, columns[w])]
+        sv.append(np.linalg.svd(block, compute_uv=False))
+        V_inv[np.ix_(columns[w], rows)] = np.linalg.inv(block)
+    sv = np.concatenate(sv)
+    support = tuple(np.concatenate(x) for x in (ui, uj, unknown))
+    return V, V_inv, float(sv.max() / sv.min()), support
+
+
+@functools.lru_cache(maxsize=8)
+def adapted_bases(M1: int, M2: int, q) -> AdaptedBases:
+    """The AdaptedBases of V_M1 (x) V_M2 at q, built once per (M1, M2, q).
+
+    Delta(E1), Delta(F1), Delta(E3), Delta(F3) and their opposites carry no
+    kinematics: the U power of their coproducts is 0, and K1, K3 contain no
+    C.  So they are built from kinematics-free legs (Leg.bosonic).  The
+    arrays are read-only, since every caller shares them.
+    """
+    leg1, leg2 = Leg.bosonic(M1, q), Leg.bosonic(M2, q)
+    weights = product_weights(leg1.space, leg2.space)
+    V, V_inv, cond_V, support = _adapted_basis(
+        {g: coproduct(g, leg1, leg2).matrix for g in BOSONIC}, weights, q)
+    W, W_inv, cond_W, _ = _adapted_basis(
+        {g: opposite_coproduct(g, leg1, leg2).matrix for g in BOSONIC}, weights, q)
+    for a in (V, V_inv, W, W_inv, *support):
+        a.flags.writeable = False
+    return AdaptedBases(V, V_inv, W, W_inv, support, cond_V, cond_W)
 
 
 def intertwiner_system(kin1: Kinematics, kin2: Kinematics, params: ModelParams,
                        generators=DEFAULT_GENERATORS):
-    """(pairs, weights) of S Delta(J) = Delta^op(J) S over ``generators``, as
-    weight_nullspace, unique_intertwiner and pair_residuals take them.
-
-    With SANS_AFFINE the null space exceeds one dimension (the ablation).
-    """
+    """(pairs, weights) of S Delta(J) = Delta^op(J) S over ``generators`` in
+    the product basis, as weight_nullspace and pair_residuals take them."""
     leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
     pairs = [
         (coproduct(gen, leg1, leg2).matrix, opposite_coproduct(gen, leg1, leg2).matrix)
         for gen in generators
     ]
-    w1, w2 = leg_weights(leg1.space), leg_weights(leg2.space)
-    return pairs, [(a1 + b1, a2 + b2) for (a1, a2) in w1 for (b1, b2) in w2]
+    return pairs, product_weights(leg1.space, leg2.space)
 
 
-def unique_intertwiner(pairs, weights):
-    """The one intertwiner of ``pairs`` (see weight_nullspace), scaled so its
-    [0, 0] element is 1; returns (X, singular values, system shape).
+def commutant_nullspace(kin1: Kinematics, kin2: Kinematics, params: ModelParams,
+                        generators=DEFAULT_GENERATORS):
+    """Null space of S Delta(J) = Delta^op(J) S over ``generators``, which must
+    include E1, F1, E3, F3, solved in the bosonic commutant S = W C V^-1.
+
+    Only the other generators give equations, C (V^-1 Delta(J) V) =
+    (W^-1 Delta^op(J) W) C.  Returns (S, sv, null_dim, (rows, unknowns)) as
+    weight_nullspace does, S = W C V^-1 in the product basis.  With
+    SANS_AFFINE the null space exceeds one dimension (the ablation).
+    """
+    if not set(BOSONIC) <= set(generators):
+        raise ValueError(f"the commutant needs {', '.join(BOSONIC)} among the generators")
+    bases = adapted_bases(kin1.M, kin2.M, params.q)
+    fermionic = [g for g in generators if g not in BOSONIC]
+    pairs = [
+        (bases.V_inv @ A @ bases.V, bases.W_inv @ B @ bases.W)
+        for A, B in intertwiner_system(kin1, kin2, params, fermionic)[0]
+    ]
+    C, sv, null_dim, shape = _null_space(pairs, *bases.support)
+    return bases.W @ C @ bases.V_inv, sv, null_dim, shape
+
+
+def unique_intertwiner(solution):
+    """The one intertwiner of a null-space ``solution`` (X, sv, null_dim,
+    shape), as weight_nullspace and commutant_nullspace return it, scaled so
+    its [0, 0] element is 1; returns (X, sv, shape).
 
     Basis index 0 is the state |0,0,0,M> of a leg, and |0,0,0,M1> (x)
     |0,0,0,M2> of a product.  Raises IntertwinerError unless the null space
     is one-dimensional and that element is nonzero.
     """
-    X, sv, null_dim, shape = weight_nullspace(pairs, weights)
+    X, sv, null_dim, shape = solution
     if null_dim != 1:
         raise IntertwinerError(f"null-space dimension {null_dim}, expected 1")
     if abs(X[0, 0]) < 1e-12:
         raise IntertwinerError("[0, 0] matrix element vanishes; resample")
-    return X / X[0, 0], sv, shape
+    X = X / X[0, 0]
+    X[0, 0] = 1  # complex x / x can round to 1 - 2^-53
+    return X, sv, shape
 
 
 def pair_residuals(X: np.ndarray, pairs) -> list:
@@ -169,7 +280,7 @@ def pair_residuals(X: np.ndarray, pairs) -> list:
 def solve_intertwiner(kin1: Kinematics, kin2: Kinematics, params: ModelParams) -> np.ndarray:
     """The unique intertwiner S, normalized so the highest joint state
     |0,0,0,M1> (x) |0,0,0,M2> maps to itself with coefficient 1."""
-    return unique_intertwiner(*intertwiner_system(kin1, kin2, params))[0]
+    return unique_intertwiner(commutant_nullspace(kin1, kin2, params))[0]
 
 
 def intertwining_residual(S: np.ndarray, kin1: Kinematics, kin2: Kinematics,

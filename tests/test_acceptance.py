@@ -30,7 +30,7 @@ from qab.kmatrix import (
 from qab.representation import build_basis, verify_algebra
 from qab.smatrix import (
     SANS_AFFINE,
-    intertwiner_system,
+    commutant_nullspace,
     intertwining_residual,
     solve_intertwiner,
     weight_nullspace,
@@ -84,7 +84,7 @@ def test_criterion_2_smatrix_uniqueness():
             # the affine supercharges are what force uniqueness; with a
             # fundamental leg the subalgebra suffices, so the ablation is
             # probed on the bound-state pairs
-            nd = weight_nullspace(*intertwiner_system(kin1, kin2, PARAMS, SANS_AFFINE))[2]
+            nd = commutant_nullspace(kin1, kin2, PARAMS, SANS_AFFINE)[2]
             ablation_ok &= nd > 1
     _report(
         2, "S-matrix uniqueness and affine ablation",

@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from qab import smatrix
 from qab.harness import (
+    NULL_GAP,
     ConfigError,
     RunConfig,
     config_echo,
@@ -18,7 +20,6 @@ from qab.harness import (
     sample_kinematics,
 )
 from qab.kinematics import shortening_residual
-from qab.smatrix import intertwiner_system, weight_nullspace
 
 
 def test_defaults_applied():
@@ -96,7 +97,7 @@ def test_sampled_points_generically_unique_smatrix():
     for _ in range(n):
         kin1 = sample_kinematics(2, params, rng)
         kin2 = sample_kinematics(1, params, rng)
-        good += weight_nullspace(*intertwiner_system(kin1, kin2, params))[2] == 1
+        good += smatrix.commutant_nullspace(kin1, kin2, params)[2] == 1
     assert good >= int(0.95 * n)
 
 
@@ -339,6 +340,29 @@ def test_solver_rows_carry_the_certificate():
         assert rows_ > unknowns > 0
     null_row = solver_rows[0]
     assert null_row["sigma_1_over_max"] < 1e-12 < null_row["sigma_2_over_max"]
+    # the null-dimension row is gated on the gap sigma_1 / sigma_2
+    gap = null_row["sigma_1_over_max"] / null_row["sigma_2_over_max"]
+    assert null_row["residual"] == pytest.approx(gap, rel=1e-12)
+    assert null_row["residual"] < 1e-12 and null_row["threshold"] == NULL_GAP
+    for row in solver_rows[:2]:
+        assert 1 <= row["cond_V"] < 10 and 1 <= row["cond_W"] < 10
+
+
+def test_null_dimension_row_fails_without_a_gap(monkeypatch):
+    # a second singular value at the floor (sigma_1 / sigma_2 ~ 1) fails the
+    # row, though the solver's rule still counts one null vector
+    solve = smatrix.commutant_nullspace
+
+    def flat_gap(kin1, kin2, params, generators=smatrix.DEFAULT_GENERATORS):
+        S, sv, null_dim, shape = solve(kin1, kin2, params, generators)
+        sv = sv.copy()
+        sv[-2] = 2 * sv[-1]
+        return S, sv, null_dim, shape
+
+    monkeypatch.setattr(smatrix, "commutant_nullspace", flat_gap)
+    report = run_suite("smatrix", load_config(data={"M": [1], "samples": 1}))
+    row = next(r for r in report["checks"] if r["check"] == "null-dimension")
+    assert row["residual"] == 0.5 and not row["passed"] and not report["passed"]
 
 
 def _coalgebra_rows(M1, M2):

@@ -1,16 +1,16 @@
-"""The shared weight-supported null-space solver against dense references.
+"""The shared null-space solver against dense references.
 
-One reference stacks the full Kronecker system vec(X A - B X) = 0 over every
-dim^2 unknown, with no weight support and no row selection, and takes the
-last right singular vector of a full SVD.  The other is the dense solver the
-sparse one replaced: the same weight-supported system, made dense, with a QR
-and an SVD of its triangular factor.  The solver must reproduce the
-normalized null vector, the null dimension and the singular values it reports.
+The reference stacks the full Kronecker system vec(X A - B X) = 0 over every
+dim^2 unknown, with no weight support and no row selection, and reads the
+null space off an SVD.  The weight-supported solve (weight_nullspace) must
+reproduce its null dimension and null space, and the commutant solve of S
+(commutant_nullspace) must reproduce the weight-supported one.
 """
 
 import numpy as np
 import pytest
 
+from qab import smatrix
 from qab.coalgebra import Leg, coproduct, opposite_coproduct
 from qab.kmatrix import (
     BOUNDARY_CHARGES,
@@ -23,10 +23,15 @@ from qab.kmatrix import (
 from qab.numerics import TOL_INTERTWINER, rel_residual
 from qab.representation import build_basis
 from qab.smatrix import (
+    BOSONIC,
     DEFAULT_GENERATORS,
     SANS_AFFINE,
     _NULL_RTOL,
+    adapted_bases,
+    commutant_nullspace,
     intertwiner_system,
+    pair_residuals,
+    product_weights,
     solve_intertwiner,
     weight_nullspace,
 )
@@ -34,15 +39,24 @@ from qab.smatrix import (
 from conftest import kin_at
 
 
-def _dense_null_vector(pairs):
-    """The null vector of the full Kronecker system, scaled to 1 at [0, 0]."""
+def _kronecker_nullspace(pairs):
+    """(singular values, null dimension, orthonormal null basis as flattened
+    dim x dim matrices) of the full Kronecker system, by the solver's rule."""
     dim = pairs[0][0].shape[0]
     ident = np.eye(dim)
     # row-major vec: vec(X A - B X) = (kron(I, A^T) - kron(B, I)) vec(X)
     R = np.vstack([np.kron(ident, A.T) - np.kron(B, ident) for A, B in pairs])
-    _, sv, vh = np.linalg.svd(R)
-    assert sv[-1] < 1e-12 * sv[0] < sv[-2]
-    X = vh[-1].conj().reshape(dim, dim)
+    _, sv, vh = np.linalg.svd(R, full_matrices=False)
+    null_dim = int(np.sum(sv < max(R.shape) * np.finfo(float).eps * sv[0] * _NULL_RTOL))
+    return sv, null_dim, vh[len(vh) - null_dim:].conj().T
+
+
+def _dense_null_vector(pairs):
+    """The null vector of the full Kronecker system, scaled to 1 at [0, 0]."""
+    dim = pairs[0][0].shape[0]
+    sv, null_dim, basis = _kronecker_nullspace(pairs)
+    assert null_dim == 1 and sv[-1] < 1e-12 * sv[0] < sv[-2]
+    X = basis[:, 0].reshape(dim, dim)
     return X / X[0, 0]
 
 
@@ -83,38 +97,8 @@ def test_kmatrix_solve_at_m8(params_gammas):
     assert weight_nullspace(*boundary_system(kin, params_gammas, PRESERVED_CHARGES))[2] >= 2
 
 
-def _dense_weight_nullspace(pairs, weights):
-    """The weight-supported system assembled dense, then QR and a full SVD of
-    its triangular factor (oracle).  Returns (X, sv, null_dim, shape, basis),
-    the columns of basis being an orthonormal basis of the null space as
-    flattened dim x dim matrices."""
-    w = np.asarray(weights)
-    dim = len(w)
-    ui, uj = np.nonzero((w[:, None, :] == w[None, :, :]).all(axis=-1))
-    rows, cols, vals = [], [], []
-    for p, (A, B) in enumerate(pairs):
-        u, b = np.nonzero(A[uj])
-        rows.append((p * dim + ui[u]) * dim + b)
-        cols.append(u)
-        vals.append(A[uj[u], b])
-        u, a = np.nonzero(B[:, ui].T)
-        rows.append((p * dim + a) * dim + uj[u])
-        cols.append(u)
-        vals.append(-B[a, ui[u]])
-    row_ids, rows = np.unique(np.concatenate(rows), return_inverse=True)
-    R = np.zeros((len(row_ids), len(ui)), dtype=complex)
-    np.add.at(R, (rows, np.concatenate(cols)), np.concatenate(vals))
-    _, sv, vh = np.linalg.svd(np.linalg.qr(R, mode="r"))
-    thresh = max(R.shape) * np.finfo(float).eps * sv[0] * _NULL_RTOL
-    null_dim = R.shape[1] - int(np.sum(sv >= thresh))
-    basis = np.zeros((dim * dim, null_dim), dtype=complex)
-    basis[ui * dim + uj] = vh[len(vh) - null_dim:].conj().T
-    return basis[:, -1].reshape(dim, dim), sv, null_dim, R.shape, basis
-
-
-def _s_system(params, Ms, generators):
-    kin1, kin2 = kin_at(Ms[0], 1.3 + 0.8j, params), kin_at(Ms[1], 0.9 - 1.1j, params)
-    return intertwiner_system(kin1, kin2, params, generators)
+def _s_points(params, Ms):
+    return kin_at(Ms[0], 1.3 + 0.8j, params), kin_at(Ms[1], 0.9 - 1.1j, params)
 
 
 def _k_system(params, M, charges):
@@ -122,33 +106,102 @@ def _k_system(params, M, charges):
 
 
 SYSTEMS = {
-    **{f"S{Ms}": (_s_system, Ms, DEFAULT_GENERATORS) for Ms in [(1, 1), (1, 2), (2, 1), (2, 2)]},
-    "S(2, 2)-sans-affine": (_s_system, (2, 2), SANS_AFFINE),
-    **{f"K{M}": (_k_system, M, BOUNDARY_CHARGES) for M in range(1, 7)},
-    **{f"K{M}-preserved": (_k_system, M, PRESERVED_CHARGES) for M in range(1, 7)},
+    **{f"S{Ms}": ("S", Ms, DEFAULT_GENERATORS) for Ms in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)]},
+    "S(2, 2)-sans-affine": ("S", (2, 2), SANS_AFFINE),
+    **{f"K{M}": ("K", M, BOUNDARY_CHARGES) for M in range(1, 7)},
+    **{f"K{M}-preserved": ("K", M, PRESERVED_CHARGES) for M in range(1, 7)},
 }
 
 
-@pytest.mark.parametrize("system,size,generators", SYSTEMS.values(), ids=SYSTEMS.keys())
-def test_solver_matches_dense_qr_svd(system, size, generators, params_gammas):
-    pairs, weights = system(params_gammas, size, generators)
-    X, sv, null_dim, shape = weight_nullspace(pairs, weights)
-    Xo, svo, null_dim_o, shape_o, basis = _dense_weight_nullspace(pairs, weights)
-    assert (null_dim, shape) == (null_dim_o, shape_o)
-    if null_dim == 1:
-        assert rel_residual(X / X[0, 0], Xo / Xo[0, 0]) < 1e-12
-    else:
-        # any unit vector of the null space will do: it must lie in the oracle's
-        x = X.ravel()
-        assert np.linalg.norm(x - basis @ (basis.conj().T @ x)) < 1e-12
-    assert abs(sv[0] / svo[0] - 1) < 1e-3
-    assert abs(sv[-2] / sv[0] - svo[-2] / svo[0]) < 1e-6
+@pytest.mark.parametrize("kind,size,generators", SYSTEMS.values(), ids=SYSTEMS.keys())
+def test_solver_matches_dense_qr_svd(kind, size, generators, params_gammas):
+    if kind == "S":
+        # the commutant solve of S against the weight-supported dense solve
+        kin1, kin2 = _s_points(params_gammas, size)
+        pairs, weights = intertwiner_system(kin1, kin2, params_gammas, generators)
+        X, sv, null_dim, (rows, unknowns) = weight_nullspace(pairs, weights)
+        S, svc, null_dim_c, (rows_c, unknowns_c) = commutant_nullspace(
+            kin1, kin2, params_gammas, generators
+        )
+        assert null_dim_c == null_dim
+        assert unknowns_c < unknowns and rows_c < rows
+        if null_dim == 1:
+            assert rel_residual(S / S[0, 0], X / X[0, 0]) < 1e-12
+        else:
+            # any unit vector of the null space will do: it must solve the system
+            assert max(pair_residuals(S / np.linalg.norm(S), pairs)) < 1e-12
+        assert list(svc) == sorted(svc, reverse=True)
+        return
+    # the weight-supported dense solve of K against the full Kronecker system
+    pairs, weights = _k_system(params_gammas, size, generators)
+    X, sv, null_dim, _ = weight_nullspace(pairs, weights)
+    _, null_dim_o, basis = _kronecker_nullspace(pairs)
+    assert null_dim == null_dim_o
+    x = X.ravel()
+    assert np.linalg.norm(x - basis @ (basis.conj().T @ x)) < 1e-12
     assert list(sv) == sorted(sv, reverse=True)
 
 
+def test_affine_ablation_needs_two_bound_states(params):
+    # the affine supercharges fix S only when both bound-state numbers are
+    # >= 2; with an M = 1 factor the bosonic and bulk generators suffice
+    for Ms, degenerate in [((2, 2), True), ((3, 3), True), ((3, 2), True),
+                           ((1, 1), False), ((1, 3), False), ((3, 1), False)]:
+        null_dim = commutant_nullspace(*_s_points(params, Ms), params, SANS_AFFINE)[2]
+        assert (null_dim > 1) if degenerate else (null_dim == 1), Ms
+
+
+def test_commutant_needs_the_bosonic_generators(params):
+    with pytest.raises(ValueError):
+        commutant_nullspace(*_s_points(params, (1, 1)), params, ("E2", "F2", "E4", "F4"))
+
+
+def test_cached_bases_carry_no_kinematics(params):
+    # bases built from the coproducts at two kinematic points are the cached
+    # ones, bit for bit, and solves at both points share one cache entry
+    M1, M2 = 2, 3
+    cached = adapted_bases(M1, M2, params.q)
+    for xm1, xm2 in [(1.3 + 0.8j, 0.9 - 1.1j), (-0.7 + 1.6j, 1.2 + 0.4j)]:
+        leg1 = Leg(kin_at(M1, xm1, params), params)
+        leg2 = Leg(kin_at(M2, xm2, params), params)
+        weights = product_weights(leg1.space, leg2.space)
+        for ops, (basis, inverse) in [
+            (coproduct, (cached.V, cached.V_inv)),
+            (opposite_coproduct, (cached.W, cached.W_inv)),
+        ]:
+            built = smatrix._adapted_basis(
+                {g: ops(g, leg1, leg2).matrix for g in BOSONIC}, weights, params.q
+            )
+            assert np.array_equal(built[0], basis) and np.array_equal(built[1], inverse)
+            assert all(np.array_equal(a, b) for a, b in zip(built[3], cached.support))
+    adapted_bases.cache_clear()
+    for xm in (1.3 + 0.8j, -0.7 + 1.6j):
+        solve_intertwiner(kin_at(M1, xm, params), kin_at(M2, 0.9 - 1.1j, params), params)
+    assert adapted_bases.cache_info().misses == 1
+
+
+def test_adapted_bases_block_diagonalise_the_bosonic_coproducts(params):
+    # V^-1 Delta(X) V and W^-1 Delta^op(X) W are the same matrix for every
+    # bosonic X, so C = c (x) I commutes with them; cond(V) stays small
+    M1, M2 = 3, 3
+    bases = adapted_bases(M1, M2, params.q)
+    leg1, leg2 = Leg.bosonic(M1, params.q), Leg.bosonic(M2, params.q)
+    for g in BOSONIC:
+        a = bases.V_inv @ coproduct(g, leg1, leg2).matrix @ bases.V
+        b = bases.W_inv @ opposite_coproduct(g, leg1, leg2).matrix @ bases.W
+        assert np.abs(a - b).max() < 1e-12
+    assert np.abs(bases.V_inv @ bases.V - np.eye(len(bases.V))).max() < 1e-13
+    assert bases.cond_V < 10 and bases.cond_W < 10
+    # 42 M - 36 unknowns for V_M (x) V_M from M = 3 on
+    assert bases.support[2].max() + 1 == 42 * 3 - 36
+
+
 def test_solver_is_deterministic(params_gammas):
-    first = _s_system(params_gammas, (2, 2), DEFAULT_GENERATORS)
-    other = _k_system(params_gammas, 4, PRESERVED_CHARGES)
-    X1 = weight_nullspace(*first)[0]
-    weight_nullspace(*other)
-    assert np.array_equal(weight_nullspace(*first)[0], X1)
+    pairs, weights = _k_system(params_gammas, 4, PRESERVED_CHARGES)
+    kin1, kin2 = _s_points(params_gammas, (2, 2))
+    X1 = weight_nullspace(pairs, weights)[0]
+    S1 = commutant_nullspace(kin1, kin2, params_gammas)[0]
+    commutant_nullspace(*_s_points(params_gammas, (3, 2)), params_gammas)
+    weight_nullspace(*_k_system(params_gammas, 3, BOUNDARY_CHARGES))
+    assert np.array_equal(weight_nullspace(pairs, weights)[0], X1)
+    assert np.array_equal(commutant_nullspace(kin1, kin2, params_gammas)[0], S1)

@@ -10,11 +10,11 @@ from qab.smatrix import (
     DEFAULT_GENERATORS,
     SANS_AFFINE,
     IntertwinerError,
+    commutant_nullspace,
     intertwiner_system,
     intertwining_residual,
     solve_intertwiner,
     unique_intertwiner,
-    weight_nullspace,
     ybe_residual,
 )
 from qab.representation import build_basis
@@ -32,7 +32,7 @@ def points(kin_of):
 
 
 def test_fundamental_null_space_is_one_dimensional(points, params):
-    S, sv, _ = unique_intertwiner(*intertwiner_system(points[1], points["1b"], params))
+    S, sv, _ = unique_intertwiner(commutant_nullspace(points[1], points["1b"], params))
     assert S.shape == (16, 16)
     # SVD oracle: exactly one vanishing singular value
     assert sv[-1] < 1e-12 and sv[-2] > 1e-3
@@ -84,10 +84,8 @@ def test_nullspace_vector_satisfies_full_equations(points, params):
 def test_affine_ablation_raises_dimension(points, params):
     # with both bound-state numbers >= 2 the subalgebra alone no longer fixes
     # S; the affine generators are what force uniqueness
-    nd_full = weight_nullspace(*intertwiner_system(points[2], points["2b"], params))[2]
-    nd_ablated = weight_nullspace(
-        *intertwiner_system(points[2], points["2b"], params, generators=SANS_AFFINE)
-    )[2]
+    nd_full = commutant_nullspace(points[2], points["2b"], params)[2]
+    nd_ablated = commutant_nullspace(points[2], points["2b"], params, SANS_AFFINE)[2]
     assert nd_full == 1
     assert nd_ablated > 1
 
@@ -95,15 +93,14 @@ def test_affine_ablation_raises_dimension(points, params):
 def test_fundamental_leg_stays_unique_without_affine(points, params):
     # known exception: a fundamental (M=1) factor leaves the product
     # irreducible under the subalgebra, so the ablation does not degenerate
-    system = intertwiner_system(points[1], points["1b"], params, generators=SANS_AFFINE)
-    nd = weight_nullspace(*system)[2]
+    nd = commutant_nullspace(points[1], points["1b"], params, SANS_AFFINE)[2]
     assert nd == 1
 
 
 def test_degenerate_request_raises(points, params):
-    system = intertwiner_system(points[2], points["2b"], params, SANS_AFFINE)
+    solution = commutant_nullspace(points[2], points["2b"], params, SANS_AFFINE)
     with pytest.raises(IntertwinerError):
-        unique_intertwiner(*system)
+        unique_intertwiner(solution)
 
 
 def test_s_at_reflected_legs(points, params):
