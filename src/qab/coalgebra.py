@@ -3,7 +3,9 @@
 The tensor product of graded operators carries the Koszul sign
 (A (x) B)(v (x) w) = (-1)^{|B||v|} (Av) (x) (Bw); this is the unique sign
 convention under which the (sign-free) coproduct displays become algebra
-homomorphisms in the representation.
+homomorphisms in the representation.  The legs are taken in the order given:
+coproduct(J, leg2, leg1) is Delta_21(J) on V2 (x) V1, which is all the
+opposite coproduct needs, so no graded flip of legs is ever built.
 """
 
 from __future__ import annotations
@@ -37,24 +39,6 @@ def graded_tensor(
     return GradedOperator(np.kron(left, B.matrix), (A.parity + B.parity) % 2)
 
 
-def swap_legs(X: np.ndarray, spaces, i: int) -> np.ndarray:
-    """P X P^-1 for X on the graded product of ``spaces``, where
-    P(.. v (x) w ..) = (-1)^{|v||w|} (.. w (x) v ..) exchanges legs i and i+1.
-
-    P is a signed permutation, so the result is X reindexed with Koszul signs:
-    exact, with no rounding.
-    """
-    dims = [s.dim for s in spaces]
-    state = np.indices(dims)  # state[k]: leg k's basis index of each product state
-    koszul = spaces[i].parities[state[i]] * spaces[i + 1].parities[state[i + 1]] % 2
-    # per state of the swapped product, in its basis order: source state, sign
-    src, sign = (
-        np.swapaxes(a, i, i + 1).ravel()
-        for a in (np.arange(len(X)).reshape(dims), 1 - 2 * koszul)
-    )
-    return X[np.ix_(src, src)] * np.outer(sign, sign)
-
-
 class Leg:
     """One coproduct leg: generator matrices plus the central scalars."""
 
@@ -67,7 +51,7 @@ class Leg:
     def bosonic(cls, M: int, q) -> "Leg":
         """A leg of bound-state number M holding only the kinematics-free
         generators (bosonic_generators) and U = 1: enough for the coproducts
-        of E1, F1, E3, F3, whose U power is 0."""
+        of E1, F1, E3, F3 in either leg order, whose U power is 0."""
         leg = cls.__new__(cls)
         leg.space = build_basis(M)
         leg.gens = bosonic_generators(q, leg.space)
@@ -106,12 +90,6 @@ def coproduct(gen: str, leg1: Leg, leg2: Leg) -> GradedOperator:
 def coproduct_map(leg1: Leg, leg2: Leg) -> dict:
     """All generators' coproduct matrices (an algebra homomorphism's image)."""
     return {g: coproduct(g, leg1, leg2) for g in GENERATORS}
-
-
-def opposite_coproduct(gen: str, leg1: Leg, leg2: Leg) -> GradedOperator:
-    """Delta^op = P o Delta o P with the graded permutation and swapped legs."""
-    d21 = coproduct(gen, leg2, leg1)
-    return GradedOperator(swap_legs(d21.matrix, [leg2.space, leg1.space], 0), d21.parity)
 
 
 # ---------------------------------------------------------------------------

@@ -339,8 +339,8 @@ def suite_smatrix(cfg: RunConfig):
 
     def check(params, kin1, kin2):
         Ms = (kin1.M, kin2.M)
-        bases = smatrix.adapted_bases(kin1.M, kin2.M, params.q)
-        conds = {"cond_V": bases.cond_V, "cond_W": bases.cond_W}
+        conds = {"cond_V": smatrix.adapted_bases(*Ms, params.q).cond_V,  # V1 (x) V2
+                 "cond_W": smatrix.adapted_bases(*Ms[::-1], params.q).cond_V}  # V2 (x) V1
         S, sv, shape = smatrix.unique_intertwiner(
             smatrix.commutant_nullspace(kin1, kin2, params)
         )

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import numerics as nm
-from .coalgebra import TWISTED_CHARGES, swap_legs, twisted_boundary_charges
+from .coalgebra import TWISTED_CHARGES, twisted_boundary_charges
 from .kinematics import (
     Kinematics,
     KinematicsError,
@@ -250,21 +250,14 @@ def ck_symmetry_residual(kin: Kinematics, params: ModelParams) -> np.ndarray:
 
 
 def reflection_smatrices(kin1: Kinematics, kin2: Kinematics, params: ModelParams):
-    """The four S matrices of the reflection equation, solved as intertwiners.
-
-    Returns (S_{12}, S_{1 2r}, S_{2 1r}, S_{2r 1r}), the last two carried from
-    V2 (x) V1 to V1 (x) V2 by the graded swap, so that all four act on
-    V1 (x) V2.  They do not depend on the K matrices, so one solve serves both
-    the reflection equation and its trivial-C_k control.
+    """The four braided S-matrices (Ř(1,2), Ř(1,2r), Ř(2,1r), Ř(2r,1r)) of
+    the reflection equation, solved as intertwiners.  They do not depend on
+    the K matrices, so one solve serves both the reflection equation and its
+    trivial-C_k control.
     """
-    s1, s2 = build_basis(kin1.M), build_basis(kin2.M)
-    kin1r = reflect_kinematics(kin1, params)
-    kin2r = reflect_kinematics(kin2, params)
-    S12 = solve_intertwiner(kin1, kin2, params)
-    S_1_2r = solve_intertwiner(kin1, kin2r, params)
-    S_2_1r = swap_legs(solve_intertwiner(kin2, kin1r, params), [s2, s1], 0)
-    S_2r_1r = swap_legs(solve_intertwiner(kin2r, kin1r, params), [s2, s1], 0)
-    return S12, S_1_2r, S_2_1r, S_2r_1r
+    kin1r, kin2r = (reflect_kinematics(k, params) for k in (kin1, kin2))
+    pairs = ((kin1, kin2), (kin1, kin2r), (kin2, kin1r), (kin2r, kin1r))
+    return tuple(solve_intertwiner(a, b, params) for a, b in pairs)
 
 
 def boundary_ybe_residual(
@@ -274,10 +267,11 @@ def boundary_ybe_residual(
     smatrices,
     trivial_c: bool = False,
 ) -> float:
-    """Relative residual of K2 S_{2 1r} K1 S_{12} = S_{2r 1r} K1 S_{1 2r} K2.
+    """Relative residual of K2 Ř(2,1r) K1' Ř(1,2) = Ř(2r,1r) K1' Ř(1,2r) K2.
 
-    The four S variants come from `smatrices`, the tuple returned by
-    reflection_smatrices for the same points; K matrices act on single legs.
+    The four Ř come from `smatrices`, the tuple returned by
+    reflection_smatrices for the same points.  K2 and K1' act on the second
+    leg of V1 (x) V2 and of V2 (x) V1: no leg is flipped.
     With trivial_c=True the constant solution C_k = C_0 is substituted,
     which is expected to violate the identity for M >= 2 (negative control).
     """
@@ -290,10 +284,10 @@ def boundary_ybe_residual(
         return closed_form_kmatrix(kin, params)
 
     Km1, Km2 = kmat(kin1), kmat(kin2)
-    K1 = np.kron(Km1, np.eye(Km2.shape[0]))
+    K1 = np.kron(np.eye(Km2.shape[0]), Km1)
     K2 = np.kron(np.eye(Km1.shape[0]), Km2)
-    S12, S_1_2r, S_2_1r, S_2r_1r = smatrices
-    return nm.rel_residual(K2 @ S_2_1r @ K1 @ S12, S_2r_1r @ K1 @ S_1_2r @ K2)
+    R12, R_1_2r, R_2_1r, R_2r_1r = smatrices
+    return nm.rel_residual(K2 @ R_2_1r @ K1 @ R12, R_2r_1r @ K1 @ R_1_2r @ K2)
 
 
 def rational_shortening_residual(x_plus, x_minus, M: int, g) -> float:

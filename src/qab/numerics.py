@@ -57,8 +57,11 @@ def fnorm(a) -> float:
 
 
 def rel_residual(lhs, rhs) -> float:
-    """Frobenius-relative residual ||L - R|| / max(1, ||L||, ||R||)."""
+    """Frobenius-relative residual ||L - R|| / max(1, ||L||, ||R||); a
+    scalar R = 0 is not subtracted."""
     lhs = np.asarray(lhs)
+    if np.ndim(rhs) == 0 and rhs == 0:
+        return min(fnorm(lhs), 1.0)  # ||L|| / max(1, ||L||), exactly
     rhs = np.asarray(rhs)
     return fnorm(lhs - rhs) / max(1.0, fnorm(lhs), fnorm(rhs))
 

@@ -112,7 +112,12 @@ class GradedOperator:
         return GradedOperator(self.matrix - other.matrix, self.parity)
 
     def __mul__(self, scalar) -> "GradedOperator":
-        return GradedOperator(self.matrix * scalar, self.parity)
+        if self.matrix.dtype != object:
+            return GradedOperator(self.matrix * scalar, self.parity)
+        m = self.matrix.copy()  # exact zeros stay as they are, as in nm.mdot
+        nz = m.nonzero()
+        m[nz] = m[nz] * scalar
+        return GradedOperator(m, self.parity)
 
     __rmul__ = __mul__
 

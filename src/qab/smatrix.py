@@ -1,23 +1,24 @@
 """Bound-state S-matrices as intertwiner null spaces, and the Yang-Baxter check.
 
-S is the endomorphism of V1 (x) V2 satisfying S Delta(J) = Delta^op(J) S for
-every Chevalley generator including the affine ones (which are what make the
-null space one-dimensional).  The boundary K-matrix is the same kind of null
-space on one leg.  Both come out of one dense solver: the unknown X lives on a
-given set of entries, only the equation rows that this support reaches are
-assembled, and a QR factorisation and an SVD of its triangular factor give
-the null space with its singular values.  ``unique_intertwiner`` is the one
-uniqueness rule: a null dimension of exactly 1, and the normalization at the
-[0, 0] entry.
+S is solved in its braided form Ř: V1 (x) V2 -> V2 (x) V1, with
+Ř Delta_12(J) = Delta_21(J) Ř for every Chevalley generator including the
+affine ones (which are what make the null space one-dimensional); Delta_21(J)
+is coproduct(J, leg2, leg1).  S = P Ř for the graded flip P of V2 (x) V1
+onto V1 (x) V2, but no P is built: each factor of Ř in the Yang-Baxter and
+reflection equations acts on two adjacent legs.  The boundary K-matrix is
+the same kind of null space on one leg.  Both come out of one dense QR +
+SVD solver (``_null_space``) for an unknown on a given set of entries.
+``unique_intertwiner`` is the one uniqueness rule: a null dimension of
+exactly 1, and the normalization at the [0, 0] entry.
 
 K (``weight_nullspace``) is supported on the entries that join states of
-equal (H1, H3) weight.  S also commutes with the bosonic U_q(su(2)) +
-U_q(su(2)) of E1, F1, E3, F3, whose coproducts carry no kinematics.  In the
-bases V and W of V1 (x) V2 adapted to Delta and to Delta^op, Schur's lemma
-gives S = W C V^-1 with C the sum of c_lambda (x) I over the isotypic
-components lambda.  So ``commutant_nullspace`` solves for the sum of
-mult(lambda)^2 entries of the c_lambda, from the fermionic pairs
-(V^-1 Delta(J) V, W^-1 Delta^op(J) W) alone.  V, W and their inverses depend
+equal (H1, H3) weight.  Ř also intertwines the bosonic U_q(su(2)) +
+U_q(su(2)) of E1, F1, E3, F3, whose coproducts carry no kinematics.  With
+V_12 and V_21 the bases of V1 (x) V2 and V2 (x) V1 adapted to them, Schur's
+lemma gives Ř = V_21 C V_12^-1, C the sum of c_lambda (x) I over the
+isotypic components lambda.  So ``commutant_nullspace`` solves for the
+mult(lambda)^2 entries of each c_lambda from the fermionic pairs
+(V_12^-1 Delta_12(J) V_12, V_21^-1 Delta_21(J) V_21) alone.  The bases depend
 on (M1, M2, q) only and are cached (``adapted_bases``).
 """
 
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coalgebra import Leg, coproduct, opposite_coproduct, swap_legs
+from .coalgebra import Leg, coproduct
 from .kinematics import Kinematics, ModelParams
 from .numerics import qint, rel_residual, sqrt
 from .representation import BOSONIC_GENERATORS, RepSpace, build_basis
@@ -111,20 +112,17 @@ def weight_nullspace(pairs, weights):
 
 
 class AdaptedBases(NamedTuple):
-    """Bases of V1 (x) V2 adapted to the bosonic Delta (V) and Delta^op (W).
+    """The basis V of V1 (x) V2 adapted to the bosonic Delta_12.
 
-    Column c of either holds the same (lambda, copy, position) of the
-    isotypic decomposition, so that S = W C V^-1 for a C supported on
-    ``support`` (ui, uj, unknown), as _null_space takes it.
+    Its columns are ordered by (lambda, copy, position), as are those of
+    V2 (x) V1, so Ř = V_21 C V_12^-1 for a C on the shared ``support``
+    (ui, uj, unknown), as _null_space takes it.
     """
 
     V: np.ndarray
     V_inv: np.ndarray
-    W: np.ndarray
-    W_inv: np.ndarray
     support: tuple
     cond_V: float
-    cond_W: float
 
 
 def _adapted_basis(ops, weights, q):
@@ -202,54 +200,50 @@ def _adapted_basis(ops, weights, q):
 def adapted_bases(M1: int, M2: int, q) -> AdaptedBases:
     """The AdaptedBases of V_M1 (x) V_M2 at q, built once per (M1, M2, q).
 
-    Delta(E1), Delta(F1), Delta(E3), Delta(F3) and their opposites carry no
-    kinematics: the U power of their coproducts is 0, and K1, K3 contain no
-    C.  So they are built from kinematics-free legs (Leg.bosonic).  The
-    arrays are read-only, since every caller shares them.
+    Delta(E1), Delta(F1), Delta(E3), Delta(F3) carry no kinematics: the U
+    power of their coproducts is 0, and K1, K3 contain no C.  So they are
+    built from kinematics-free legs (Leg.bosonic).  The arrays are
+    read-only, since every caller shares them.
     """
     leg1, leg2 = Leg.bosonic(M1, q), Leg.bosonic(M2, q)
-    weights = product_weights(leg1.space, leg2.space)
     V, V_inv, cond_V, support = _adapted_basis(
-        {g: coproduct(g, leg1, leg2).matrix for g in BOSONIC}, weights, q)
-    W, W_inv, cond_W, _ = _adapted_basis(
-        {g: opposite_coproduct(g, leg1, leg2).matrix for g in BOSONIC}, weights, q)
-    for a in (V, V_inv, W, W_inv, *support):
+        {g: coproduct(g, leg1, leg2).matrix for g in BOSONIC},
+        product_weights(leg1.space, leg2.space), q)
+    for a in (V, V_inv, *support):
         a.flags.writeable = False
-    return AdaptedBases(V, V_inv, W, W_inv, support, cond_V, cond_W)
+    return AdaptedBases(V, V_inv, support, cond_V)
 
 
 def intertwiner_system(kin1: Kinematics, kin2: Kinematics, params: ModelParams,
                        generators=DEFAULT_GENERATORS):
-    """(pairs, weights) of S Delta(J) = Delta^op(J) S over ``generators`` in
-    the product basis, as weight_nullspace and pair_residuals take them."""
+    """The pairs (Delta_12(J), Delta_21(J)) of Ř Delta_12(J) = Delta_21(J) Ř
+    over ``generators``, as _null_space and pair_residuals take them."""
     leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
-    pairs = [
-        (coproduct(gen, leg1, leg2).matrix, opposite_coproduct(gen, leg1, leg2).matrix)
+    return [
+        (coproduct(gen, leg1, leg2).matrix, coproduct(gen, leg2, leg1).matrix)
         for gen in generators
     ]
-    return pairs, product_weights(leg1.space, leg2.space)
 
 
 def commutant_nullspace(kin1: Kinematics, kin2: Kinematics, params: ModelParams,
                         generators=DEFAULT_GENERATORS):
-    """Null space of S Delta(J) = Delta^op(J) S over ``generators``, which must
-    include E1, F1, E3, F3, solved in the bosonic commutant S = W C V^-1.
-
-    Only the other generators give equations, C (V^-1 Delta(J) V) =
-    (W^-1 Delta^op(J) W) C.  Returns (S, sv, null_dim, (rows, unknowns)) as
-    weight_nullspace does, S = W C V^-1 in the product basis.  With
+    """Null space of Ř Delta_12(J) = Delta_21(J) Ř over ``generators``, which
+    must include E1, F1, E3, F3, solved in the bosonic commutant
+    Ř = V_21 C V_12^-1: only the other generators give equations.  Returns
+    (Ř, sv, null_dim, (rows, unknowns)) as weight_nullspace does.  With
     SANS_AFFINE the null space exceeds one dimension (the ablation).
     """
     if not set(BOSONIC) <= set(generators):
         raise ValueError(f"the commutant needs {', '.join(BOSONIC)} among the generators")
-    bases = adapted_bases(kin1.M, kin2.M, params.q)
+    V12 = adapted_bases(kin1.M, kin2.M, params.q)
+    V21 = adapted_bases(kin2.M, kin1.M, params.q)
     fermionic = [g for g in generators if g not in BOSONIC]
     pairs = [
-        (bases.V_inv @ A @ bases.V, bases.W_inv @ B @ bases.W)
-        for A, B in intertwiner_system(kin1, kin2, params, fermionic)[0]
+        (V12.V_inv @ A @ V12.V, V21.V_inv @ B @ V21.V)
+        for A, B in intertwiner_system(kin1, kin2, params, fermionic)
     ]
-    C, sv, null_dim, shape = _null_space(pairs, *bases.support)
-    return bases.W @ C @ bases.V_inv, sv, null_dim, shape
+    C, sv, null_dim, shape = _null_space(pairs, *V12.support)
+    return V21.V @ C @ V12.V_inv, sv, null_dim, shape
 
 
 def unique_intertwiner(solution):
@@ -257,9 +251,9 @@ def unique_intertwiner(solution):
     shape), as weight_nullspace and commutant_nullspace return it, scaled so
     its [0, 0] element is 1; returns (X, sv, shape).
 
-    Basis index 0 is the state |0,0,0,M> of a leg, and |0,0,0,M1> (x)
-    |0,0,0,M2> of a product.  Raises IntertwinerError unless the null space
-    is one-dimensional and that element is nonzero.
+    Basis index 0 is the state |0,0,0,M> of a leg, and |0,0,0,Ma> (x)
+    |0,0,0,Mb> of a product Va (x) Vb.  Raises IntertwinerError unless the
+    null space is one-dimensional and that element is nonzero.
     """
     X, sv, null_dim, shape = solution
     if null_dim != 1:
@@ -278,31 +272,29 @@ def pair_residuals(X: np.ndarray, pairs) -> list:
 
 
 def solve_intertwiner(kin1: Kinematics, kin2: Kinematics, params: ModelParams) -> np.ndarray:
-    """The unique intertwiner S, normalized so the highest joint state
-    |0,0,0,M1> (x) |0,0,0,M2> maps to itself with coefficient 1."""
+    """The unique braided intertwiner Ř: V1 (x) V2 -> V2 (x) V1, normalized
+    so the highest joint state |0,0,0,M1> (x) |0,0,0,M2> maps to
+    |0,0,0,M2> (x) |0,0,0,M1> with coefficient 1."""
     return unique_intertwiner(commutant_nullspace(kin1, kin2, params))[0]
 
 
-def intertwining_residual(S: np.ndarray, kin1: Kinematics, kin2: Kinematics,
+def intertwining_residual(R: np.ndarray, kin1: Kinematics, kin2: Kinematics,
                           params: ModelParams) -> dict:
-    """Per-generator residual ||S Delta(J) - Delta^op(J) S|| (relative)."""
+    """Per-generator relative residual ||R Delta_12(J) - Delta_21(J) R|| of R = Ř."""
     gens = list(DEFAULT_GENERATORS) + [f"K{i}" for i in (1, 2, 3, 4)]
-    pairs = intertwiner_system(kin1, kin2, params, gens)[0]
-    return dict(zip(gens, pair_residuals(S, pairs)))
+    return dict(zip(gens, pair_residuals(R, intertwiner_system(kin1, kin2, params, gens))))
 
 
 def ybe_residual(
     kin1: Kinematics, kin2: Kinematics, kin3: Kinematics, params: ModelParams
 ) -> float:
-    """Relative residual of S23 S13 S12 = S12 S13 S23 on V1 (x) V2 (x) V3.
-
-    S is even, so S12 and S23 embed by a plain Kronecker product; S13 is
-    embedded on V1 (x) V3 (x) V2 and carried to V1 (x) V2 (x) V3 by the
-    graded swap of its last two legs.
+    """Relative residual of (Ř23 (x) 1)(1 (x) Ř13)(Ř12 (x) 1) =
+    (1 (x) Ř12)(Ř13 (x) 1)(1 (x) Ř23), from V1 (x) V2 (x) V3 to
+    V3 (x) V2 (x) V1.  Ř is even, so each factor is a plain Kronecker product.
     """
-    s1, s2, s3 = (build_basis(k.M) for k in (kin1, kin2, kin3))
-    S12 = np.kron(solve_intertwiner(kin1, kin2, params), np.eye(s3.dim))
-    S13 = np.kron(solve_intertwiner(kin1, kin3, params), np.eye(s2.dim))
-    S13 = swap_legs(S13, [s1, s3, s2], 1)
-    S23 = np.kron(np.eye(s1.dim), solve_intertwiner(kin2, kin3, params))
-    return rel_residual(S23 @ S13 @ S12, S12 @ S13 @ S23)
+    I1, I2, I3 = (np.eye(build_basis(k.M).dim) for k in (kin1, kin2, kin3))
+    R12, R13, R23 = (solve_intertwiner(a, b, params)
+                     for a, b in ((kin1, kin2), (kin1, kin3), (kin2, kin3)))
+    lhs = np.kron(R23, I1) @ np.kron(I2, R13) @ np.kron(R12, I3)
+    rhs = np.kron(I3, R12) @ np.kron(R13, I2) @ np.kron(I1, R23)
+    return rel_residual(lhs, rhs)

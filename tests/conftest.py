@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from qab.kinematics import ModelParams, make_kinematics, solve_shortening
@@ -26,6 +27,22 @@ def kin_at(M, x_minus, params, pick="large"):
 @pytest.fixture(scope="session")
 def kin_of(params):
     return lambda M, xm: kin_at(M, xm, params)
+
+
+def graded_permutation(space1, space2) -> np.ndarray:
+    """Dense P(v (x) w) = (-1)^{|v||w|} w (x) v from V1 (x) V2 to V2 (x) V1.
+
+    The S of S Delta = Delta^op S is P_21 Ř with P_21 = graded_permutation(s2, s1),
+    and Delta^op = P_21 Delta_21 P_12; the tests use P as the oracle of the
+    braided convention, which the package never builds.
+    """
+    d1, d2 = space1.dim, space2.dim
+    p1, p2 = space1.parities, space2.parities
+    P = np.zeros((d2 * d1, d1 * d2))
+    for i in range(d1):
+        for j in range(d2):
+            P[j * d1 + i, i * d2 + j] = (-1.0) ** (p1[i] * p2[j])
+    return P
 
 
 def k_coefficients(K):

@@ -7,13 +7,10 @@ from qab.coalgebra import (
     TWISTED_CHARGES,
     boundary_d_constants,
     coideal_expansion_check,
-    coproduct,
     coproduct_map,
     graded_tensor,
     Leg,
     hom_check,
-    opposite_coproduct,
-    swap_legs,
     twisted_boundary_charges,
     twisted_central_invariance,
     twisted_f1_action_residual,
@@ -23,21 +20,7 @@ from qab.kinematics import ModelParams, reflect_kinematics
 from qab.numerics import TOL_ALGEBRA, qint
 from qab.representation import all_generators, build_basis, graded_commutator
 
-
-def graded_permutation(space1, space2) -> np.ndarray:
-    """Dense P(v (x) w) = (-1)^{|v||w|} w (x) v from V1 (x) V2 to V2 (x) V1 (oracle)."""
-    d1, d2 = space1.dim, space2.dim
-    p1, p2 = space1.parities, space2.parities
-    P = np.zeros((d2 * d1, d1 * d2))
-    for i in range(d1):
-        for j in range(d2):
-            P[j * d1 + i, i * d2 + j] = (-1.0) ** (p1[i] * p2[j])
-    return P
-
-
-def _random_operator(dim, seed):
-    rng = np.random.default_rng(seed)
-    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+from conftest import graded_permutation
 
 
 def test_graded_permutation_squares_to_identity():
@@ -45,26 +28,6 @@ def test_graded_permutation_squares_to_identity():
     P12 = graded_permutation(s1, s2)
     P21 = graded_permutation(s2, s1)
     assert np.linalg.norm(P21 @ P12 - np.eye(s1.dim * s2.dim)) < 1e-14
-
-
-@pytest.mark.parametrize("pair", [(1, 1), (1, 2), (2, 1), (2, 2)], ids=str)
-def test_swap_legs_is_permutation_conjugate(pair):
-    sa, sb = build_basis(pair[0]), build_basis(pair[1])
-    X = _random_operator(sa.dim * sb.dim, seed=sum(pair))
-    conj = graded_permutation(sa, sb) @ X @ graded_permutation(sb, sa)
-    assert np.array_equal(swap_legs(X, [sa, sb], 0), conj)
-    assert np.array_equal(swap_legs(swap_legs(X, [sa, sb], 0), [sb, sa], 0), X)
-
-
-def test_swap_legs_three_legs_middle_pair():
-    # the YBE embedding of S13: V1 (x) V3 (x) V2 -> V1 (x) V2 (x) V3
-    s1, s2, s3 = build_basis(1), build_basis(2), build_basis(3)
-    X = _random_operator(s1.dim * s3.dim * s2.dim, seed=7)
-    P = np.kron(np.eye(s1.dim), graded_permutation(s3, s2))
-    P_inv = np.kron(np.eye(s1.dim), graded_permutation(s2, s3))
-    conj = P @ X @ P_inv
-    assert np.array_equal(swap_legs(X, [s1, s3, s2], 1), conj)
-    assert np.array_equal(swap_legs(swap_legs(X, [s1, s3, s2], 1), [s1, s2, s3], 1), X)
 
 
 def test_graded_tensor_koszul_sign(params, kin_of):
@@ -100,19 +63,6 @@ def test_mixed_e2f4_relation_on_tensor_product(params, kin_of):
     U12 = kin1.U * kin2.U
     rhs = (-gt / params.alpha_tilde) * (d["K4"] - U12**2 * d["K2"].inv())
     assert np.linalg.norm(lhs.matrix - rhs.matrix) < 1e-12
-
-
-def test_opposite_coproduct_permutation_conjugate(params, kin_of):
-    kin1 = kin_of(1, 1.3 + 0.8j)
-    kin2 = kin_of(2, 0.9 - 1.1j)
-    leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
-    s1, s2 = leg1.space, leg2.space
-    P12 = graded_permutation(s1, s2)
-    P21 = graded_permutation(s2, s1)
-    for gen in ("E1", "E2", "F4", "K3"):
-        direct = opposite_coproduct(gen, leg1, leg2).matrix
-        conj = P21 @ coproduct(gen, leg2, leg1).matrix @ P12
-        assert np.linalg.norm(direct - conj) < 1e-12, gen
 
 
 def test_d_constants(params):

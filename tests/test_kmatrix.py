@@ -28,11 +28,11 @@ from qab.kmatrix import (
     solve_boundary_intertwiner,
     unitarity_residual,
 )
-from qab.numerics import TOL_ALGEBRA, TOL_COMPOSITE, TOL_INTERTWINER
+from qab.numerics import TOL_ALGEBRA, TOL_COMPOSITE, TOL_INTERTWINER, rel_residual
 from qab.representation import build_basis
 from qab.smatrix import pair_residuals, weight_nullspace
 
-from conftest import k_coefficients, kin_at
+from conftest import graded_permutation, k_coefficients, kin_at
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +218,41 @@ def test_trivial_ck_fails_reflection_equation(params_gammas):
     smats = reflection_smatrices(kin1, kin2, params_gammas)
     res = boundary_ybe_residual(kin1, kin2, params_gammas, smats, trivial_c=True)
     assert res > 1e-2
+
+
+def _s_form_bybe_residual(kin1, kin2, params, smats, trivial_c):
+    """K2 S_{2 1r} K1 S_{12} = S_{2r 1r} K1 S_{1 2r} K2 on V1 (x) V2, with
+    S = P_21 Ř and the two S of V2 (x) V1 carried over by the graded flip."""
+    s1, s2 = build_basis(kin1.M), build_basis(kin2.M)
+    P12, P21 = graded_permutation(s1, s2), graded_permutation(s2, s1)
+
+    def kmat(kin):
+        C = None
+        if trivial_c:
+            C = np.full(kin.M, reflect_kinematics(kin, params).gamma / kin.gamma)
+        return closed_form_kmatrix(kin, params, c_override=C)
+
+    K1 = np.kron(kmat(kin1), np.eye(s2.dim))
+    K2 = np.kron(np.eye(s1.dim), kmat(kin2))
+    R12, R_1_2r, R_2_1r, R_2r_1r = smats
+    S12, S_1_2r = P21 @ R12, P21 @ R_1_2r
+    S_2_1r, S_2r_1r = P21 @ (P12 @ R_2_1r) @ P12, P21 @ (P12 @ R_2r_1r) @ P12
+    return rel_residual(K2 @ S_2_1r @ K1 @ S12, S_2r_1r @ K1 @ S_1_2r @ K2)
+
+
+@pytest.mark.parametrize("Ms", [(1, 1), (2, 1), (1, 2), (2, 2)], ids=str)
+def test_braided_reflection_equation_matches_s_form(Ms, params_gammas):
+    # the braided residual equals the S-form one built with the graded flip,
+    # for the reflection equation and for its trivial-C_k control
+    kin1 = kin_at(Ms[0], 0.9 - 1.1j, params_gammas)
+    kin2 = kin_at(Ms[1], 1.4 + 0.5j, params_gammas)
+    smats = reflection_smatrices(kin1, kin2, params_gammas)
+    res = boundary_ybe_residual(kin1, kin2, params_gammas, smats)
+    assert abs(res - _s_form_bybe_residual(kin1, kin2, params_gammas, smats, False)) < 1e-13
+    if max(Ms) >= 2:
+        ctl = boundary_ybe_residual(kin1, kin2, params_gammas, smats, trivial_c=True)
+        ref = _s_form_bybe_residual(kin1, kin2, params_gammas, smats, True)
+        assert abs(ctl - ref) < 1e-12 * ref
 
 
 def _rational_pair(xm, M, g):

@@ -3,15 +3,16 @@
 The reference stacks the full Kronecker system vec(X A - B X) = 0 over every
 dim^2 unknown, with no weight support and no row selection, and reads the
 null space off an SVD.  The weight-supported solve (weight_nullspace) must
-reproduce its null dimension and null space, and the commutant solve of S
-(commutant_nullspace) must reproduce the weight-supported one.
+reproduce its null dimension and null space, and the commutant solve of the
+braided S-matrix Ř (commutant_nullspace) must reproduce the weight-supported
+one, carried to Ř's index sets by the graded flip.
 """
 
 import numpy as np
 import pytest
 
 from qab import smatrix
-from qab.coalgebra import Leg, coproduct, opposite_coproduct
+from qab.coalgebra import Leg, coproduct
 from qab.kmatrix import (
     BOUNDARY_CHARGES,
     PRESERVED_CHARGES,
@@ -36,7 +37,7 @@ from qab.smatrix import (
     weight_nullspace,
 )
 
-from conftest import kin_at
+from conftest import graded_permutation, kin_at
 
 
 def _kronecker_nullspace(pairs):
@@ -70,12 +71,12 @@ def test_smatrix_matches_dense_reference(kin_of, params):
     kin1, kin2 = kin_of(1, 1.3 + 0.8j), kin_of(1, 0.9 - 1.1j)
     leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
     pairs = [
-        (coproduct(g, leg1, leg2).matrix, opposite_coproduct(g, leg1, leg2).matrix)
+        (coproduct(g, leg1, leg2).matrix, coproduct(g, leg2, leg1).matrix)
         for g in DEFAULT_GENERATORS
     ]
-    S = solve_intertwiner(kin1, kin2, params)
-    assert S[0, 0] == 1
-    assert rel_residual(S, _dense_null_vector(pairs)) < 1e-12
+    R = solve_intertwiner(kin1, kin2, params)
+    assert R[0, 0] == 1
+    assert rel_residual(R, _dense_null_vector(pairs)) < 1e-12
 
 
 @pytest.mark.parametrize("M", [2, 3])
@@ -116,20 +117,25 @@ SYSTEMS = {
 @pytest.mark.parametrize("kind,size,generators", SYSTEMS.values(), ids=SYSTEMS.keys())
 def test_solver_matches_dense_qr_svd(kind, size, generators, params_gammas):
     if kind == "S":
-        # the commutant solve of S against the weight-supported dense solve
+        # the commutant solve of Ř against the weight-supported dense solve of
+        # S = P_21 Ř, which maps V1 (x) V2 to itself: S Delta_12 = Delta^op S
         kin1, kin2 = _s_points(params_gammas, size)
-        pairs, weights = intertwiner_system(kin1, kin2, params_gammas, generators)
-        X, sv, null_dim, (rows, unknowns) = weight_nullspace(pairs, weights)
-        S, svc, null_dim_c, (rows_c, unknowns_c) = commutant_nullspace(
+        s1, s2 = build_basis(size[0]), build_basis(size[1])
+        P12, P21 = graded_permutation(s1, s2), graded_permutation(s2, s1)
+        pairs = intertwiner_system(kin1, kin2, params_gammas, generators)
+        X, sv, null_dim, (rows, unknowns) = weight_nullspace(
+            [(A, P21 @ B @ P12) for A, B in pairs], product_weights(s1, s2)
+        )
+        R, svc, null_dim_c, (rows_c, unknowns_c) = commutant_nullspace(
             kin1, kin2, params_gammas, generators
         )
         assert null_dim_c == null_dim
         assert unknowns_c < unknowns and rows_c < rows
         if null_dim == 1:
-            assert rel_residual(S / S[0, 0], X / X[0, 0]) < 1e-12
+            assert rel_residual(P21 @ R / R[0, 0], X / X[0, 0]) < 1e-12
         else:
             # any unit vector of the null space will do: it must solve the system
-            assert max(pair_residuals(S / np.linalg.norm(S), pairs)) < 1e-12
+            assert max(pair_residuals(R / np.linalg.norm(R), pairs)) < 1e-12
         assert list(svc) == sorted(svc, reverse=True)
         return
     # the weight-supported dense solve of K against the full Kronecker system
@@ -158,42 +164,44 @@ def test_commutant_needs_the_bosonic_generators(params):
 
 def test_cached_bases_carry_no_kinematics(params):
     # bases built from the coproducts at two kinematic points are the cached
-    # ones, bit for bit, and solves at both points share one cache entry
+    # ones of each leg order, bit for bit; a solve builds one basis per
+    # ordered pair, so (2, 3) misses the cache twice and (3, 3) once
     M1, M2 = 2, 3
-    cached = adapted_bases(M1, M2, params.q)
     for xm1, xm2 in [(1.3 + 0.8j, 0.9 - 1.1j), (-0.7 + 1.6j, 1.2 + 0.4j)]:
         leg1 = Leg(kin_at(M1, xm1, params), params)
         leg2 = Leg(kin_at(M2, xm2, params), params)
-        weights = product_weights(leg1.space, leg2.space)
-        for ops, (basis, inverse) in [
-            (coproduct, (cached.V, cached.V_inv)),
-            (opposite_coproduct, (cached.W, cached.W_inv)),
-        ]:
+        for a, b in [(leg1, leg2), (leg2, leg1)]:
+            cached = adapted_bases(a.space.M, b.space.M, params.q)
             built = smatrix._adapted_basis(
-                {g: ops(g, leg1, leg2).matrix for g in BOSONIC}, weights, params.q
+                {g: coproduct(g, a, b).matrix for g in BOSONIC},
+                product_weights(a.space, b.space), params.q,
             )
-            assert np.array_equal(built[0], basis) and np.array_equal(built[1], inverse)
-            assert all(np.array_equal(a, b) for a, b in zip(built[3], cached.support))
-    adapted_bases.cache_clear()
-    for xm in (1.3 + 0.8j, -0.7 + 1.6j):
-        solve_intertwiner(kin_at(M1, xm, params), kin_at(M2, 0.9 - 1.1j, params), params)
-    assert adapted_bases.cache_info().misses == 1
+            assert np.array_equal(built[0], cached.V) and np.array_equal(built[1], cached.V_inv)
+            assert all(np.array_equal(x, y) for x, y in zip(built[3], cached.support))
+    for Ms, misses in [((M1, M2), 2), ((M2, M2), 1)]:
+        adapted_bases.cache_clear()
+        for xm in (1.3 + 0.8j, -0.7 + 1.6j):
+            solve_intertwiner(kin_at(Ms[0], xm, params), kin_at(Ms[1], 0.9 - 1.1j, params), params)
+        assert adapted_bases.cache_info().misses == misses, Ms
 
 
 def test_adapted_bases_block_diagonalise_the_bosonic_coproducts(params):
-    # V^-1 Delta(X) V and W^-1 Delta^op(X) W are the same matrix for every
-    # bosonic X, so C = c (x) I commutes with them; cond(V) stays small
-    M1, M2 = 3, 3
-    bases = adapted_bases(M1, M2, params.q)
-    leg1, leg2 = Leg.bosonic(M1, params.q), Leg.bosonic(M2, params.q)
-    for g in BOSONIC:
-        a = bases.V_inv @ coproduct(g, leg1, leg2).matrix @ bases.V
-        b = bases.W_inv @ opposite_coproduct(g, leg1, leg2).matrix @ bases.W
-        assert np.abs(a - b).max() < 1e-12
-    assert np.abs(bases.V_inv @ bases.V - np.eye(len(bases.V))).max() < 1e-13
-    assert bases.cond_V < 10 and bases.cond_W < 10
+    # V_21^-1 Delta_21(X) V_21 and V_12^-1 Delta_12(X) V_12 are the same
+    # matrix for every bosonic X, so C = c (x) I intertwines them; the two
+    # bases share their support, and cond(V) stays small
+    for M1, M2 in [(3, 3), (2, 3)]:
+        V12, V21 = adapted_bases(M1, M2, params.q), adapted_bases(M2, M1, params.q)
+        leg1, leg2 = Leg.bosonic(M1, params.q), Leg.bosonic(M2, params.q)
+        for g in BOSONIC:
+            a = V12.V_inv @ coproduct(g, leg1, leg2).matrix @ V12.V
+            b = V21.V_inv @ coproduct(g, leg2, leg1).matrix @ V21.V
+            assert np.abs(a - b).max() < 1e-12, (M1, M2, g)
+        for bases in (V12, V21):
+            assert np.abs(bases.V_inv @ bases.V - np.eye(len(bases.V))).max() < 1e-13
+            assert bases.cond_V < 10
+        assert all(np.array_equal(x, y) for x, y in zip(V12.support, V21.support))
     # 42 M - 36 unknowns for V_M (x) V_M from M = 3 on
-    assert bases.support[2].max() + 1 == 42 * 3 - 36
+    assert adapted_bases(3, 3, params.q).support[2].max() + 1 == 42 * 3 - 36
 
 
 def test_solver_is_deterministic(params_gammas):

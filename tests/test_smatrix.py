@@ -1,23 +1,30 @@
-"""S-matrix intertwiners: uniqueness, residuals, ablation, Yang-Baxter."""
+"""S-matrix intertwiners: uniqueness, residuals, ablation, Yang-Baxter.
+
+The package solves the braided Ř: V1 (x) V2 -> V2 (x) V1; the tests carry it
+to S = P_21 Ř with the dense graded flip of conftest where they check the
+S-form identities.
+"""
 
 import numpy as np
 import pytest
 
-from qab.coalgebra import Leg, coproduct, opposite_coproduct
+from qab.coalgebra import Leg, coproduct
 from qab.kinematics import reflect_kinematics
-from qab.numerics import TOL_ALGEBRA, TOL_COMPOSITE
+from qab.numerics import TOL_ALGEBRA, TOL_COMPOSITE, rel_residual
 from qab.smatrix import (
     DEFAULT_GENERATORS,
     SANS_AFFINE,
     IntertwinerError,
     commutant_nullspace,
-    intertwiner_system,
     intertwining_residual,
+    product_weights,
     solve_intertwiner,
     unique_intertwiner,
     ybe_residual,
 )
-from qab.representation import build_basis
+from qab.representation import GENERATORS, build_basis
+
+from conftest import graded_permutation
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +35,7 @@ def points(kin_of):
         2: kin_of(2, 0.9 - 1.1j),
         "2b": kin_of(2, 1.4 + 0.5j),
         3: kin_of(3, 1.1 + 0.9j),
+        "3b": kin_of(3, -0.8 + 1.2j),
     }
 
 
@@ -60,25 +68,42 @@ def test_anchor_normalization(points, params):
 
 
 def test_weight_block_structure(points, params):
-    # S vanishes between states of different (H1, H3) joint weight
-    S = solve_intertwiner(points[1], points["1b"], params)
-    w = intertwiner_system(points[1], points["1b"], params)[1]
-    for i in range(16):
-        for j in range(16):
-            if w[i] != w[j]:
-                assert abs(S[i, j]) < 1e-14
+    # Ř vanishes between states of different (H1, H3) joint weight
+    R = solve_intertwiner(points[2], points[1], params)
+    s1, s2 = build_basis(2), build_basis(1)
+    w12, w21 = product_weights(s1, s2), product_weights(s2, s1)
+    for i in range(len(w21)):
+        for j in range(len(w12)):
+            if w21[i] != w12[j]:
+                assert abs(R[i, j]) < 1e-14
 
 
 def test_nullspace_vector_satisfies_full_equations(points, params):
     # independent of the solver's internal assembly: apply the coproduct
     # difference directly to the returned matrix
-    S = solve_intertwiner(points[1], points["1b"], params)
+    R = solve_intertwiner(points[1], points["1b"], params)
     leg1 = Leg(points[1], params)
     leg2 = Leg(points["1b"], params)
     for gen in DEFAULT_GENERATORS:
         A = coproduct(gen, leg1, leg2).matrix
-        B = opposite_coproduct(gen, leg1, leg2).matrix
-        assert np.linalg.norm(S @ A - B @ S) < 1e-12, gen
+        B = coproduct(gen, leg2, leg1).matrix
+        assert np.linalg.norm(R @ A - B @ R) < 1e-12, gen
+
+
+@pytest.mark.parametrize("k1,k2", [(1, "1b"), (1, 2), (2, 1), (2, "2b"), (3, "3b")], ids=str)
+def test_braided_intertwiner_is_the_flipped_s_matrix(k1, k2, points, params):
+    # S = P_21 Ř intertwines Delta_12 with Delta^op = P_21 Delta_21 P_12, for
+    # all twelve generators; P maps basis index 0 to 0, so S[0, 0] = 1 too
+    kin1, kin2 = points[k1], points[k2]
+    leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
+    P12 = graded_permutation(leg1.space, leg2.space)
+    P21 = graded_permutation(leg2.space, leg1.space)
+    S = P21 @ solve_intertwiner(kin1, kin2, params)
+    assert S[0, 0] == 1
+    for gen in GENERATORS:
+        delta = coproduct(gen, leg1, leg2).matrix
+        delta_op = P21 @ coproduct(gen, leg2, leg1).matrix @ P12
+        assert rel_residual(S @ delta, delta_op @ S) < TOL_ALGEBRA, gen
 
 
 def test_affine_ablation_raises_dimension(points, params):
@@ -125,3 +150,28 @@ def test_yang_baxter(Ms, points, params, kin_of):
 def test_yang_baxter_full_m2_triple(params, kin_of):
     kins = [kin_of(2, xm) for xm in (0.9 - 1.1j, 1.4 + 0.5j, -1.1 - 0.7j)]
     assert ybe_residual(*kins, params) < TOL_COMPOSITE
+
+
+def _s_form_ybe_residual(kins, params):
+    """S23 S13 S12 = S12 S13 S23 on V1 (x) V2 (x) V3 with S = P_21 Ř, S13
+    embedded on V1 (x) V3 (x) V2 and carried over by the graded flip."""
+    spaces = [build_basis(k.M) for k in kins]
+    s1, s2, s3 = spaces
+    I1, I2, I3 = (np.eye(s.dim) for s in spaces)
+
+    def S(i, j):  # P_21 Ř on V_i (x) V_j
+        return graded_permutation(spaces[j], spaces[i]) @ solve_intertwiner(kins[i], kins[j], params)
+
+    S12 = np.kron(S(0, 1), I3)
+    S13 = (np.kron(I1, graded_permutation(s3, s2)) @ np.kron(S(0, 2), I2)
+           @ np.kron(I1, graded_permutation(s2, s3)))
+    S23 = np.kron(I1, S(1, 2))
+    return rel_residual(S23 @ S13 @ S12, S12 @ S13 @ S23)
+
+
+@pytest.mark.parametrize("Ms", [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1)], ids=str)
+def test_braided_ybe_matches_s_form(Ms, params, kin_of):
+    # the braid relation equals the S-form YBE up to a signed permutation
+    xms = [1.3 + 0.8j, 0.9 - 1.1j, -0.8 + 1.2j]
+    kins = [kin_of(M, xm) for M, xm in zip(Ms, xms)]
+    assert abs(ybe_residual(*kins, params) - _s_form_ybe_residual(kins, params)) < 1e-13
