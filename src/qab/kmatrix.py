@@ -29,6 +29,7 @@ from .kinematics import (
 from .numerics import qint
 from .representation import RepSpace, all_generators, build_basis
 from .smatrix import (
+    _on_right,
     leg_weights,
     pair_residuals,
     solve_intertwiner,
@@ -260,34 +261,19 @@ def reflection_smatrices(kin1: Kinematics, kin2: Kinematics, params: ModelParams
     return tuple(solve_intertwiner(a, b, params) for a, b in pairs)
 
 
-def boundary_ybe_residual(
-    kin1: Kinematics,
-    kin2: Kinematics,
-    params: ModelParams,
-    smatrices,
-    trivial_c: bool = False,
-) -> float:
-    """Relative residual of K2 Ř(2,1r) K1' Ř(1,2) = Ř(2r,1r) K1' Ř(1,2r) K2.
+def boundary_ybe_residual(K1: np.ndarray, K2: np.ndarray, smatrices) -> float:
+    """Relative residual of K2 Ř(2,1r) K1' Ř(1,2) = Ř(2r,1r) K1' Ř(1,2r) K2
+    for the one-leg K matrices K1 and K2 of the two points.
 
     The four Ř come from `smatrices`, the tuple returned by
     reflection_smatrices for the same points.  K2 and K1' act on the second
-    leg of V1 (x) V2 and of V2 (x) V1: no leg is flipped.
-    With trivial_c=True the constant solution C_k = C_0 is substituted,
-    which is expected to violate the identity for M >= 2 (negative control).
+    leg of V1 (x) V2 and of V2 (x) V1, by reshape: no leg is flipped and
+    neither K is embedded in the two-leg space.
     """
-
-    def kmat(kin):
-        if trivial_c:
-            c0 = reflect_kinematics(kin, params).gamma / kin.gamma
-            C = np.full(kin.M, c0, dtype=complex)
-            return closed_form_kmatrix(kin, params, c_override=C)
-        return closed_form_kmatrix(kin, params)
-
-    Km1, Km2 = kmat(kin1), kmat(kin2)
-    K1 = np.kron(np.eye(Km2.shape[0]), Km1)
-    K2 = np.kron(np.eye(Km1.shape[0]), Km2)
     R12, R_1_2r, R_2_1r, R_2r_1r = smatrices
-    return nm.rel_residual(K2 @ R_2_1r @ K1 @ R12, R_2r_1r @ K1 @ R_1_2r @ K2)
+    lhs = _on_right(K2, R_2_1r @ _on_right(K1, R12))
+    rhs = R_2r_1r @ _on_right(K1, R_1_2r @ _on_right(K2, np.eye(len(R12))))
+    return nm.rel_residual(lhs, rhs)
 
 
 def rational_shortening_residual(x_plus, x_minus, M: int, g) -> float:

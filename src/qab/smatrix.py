@@ -285,16 +285,29 @@ def intertwining_residual(R: np.ndarray, kin1: Kinematics, kin2: Kinematics,
     return dict(zip(gens, pair_residuals(R, intertwiner_system(kin1, kin2, params, gens))))
 
 
+def _on_left(R: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """(R (x) 1) T: R acts on the leading legs of the rows of T."""
+    return (R @ T.reshape(R.shape[1], -1)).reshape(-1, T.shape[1])
+
+
+def _on_right(R: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """(1 (x) R) T: R acts on the trailing legs of the rows of T."""
+    return (R @ T.reshape(-1, R.shape[1], T.shape[1])).reshape(-1, T.shape[1])
+
+
 def ybe_residual(
     kin1: Kinematics, kin2: Kinematics, kin3: Kinematics, params: ModelParams
 ) -> float:
     """Relative residual of (Ř23 (x) 1)(1 (x) Ř13)(Ř12 (x) 1) =
     (1 (x) Ř12)(Ř13 (x) 1)(1 (x) Ř23), from V1 (x) V2 (x) V3 to
-    V3 (x) V2 (x) V1.  Ř is even, so each factor is a plain Kronecker product.
+    V3 (x) V2 (x) V1.  Each factor acts on its two legs of the identity,
+    by reshape, so no factor is embedded in the three-leg space.
     """
-    I1, I2, I3 = (np.eye(build_basis(k.M).dim) for k in (kin1, kin2, kin3))
     R12, R13, R23 = (solve_intertwiner(a, b, params)
                      for a, b in ((kin1, kin2), (kin1, kin3), (kin2, kin3)))
-    lhs = np.kron(R23, I1) @ np.kron(I2, R13) @ np.kron(R12, I3)
-    rhs = np.kron(I3, R12) @ np.kron(R13, I2) @ np.kron(I1, R23)
+    dim = len(R12) * build_basis(kin3.M).dim
+    # a fresh identity per side, freed by its first factor: at most three
+    # dim x dim arrays are alive at once
+    lhs = _on_left(R23, _on_right(R13, _on_left(R12, np.eye(dim))))
+    rhs = _on_right(R12, _on_left(R13, _on_right(R23, np.eye(dim))))
     return rel_residual(lhs, rhs)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qab.kinematics import ModelParams, make_kinematics, solve_shortening
-from qab.kmatrix import _k_entries
+from qab.kinematics import ModelParams, make_kinematics, reflect_kinematics, solve_shortening
+from qab.kmatrix import _k_entries, closed_form_kmatrix
 from qab.representation import build_basis
 
 
@@ -43,6 +43,13 @@ def graded_permutation(space1, space2) -> np.ndarray:
         for j in range(d2):
             P[j * d1 + i, i * d2 + j] = (-1.0) ** (p1[i] * p2[j])
     return P
+
+
+def constant_c_kmatrix(kin, params):
+    """The closed-form K with C_k = C_0 = gamma_reflected / gamma at every k,
+    the trivial-C_k negative control of the reflection equation."""
+    c0 = reflect_kinematics(kin, params).gamma / kin.gamma
+    return closed_form_kmatrix(kin, params, c_override=np.full(kin.M, c0))
 
 
 def k_coefficients(K):

@@ -37,7 +37,7 @@ from qab.smatrix import (
     ybe_residual,
 )
 
-from conftest import k_coefficients
+from conftest import constant_c_kmatrix, k_coefficients
 
 PARAMS = ModelParams(q=1.1, g=0.4, gamma=1.2 + 0.3j, gamma_bar=0.8 - 0.5j)
 SEED = 7
@@ -135,12 +135,11 @@ def test_criterion_5_reflection_equation():
             kin1 = _sample(M1, 500 + 20 * i + 2 * s)
             kin2 = _sample(M2, 501 + 20 * i + 2 * s)
             smats = reflection_smatrices(kin1, kin2, PARAMS)
-            worst = max(worst, boundary_ybe_residual(kin1, kin2, PARAMS, smats))
+            K1, K2 = (closed_form_kmatrix(k, PARAMS) for k in (kin1, kin2))
+            worst = max(worst, boundary_ybe_residual(K1, K2, smats))
             if s == 0 and max(M1, M2) >= 2:
-                control = min(
-                    control,
-                    boundary_ybe_residual(kin1, kin2, PARAMS, smats, trivial_c=True),
-                )
+                T1, T2 = (constant_c_kmatrix(k, PARAMS) for k in (kin1, kin2))
+                control = min(control, boundary_ybe_residual(T1, T2, smats))
     _report(
         5, "reflection equation with trivial-C control",
         worst < 1e-8 and control > 1e-2,

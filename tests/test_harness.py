@@ -255,15 +255,18 @@ def test_cli_zero_coupling_exits_2(name, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, named",
-    [(["ybe", "--M", "3"], "M = 3"), (["bybe", "--M", "1,3"], "M = 3"),
-     (["ybe", "--M", "2,4,5"], "M = 4, 5"), (["coalgebra", "--M", "3"], "M = 3")],
-    ids=["ybe-3", "bybe-1,3", "ybe-2,4,5", "coalgebra-3"],
+    "argv, wanted",
+    [(["ybe", "--M", "3"], [[3, 3, 3]]),
+     (["bybe", "--M", "1,3"], [[1, 3], [3, 1], [3, 3]]),
+     (["coalgebra", "--M", "3"], [[3, 3]])],
+    ids=["ybe-3", "bybe-1,3", "coalgebra-3"],
 )
-def test_cli_composite_suites_reject_m_above_2(argv, named, capsys):
-    # coalgebra, ybe and bybe check M <= 2 only: a larger M is refused, not dropped
-    assert main(argv + ["--seed", "7"]) == 2
-    assert named in capsys.readouterr().err
+def test_cli_composite_suites_run_m_3(argv, wanted, tmp_path):
+    # coalgebra, ybe and bybe run the requested M > 2 and report its rows
+    out = tmp_path / "r.json"
+    assert main(argv + ["--seed", "7", "--out", str(out)]) == 0
+    seen = [c["M"] for c in json.loads(out.read_text())["checks"]]
+    assert [M for M in wanted if M not in seen] == []
 
 
 def test_cli_internal_error_exits_3(monkeypatch, capsys):

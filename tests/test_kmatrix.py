@@ -32,7 +32,7 @@ from qab.numerics import TOL_ALGEBRA, TOL_COMPOSITE, TOL_INTERTWINER, rel_residu
 from qab.representation import build_basis
 from qab.smatrix import pair_residuals, weight_nullspace
 
-from conftest import graded_permutation, k_coefficients, kin_at
+from conftest import constant_c_kmatrix, graded_permutation, k_coefficients, kin_at
 
 
 @pytest.fixture(scope="module")
@@ -209,49 +209,48 @@ def test_reflection_equation(pair, params_gammas):
     kin1 = kin_at(pair[0][0], pair[0][1], params_gammas)
     kin2 = kin_at(pair[1][0], pair[1][1], params_gammas)
     smats = reflection_smatrices(kin1, kin2, params_gammas)
-    assert boundary_ybe_residual(kin1, kin2, params_gammas, smats) < TOL_COMPOSITE
+    K1, K2 = (closed_form_kmatrix(k, params_gammas) for k in (kin1, kin2))
+    assert boundary_ybe_residual(K1, K2, smats) < TOL_COMPOSITE
 
 
 def test_trivial_ck_fails_reflection_equation(params_gammas):
     kin1 = kin_at(2, 0.9 - 1.1j, params_gammas)
     kin2 = kin_at(1, 1.3 + 0.8j, params_gammas)
     smats = reflection_smatrices(kin1, kin2, params_gammas)
-    res = boundary_ybe_residual(kin1, kin2, params_gammas, smats, trivial_c=True)
-    assert res > 1e-2
+    T1, T2 = (constant_c_kmatrix(k, params_gammas) for k in (kin1, kin2))
+    assert boundary_ybe_residual(T1, T2, smats) > 1e-2
 
 
-def _s_form_bybe_residual(kin1, kin2, params, smats, trivial_c):
+def _s_form_bybe_residual(Km1, Km2, smats):
     """K2 S_{2 1r} K1 S_{12} = S_{2r 1r} K1 S_{1 2r} K2 on V1 (x) V2, with
-    S = P_21 Ř and the two S of V2 (x) V1 carried over by the graded flip."""
-    s1, s2 = build_basis(kin1.M), build_basis(kin2.M)
+    S = P_21 Ř, the two S of V2 (x) V1 carried over by the graded flip and
+    both K embedded densely."""
+    s1, s2 = build_basis(len(Km1) // 4), build_basis(len(Km2) // 4)
     P12, P21 = graded_permutation(s1, s2), graded_permutation(s2, s1)
-
-    def kmat(kin):
-        C = None
-        if trivial_c:
-            C = np.full(kin.M, reflect_kinematics(kin, params).gamma / kin.gamma)
-        return closed_form_kmatrix(kin, params, c_override=C)
-
-    K1 = np.kron(kmat(kin1), np.eye(s2.dim))
-    K2 = np.kron(np.eye(s1.dim), kmat(kin2))
+    K1 = np.kron(Km1, np.eye(s2.dim))
+    K2 = np.kron(np.eye(s1.dim), Km2)
     R12, R_1_2r, R_2_1r, R_2r_1r = smats
     S12, S_1_2r = P21 @ R12, P21 @ R_1_2r
     S_2_1r, S_2r_1r = P21 @ (P12 @ R_2_1r) @ P12, P21 @ (P12 @ R_2r_1r) @ P12
     return rel_residual(K2 @ S_2_1r @ K1 @ S12, S_2r_1r @ K1 @ S_1_2r @ K2)
 
 
-@pytest.mark.parametrize("Ms", [(1, 1), (2, 1), (1, 2), (2, 2)], ids=str)
+@pytest.mark.parametrize(
+    "Ms", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)], ids=str
+)
 def test_braided_reflection_equation_matches_s_form(Ms, params_gammas):
-    # the braided residual equals the S-form one built with the graded flip,
-    # for the reflection equation and for its trivial-C_k control
-    kin1 = kin_at(Ms[0], 0.9 - 1.1j, params_gammas)
-    kin2 = kin_at(Ms[1], 1.4 + 0.5j, params_gammas)
-    smats = reflection_smatrices(kin1, kin2, params_gammas)
-    res = boundary_ybe_residual(kin1, kin2, params_gammas, smats)
-    assert abs(res - _s_form_bybe_residual(kin1, kin2, params_gammas, smats, False)) < 1e-13
+    # the leg-wise braided residual equals the S-form one built with the
+    # graded flip and dense embeddings, for the reflection equation and for
+    # its trivial-C_k control; unequal legs would expose a wrong reshape
+    kins = (kin_at(Ms[0], 0.9 - 1.1j, params_gammas), kin_at(Ms[1], 1.4 + 0.5j, params_gammas))
+    smats = reflection_smatrices(*kins, params_gammas)
+    K1, K2 = (closed_form_kmatrix(k, params_gammas) for k in kins)
+    res = boundary_ybe_residual(K1, K2, smats)
+    assert abs(res - _s_form_bybe_residual(K1, K2, smats)) < 1e-13
     if max(Ms) >= 2:
-        ctl = boundary_ybe_residual(kin1, kin2, params_gammas, smats, trivial_c=True)
-        ref = _s_form_bybe_residual(kin1, kin2, params_gammas, smats, True)
+        T1, T2 = (constant_c_kmatrix(k, params_gammas) for k in kins)
+        ctl = boundary_ybe_residual(T1, T2, smats)
+        ref = _s_form_bybe_residual(T1, T2, smats)
         assert abs(ctl - ref) < 1e-12 * ref
 
 

@@ -169,9 +169,14 @@ def _s_form_ybe_residual(kins, params):
     return rel_residual(S23 @ S13 @ S12, S12 @ S13 @ S23)
 
 
-@pytest.mark.parametrize("Ms", [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1)], ids=str)
+@pytest.mark.parametrize(
+    "Ms",
+    [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1), (3, 1, 2), (1, 3, 2), (2, 1, 3)],
+    ids=str,
+)
 def test_braided_ybe_matches_s_form(Ms, params, kin_of):
-    # the braid relation equals the S-form YBE up to a signed permutation
+    # the leg-wise braid relation equals the dense S-form YBE up to a signed
+    # permutation; unequal legs would expose a wrong reshape
     xms = [1.3 + 0.8j, 0.9 - 1.1j, -0.8 + 1.2j]
     kins = [kin_of(M, xm) for M, xm in zip(Ms, xms)]
     assert abs(ybe_residual(*kins, params) - _s_form_ybe_residual(kins, params)) < 1e-13
