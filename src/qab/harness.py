@@ -31,7 +31,7 @@ from .kinematics import (
     reflect_kinematics,
 )
 from .representation import build_basis, verify_algebra
-from .smatrix import IntertwinerError
+from .smatrix import NULL_GAP, VerificationError, spectral_gap
 
 SCHEMA_VERSION = 1
 
@@ -49,11 +49,6 @@ TOL_TIERS = {
     "intertwiner": nm.TOL_INTERTWINER,
     "composite": nm.TOL_COMPOSITE,
 }
-
-
-#: The largest sigma_1 / sigma_2 of a unique intertwiner's system: above it
-#: the null vector is not separated from the next singular vector.
-NULL_GAP = 1e-6
 
 
 class ConfigError(ValueError):
@@ -134,10 +129,10 @@ def load_config(path: str | None = None, data: dict | None = None) -> RunConfig:
         if not (isinstance(M, list) and M and all(_is_number(m, int) and m >= 1 for m in M)):
             raise ConfigError("M: expected a non-empty list of positive integers")
         out["M"] = tuple(M)
-    for name in ("samples", "seed"):
+    for name, least in (("samples", 1), ("seed", 0)):
         if name in data:
-            if not _is_number(data[name], int) or data[name] < 0:
-                raise ConfigError(f"{name}: expected a non-negative integer")
+            if not _is_number(data[name], int) or data[name] < least:
+                raise ConfigError(f"{name}: expected an integer >= {least}")
             out[name] = data[name]
     if "precision" in data:
         text = data["precision"]
@@ -284,10 +279,15 @@ def suite_rep_check(cfg: RunConfig):
         return _map_points(one, jobs)
 
 
-def _certificate(sv, shape) -> dict:
-    """sigma_1 and sigma_2 over sigma_max, and the system's [rows, unknowns]."""
-    return {"sigma_1_over_max": float(sv[-1] / sv[0]),
-            "sigma_2_over_max": float(sv[-2] / sv[0]), "shape": list(shape)}
+def _gap_check(suite, name, M, solution, invert=False, extra=None):
+    """The row of a null-space ``solution`` (X, sv, shape): its spectral gap
+    sigma_1 / sigma_2 against NULL_GAP, with sigma_1 and sigma_2 over
+    sigma_max and the system's [rows, unknowns] as its certificate."""
+    _, sv, shape = solution
+    return _check(suite, name, M, spectral_gap(sv), NULL_GAP, invert=invert, extra={
+        "sigma_1_over_max": float(sv[-1] / sv[0]),
+        "sigma_2_over_max": float(sv[-2] / sv[0]), "shape": list(shape), **(extra or {}),
+    })
 
 
 def _per_point(cfg: RunConfig, offset: int, jobs, check):
@@ -337,25 +337,18 @@ def suite_smatrix(cfg: RunConfig):
         Ms = (kin1.M, kin2.M)
         conds = {"cond_V": smatrix.adapted_bases(*Ms, params.q).cond_V,  # V1 (x) V2
                  "cond_W": smatrix.adapted_bases(*Ms[::-1], params.q).cond_V}  # V2 (x) V1
-        S, sv, shape = smatrix.unique_intertwiner(
-            smatrix.commutant_nullspace(kin1, kin2, params)
-        )
+        solution = smatrix.commutant_nullspace(kin1, kin2, params)
+        rows = [_gap_check("smatrix", "null-dimension", Ms, solution, extra=conds)]
+        if not rows[0]["passed"]:
+            return rows  # no unique S to check further
+        S = smatrix.unique_intertwiner(solution)
         res = smatrix.intertwining_residual(S, kin1, kin2, params)
-        rows = [
-            _check(
-                "smatrix", "null-dimension", Ms, sv[-1] / sv[-2], NULL_GAP,
-                extra={**_certificate(sv, shape), **conds},
-            ),
-            _check("smatrix", "intertwining", Ms, max(res.values()), tol),
-        ]
+        rows.append(_check("smatrix", "intertwining", Ms, max(res.values()), tol))
         if min(Ms) >= 2:
-            _, sv, nd, shape = smatrix.commutant_nullspace(
-                kin1, kin2, params, smatrix.SANS_AFFINE
-            )
-            rows.append(_check(
-                "smatrix", "affine-ablation", Ms, nd, 1.5, invert=True,
-                extra={"note": "null dimension must exceed 1 without E4, F4",
-                       **_certificate(sv, shape), **conds},
+            rows.append(_gap_check(
+                "smatrix", "affine-ablation", Ms,
+                smatrix.commutant_nullspace(kin1, kin2, params, smatrix.SANS_AFFINE),
+                invert=True, extra={"note": "no spectral gap without E4, F4", **conds},
             ))
         return rows
 
@@ -394,11 +387,9 @@ def suite_kmatrix(cfg: RunConfig):
         ]
         if M >= 2:
             system = kmatrix.boundary_system(kin, params, kmatrix.PRESERVED_CHARGES)
-            _, sv, nd, shape = smatrix.weight_nullspace(*system)
-            rows.append(_check(
-                "kmatrix", "twisted-ablation", M, nd, 1.5, invert=True,
-                extra={"note": "null dimension must reach 2 without twisted charges",
-                       **_certificate(sv, shape)},
+            rows.append(_gap_check(
+                "kmatrix", "twisted-ablation", M, smatrix.weight_nullspace(*system),
+                invert=True, extra={"note": "no spectral gap without twisted charges"},
             ))
             sym = kmatrix.ck_symmetry_residual(kin, params)
             rows.append(_check("kmatrix", "ck-covariance", M, sym.max(), tol_a))
@@ -579,7 +570,7 @@ def main(argv=None) -> int:
     except (ConfigError, KinematicsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except IntertwinerError as exc:
+    except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except Exception as exc:

@@ -29,6 +29,7 @@ from .kinematics import (
 from .numerics import qint
 from .representation import RepSpace, all_generators, build_basis
 from .smatrix import (
+    VerificationError,
     _on_right,
     leg_weights,
     pair_residuals,
@@ -156,9 +157,10 @@ def closed_form_kmatrix(kin: Kinematics, params: ModelParams, c_override=None) -
     N = [k] b_ c_ + [M-k] a_ d_ (underscore marks reflected labels), all
     evaluated at once over k = 0..M.  N is cross-checked against its x-form,
     and the explicit x-parametrized forms of A, B, D, E are evaluated
-    independently and compared entrywise.  c_override substitutes a
-    different C array (used by the trivial-solution negative control); the
-    explicit forms assume the true C_k, so that comparison is skipped then.
+    independently and compared entrywise; either disagreement raises
+    VerificationError.  c_override substitutes a different C array (used by
+    the trivial-solution negative control); the explicit forms assume the
+    true C_k, so that comparison is skipped then.
     """
     M, q = kin.M, params.q
     kin_ref = reflect_kinematics(kin, params)
@@ -179,13 +181,13 @@ def closed_form_kmatrix(kin: Kinematics, params: ModelParams, c_override=None) -
     N_x = (kin.V * q ** (M / 2 - k) - q ** (k - M / 2) / kin.V) / (q - 1 / q)
     N_c = N.astype(complex)
     if np.any(np.abs(N_c - N_x.astype(complex)) / np.maximum(1.0, np.abs(N_c)) > tol):
-        raise KinematicsError("normalization factor closed form disagrees")
+        raise VerificationError("normalization factor closed form disagrees")
     if c_override is None:
         explicit = _explicit_coefficients(kin, kin_ref, C, params, N_x)
         for name, lhs, rhs in zip("ABDE", (A, B, D, E), explicit):
             res = nm.rel_residual(lhs, rhs)
             if res > tol:
-                raise KinematicsError(
+                raise VerificationError(
                     f"{name} coefficients disagree with explicit form ({res:.3e})"
                 )
     return _assemble(M, A, B, C, D, E)
@@ -211,7 +213,7 @@ def boundary_system(kin: Kinematics, params: ModelParams, charges=BOUNDARY_CHARG
 
 def solve_boundary_intertwiner(kin: Kinematics, params: ModelParams) -> np.ndarray:
     """K as the unique intertwiner of every boundary charge, A_0 = 1."""
-    return unique_intertwiner(weight_nullspace(*boundary_system(kin, params)))[0]
+    return unique_intertwiner(weight_nullspace(*boundary_system(kin, params)))
 
 
 def invariance_residual(K: np.ndarray, kin: Kinematics, params: ModelParams) -> dict:

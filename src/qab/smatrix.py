@@ -8,8 +8,8 @@ onto V1 (x) V2, but no P is built: each factor of Ř in the Yang-Baxter and
 reflection equations acts on two adjacent legs.  The boundary K-matrix is
 the same kind of null space on one leg.  Both come out of one dense QR +
 SVD solver (``_null_space``) for an unknown on a given set of entries.
-``unique_intertwiner`` is the one uniqueness rule: a null dimension of
-exactly 1, and the normalization at the [0, 0] entry.
+``unique_intertwiner`` is the one uniqueness rule: a spectral gap
+sigma_1 / sigma_2 <= NULL_GAP, and the normalization at the [0, 0] entry.
 
 K (``weight_nullspace``) is supported on the entries that join states of
 equal (H1, H3) weight.  Ř also intertwines the bosonic U_q(su(2)) +
@@ -43,13 +43,13 @@ SANS_AFFINE = tuple(g for g in DEFAULT_GENERATORS if g not in ("E4", "F4"))
 #: The raising and lowering generators of the bosonic U_q(su(2)) pairs.
 BOSONIC = tuple(g for g in BOSONIC_GENERATORS if not g.startswith("K"))
 
-#: Singular values below this multiple of max(shape) * eps * sigma_max count
-#: as zero when the null-space dimension is read off.
-_NULL_RTOL = 1e3
+#: The largest sigma_1 / sigma_2 of a unique intertwiner's system: above it
+#: the null vector is not separated from the next singular vector.
+NULL_GAP = 1e-6
 
 
-class IntertwinerError(RuntimeError):
-    """Null space empty or degenerate."""
+class VerificationError(RuntimeError):
+    """A verification cannot complete: no unique S or K, or two forms disagree."""
 
 
 def leg_weights(space: RepSpace) -> list:
@@ -71,12 +71,13 @@ def _null_space(pairs, ui, uj, unknown):
     delta_ai A[j, b] - delta_bj B[a, i] on the entry X[i, j], so support entry
     (i, j) reaches only the rows (i, b) with A[j, b] != 0 and (a, j) with
     B[a, i] != 0; rows reached by no entry are identically zero and are never
-    built.  Each pair's block of rows is assembled dense and reduced to its
+    built.  Each pair's block of rows is divided by its largest coefficient,
+    which keeps its null space but puts every generator on one scale (the
+    boundary charges grow like q^M), assembled dense and reduced to its
     triangular QR factor, the stacked factors once more, so that no more
     than one pair's rows are held at a time, and an SVD of that gives the
     singular values of the whole system R with its right singular vectors.
-    null_dim = #{sigma < 1e3 max(m, n) eps sigma_max}.  Returns
-    (X, sv, null_dim, (m, n)): X holds the right singular vector of the
+    Returns (X, sv, (m, n)): X holds the right singular vector of the
     smallest sigma, and sv all n singular values, descending, padded with
     zeros when R has fewer rows than unknowns.
     """
@@ -86,25 +87,24 @@ def _null_space(pairs, ui, uj, unknown):
         e, b = np.nonzero(A[uj])  # entry e times A[uj, b] lands on row (ui, b)
         f, a = np.nonzero(B[:, ui].T)  # and entry f times -B[a, ui] on (a, uj)
         rows = np.unique(np.concatenate([ui[e] * dim + b, a * dim + uj[f]]), return_inverse=True)[1]
+        values = np.concatenate([A[uj[e], b], -B[a, ui[f]]])
         block = np.zeros((rows.max() + 1, n), dtype=complex)
-        np.add.at(block, (rows, unknown[np.concatenate([e, f])]),
-                  np.concatenate([A[uj[e], b], -B[a, ui[f]]]))
+        np.add.at(block, (rows, unknown[np.concatenate([e, f])]), values / np.abs(values).max())
         m += len(block)
         # only a block taller than wide shrinks under QR
         factors.append(np.linalg.qr(block, mode="r") if len(block) > n else block)
     _, sv, vh = np.linalg.svd(np.linalg.qr(np.vstack(factors), mode="r"))
     sv = np.concatenate([sv, np.zeros(n - len(sv))])
-    null_dim = int(np.sum(sv < max(m, n) * np.finfo(float).eps * sv[0] * _NULL_RTOL))
     X = np.zeros((dim, dim), dtype=complex)
     X[ui, uj] = vh[-1].conj()[unknown]
-    return X, sv, null_dim, (m, n)
+    return X, sv, (m, n)
 
 
 def weight_nullspace(pairs, weights):
     """Null space of X -> X A - B X over every (A, B) in ``pairs``, X being
     supported on the entries X[i, j] with weights[i] == weights[j].
 
-    Returns (X, sv, null_dim, (rows, unknowns)) as _null_space does.
+    Returns (X, sv, (rows, unknowns)) as _null_space does.
     """
     w = np.asarray(weights)
     ui, uj = np.nonzero((w[:, None, :] == w[None, :, :]).all(axis=-1))
@@ -230,8 +230,8 @@ def commutant_nullspace(kin1: Kinematics, kin2: Kinematics, params: ModelParams,
     """Null space of Ř Delta_12(J) = Delta_21(J) Ř over ``generators``, which
     must include E1, F1, E3, F3, solved in the bosonic commutant
     Ř = V_21 C V_12^-1: only the other generators give equations.  Returns
-    (Ř, sv, null_dim, (rows, unknowns)) as weight_nullspace does.  With
-    SANS_AFFINE the null space exceeds one dimension (the ablation).
+    (Ř, sv, (rows, unknowns)) as weight_nullspace does.  With SANS_AFFINE
+    the null space exceeds one dimension: no spectral gap (the ablation).
     """
     if not set(BOSONIC) <= set(generators):
         raise ValueError(f"the commutant needs {', '.join(BOSONIC)} among the generators")
@@ -242,27 +242,33 @@ def commutant_nullspace(kin1: Kinematics, kin2: Kinematics, params: ModelParams,
         (V12.V_inv @ A @ V12.V, V21.V_inv @ B @ V21.V)
         for A, B in intertwiner_system(kin1, kin2, params, fermionic)
     ]
-    C, sv, null_dim, shape = _null_space(pairs, *V12.support)
-    return V21.V @ C @ V12.V_inv, sv, null_dim, shape
+    C, sv, shape = _null_space(pairs, *V12.support)
+    return V21.V @ C @ V12.V_inv, sv, shape
 
 
-def unique_intertwiner(solution):
-    """The one intertwiner of a null-space ``solution`` (X, sv, null_dim,
-    shape), as weight_nullspace and commutant_nullspace return it, scaled so
-    its [0, 0] element is 1; returns (X, sv, shape).
+def spectral_gap(sv) -> float:
+    """sigma_1 / sigma_2 of descending ``sv``; inf (no gap) when sigma_2 = 0."""
+    return float(sv[-1] / sv[-2]) if sv[-2] > 0 else np.inf
+
+
+def unique_intertwiner(solution) -> np.ndarray:
+    """The one intertwiner of a null-space ``solution`` (X, sv, shape), as
+    weight_nullspace and commutant_nullspace return it, scaled so its [0, 0]
+    element is 1.
 
     Basis index 0 is the state |0,0,0,M> of a leg, and |0,0,0,Ma> (x)
-    |0,0,0,Mb> of a product Va (x) Vb.  Raises IntertwinerError unless the
-    null space is one-dimensional and that element is nonzero.
+    |0,0,0,Mb> of a product Va (x) Vb.  Raises VerificationError unless
+    sigma_1 / sigma_2 <= NULL_GAP and that element is nonzero.
     """
-    X, sv, null_dim, shape = solution
-    if null_dim != 1:
-        raise IntertwinerError(f"null-space dimension {null_dim}, expected 1")
+    X, sv, _ = solution
+    gap = spectral_gap(sv)
+    if not gap <= NULL_GAP:
+        raise VerificationError(f"no spectral gap: sigma_1 / sigma_2 = {gap:.3g}")
     if abs(X[0, 0]) < 1e-12:
-        raise IntertwinerError("[0, 0] matrix element vanishes; resample")
+        raise VerificationError("[0, 0] matrix element vanishes; resample")
     X = X / X[0, 0]
     X[0, 0] = 1  # complex x / x can round to 1 - 2^-53
-    return X, sv, shape
+    return X
 
 
 def pair_residuals(X: np.ndarray, pairs) -> list:
@@ -275,7 +281,7 @@ def solve_intertwiner(kin1: Kinematics, kin2: Kinematics, params: ModelParams) -
     """The unique braided intertwiner Ř: V1 (x) V2 -> V2 (x) V1, normalized
     so the highest joint state |0,0,0,M1> (x) |0,0,0,M2> maps to
     |0,0,0,M2> (x) |0,0,0,M1> with coefficient 1."""
-    return unique_intertwiner(commutant_nullspace(kin1, kin2, params))[0]
+    return unique_intertwiner(commutant_nullspace(kin1, kin2, params))
 
 
 def intertwining_residual(R: np.ndarray, kin1: Kinematics, kin2: Kinematics,

@@ -29,10 +29,12 @@ from qab.kmatrix import (
 )
 from qab.representation import build_basis, verify_algebra
 from qab.smatrix import (
+    NULL_GAP,
     SANS_AFFINE,
     commutant_nullspace,
     intertwining_residual,
     solve_intertwiner,
+    spectral_gap,
     weight_nullspace,
     ybe_residual,
 )
@@ -72,7 +74,7 @@ def test_criterion_1_representation_validity():
 
 
 def test_criterion_2_smatrix_uniqueness():
-    # solve_intertwiner raises unless the null dimension is 1
+    # solve_intertwiner raises unless sigma_1 / sigma_2 <= NULL_GAP
     worst = 0.0
     ablation_ok = True
     for i, (M1, M2) in enumerate((a, b) for a in (1, 2, 3) for b in (1, 2, 3)):
@@ -84,12 +86,13 @@ def test_criterion_2_smatrix_uniqueness():
             # the affine supercharges are what force uniqueness; with a
             # fundamental leg the subalgebra suffices, so the ablation is
             # probed on the bound-state pairs
-            nd = commutant_nullspace(kin1, kin2, PARAMS, SANS_AFFINE)[2]
-            ablation_ok &= nd > 1
+            sv = commutant_nullspace(kin1, kin2, PARAMS, SANS_AFFINE)[1]
+            ablation_ok &= spectral_gap(sv) > NULL_GAP
     _report(
         2, "S-matrix uniqueness and affine ablation",
         ablation_ok and worst < 1e-10,
-        f"null dims 1, worst intertwining residual {worst:.2e}, ablation raises dim",
+        f"gaps below {NULL_GAP:g}, worst intertwining residual {worst:.2e}, "
+        "ablation closes the gap",
     )
 
 
@@ -119,11 +122,11 @@ def test_criterion_4_kmatrix_equivalence():
             # at M = 1 the preserved subalgebra already fixes K; the twisted
             # charges become essential from M = 2 on
             system = boundary_system(kin, PARAMS, PRESERVED_CHARGES)
-            ablation_ok &= weight_nullspace(*system)[2] >= 2
+            ablation_ok &= spectral_gap(weight_nullspace(*system)[1]) > NULL_GAP
     _report(
         4, "closed-form K equals intertwiner K",
         worst < 1e-9 and ablation_ok,
-        f"worst scalar-aligned difference {worst:.2e}, twisted ablation degenerates",
+        f"worst scalar-aligned difference {worst:.2e}, twisted ablation closes the gap",
     )
 
 

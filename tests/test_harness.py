@@ -9,7 +9,6 @@ import pytest
 
 from qab import smatrix
 from qab.harness import (
-    NULL_GAP,
     ConfigError,
     RunConfig,
     config_echo,
@@ -20,6 +19,7 @@ from qab.harness import (
     sample_kinematics,
 )
 from qab.kinematics import shortening_residual
+from qab.smatrix import NULL_GAP, spectral_gap
 
 
 def test_defaults_applied():
@@ -88,7 +88,8 @@ def test_sampling_deterministic():
 
 
 def test_sampled_points_generically_unique_smatrix():
-    # batch statistic: sampled pairs give a one-dimensional null space
+    # batch statistic: sampled pairs give a one-dimensional null space, a
+    # spectral gap sigma_1 / sigma_2 below NULL_GAP
     cfg = RunConfig()
     params = cfg.params()
     rng = np.random.default_rng(42)
@@ -97,7 +98,7 @@ def test_sampled_points_generically_unique_smatrix():
     for _ in range(n):
         kin1 = sample_kinematics(2, params, rng)
         kin2 = sample_kinematics(1, params, rng)
-        good += smatrix.commutant_nullspace(kin1, kin2, params)[2] == 1
+        good += spectral_gap(smatrix.commutant_nullspace(kin1, kin2, params)[1]) <= NULL_GAP
     assert good >= int(0.95 * n)
 
 
@@ -178,6 +179,7 @@ def test_cli_negative_seed_exits_2(tmp_path):
     # the CLI flags go through the same validation as a config file
     assert main(["unitarity", "--M", "1", "--seed", "-1"]) == 2
     assert main(["unitarity", "--M", "1", "--samples", "-1"]) == 2
+    assert main(["rep-check", "--M", "1", "--samples", "0"]) == 2
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": -1}))
     assert main(["unitarity", "--config", str(path), "--M", "1"]) == 2
@@ -269,6 +271,22 @@ def test_cli_composite_suites_run_m_3(argv, wanted, tmp_path):
     assert [M for M in wanted if M not in seen] == []
 
 
+def test_cli_closed_form_disagreement_exits_1(tmp_path, capsys):
+    # at q = 1.5, M = 20 the closed-form K and its explicit x-form part by
+    # more than TOL_ALGEBRA: a failed verification, not a usage error
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"q": 1.5}))
+    assert main(["unitarity", "--config", str(path), "--M", "20", "--seed", "1"]) == 1
+    assert "A coefficients disagree with explicit form" in capsys.readouterr().err
+
+
+def test_kmatrix_at_m22_and_q15_passes():
+    # the twisted charges grow like q^M; on one scale per generator the
+    # K system keeps its gap up to M = 22 at q = 1.5
+    report = run_suite("kmatrix", load_config(data={"q": 1.5, "M": [22], "seed": 7}))
+    assert report["passed"] and len(report["checks"]) == 4
+
+
 def test_cli_internal_error_exits_3(monkeypatch, capsys):
     from qab import harness
 
@@ -353,19 +371,20 @@ def test_solver_rows_carry_the_certificate():
 
 def test_null_dimension_row_fails_without_a_gap(monkeypatch):
     # a second singular value at the floor (sigma_1 / sigma_2 ~ 1) fails the
-    # row, though the solver's rule still counts one null vector
+    # row, and the point reports that row alone instead of aborting the suite
     solve = smatrix.commutant_nullspace
 
     def flat_gap(kin1, kin2, params, generators=smatrix.DEFAULT_GENERATORS):
-        S, sv, null_dim, shape = solve(kin1, kin2, params, generators)
+        S, sv, shape = solve(kin1, kin2, params, generators)
         sv = sv.copy()
         sv[-2] = 2 * sv[-1]
-        return S, sv, null_dim, shape
+        return S, sv, shape
 
     monkeypatch.setattr(smatrix, "commutant_nullspace", flat_gap)
     report = run_suite("smatrix", load_config(data={"M": [1], "samples": 1}))
     row = next(r for r in report["checks"] if r["check"] == "null-dimension")
     assert row["residual"] == 0.5 and not row["passed"] and not report["passed"]
+    assert [r["check"] for r in report["checks"]] == ["null-dimension"]
 
 
 def _coalgebra_rows(M1, M2):

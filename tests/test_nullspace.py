@@ -1,11 +1,13 @@
 """The shared null-space solver against dense references.
 
 The reference stacks the full Kronecker system vec(X A - B X) = 0 over every
-dim^2 unknown, with no weight support and no row selection, and reads the
-null space off an SVD.  The weight-supported solve (weight_nullspace) must
-reproduce its null dimension and null space, and the commutant solve of the
-braided S-matrix Ř (commutant_nullspace) must reproduce the weight-supported
-one, carried to Ř's index sets by the graded flip.
+dim^2 unknown, with no weight support, no row selection and no rescaling,
+and reads the null dimension off an SVD by a rank count.  The
+weight-supported solve (weight_nullspace) must reproduce its null space, and
+its spectral-gap verdict must call a system unique exactly when the rank
+count finds one null vector; the commutant solve of the braided S-matrix Ř
+(commutant_nullspace) must reproduce the weight-supported one, carried to
+Ř's index sets by the graded flip.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 
 from qab import smatrix
 from qab.coalgebra import Leg, coproduct
+from qab.harness import sample_kinematics
 from qab.kmatrix import (
     BOUNDARY_CHARGES,
     PRESERVED_CHARGES,
@@ -26,29 +29,46 @@ from qab.representation import build_basis
 from qab.smatrix import (
     BOSONIC,
     DEFAULT_GENERATORS,
+    NULL_GAP,
     SANS_AFFINE,
-    _NULL_RTOL,
     adapted_bases,
     commutant_nullspace,
     intertwiner_system,
     pair_residuals,
     product_weights,
     solve_intertwiner,
+    spectral_gap,
+    unique_intertwiner,
     weight_nullspace,
 )
 
 from conftest import graded_permutation, kin_at
 
+#: The reference's rank rule: singular values below this multiple of
+#: max(shape) * eps * sigma_max count as zero.
+_RANK_RTOL = 1e3
+
+
+def _rank_null_dim(sv, shape) -> int:
+    """The number of singular values ``sv`` of a system of ``shape`` that the
+    rank rule counts as zero."""
+    return int(np.sum(sv < max(shape) * np.finfo(float).eps * sv[0] * _RANK_RTOL))
+
+
+def _unique(sv) -> bool:
+    """The solver's verdict: a spectral gap sigma_1 / sigma_2 <= NULL_GAP."""
+    return spectral_gap(sv) <= NULL_GAP
+
 
 def _kronecker_nullspace(pairs):
     """(singular values, null dimension, orthonormal null basis as flattened
-    dim x dim matrices) of the full Kronecker system, by the solver's rule."""
+    dim x dim matrices) of the full Kronecker system, by the rank rule."""
     dim = pairs[0][0].shape[0]
     ident = np.eye(dim)
     # row-major vec: vec(X A - B X) = (kron(I, A^T) - kron(B, I)) vec(X)
     R = np.vstack([np.kron(ident, A.T) - np.kron(B, ident) for A, B in pairs])
     _, sv, vh = np.linalg.svd(R, full_matrices=False)
-    null_dim = int(np.sum(sv < max(R.shape) * np.finfo(float).eps * sv[0] * _NULL_RTOL))
+    null_dim = _rank_null_dim(sv, R.shape)
     return sv, null_dim, vh[len(vh) - null_dim:].conj().T
 
 
@@ -93,9 +113,9 @@ def test_kmatrix_solve_at_m8(params_gammas):
     # weight-supported one stays small
     kin = kin_at(8, 1.4 + 0.6j, params_gammas)
     Ks = solve_boundary_intertwiner(kin, params_gammas)
-    assert weight_nullspace(*boundary_system(kin, params_gammas))[2] == 1
+    assert _unique(weight_nullspace(*boundary_system(kin, params_gammas))[1])
     assert compare_kmatrices(closed_form_kmatrix(kin, params_gammas), Ks) < TOL_INTERTWINER
-    assert weight_nullspace(*boundary_system(kin, params_gammas, PRESERVED_CHARGES))[2] >= 2
+    assert not _unique(weight_nullspace(*boundary_system(kin, params_gammas, PRESERVED_CHARGES))[1])
 
 
 def _s_points(params, Ms):
@@ -123,15 +143,17 @@ def test_solver_matches_dense_qr_svd(kind, size, generators, params_gammas):
         s1, s2 = build_basis(size[0]), build_basis(size[1])
         P12, P21 = graded_permutation(s1, s2), graded_permutation(s2, s1)
         pairs = intertwiner_system(kin1, kin2, params_gammas, generators)
-        X, sv, null_dim, (rows, unknowns) = weight_nullspace(
+        X, sv, (rows, unknowns) = weight_nullspace(
             [(A, P21 @ B @ P12) for A, B in pairs], product_weights(s1, s2)
         )
-        R, svc, null_dim_c, (rows_c, unknowns_c) = commutant_nullspace(
+        R, svc, (rows_c, unknowns_c) = commutant_nullspace(
             kin1, kin2, params_gammas, generators
         )
-        assert null_dim_c == null_dim
+        # the rank rule on the weight-supported system is the reference here
+        unique = _rank_null_dim(sv, (rows, unknowns)) == 1
+        assert _unique(sv) == _unique(svc) == unique
         assert unknowns_c < unknowns and rows_c < rows
-        if null_dim == 1:
+        if unique:
             assert rel_residual(P21 @ R / R[0, 0], X / X[0, 0]) < 1e-12
         else:
             # any unit vector of the null space will do: it must solve the system
@@ -140,9 +162,9 @@ def test_solver_matches_dense_qr_svd(kind, size, generators, params_gammas):
         return
     # the weight-supported dense solve of K against the full Kronecker system
     pairs, weights = _k_system(params_gammas, size, generators)
-    X, sv, null_dim, _ = weight_nullspace(pairs, weights)
+    X, sv, _ = weight_nullspace(pairs, weights)
     _, null_dim_o, basis = _kronecker_nullspace(pairs)
-    assert null_dim == null_dim_o
+    assert _unique(sv) == (null_dim_o == 1)
     x = X.ravel()
     assert np.linalg.norm(x - basis @ (basis.conj().T @ x)) < 1e-12
     assert list(sv) == sorted(sv, reverse=True)
@@ -153,8 +175,8 @@ def test_affine_ablation_needs_two_bound_states(params):
     # >= 2; with an M = 1 factor the bosonic and bulk generators suffice
     for Ms, degenerate in [((2, 2), True), ((3, 3), True), ((3, 2), True),
                            ((1, 1), False), ((1, 3), False), ((3, 1), False)]:
-        null_dim = commutant_nullspace(*_s_points(params, Ms), params, SANS_AFFINE)[2]
-        assert (null_dim > 1) if degenerate else (null_dim == 1), Ms
+        sv = commutant_nullspace(*_s_points(params, Ms), params, SANS_AFFINE)[1]
+        assert _unique(sv) != degenerate, Ms
 
 
 def test_commutant_needs_the_bosonic_generators(params):
@@ -213,3 +235,31 @@ def test_solver_is_deterministic(params_gammas):
     weight_nullspace(*_k_system(params_gammas, 3, BOUNDARY_CHARGES))
     assert np.array_equal(weight_nullspace(pairs, weights)[0], X1)
     assert np.array_equal(commutant_nullspace(kin1, kin2, params_gammas)[0], S1)
+
+
+def test_gap_does_not_move_with_the_scale_of_a_generator(params_gammas):
+    # each generator's equations are put on one scale, so multiplying one
+    # pair by 1e8 leaves the gap and the solution where they were
+    pairs, weights = _k_system(params_gammas, 4, BOUNDARY_CHARGES)
+    X, sv, _ = weight_nullspace(pairs, weights)
+    (A, B), rest = pairs[0], pairs[1:]
+    Y, sv_scaled, _ = weight_nullspace([(1e8 * A, 1e8 * B), *rest], weights)
+    assert 0.5 < spectral_gap(sv_scaled) / spectral_gap(sv) < 2
+    K = unique_intertwiner((X, sv, None))
+    assert rel_residual(unique_intertwiner((Y, sv_scaled, None)), K) < 1e-13
+
+
+def test_unique_and_ablated_gaps_keep_their_margin(params):
+    # sampled points of the default couplings: unique systems sit at least
+    # three decades below NULL_GAP and ablated ones two above
+    for index, Ms in enumerate([(2, 2), (2, 3), (3, 2)]):
+        rng = np.random.default_rng([1, index])
+        kin1, kin2 = (sample_kinematics(M, params, rng) for M in Ms)
+        assert spectral_gap(commutant_nullspace(kin1, kin2, params)[1]) <= 1e-9, Ms
+        ablated = commutant_nullspace(kin1, kin2, params, SANS_AFFINE)[1]
+        assert spectral_gap(ablated) >= 1e-4, Ms
+    for M in (2, 3, 4, 6):
+        kin = sample_kinematics(M, params, np.random.default_rng([1, 100 + M]))
+        assert spectral_gap(weight_nullspace(*boundary_system(kin, params))[1]) <= 1e-9, M
+        ablated = weight_nullspace(*boundary_system(kin, params, PRESERVED_CHARGES))[1]
+        assert spectral_gap(ablated) >= 1e-4, M

@@ -13,12 +13,14 @@ from qab.kinematics import reflect_kinematics
 from qab.numerics import TOL_ALGEBRA, TOL_COMPOSITE, rel_residual
 from qab.smatrix import (
     DEFAULT_GENERATORS,
+    NULL_GAP,
     SANS_AFFINE,
-    IntertwinerError,
+    VerificationError,
     commutant_nullspace,
     intertwining_residual,
     product_weights,
     solve_intertwiner,
+    spectral_gap,
     unique_intertwiner,
     ybe_residual,
 )
@@ -40,7 +42,8 @@ def points(kin_of):
 
 
 def test_fundamental_null_space_is_one_dimensional(points, params):
-    S, sv, _ = unique_intertwiner(commutant_nullspace(points[1], points["1b"], params))
+    solution = commutant_nullspace(points[1], points["1b"], params)
+    S, sv = unique_intertwiner(solution), solution[1]
     assert S.shape == (16, 16)
     # SVD oracle: exactly one vanishing singular value
     assert sv[-1] < 1e-12 and sv[-2] > 1e-3
@@ -109,23 +112,27 @@ def test_braided_intertwiner_is_the_flipped_s_matrix(k1, k2, points, params):
 def test_affine_ablation_raises_dimension(points, params):
     # with both bound-state numbers >= 2 the subalgebra alone no longer fixes
     # S; the affine generators are what force uniqueness
-    nd_full = commutant_nullspace(points[2], points["2b"], params)[2]
-    nd_ablated = commutant_nullspace(points[2], points["2b"], params, SANS_AFFINE)[2]
-    assert nd_full == 1
-    assert nd_ablated > 1
+    sv_full = commutant_nullspace(points[2], points["2b"], params)[1]
+    sv_ablated = commutant_nullspace(points[2], points["2b"], params, SANS_AFFINE)[1]
+    assert spectral_gap(sv_full) <= NULL_GAP
+    assert spectral_gap(sv_ablated) > NULL_GAP
 
 
 def test_fundamental_leg_stays_unique_without_affine(points, params):
     # known exception: a fundamental (M=1) factor leaves the product
     # irreducible under the subalgebra, so the ablation does not degenerate
-    nd = commutant_nullspace(points[1], points["1b"], params, SANS_AFFINE)[2]
-    assert nd == 1
+    sv = commutant_nullspace(points[1], points["1b"], params, SANS_AFFINE)[1]
+    assert spectral_gap(sv) <= NULL_GAP
 
 
 def test_degenerate_request_raises(points, params):
     solution = commutant_nullspace(points[2], points["2b"], params, SANS_AFFINE)
-    with pytest.raises(IntertwinerError):
+    with pytest.raises(VerificationError, match="no spectral gap"):
         unique_intertwiner(solution)
+    # sigma_2 = 0: fewer equations than unknowns, no gap either
+    X, sv, shape = solution
+    with pytest.raises(VerificationError, match="no spectral gap"):
+        unique_intertwiner((X, np.zeros_like(sv), shape))
 
 
 def test_s_at_reflected_legs(points, params):
