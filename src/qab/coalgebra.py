@@ -36,7 +36,12 @@ def graded_tensor(
         raise ValueError("operator/space dimension mismatch")
     sign = np.where((p1 * B.parity) % 2 == 1, -1.0, 1.0)
     left = A.matrix * sign[None, :]  # column j1 picks up (-1)^{|B| p(j1)}
-    return GradedOperator(np.kron(left, B.matrix), (A.parity + B.parity) % 2)
+    right = B.matrix
+    # np.kron(left, right), each entry the same single product, without
+    # np.kron's per-call axis bookkeeping (most of its time at these sizes)
+    kron = left[:, None, :, None] * right[None, :, None, :]
+    shape = (left.shape[0] * right.shape[0], left.shape[1] * right.shape[1])
+    return GradedOperator(kron.reshape(shape), (A.parity + B.parity) % 2)
 
 
 class Leg:

@@ -375,8 +375,12 @@ def suite_kmatrix(cfg: RunConfig):
 
     def check(params, kin):
         M = kin.M
+        solution = smatrix.weight_nullspace(*kmatrix.boundary_system(kin, params))
+        gap = _gap_check("kmatrix", "null-dimension", M, solution)
+        if not gap["passed"]:
+            return [gap]  # no unique K to check further
         K = kmatrix.closed_form_kmatrix(kin, params)
-        Ks = kmatrix.solve_boundary_intertwiner(kin, params)
+        Ks = smatrix.unique_intertwiner(solution)
         inv = kmatrix.invariance_residual(K, kin, params)
         rows = [
             _check(

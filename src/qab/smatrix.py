@@ -17,9 +17,13 @@ U_q(su(2)) of E1, F1, E3, F3, whose coproducts carry no kinematics.  With
 V_12 and V_21 the bases of V1 (x) V2 and V2 (x) V1 adapted to them, Schur's
 lemma gives Ř = V_21 C V_12^-1, C the sum of c_lambda (x) I over the
 isotypic components lambda.  So ``commutant_nullspace`` solves for the
-mult(lambda)^2 entries of each c_lambda from the fermionic pairs
-(V_12^-1 Delta_12(J) V_12, V_21^-1 Delta_21(J) V_21) alone.  The bases depend
-on (M1, M2, q) only and are cached (``adapted_bases``).
+mult(lambda)^2 entries of each c_lambda from the fermionic generators alone.
+By the q-Wigner-Eckart theorem each of them acts between isotypic blocks as
+a fixed q-Clebsch-Gordan pattern on the positions times a small reduced
+matrix, so one position pair per block gives all of that block's equations:
+the system is C_red A_red - B_red C_red = 0 on the N x N reduced matrices,
+N = sum mult(lambda).  The bases and the position pairs depend on
+(M1, M2, q) only and are cached (``adapted_bases``).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 from .coalgebra import Leg, coproduct
 from .kinematics import Kinematics, ModelParams
 from .numerics import qint, rel_residual, sqrt
-from .representation import BOSONIC_GENERATORS, RepSpace, build_basis
+from .representation import BOSONIC_GENERATORS, DA, RepSpace, build_basis
 
 DEFAULT_GENERATORS = tuple(
     f"{kind}{i}" for kind in ("E", "F") for i in (1, 2, 3, 4)
@@ -42,6 +46,8 @@ DEFAULT_GENERATORS = tuple(
 SANS_AFFINE = tuple(g for g in DEFAULT_GENERATORS if g not in ("E4", "F4"))
 #: The raising and lowering generators of the bosonic U_q(su(2)) pairs.
 BOSONIC = tuple(g for g in BOSONIC_GENERATORS if not g.startswith("K"))
+#: The supercharges, the generators that give the commutant's equations.
+FERMIONIC = tuple(g for g in DEFAULT_GENERATORS if g not in BOSONIC)
 
 #: The largest sigma_1 / sigma_2 of a unique intertwiner's system: above it
 #: the null vector is not separated from the next singular vector.
@@ -116,19 +122,76 @@ class AdaptedBases(NamedTuple):
 
     Its columns are ordered by (lambda, copy, position), as are those of
     V2 (x) V1, so Ř = V_21 C V_12^-1 for a C on the shared ``support``
-    (ui, uj, unknown), as _null_space takes it.
+    (ui, uj, unknown), as _null_space takes it.  The same C is the
+    block-diagonal N x N matrix of the c_lambda, N = sum mult(lambda), on
+    ``reduced_support``, whose k-th entry holds unknown k.  ``pairs`` maps each
+    fermionic generator to the position pairs that reduced_matrix reads.
     """
 
     V: np.ndarray
     V_inv: np.ndarray
     support: tuple
     cond_V: float
+    reduced_support: tuple
+    pairs: dict
+
+    def reduced_matrix(self, gen: str, delta: np.ndarray) -> np.ndarray:
+        """The N x N reduced matrix of ``delta``, the coproduct of the
+        fermionic ``gen``, at the position pairs of ``pairs[gen]``: only those
+        rows and columns of V^-1 delta V are computed."""
+        i, j, rows, cols, ri, ci = self.pairs[gen]
+        size = self.reduced_support[0][-1] + 1  # its last entry is [N-1, N-1]
+        X = np.zeros((size, size), dtype=complex)
+        X[i, j] = (self.V_inv[rows] @ delta @ self.V[:, cols])[ri, ci]
+        return X
 
 
-def _adapted_basis(ops, weights, q):
-    """Basis adapted to the bosonic operators ``ops`` (E1, F1, E3, F3 on a
-    space with the (H1, H3) ``weights``): (basis, inverse, condition number,
-    support of a map that commutes with them, as _null_space takes it).
+def _key_shift(gen: str) -> tuple:
+    """The step of E_i or F_i (i = 2, 4) on the key (H1, -H3) of a state:
+    K1 E_i K1^-1 = q^DA[0, i] E_i and K3 E_i K3^-1 = q^DA[2, i] E_i, and
+    F_i steps the other way."""
+    i, sign = int(gen[1]) - 1, 1 if gen[0] == "E" else -1
+    return sign * int(DA[0][i]), -sign * int(DA[2][i])
+
+
+def _position_pairs(blocks, shift):
+    """Where the reduced matrix of a fermionic generator with key step
+    ``shift`` is read: (i, j, rows, cols, ri, ci), its entry [i, j] being
+    (V^-1 Delta V)[rows, cols][ri, ci].  ``blocks`` holds (l1, l3, mult,
+    first column, first reduced index) per lambda.
+
+    The generator is a rank-(1/2, 1/2) q-tensor of the bosonic pair, so by
+    the q-Wigner-Eckart theorem it maps copy alpha of lambda to copy beta of
+    mu only for mu - lambda = (+-1, +-1), as a_red[beta, alpha] times a
+    q-Clebsch-Gordan factor of the positions that depends on neither the
+    copies nor the kinematics.  Position (a, b) of lambda goes to
+    (a + s1, b + s3) of mu, s = (mu - lambda - shift) / 2, and no factor of a
+    j (x) 1/2 coupling vanishes off a root of unity, so each block is read at
+    its first such pair: its equations are then those of all its pairs, up to
+    the block's factor, which Delta_12 and Delta_21 share.
+    """
+    i, j, rows, cols = [], [], [], []
+    for l1, l3, mult, col, off in blocks:
+        for m1, m3, mult_m, col_m, off_m in blocks:
+            if abs(m1 - l1) != 1 or abs(m3 - l3) != 1:
+                continue
+            s1, s3 = (m1 - l1 - shift[0]) // 2, (m3 - l3 - shift[1]) // 2
+            a, b = max(0, -s1), max(0, -s3)
+            if a > l1 or a + s1 > m1 or b > l3 or b + s3 > m3:
+                continue
+            beta, alpha = np.indices((mult_m, mult)).reshape(2, -1)
+            i.append(off_m + beta)
+            j.append(off + alpha)
+            rows.append(col_m + beta * (m1 + 1) * (m3 + 1) + (b + s3) * (m1 + 1) + a + s1)
+            cols.append(col + alpha * (l1 + 1) * (l3 + 1) + b * (l1 + 1) + a)
+    rows, ri = np.unique(np.concatenate(rows), return_inverse=True)
+    cols, ci = np.unique(np.concatenate(cols), return_inverse=True)
+    return np.concatenate(i), np.concatenate(j), rows, cols, ri, ci
+
+
+def _adapted_basis(ops, weights, q) -> AdaptedBases:
+    """The AdaptedBases of the bosonic operators ``ops`` (E1, F1, E3, F3 on
+    a space with the (H1, H3) ``weights``).
 
     E1 raises H1 by 2 and E3 lowers H3 by 2, so the highest weights are
     lambda = (l1, l3) = (H1, -H3) with l1, l3 >= 0, taken in ascending order.
@@ -151,8 +214,8 @@ def _adapted_basis(ops, weights, q):
     count = lambda w: len(states.get(w, ()))
     V = np.zeros((dim, dim), dtype=complex)
     columns = {}  # weight -> the columns of V in its weight space
-    ui, uj, unknown = [], [], []
-    col = n = 0
+    ui, uj, unknown, ri, rj, blocks = [], [], [], [], [], []
+    col = n = off = 0
     for l1, l3 in sorted(states):
         mult = (count((l1, l3)) - count((l1 + 2, l3))
                 - count((l1, l3 + 2)) + count((l1 + 2, l3 + 2)))
@@ -171,7 +234,11 @@ def _adapted_basis(ops, weights, q):
         ui.append(col + beta * P + p)
         uj.append(col + alpha * P + p)
         unknown.append(n + beta * mult + alpha)
+        ri.append(off + beta[::P])  # position 0 of each unknown, in its order
+        rj.append(off + alpha[::P])
+        blocks.append((l1, l3, mult, col, off))
         n += mult * mult
+        off += mult
         for top in tops:
             chain = np.zeros(dim, dtype=complex)
             chain[here] = top
@@ -192,11 +259,17 @@ def _adapted_basis(ops, weights, q):
         sv.append(np.linalg.svd(block, compute_uv=False))
         V_inv[np.ix_(columns[w], rows)] = np.linalg.inv(block)
     sv = np.concatenate(sv)
-    support = tuple(np.concatenate(x) for x in (ui, uj, unknown))
-    return V, V_inv, float(sv.max() / sv.min()), support
+    return AdaptedBases(
+        V, V_inv, tuple(np.concatenate(x) for x in (ui, uj, unknown)),
+        float(sv.max() / sv.min()),
+        (np.concatenate(ri), np.concatenate(rj), np.arange(n)),
+        {g: _position_pairs(blocks, _key_shift(g)) for g in FERMIONIC},
+    )
 
 
-@functools.lru_cache(maxsize=8)
+#: Room for every ordered pair of eight bound-state numbers: a suite over
+#: M = 1..8 builds each basis once, though each S solve takes two of them.
+@functools.lru_cache(maxsize=64)
 def adapted_bases(M1: int, M2: int, q) -> AdaptedBases:
     """The AdaptedBases of V_M1 (x) V_M2 at q, built once per (M1, M2, q).
 
@@ -206,12 +279,13 @@ def adapted_bases(M1: int, M2: int, q) -> AdaptedBases:
     read-only, since every caller shares them.
     """
     leg1, leg2 = Leg.bosonic(M1, q), Leg.bosonic(M2, q)
-    V, V_inv, cond_V, support = _adapted_basis(
+    bases = _adapted_basis(
         {g: coproduct(g, leg1, leg2).matrix for g in BOSONIC},
         product_weights(leg1.space, leg2.space), q)
-    for a in (V, V_inv, *support):
+    for a in (bases.V, bases.V_inv, *bases.support, *bases.reduced_support,
+              *(x for pair in bases.pairs.values() for x in pair)):
         a.flags.writeable = False
-    return AdaptedBases(V, V_inv, support, cond_V)
+    return bases
 
 
 def intertwiner_system(kin1: Kinematics, kin2: Kinematics, params: ModelParams,
@@ -229,9 +303,11 @@ def commutant_nullspace(kin1: Kinematics, kin2: Kinematics, params: ModelParams,
                         generators=DEFAULT_GENERATORS):
     """Null space of Ř Delta_12(J) = Delta_21(J) Ř over ``generators``, which
     must include E1, F1, E3, F3, solved in the bosonic commutant
-    Ř = V_21 C V_12^-1: only the other generators give equations.  Returns
-    (Ř, sv, (rows, unknowns)) as weight_nullspace does.  With SANS_AFFINE
-    the null space exceeds one dimension: no spectral gap (the ablation).
+    Ř = V_21 C V_12^-1: only the other generators give equations, one per
+    entry of C_red A_red - B_red C_red for the reduced matrices A_red of
+    Delta_12(J) and B_red of Delta_21(J).  Returns (Ř, sv, (rows, unknowns))
+    as weight_nullspace does.  With SANS_AFFINE the null space exceeds one
+    dimension: no spectral gap (the ablation).
     """
     if not set(BOSONIC) <= set(generators):
         raise ValueError(f"the commutant needs {', '.join(BOSONIC)} among the generators")
@@ -239,10 +315,14 @@ def commutant_nullspace(kin1: Kinematics, kin2: Kinematics, params: ModelParams,
     V21 = adapted_bases(kin2.M, kin1.M, params.q)
     fermionic = [g for g in generators if g not in BOSONIC]
     pairs = [
-        (V12.V_inv @ A @ V12.V, V21.V_inv @ B @ V21.V)
-        for A, B in intertwiner_system(kin1, kin2, params, fermionic)
+        (V12.reduced_matrix(g, A), V21.reduced_matrix(g, B))
+        for g, (A, B) in zip(fermionic, intertwiner_system(kin1, kin2, params, fermionic))
     ]
-    C, sv, shape = _null_space(pairs, *V12.support)
+    C_red, sv, shape = _null_space(pairs, *V12.reduced_support)
+    ri, rj, _ = V12.reduced_support
+    ui, uj, unknown = V12.support
+    C = np.zeros_like(V12.V)
+    C[ui, uj] = C_red[ri, rj][unknown]
     return V21.V @ C @ V12.V_inv, sv, shape
 
 

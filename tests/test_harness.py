@@ -287,6 +287,19 @@ def test_kmatrix_at_m22_and_q15_passes():
     assert report["passed"] and len(report["checks"]) == 4
 
 
+def test_gapless_kmatrix_point_reports_its_null_dimension_row(tmp_path):
+    # at q = 2, M = 16 the K system's sigma_1 / sigma_2 is 1.25e-6, above
+    # NULL_GAP: the point reports its failed null-dimension row alone, and
+    # qab exits 1 with the report written
+    path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    path.write_text(json.dumps({"q": 2}))
+    assert main(["kmatrix", "--config", str(path), "--M", "16", "--seed", "7",
+                 "--out", str(out)]) == 1
+    rows = json.loads(out.read_text())["checks"]
+    assert [(r["check"], r["passed"]) for r in rows] == [("null-dimension", False)]
+    assert NULL_GAP < rows[0]["residual"] < 1e-5
+
+
 def test_cli_internal_error_exits_3(monkeypatch, capsys):
     from qab import harness
 

@@ -7,15 +7,18 @@ weight-supported solve (weight_nullspace) must reproduce its null space, and
 its spectral-gap verdict must call a system unique exactly when the rank
 count finds one null vector; the commutant solve of the braided S-matrix Ř
 (commutant_nullspace) must reproduce the weight-supported one, carried to
-Ř's index sets by the graded flip.
+Ř's index sets by the graded flip, and every row that its reduced system
+leaves out must be a multiple of one it keeps.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qab import smatrix
 from qab.coalgebra import Leg, coproduct
-from qab.harness import sample_kinematics
+from qab.harness import load_config, run_suite, sample_kinematics
 from qab.kmatrix import (
     BOUNDARY_CHARGES,
     PRESERVED_CHARGES,
@@ -29,6 +32,7 @@ from qab.representation import build_basis
 from qab.smatrix import (
     BOSONIC,
     DEFAULT_GENERATORS,
+    FERMIONIC,
     NULL_GAP,
     SANS_AFFINE,
     adapted_bases,
@@ -127,15 +131,19 @@ def _k_system(params, M, charges):
 
 
 SYSTEMS = {
-    **{f"S{Ms}": ("S", Ms, DEFAULT_GENERATORS) for Ms in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)]},
-    "S(2, 2)-sans-affine": ("S", (2, 2), SANS_AFFINE),
-    **{f"K{M}": ("K", M, BOUNDARY_CHARGES) for M in range(1, 7)},
-    **{f"K{M}-preserved": ("K", M, PRESERVED_CHARGES) for M in range(1, 7)},
+    **{f"S{Ms}{tag}": ("S", Ms, DEFAULT_GENERATORS, q)
+       for q, tag in [(1.1, ""), (1.5, "-q1.5")]
+       for Ms in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)]},
+    **{f"S(2, 2)-sans-affine{tag}": ("S", (2, 2), SANS_AFFINE, q)
+       for q, tag in [(1.1, ""), (1.5, "-q1.5")]},
+    **{f"K{M}": ("K", M, BOUNDARY_CHARGES, 1.1) for M in range(1, 7)},
+    **{f"K{M}-preserved": ("K", M, PRESERVED_CHARGES, 1.1) for M in range(1, 7)},
 }
 
 
-@pytest.mark.parametrize("kind,size,generators", SYSTEMS.values(), ids=SYSTEMS.keys())
-def test_solver_matches_dense_qr_svd(kind, size, generators, params_gammas):
+@pytest.mark.parametrize("kind,size,generators,q", SYSTEMS.values(), ids=SYSTEMS.keys())
+def test_solver_matches_dense_qr_svd(kind, size, generators, q, params_gammas):
+    params_gammas = replace(params_gammas, q=q)
     if kind == "S":
         # the commutant solve of Ř against the weight-supported dense solve of
         # S = P_21 Ř, which maps V1 (x) V2 to itself: S Delta_12 = Delta^op S
@@ -170,6 +178,60 @@ def test_solver_matches_dense_qr_svd(kind, size, generators, params_gammas):
     assert list(sv) == sorted(sv, reverse=True)
 
 
+def _isotypic_layout(bases):
+    """From the supports alone: the full indices of each reduced index
+    (lambda, copy), by position, and the reduced indices of each lambda."""
+    ri, rj, _ = bases.reduced_support
+    ui, _, unknown = bases.support
+    positions = {ri[k]: ui[unknown == k] for k in np.flatnonzero(ri == rj)}
+    groups = sorted({tuple(rj[ri == r]) for r in positions})
+    return positions, groups
+
+
+@pytest.mark.parametrize("q", [1.1, 1.5])
+@pytest.mark.parametrize("Ms", [(2, 2), (3, 3), (2, 4)], ids=str)
+def test_reduced_rows_are_multiples_of_the_kept_ones(Ms, q, params):
+    # in the adapted bases each block (mu, lambda) of V^-1 Delta(J) V is
+    # a_red (x) a position pattern, the same pattern for Delta_12 and
+    # Delta_21: every position pair's equations are a multiple of those at
+    # the kept pair, and reduced_matrix holds the kept entries; blocks with
+    # no kept pair vanish
+    params = replace(params, q=q)
+    kin1, kin2 = _s_points(params, Ms)
+    V12, V21 = adapted_bases(*Ms, q), adapted_bases(*Ms[::-1], q)
+    positions, groups = _isotypic_layout(V12)
+    for gen, (A, B) in zip(FERMIONIC, intertwiner_system(kin1, kin2, params, FERMIONIC)):
+        Y12, Y21 = V12.V_inv @ A @ V12.V, V21.V_inv @ B @ V21.V
+        A_red, B_red = V12.reduced_matrix(gen, A), V21.reduced_matrix(gen, B)
+        i, j, rows, cols, ri, ci = V12.pairs[gen]
+        scale = max(np.abs(Y12).max(), np.abs(Y21).max())
+        kept_blocks = 0
+        for mu in groups:
+            r_of = np.array([positions[b] for b in mu])  # copy x position
+            for lam in groups:
+                p_of = np.array([positions[a] for a in lam])
+                shape = (len(mu), r_of.shape[1], len(lam), p_of.shape[1])
+                block = np.stack([
+                    Y[np.ix_(r_of.ravel(), p_of.ravel())].reshape(shape).transpose(0, 2, 1, 3)
+                    for Y in (Y12, Y21)
+                ])  # side, beta, alpha, r, p
+                kept = np.isin(i, mu) & np.isin(j, lam)
+                if not kept.any():
+                    assert np.abs(block).max() <= 1e-10 * scale, (gen, mu, lam)
+                    continue
+                kept_blocks += 1
+                (r,), (p,) = ({np.argwhere(r_of == x)[0, 1] for x in rows[ri[kept]]},
+                              {np.argwhere(p_of == x)[0, 1] for x in cols[ci[kept]]})
+                key = block[..., r, p]
+                assert np.abs(key).max() > 1e-3 * np.abs(block).max(), (gen, mu, lam)
+                for X_red, side in ((A_red, 0), (B_red, 1)):
+                    assert np.allclose(X_red[np.ix_(mu, lam)], key[side], rtol=0, atol=1e-12 * scale)
+                t = np.tensordot(key.conj(), block, 3) / np.vdot(key, key)
+                rest = block - key[..., None, None] * t
+                assert np.abs(rest).max() <= 1e-10 * np.abs(block).max(), (gen, mu, lam)
+        assert kept_blocks > 0
+
+
 def test_affine_ablation_needs_two_bound_states(params):
     # the affine supercharges fix S only when both bound-state numbers are
     # >= 2; with an M = 1 factor the bosonic and bulk generators suffice
@@ -198,13 +260,25 @@ def test_cached_bases_carry_no_kinematics(params):
                 {g: coproduct(g, a, b).matrix for g in BOSONIC},
                 product_weights(a.space, b.space), params.q,
             )
-            assert np.array_equal(built[0], cached.V) and np.array_equal(built[1], cached.V_inv)
-            assert all(np.array_equal(x, y) for x, y in zip(built[3], cached.support))
+            assert np.array_equal(built.V, cached.V) and np.array_equal(built.V_inv, cached.V_inv)
+            for x, y in [(built.support, cached.support),
+                         (built.reduced_support, cached.reduced_support),
+                         *((built.pairs[g], cached.pairs[g]) for g in FERMIONIC)]:
+                assert all(np.array_equal(u, v) for u, v in zip(x, y))
     for Ms, misses in [((M1, M2), 2), ((M2, M2), 1)]:
         adapted_bases.cache_clear()
         for xm in (1.3 + 0.8j, -0.7 + 1.6j):
             solve_intertwiner(kin_at(Ms[0], xm, params), kin_at(Ms[1], 0.9 - 1.1j, params), params)
         assert adapted_bases.cache_info().misses == misses, Ms
+
+
+def test_smatrix_suite_builds_each_basis_once():
+    # qab smatrix --M 1,2,3,4 solves 16 ordered pairs, each with the bases of
+    # both leg orders: every basis is built once and none is evicted
+    adapted_bases.cache_clear()
+    run_suite("smatrix", load_config(data={"M": [1, 2, 3, 4]}))
+    info = adapted_bases.cache_info()
+    assert info.misses == info.currsize == 16
 
 
 def test_adapted_bases_block_diagonalise_the_bosonic_coproducts(params):
