@@ -17,6 +17,7 @@ import numpy as np
 from .kinematics import Kinematics, ModelParams, derive_couplings, on_shell, reflect_kinematics
 from .numerics import qint, rel_residual
 from .representation import (
+    D_DIAG,
     GENERATORS,
     GradedOperator,
     all_generators,
@@ -309,7 +310,6 @@ def hom_check(dmap: dict, params: ModelParams) -> dict:
     out = {}
     for j in range(1, 5):
         lhs = graded_commutator(dmap[f"E{j}"], dmap[f"F{j}"])
-        djj = 1 if j == 1 else -1
-        rhs = (djj / (q - 1 / q)) * (dmap[f"K{j}"] - dmap[f"K{j}"].inv())
+        rhs = (D_DIAG[j - 1] / (q - 1 / q)) * (dmap[f"K{j}"] - dmap[f"K{j}"].inv())
         out[f"E{j}F{j}"] = rel_residual(lhs.matrix, rhs.matrix)
     return out

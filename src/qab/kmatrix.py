@@ -32,7 +32,6 @@ from .smatrix import (
     VerificationError,
     _on_right,
     leg_weights,
-    pair_residuals,
     solve_intertwiner,
     unique_intertwiner,
     weight_nullspace,
@@ -214,13 +213,6 @@ def boundary_system(kin: Kinematics, params: ModelParams, charges=BOUNDARY_CHARG
 def solve_boundary_intertwiner(kin: Kinematics, params: ModelParams) -> np.ndarray:
     """K as the unique intertwiner of every boundary charge, A_0 = 1."""
     return unique_intertwiner(weight_nullspace(*boundary_system(kin, params)))
-
-
-def invariance_residual(K: np.ndarray, kin: Kinematics, params: ModelParams) -> dict:
-    """Per-charge relative residual of K pi(J) - pi_ref(J) K at ``kin``, every
-    boundary charge."""
-    pairs = boundary_system(kin, params)[0]
-    return dict(zip(BOUNDARY_CHARGES, pair_residuals(K, pairs)))
 
 
 def unitarity_residual(kin: Kinematics, params: ModelParams) -> float:

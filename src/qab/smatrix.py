@@ -7,23 +7,25 @@ is coproduct(J, leg2, leg1).  S = P Ř for the graded flip P of V2 (x) V1
 onto V1 (x) V2, but no P is built: each factor of Ř in the Yang-Baxter and
 reflection equations acts on two adjacent legs.  The boundary K-matrix is
 the same kind of null space on one leg.  Both come out of one dense QR +
-SVD solver (``_null_space``) for an unknown on a given set of entries.
-``unique_intertwiner`` is the one uniqueness rule: a spectral gap
-sigma_1 / sigma_2 <= NULL_GAP, and the normalization at the [0, 0] entry.
+SVD solver (``weight_nullspace``) for an unknown supported on the entries
+that join indices of equal weight.  ``unique_intertwiner`` is the one
+uniqueness rule: a spectral gap sigma_1 / sigma_2 <= NULL_GAP, and the
+normalization at the [0, 0] entry.
 
-K (``weight_nullspace``) is supported on the entries that join states of
-equal (H1, H3) weight.  Ř also intertwines the bosonic U_q(su(2)) +
-U_q(su(2)) of E1, F1, E3, F3, whose coproducts carry no kinematics.  With
-V_12 and V_21 the bases of V1 (x) V2 and V2 (x) V1 adapted to them, Schur's
-lemma gives Ř = V_21 C V_12^-1, C the sum of c_lambda (x) I over the
-isotypic components lambda.  So ``commutant_nullspace`` solves for the
-mult(lambda)^2 entries of each c_lambda from the fermionic generators alone.
+K's weights are the (H1, H3) weights of its states.  Ř also intertwines
+the bosonic U_q(su(2)) + U_q(su(2)) of E1, F1, E3, F3, whose coproducts
+carry no kinematics.  With V_12 and V_21 the bases of V1 (x) V2 and
+V2 (x) V1 adapted to them, Schur's lemma gives Ř = V_21 C V_12^-1, C the
+sum of c_lambda (x) I over the isotypic components lambda.  So
+``commutant_nullspace`` solves for the mult(lambda)^2 entries of each
+c_lambda from the fermionic generators alone.
 By the q-Wigner-Eckart theorem each of them acts between isotypic blocks as
 a fixed q-Clebsch-Gordan pattern on the positions times a small reduced
 matrix, so one position pair per block gives all of that block's equations:
 the system is C_red A_red - B_red C_red = 0 on the N x N reduced matrices,
-N = sum mult(lambda).  The bases and the position pairs depend on
-(M1, M2, q) only and are cached (``adapted_bases``).
+N = sum mult(lambda), solved with lambda as the weight of each reduced
+index.  The bases and the position pairs depend on (M1, M2, q) only and are
+cached (``adapted_bases``).
 """
 
 from __future__ import annotations
@@ -69,9 +71,9 @@ def product_weights(space1: RepSpace, space2: RepSpace) -> list:
     return [(a1 + b1, a3 + b3) for (a1, a3) in leg_weights(space1) for (b1, b3) in w2]
 
 
-def _null_space(pairs, ui, uj, unknown):
-    """Null space of X -> X A - B X over every (A, B) in ``pairs``, for X
-    with X[ui, uj] = x[unknown] and zero elsewhere.
+def weight_nullspace(pairs, weights):
+    """Null space of X -> X A - B X over every (A, B) in ``pairs``, X being
+    supported on the entries X[i, j] with weights[i] == weights[j].
 
     The equation (X A - B X)[a, b] = 0 has the coefficient
     delta_ai A[j, b] - delta_bj B[a, i] on the entry X[i, j], so support entry
@@ -87,7 +89,9 @@ def _null_space(pairs, ui, uj, unknown):
     smallest sigma, and sv all n singular values, descending, padded with
     zeros when R has fewer rows than unknowns.
     """
-    dim, n = len(pairs[0][0]), int(unknown.max()) + 1
+    w = np.asarray(weights)
+    ui, uj = np.nonzero((w[:, None, :] == w[None, :, :]).all(axis=-1))
+    dim, n = len(w), len(ui)
     factors, m = [], 0
     for A, B in pairs:
         e, b = np.nonzero(A[uj])  # entry e times A[uj, b] lands on row (ui, b)
@@ -95,44 +99,35 @@ def _null_space(pairs, ui, uj, unknown):
         rows = np.unique(np.concatenate([ui[e] * dim + b, a * dim + uj[f]]), return_inverse=True)[1]
         values = np.concatenate([A[uj[e], b], -B[a, ui[f]]])
         block = np.zeros((rows.max() + 1, n), dtype=complex)
-        np.add.at(block, (rows, unknown[np.concatenate([e, f])]), values / np.abs(values).max())
+        np.add.at(block, (rows, np.concatenate([e, f])), values / np.abs(values).max())
         m += len(block)
         # only a block taller than wide shrinks under QR
         factors.append(np.linalg.qr(block, mode="r") if len(block) > n else block)
     _, sv, vh = np.linalg.svd(np.linalg.qr(np.vstack(factors), mode="r"))
     sv = np.concatenate([sv, np.zeros(n - len(sv))])
     X = np.zeros((dim, dim), dtype=complex)
-    X[ui, uj] = vh[-1].conj()[unknown]
+    X[ui, uj] = vh[-1].conj()
     return X, sv, (m, n)
-
-
-def weight_nullspace(pairs, weights):
-    """Null space of X -> X A - B X over every (A, B) in ``pairs``, X being
-    supported on the entries X[i, j] with weights[i] == weights[j].
-
-    Returns (X, sv, (rows, unknowns)) as _null_space does.
-    """
-    w = np.asarray(weights)
-    ui, uj = np.nonzero((w[:, None, :] == w[None, :, :]).all(axis=-1))
-    return _null_space(pairs, ui, uj, np.arange(len(ui)))
 
 
 class AdaptedBases(NamedTuple):
     """The basis V of V1 (x) V2 adapted to the bosonic Delta_12.
 
     Its columns are ordered by (lambda, copy, position), as are those of
-    V2 (x) V1, so Ř = V_21 C V_12^-1 for a C on the shared ``support``
-    (ui, uj, unknown), as _null_space takes it.  The same C is the
-    block-diagonal N x N matrix of the c_lambda, N = sum mult(lambda), on
-    ``reduced_support``, whose k-th entry holds unknown k.  ``pairs`` maps each
-    fermionic generator to the position pairs that reduced_matrix reads.
+    V2 (x) V1, so Ř = V_21 C V_12^-1 for a C = sum c_lambda (x) I.  Its
+    reduced form C_red, the block-diagonal N x N matrix of the c_lambda,
+    N = sum mult(lambda), joins the reduced indices of equal ``labels``
+    lambda = (l1, l3), the weight rule of weight_nullspace; the shared
+    ``support`` (ui, uj, ki, kj) expands it, C[ui, uj] = C_red[ki, kj].
+    ``pairs`` maps each fermionic generator to the position pairs that
+    reduced_matrix reads.
     """
 
     V: np.ndarray
     V_inv: np.ndarray
     support: tuple
     cond_V: float
-    reduced_support: tuple
+    labels: np.ndarray
     pairs: dict
 
     def reduced_matrix(self, gen: str, delta: np.ndarray) -> np.ndarray:
@@ -140,8 +135,7 @@ class AdaptedBases(NamedTuple):
         fermionic ``gen``, at the position pairs of ``pairs[gen]``: only those
         rows and columns of V^-1 delta V are computed."""
         i, j, rows, cols, ri, ci = self.pairs[gen]
-        size = self.reduced_support[0][-1] + 1  # its last entry is [N-1, N-1]
-        X = np.zeros((size, size), dtype=complex)
+        X = np.zeros((len(self.labels), len(self.labels)), dtype=complex)
         X[i, j] = (self.V_inv[rows] @ delta @ self.V[:, cols])[ri, ci]
         return X
 
@@ -214,8 +208,8 @@ def _adapted_basis(ops, weights, q) -> AdaptedBases:
     count = lambda w: len(states.get(w, ()))
     V = np.zeros((dim, dim), dtype=complex)
     columns = {}  # weight -> the columns of V in its weight space
-    ui, uj, unknown, ri, rj, blocks = [], [], [], [], [], []
-    col = n = off = 0
+    ui, uj, ki, kj, labels, blocks = [], [], [], [], [], []
+    col = off = 0
     for l1, l3 in sorted(states):
         mult = (count((l1, l3)) - count((l1 + 2, l3))
                 - count((l1, l3 + 2)) + count((l1 + 2, l3 + 2)))
@@ -233,11 +227,10 @@ def _adapted_basis(ops, weights, q) -> AdaptedBases:
         beta, alpha, p = np.indices((mult, mult, P)).reshape(3, -1)
         ui.append(col + beta * P + p)
         uj.append(col + alpha * P + p)
-        unknown.append(n + beta * mult + alpha)
-        ri.append(off + beta[::P])  # position 0 of each unknown, in its order
-        rj.append(off + alpha[::P])
+        ki.append(off + beta)
+        kj.append(off + alpha)
+        labels += [(l1, l3)] * mult
         blocks.append((l1, l3, mult, col, off))
-        n += mult * mult
         off += mult
         for top in tops:
             chain = np.zeros(dim, dtype=complex)
@@ -260,9 +253,8 @@ def _adapted_basis(ops, weights, q) -> AdaptedBases:
         V_inv[np.ix_(columns[w], rows)] = np.linalg.inv(block)
     sv = np.concatenate(sv)
     return AdaptedBases(
-        V, V_inv, tuple(np.concatenate(x) for x in (ui, uj, unknown)),
-        float(sv.max() / sv.min()),
-        (np.concatenate(ri), np.concatenate(rj), np.arange(n)),
+        V, V_inv, tuple(np.concatenate(x) for x in (ui, uj, ki, kj)),
+        float(sv.max() / sv.min()), np.array(labels),
         {g: _position_pairs(blocks, _key_shift(g)) for g in FERMIONIC},
     )
 
@@ -282,7 +274,7 @@ def adapted_bases(M1: int, M2: int, q) -> AdaptedBases:
     bases = _adapted_basis(
         {g: coproduct(g, leg1, leg2).matrix for g in BOSONIC},
         product_weights(leg1.space, leg2.space), q)
-    for a in (bases.V, bases.V_inv, *bases.support, *bases.reduced_support,
+    for a in (bases.V, bases.V_inv, *bases.support, bases.labels,
               *(x for pair in bases.pairs.values() for x in pair)):
         a.flags.writeable = False
     return bases
@@ -291,7 +283,7 @@ def adapted_bases(M1: int, M2: int, q) -> AdaptedBases:
 def intertwiner_system(kin1: Kinematics, kin2: Kinematics, params: ModelParams,
                        generators=DEFAULT_GENERATORS):
     """The pairs (Delta_12(J), Delta_21(J)) of Ř Delta_12(J) = Delta_21(J) Ř
-    over ``generators``, as _null_space and pair_residuals take them."""
+    over ``generators``, as weight_nullspace and pair_residuals take them."""
     leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
     return [
         (coproduct(gen, leg1, leg2).matrix, coproduct(gen, leg2, leg1).matrix)
@@ -318,11 +310,10 @@ def commutant_nullspace(kin1: Kinematics, kin2: Kinematics, params: ModelParams,
         (V12.reduced_matrix(g, A), V21.reduced_matrix(g, B))
         for g, (A, B) in zip(fermionic, intertwiner_system(kin1, kin2, params, fermionic))
     ]
-    C_red, sv, shape = _null_space(pairs, *V12.reduced_support)
-    ri, rj, _ = V12.reduced_support
-    ui, uj, unknown = V12.support
+    C_red, sv, shape = weight_nullspace(pairs, V12.labels)
+    ui, uj, ki, kj = V12.support
     C = np.zeros_like(V12.V)
-    C[ui, uj] = C_red[ri, rj][unknown]
+    C[ui, uj] = C_red[ki, kj]
     return V21.V @ C @ V12.V_inv, sv, shape
 
 

@@ -162,7 +162,10 @@ def test_solver_matches_dense_qr_svd(kind, size, generators, q, params_gammas):
         assert _unique(sv) == _unique(svc) == unique
         assert unknowns_c < unknowns and rows_c < rows
         if unique:
-            assert rel_residual(P21 @ R / R[0, 0], X / X[0, 0]) < 1e-12
+            # the unit null vectors agree up to phase; scaling both to 1 at
+            # [0, 0] would inflate their angle by ||X|| / |X[0, 0]|
+            s, x = ((Y / np.linalg.norm(Y)).ravel() for Y in (P21 @ R, X))
+            assert np.linalg.norm(s - x * np.vdot(x, s)) < 1e-13
         else:
             # any unit vector of the null space will do: it must solve the system
             assert max(pair_residuals(R / np.linalg.norm(R), pairs)) < 1e-12
@@ -179,12 +182,13 @@ def test_solver_matches_dense_qr_svd(kind, size, generators, q, params_gammas):
 
 
 def _isotypic_layout(bases):
-    """From the supports alone: the full indices of each reduced index
-    (lambda, copy), by position, and the reduced indices of each lambda."""
-    ri, rj, _ = bases.reduced_support
-    ui, _, unknown = bases.support
-    positions = {ri[k]: ui[unknown == k] for k in np.flatnonzero(ri == rj)}
-    groups = sorted({tuple(rj[ri == r]) for r in positions})
+    """From the labels and the support alone: the full indices of each
+    reduced index (lambda, copy), by position, and the reduced indices of
+    each lambda."""
+    ui, _, ki, kj = bases.support
+    positions = {k: ui[(ki == k) & (kj == k)] for k in range(len(bases.labels))}
+    groups = [np.flatnonzero((bases.labels == lam).all(axis=1))
+              for lam in np.unique(bases.labels, axis=0)]
     return positions, groups
 
 
@@ -260,9 +264,10 @@ def test_cached_bases_carry_no_kinematics(params):
                 {g: coproduct(g, a, b).matrix for g in BOSONIC},
                 product_weights(a.space, b.space), params.q,
             )
-            assert np.array_equal(built.V, cached.V) and np.array_equal(built.V_inv, cached.V_inv)
+            for x, y in [(built.V, cached.V), (built.V_inv, cached.V_inv),
+                         (built.labels, cached.labels)]:
+                assert np.array_equal(x, y)
             for x, y in [(built.support, cached.support),
-                         (built.reduced_support, cached.reduced_support),
                          *((built.pairs[g], cached.pairs[g]) for g in FERMIONIC)]:
                 assert all(np.array_equal(u, v) for u, v in zip(x, y))
     for Ms, misses in [((M1, M2), 2), ((M2, M2), 1)]:
@@ -284,7 +289,7 @@ def test_smatrix_suite_builds_each_basis_once():
 def test_adapted_bases_block_diagonalise_the_bosonic_coproducts(params):
     # V_21^-1 Delta_21(X) V_21 and V_12^-1 Delta_12(X) V_12 are the same
     # matrix for every bosonic X, so C = c (x) I intertwines them; the two
-    # bases share their support, and cond(V) stays small
+    # bases share their labels and support, and cond(V) stays small
     for M1, M2 in [(3, 3), (2, 3)]:
         V12, V21 = adapted_bases(M1, M2, params.q), adapted_bases(M2, M1, params.q)
         leg1, leg2 = Leg.bosonic(M1, params.q), Leg.bosonic(M2, params.q)
@@ -295,9 +300,30 @@ def test_adapted_bases_block_diagonalise_the_bosonic_coproducts(params):
         for bases in (V12, V21):
             assert np.abs(bases.V_inv @ bases.V - np.eye(len(bases.V))).max() < 1e-13
             assert bases.cond_V < 10
+        assert np.array_equal(V12.labels, V21.labels)
         assert all(np.array_equal(x, y) for x, y in zip(V12.support, V21.support))
-    # 42 M - 36 unknowns for V_M (x) V_M from M = 3 on
-    assert adapted_bases(3, 3, params.q).support[2].max() + 1 == 42 * 3 - 36
+    # sum mult(lambda)^2 = 42 M - 36 unknowns for V_M (x) V_M from M = 3 on
+    _, mult = np.unique(adapted_bases(3, 3, params.q).labels, axis=0, return_counts=True)
+    assert (mult**2).sum() == 42 * 3 - 36
+
+
+@pytest.mark.parametrize("Ms", [(2, 3), (3, 3)], ids=str)
+def test_label_supported_c_red_intertwines_the_bosonic_coproducts(Ms, params):
+    # any C_red that joins only reduced indices of equal label, expanded
+    # through the support, is a sum of c_lambda (x) I, so V_21 C V_12^-1
+    # intertwines Delta_12(X) with Delta_21(X) for every bosonic X
+    V12, V21 = adapted_bases(*Ms, params.q), adapted_bases(*Ms[::-1], params.q)
+    leg1, leg2 = Leg.bosonic(Ms[0], params.q), Leg.bosonic(Ms[1], params.q)
+    pairs = [(coproduct(g, leg1, leg2).matrix, coproduct(g, leg2, leg1).matrix)
+             for g in BOSONIC]
+    same = (V12.labels[:, None] == V12.labels[None, :]).all(axis=-1)
+    ui, uj, ki, kj = V12.support
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        C_red = np.where(same, rng.normal(size=same.shape) + 1j * rng.normal(size=same.shape), 0)
+        C = np.zeros_like(V12.V)
+        C[ui, uj] = C_red[ki, kj]
+        assert max(pair_residuals(V21.V @ C @ V12.V_inv, pairs)) < 1e-12, Ms
 
 
 def test_solver_is_deterministic(params_gammas):
