@@ -147,30 +147,28 @@ def twisted_boundary_charges(ops: dict, params: ModelParams) -> dict:
     theta_e4p = ad_r("F3", ad_r("F2", ops["F1"], ops), ops)
     et321 = ops["F4"] @ k4_inv + d_y * (theta_f4 @ k4_inv)
     ft321 = e4p @ k4_inv + d_x * (theta_e4p @ k4_inv)
-    out = {
+    et21 = ad_r("F3", et321, ops)
+    ft21 = ad_r("E3", ft321, ops)
+    return {
         "Et321": et321,
         "Ft321": ft321,
-        "Et21": ad_r("F3", et321, ops),
-        "Ft21": ad_r("E3", ft321, ops),
-        "Et1": ad_r("F2", ad_r("F3", et321, ops), ops),
-        "Ft1": ad_r("E2", ad_r("E3", ft321, ops), ops),
+        "Et21": et21,
+        "Ft21": ft21,
+        "Et1": ad_r("F2", et21, ops),
+        "Ft1": ad_r("E2", ft21, ops),
         "Ct2": ad_r("E2", et321, ops),
         "Ct3": ad_r("F2", ft321, ops),
     }
-    return out
 
 
-def coideal_expansion_check(
-    kin1: Kinematics, kin2: Kinematics, params: ModelParams
-) -> dict:
+def coideal_expansion_check(leg1: Leg, leg2: Leg, dmap: dict, params: ModelParams) -> dict:
     """Residuals of the two displayed coproduct expansions of the twisted
-    level-one charges, as matrix identities on V1 (x) V2."""
-    leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
+    level-one charges, as matrix identities on V1 (x) V2; ``dmap`` is
+    coproduct_map(leg1, leg2)."""
     s1, s2 = leg1.space, leg2.space
-    dmap = coproduct_map(leg1, leg2)
     d_y, d_x = boundary_d_constants(params)
     q = params.q
-    U1 = kin1.U
+    U1 = leg1.U
 
     # Left-hand sides: the twisted charges built from coproduct images.
     tw_joint = twisted_boundary_charges(dmap, params)
@@ -218,13 +216,12 @@ def coideal_expansion_check(
     }
 
 
-def twisted_f1_action_residual(kin: Kinematics, params: ModelParams) -> float:
+def twisted_f1_action_residual(kin: Kinematics, tw: dict, params: ModelParams) -> float:
     """Residual of the raising action of the twisted charge on |k>^{3,4}:
-    Ft1 |k>^a = d_x [M-k-1]_q q^{-M/2-k-1} (q^M - q^{2k+2} z) V^-1 |k+1>^a.
+    Ft1 |k>^a = d_x [M-k-1]_q q^{-M/2-k-1} (q^M - q^{2k+2} z) V^-1 |k+1>^a,
+    ``tw`` being the twisted_boundary_charges of the point ``kin``.
     """
     space = build_basis(kin.M)
-    ops = all_generators(kin, params, space)
-    tw = twisted_boundary_charges(ops, params)
     q, M = params.q, kin.M
     _, d_x = boundary_d_constants(params)
     expected = np.zeros((space.dim, space.dim), dtype=complex)
@@ -244,16 +241,15 @@ def twisted_f1_action_residual(kin: Kinematics, params: ModelParams) -> float:
     return rel_residual(tw["Ft1"].matrix[block], expected[block])
 
 
-def twisted_central_invariance(kin: Kinematics, params: ModelParams) -> dict:
-    """Reflection invariance of the twisted central charges.
+def twisted_central_invariance(kin: Kinematics, tw: dict, params: ModelParams) -> dict:
+    """Reflection invariance of the twisted central charges ``tw`` of the
+    point ``kin`` (its twisted_boundary_charges).
 
     On the representation Ct2 and Ct3 come out diagonal (they carry an H_2
     admixture, visible in their rational limit) and are invariant entrywise
     under the reflection map; both residuals are reported per charge.
     """
     space = build_basis(kin.M)
-    ops = all_generators(kin, params, space)
-    tw = twisted_boundary_charges(ops, params)
     rops = all_generators(reflect_kinematics(kin, params), params, space)
     tw_r = twisted_boundary_charges(rops, params)
     out = {}

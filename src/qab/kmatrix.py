@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import numerics as nm
-from .coalgebra import TWISTED_CHARGES, twisted_boundary_charges
+from .coalgebra import TWISTED_CHARGES, Leg, twisted_boundary_charges
 from .kinematics import (
     Kinematics,
     KinematicsError,
@@ -31,10 +31,9 @@ from .representation import RepSpace, all_generators, build_basis
 from .smatrix import (
     VerificationError,
     _on_right,
+    commutant_nullspace,
     leg_weights,
-    solve_intertwiner,
     unique_intertwiner,
-    weight_nullspace,
 )
 
 #: Charges preserved without twisting.  They alone are the ablation set: from
@@ -192,27 +191,21 @@ def closed_form_kmatrix(kin: Kinematics, params: ModelParams, c_override=None) -
     return _assemble(M, A, B, C, D, E)
 
 
-def boundary_system(kin: Kinematics, params: ModelParams, charges=BOUNDARY_CHARGES):
-    """(pairs, weights) of K pi(J) = pi_ref(J) K over ``charges``, as
+def boundary_system(kin: Kinematics, params: ModelParams):
+    """(pairs, weights) of K pi(J) = pi_ref(J) K over BOUNDARY_CHARGES, as
     weight_nullspace and pair_residuals take them.
 
     The reflection keeps V, so pi_ref(K_i) = pi(K_i) and K preserves the
-    (H1, H3) weight, which is the support the shared solver imposes.  With
-    PRESERVED_CHARGES the null space exceeds one dimension from M = 2 on
-    (the ablation).
+    (H1, H3) weight, which is the support the shared solver imposes.  The
+    leading len(PRESERVED_CHARGES) pairs alone leave the null space more
+    than one-dimensional from M = 2 on (the ablation).
     """
     space = build_basis(kin.M)
     ops = all_generators(kin, params, space)
     ops_ref = all_generators(reflect_kinematics(kin, params), params, space)
-    if set(charges) & set(TWISTED_CHARGES):
-        ops.update(twisted_boundary_charges(ops, params))
-        ops_ref.update(twisted_boundary_charges(ops_ref, params))
-    return [(ops[n].matrix, ops_ref[n].matrix) for n in charges], leg_weights(space)
-
-
-def solve_boundary_intertwiner(kin: Kinematics, params: ModelParams) -> np.ndarray:
-    """K as the unique intertwiner of every boundary charge, A_0 = 1."""
-    return unique_intertwiner(weight_nullspace(*boundary_system(kin, params)))
+    ops.update(twisted_boundary_charges(ops, params))
+    ops_ref.update(twisted_boundary_charges(ops_ref, params))
+    return [(ops[n].matrix, ops_ref[n].matrix) for n in BOUNDARY_CHARGES], leg_weights(space)
 
 
 def unitarity_residual(kin: Kinematics, params: ModelParams) -> float:
@@ -246,13 +239,15 @@ def ck_symmetry_residual(kin: Kinematics, params: ModelParams) -> np.ndarray:
 
 def reflection_smatrices(kin1: Kinematics, kin2: Kinematics, params: ModelParams):
     """The four braided S-matrices (Ř(1,2), Ř(1,2r), Ř(2,1r), Ř(2r,1r)) of
-    the reflection equation, solved as intertwiners.  They do not depend on
+    the reflection equation, solved as intertwiners on the Legs of the two
+    points and of their reflections, each built once.  They do not depend on
     the K matrices, so one solve serves both the reflection equation and its
     trivial-C_k control.
     """
-    kin1r, kin2r = (reflect_kinematics(k, params) for k in (kin1, kin2))
-    pairs = ((kin1, kin2), (kin1, kin2r), (kin2, kin1r), (kin2r, kin1r))
-    return tuple(solve_intertwiner(a, b, params) for a, b in pairs)
+    kins = (kin1, kin2, *(reflect_kinematics(k, params) for k in (kin1, kin2)))
+    leg1, leg2, leg1r, leg2r = (Leg(kin, params) for kin in kins)
+    pairs = ((leg1, leg2), (leg1, leg2r), (leg2, leg1r), (leg2r, leg1r))
+    return tuple(unique_intertwiner(commutant_nullspace(a, b, params.q)) for a, b in pairs)
 
 
 def boundary_ybe_residual(K1: np.ndarray, K2: np.ndarray, smatrices) -> float:

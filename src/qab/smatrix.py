@@ -38,7 +38,7 @@ import numpy as np
 from .coalgebra import Leg, coproduct
 from .kinematics import Kinematics, ModelParams
 from .numerics import qint, rel_residual, sqrt
-from .representation import BOSONIC_GENERATORS, DA, RepSpace, build_basis
+from .representation import BOSONIC_GENERATORS, DA, RepSpace
 
 DEFAULT_GENERATORS = tuple(
     f"{kind}{i}" for kind in ("E", "F") for i in (1, 2, 3, 4)
@@ -280,19 +280,16 @@ def adapted_bases(M1: int, M2: int, q) -> AdaptedBases:
     return bases
 
 
-def intertwiner_system(kin1: Kinematics, kin2: Kinematics, params: ModelParams,
-                       generators=DEFAULT_GENERATORS):
+def intertwiner_system(leg1: Leg, leg2: Leg, generators):
     """The pairs (Delta_12(J), Delta_21(J)) of Ř Delta_12(J) = Delta_21(J) Ř
     over ``generators``, as weight_nullspace and pair_residuals take them."""
-    leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
     return [
         (coproduct(gen, leg1, leg2).matrix, coproduct(gen, leg2, leg1).matrix)
         for gen in generators
     ]
 
 
-def commutant_nullspace(kin1: Kinematics, kin2: Kinematics, params: ModelParams,
-                        generators=DEFAULT_GENERATORS):
+def commutant_nullspace(leg1: Leg, leg2: Leg, q, generators=DEFAULT_GENERATORS):
     """Null space of Ř Delta_12(J) = Delta_21(J) Ř over ``generators``, which
     must include E1, F1, E3, F3, solved in the bosonic commutant
     Ř = V_21 C V_12^-1: only the other generators give equations, one per
@@ -303,12 +300,12 @@ def commutant_nullspace(kin1: Kinematics, kin2: Kinematics, params: ModelParams,
     """
     if not set(BOSONIC) <= set(generators):
         raise ValueError(f"the commutant needs {', '.join(BOSONIC)} among the generators")
-    V12 = adapted_bases(kin1.M, kin2.M, params.q)
-    V21 = adapted_bases(kin2.M, kin1.M, params.q)
+    V12 = adapted_bases(leg1.space.M, leg2.space.M, q)
+    V21 = adapted_bases(leg2.space.M, leg1.space.M, q)
     fermionic = [g for g in generators if g not in BOSONIC]
     pairs = [
         (V12.reduced_matrix(g, A), V21.reduced_matrix(g, B))
-        for g, (A, B) in zip(fermionic, intertwiner_system(kin1, kin2, params, fermionic))
+        for g, (A, B) in zip(fermionic, intertwiner_system(leg1, leg2, fermionic))
     ]
     C_red, sv, shape = weight_nullspace(pairs, V12.labels)
     ui, uj, ki, kj = V12.support
@@ -348,20 +345,6 @@ def pair_residuals(X: np.ndarray, pairs) -> list:
     return [float(np.linalg.norm(X @ A - B @ X)) / norm for A, B in pairs]
 
 
-def solve_intertwiner(kin1: Kinematics, kin2: Kinematics, params: ModelParams) -> np.ndarray:
-    """The unique braided intertwiner Ř: V1 (x) V2 -> V2 (x) V1, normalized
-    so the highest joint state |0,0,0,M1> (x) |0,0,0,M2> maps to
-    |0,0,0,M2> (x) |0,0,0,M1> with coefficient 1."""
-    return unique_intertwiner(commutant_nullspace(kin1, kin2, params))
-
-
-def intertwining_residual(R: np.ndarray, kin1: Kinematics, kin2: Kinematics,
-                          params: ModelParams) -> dict:
-    """Per-generator relative residual ||R Delta_12(J) - Delta_21(J) R|| of R = Ř."""
-    gens = list(DEFAULT_GENERATORS) + [f"K{i}" for i in (1, 2, 3, 4)]
-    return dict(zip(gens, pair_residuals(R, intertwiner_system(kin1, kin2, params, gens))))
-
-
 def _on_left(R: np.ndarray, T: np.ndarray) -> np.ndarray:
     """(R (x) 1) T: R acts on the leading legs of the rows of T."""
     return (R @ T.reshape(R.shape[1], -1)).reshape(-1, T.shape[1])
@@ -377,12 +360,14 @@ def ybe_residual(
 ) -> float:
     """Relative residual of (Ř23 (x) 1)(1 (x) Ř13)(Ř12 (x) 1) =
     (1 (x) Ř12)(Ř13 (x) 1)(1 (x) Ř23), from V1 (x) V2 (x) V3 to
-    V3 (x) V2 (x) V1.  Each factor acts on its two legs of the identity,
-    by reshape, so no factor is embedded in the three-leg space.
+    V3 (x) V2 (x) V1.  Each point's Leg is built once and each factor acts
+    on its two legs of the identity, by reshape, so no factor is embedded in
+    the three-leg space.
     """
-    R12, R13, R23 = (solve_intertwiner(a, b, params)
-                     for a, b in ((kin1, kin2), (kin1, kin3), (kin2, kin3)))
-    dim = len(R12) * build_basis(kin3.M).dim
+    leg1, leg2, leg3 = (Leg(kin, params) for kin in (kin1, kin2, kin3))
+    R12, R13, R23 = (unique_intertwiner(commutant_nullspace(a, b, params.q))
+                     for a, b in ((leg1, leg2), (leg1, leg3), (leg2, leg3)))
+    dim = len(R12) * leg3.space.dim
     # a fresh identity per side, freed by its first factor: at most three
     # dim x dim arrays are alive at once
     lhs = _on_left(R23, _on_right(R13, _on_left(R12, np.eye(dim))))

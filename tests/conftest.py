@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from qab.coalgebra import Leg
 from qab.kinematics import ModelParams, make_kinematics, reflect_kinematics, solve_shortening
-from qab.kmatrix import _k_entries, closed_form_kmatrix
+from qab.kmatrix import _k_entries, boundary_system, closed_form_kmatrix
 from qab.representation import build_basis
+from qab.smatrix import DEFAULT_GENERATORS, commutant_nullspace, unique_intertwiner, weight_nullspace
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +29,21 @@ def kin_at(M, x_minus, params, pick="large"):
 @pytest.fixture(scope="session")
 def kin_of(params):
     return lambda M, xm: kin_at(M, xm, params)
+
+
+def s_nullspace(kin1, kin2, params, generators=DEFAULT_GENERATORS):
+    """commutant_nullspace on the Legs of two points."""
+    return commutant_nullspace(Leg(kin1, params), Leg(kin2, params), params.q, generators)
+
+
+def braided_s(kin1, kin2, params):
+    """The unique braided Ř: V1 (x) V2 -> V2 (x) V1 of two points, Ř[0, 0] = 1."""
+    return unique_intertwiner(s_nullspace(kin1, kin2, params))
+
+
+def boundary_k(kin, params):
+    """K as the unique intertwiner of every boundary charge, A_0 = 1."""
+    return unique_intertwiner(weight_nullspace(*boundary_system(kin, params)))
 
 
 def graded_permutation(space1, space2) -> np.ndarray:

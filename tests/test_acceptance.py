@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from qab.coalgebra import coideal_expansion_check, yangian_limit_probe
+from qab.coalgebra import Leg, coideal_expansion_check, coproduct_map, yangian_limit_probe
 from qab.harness import RunConfig, sample_kinematics
 from qab.kinematics import ModelParams, make_kinematics, solve_shortening
 from qab.kmatrix import (
@@ -24,17 +24,17 @@ from qab.kmatrix import (
     compare_kmatrices,
     rational_limit_errors,
     reflection_smatrices,
-    solve_boundary_intertwiner,
     unitarity_residual,
 )
-from qab.representation import build_basis, verify_algebra
+from qab.representation import GENERATORS, build_basis, verify_algebra
 from qab.smatrix import (
     NULL_GAP,
     SANS_AFFINE,
     commutant_nullspace,
-    intertwining_residual,
-    solve_intertwiner,
+    intertwiner_system,
+    pair_residuals,
     spectral_gap,
+    unique_intertwiner,
     weight_nullspace,
     ybe_residual,
 )
@@ -74,19 +74,20 @@ def test_criterion_1_representation_validity():
 
 
 def test_criterion_2_smatrix_uniqueness():
-    # solve_intertwiner raises unless sigma_1 / sigma_2 <= NULL_GAP
+    # unique_intertwiner raises unless sigma_1 / sigma_2 <= NULL_GAP
     worst = 0.0
     ablation_ok = True
     for i, (M1, M2) in enumerate((a, b) for a in (1, 2, 3) for b in (1, 2, 3)):
         kin1 = _sample(M1, 200 + 2 * i)
         kin2 = _sample(M2, 201 + 2 * i)
-        S = solve_intertwiner(kin1, kin2, PARAMS)
-        worst = max(worst, max(intertwining_residual(S, kin1, kin2, PARAMS).values()))
+        leg1, leg2 = Leg(kin1, PARAMS), Leg(kin2, PARAMS)
+        S = unique_intertwiner(commutant_nullspace(leg1, leg2, PARAMS.q))
+        worst = max(worst, *pair_residuals(S, intertwiner_system(leg1, leg2, GENERATORS)))
         if min(M1, M2) >= 2:
             # the affine supercharges are what force uniqueness; with a
             # fundamental leg the subalgebra suffices, so the ablation is
             # probed on the bound-state pairs
-            sv = commutant_nullspace(kin1, kin2, PARAMS, SANS_AFFINE)[1]
+            sv = commutant_nullspace(leg1, leg2, PARAMS.q, SANS_AFFINE)[1]
             ablation_ok &= spectral_gap(sv) > NULL_GAP
     _report(
         2, "S-matrix uniqueness and affine ablation",
@@ -116,13 +117,14 @@ def test_criterion_4_kmatrix_equivalence():
     for M in (1, 2, 3):
         kin = _sample(M, 400 + M)
         K = closed_form_kmatrix(kin, PARAMS)
-        Ks = solve_boundary_intertwiner(kin, PARAMS)
+        pairs, weights = boundary_system(kin, PARAMS)
+        Ks = unique_intertwiner(weight_nullspace(pairs, weights))
         worst = max(worst, compare_kmatrices(K, Ks))
         if M >= 2:
             # at M = 1 the preserved subalgebra already fixes K; the twisted
             # charges become essential from M = 2 on
-            system = boundary_system(kin, PARAMS, PRESERVED_CHARGES)
-            ablation_ok &= spectral_gap(weight_nullspace(*system)[1]) > NULL_GAP
+            preserved = pairs[:len(PRESERVED_CHARGES)]
+            ablation_ok &= spectral_gap(weight_nullspace(preserved, weights)[1]) > NULL_GAP
     _report(
         4, "closed-form K equals intertwiner K",
         worst < 1e-9 and ablation_ok,
@@ -207,7 +209,8 @@ def test_criterion_10_coideal_expansions():
     for i, (M1, M2) in enumerate([(1, 1), (2, 1), (1, 2), (2, 2)]):
         kin1 = _sample(M1, 900 + 2 * i)
         kin2 = _sample(M2, 901 + 2 * i)
-        res = coideal_expansion_check(kin1, kin2, PARAMS)
+        leg1, leg2 = Leg(kin1, PARAMS), Leg(kin2, PARAMS)
+        res = coideal_expansion_check(leg1, leg2, coproduct_map(leg1, leg2), PARAMS)
         worst = max(worst, max(res.values()))
     _report(
         10, "coideal coproduct expansions of the twisted charges",

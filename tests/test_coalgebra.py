@@ -79,14 +79,16 @@ def test_d_constants(params):
 def test_coideal_expansions(pair, params, kin_of):
     kin1 = kin_of(pair[0], 1.3 + 0.8j)
     kin2 = kin_of(pair[1], 0.9 - 1.1j)
-    res = coideal_expansion_check(kin1, kin2, params)
+    leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
+    res = coideal_expansion_check(leg1, leg2, coproduct_map(leg1, leg2), params)
     assert max(res.values()) < TOL_ALGEBRA, res
 
 
 @pytest.mark.parametrize("M", [1, 2, 3])
 def test_twisted_f1_raising_action(M, params, kin_of):
     kin = kin_of(M, 1.3 + 0.8j)
-    assert twisted_f1_action_residual(kin, params) < TOL_ALGEBRA
+    tw = twisted_boundary_charges(all_generators(kin, params, build_basis(M)), params)
+    assert twisted_f1_action_residual(kin, tw, params) < TOL_ALGEBRA
 
 
 def test_twisted_charges_exist_and_have_right_parity(params, kin_of):
@@ -103,7 +105,8 @@ def test_twisted_charges_exist_and_have_right_parity(params, kin_of):
 @pytest.mark.parametrize("M", [1, 2, 3])
 def test_twisted_centrals_diagonal_and_reflection_invariant(M, params, kin_of):
     kin = kin_of(M, 1.1 + 0.9j)
-    out = twisted_central_invariance(kin, params)
+    tw = twisted_boundary_charges(all_generators(kin, params, build_basis(M)), params)
+    out = twisted_central_invariance(kin, tw, params)
     for name, res in out.items():
         assert res["off_diagonal"] < TOL_ALGEBRA, name
         assert res["reflection_invariance"] < TOL_ALGEBRA, name

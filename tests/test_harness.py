@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qab import smatrix
+from qab.coalgebra import Leg
 from qab.harness import (
     ConfigError,
     RunConfig,
@@ -98,7 +99,8 @@ def test_sampled_points_generically_unique_smatrix():
     for _ in range(n):
         kin1 = sample_kinematics(2, params, rng)
         kin2 = sample_kinematics(1, params, rng)
-        good += spectral_gap(smatrix.commutant_nullspace(kin1, kin2, params)[1]) <= NULL_GAP
+        solution = smatrix.commutant_nullspace(Leg(kin1, params), Leg(kin2, params), params.q)
+        good += spectral_gap(solution[1]) <= NULL_GAP
     assert good >= int(0.95 * n)
 
 
@@ -324,17 +326,41 @@ def test_bybe_solves_each_smatrix_once_per_point(monkeypatch):
     from qab import kmatrix
 
     calls = []
-    solve = kmatrix.solve_intertwiner
+    solve = kmatrix.commutant_nullspace
 
     def counted(*args, **kwargs):
         calls.append(args)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(kmatrix, "solve_intertwiner", counted)
+    monkeypatch.setattr(kmatrix, "commutant_nullspace", counted)
     run_suite("bybe", RunConfig())
     # four (M1, M2) pairs at M = (1, 2), four S matrices per pair; the
     # trivial-C_k control reuses the reflection equation's matrices
     assert len(calls) == 16
+    # the four solves of a pair share the Legs of its two points and of
+    # their reflections
+    for i in range(0, 16, 4):
+        assert len({id(leg) for args in calls[i:i + 4] for leg in args[:2]}) == 4
+
+
+def test_all_builds_each_points_generators_once(monkeypatch):
+    # every check takes the Legs its caller built, so ``qab all --seed 7``
+    # builds the generator matrices once per distinct (kinematics, dtype),
+    # counted through every module that imports all_generators
+    from qab import representation
+
+    built = []
+    build = representation.all_generators
+
+    def counted(kin, params, space, dtype=complex):
+        built.append((kin, dtype))
+        return build(kin, params, space, dtype)
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "qab" or name.startswith("qab.")) and vars(mod).get("all_generators") is build:
+            monkeypatch.setattr(mod, "all_generators", counted)
+    run_suite("all", load_config(data={"seed": 7}))
+    assert len(built) == len(set(built)) == 67
 
 
 def test_limits_honour_config_alpha():
@@ -387,8 +413,8 @@ def test_null_dimension_row_fails_without_a_gap(monkeypatch):
     # row, and the point reports that row alone instead of aborting the suite
     solve = smatrix.commutant_nullspace
 
-    def flat_gap(kin1, kin2, params, generators=smatrix.DEFAULT_GENERATORS):
-        S, sv, shape = solve(kin1, kin2, params, generators)
+    def flat_gap(leg1, leg2, q, generators=smatrix.DEFAULT_GENERATORS):
+        S, sv, shape = solve(leg1, leg2, q, generators)
         sv = sv.copy()
         sv[-2] = 2 * sv[-1]
         return S, sv, shape

@@ -25,7 +25,6 @@ from qab.kmatrix import (
     boundary_system,
     closed_form_kmatrix,
     compare_kmatrices,
-    solve_boundary_intertwiner,
 )
 from qab.numerics import TOL_INTERTWINER, rel_residual
 from qab.representation import build_basis
@@ -40,13 +39,12 @@ from qab.smatrix import (
     intertwiner_system,
     pair_residuals,
     product_weights,
-    solve_intertwiner,
     spectral_gap,
     unique_intertwiner,
     weight_nullspace,
 )
 
-from conftest import graded_permutation, kin_at
+from conftest import boundary_k, braided_s, graded_permutation, kin_at, s_nullspace
 
 #: The reference's rank rule: singular values below this multiple of
 #: max(shape) * eps * sigma_max count as zero.
@@ -98,7 +96,7 @@ def test_smatrix_matches_dense_reference(kin_of, params):
         (coproduct(g, leg1, leg2).matrix, coproduct(g, leg2, leg1).matrix)
         for g in DEFAULT_GENERATORS
     ]
-    R = solve_intertwiner(kin1, kin2, params)
+    R = unique_intertwiner(commutant_nullspace(leg1, leg2, params.q))
     assert R[0, 0] == 1
     assert rel_residual(R, _dense_null_vector(pairs)) < 1e-12
 
@@ -107,7 +105,7 @@ def test_smatrix_matches_dense_reference(kin_of, params):
 def test_kmatrix_matches_dense_reference(M, params_gammas):
     kin = kin_at(M, 0.9 - 1.1j, params_gammas)
     pairs = boundary_system(kin, params_gammas)[0]
-    K = solve_boundary_intertwiner(kin, params_gammas)
+    K = boundary_k(kin, params_gammas)
     assert K[0, 0] == 1
     assert rel_residual(K, _dense_null_vector(pairs)) < 1e-12
 
@@ -116,10 +114,12 @@ def test_kmatrix_solve_at_m8(params_gammas):
     # the dense system at M = 8 has 16384 rows x 1024 unknowns; the
     # weight-supported one stays small
     kin = kin_at(8, 1.4 + 0.6j, params_gammas)
-    Ks = solve_boundary_intertwiner(kin, params_gammas)
-    assert _unique(weight_nullspace(*boundary_system(kin, params_gammas))[1])
+    pairs, weights = boundary_system(kin, params_gammas)
+    solution = weight_nullspace(pairs, weights)
+    assert _unique(solution[1])
+    Ks = unique_intertwiner(solution)
     assert compare_kmatrices(closed_form_kmatrix(kin, params_gammas), Ks) < TOL_INTERTWINER
-    assert not _unique(weight_nullspace(*boundary_system(kin, params_gammas, PRESERVED_CHARGES))[1])
+    assert not _unique(weight_nullspace(pairs[:len(PRESERVED_CHARGES)], weights)[1])
 
 
 def _s_points(params, Ms):
@@ -127,7 +127,11 @@ def _s_points(params, Ms):
 
 
 def _k_system(params, M, charges):
-    return boundary_system(kin_at(M, 1.4 + 0.6j, params), params, charges)
+    """The boundary system at one point of bound-state number M, over
+    ``charges``: BOUNDARY_CHARGES or its leading PRESERVED_CHARGES."""
+    assert charges == BOUNDARY_CHARGES[:len(charges)]
+    pairs, weights = boundary_system(kin_at(M, 1.4 + 0.6j, params), params)
+    return pairs[:len(charges)], weights
 
 
 SYSTEMS = {
@@ -147,16 +151,14 @@ def test_solver_matches_dense_qr_svd(kind, size, generators, q, params_gammas):
     if kind == "S":
         # the commutant solve of Ř against the weight-supported dense solve of
         # S = P_21 Ř, which maps V1 (x) V2 to itself: S Delta_12 = Delta^op S
-        kin1, kin2 = _s_points(params_gammas, size)
-        s1, s2 = build_basis(size[0]), build_basis(size[1])
+        leg1, leg2 = (Leg(kin, params_gammas) for kin in _s_points(params_gammas, size))
+        s1, s2 = leg1.space, leg2.space
         P12, P21 = graded_permutation(s1, s2), graded_permutation(s2, s1)
-        pairs = intertwiner_system(kin1, kin2, params_gammas, generators)
+        pairs = intertwiner_system(leg1, leg2, generators)
         X, sv, (rows, unknowns) = weight_nullspace(
             [(A, P21 @ B @ P12) for A, B in pairs], product_weights(s1, s2)
         )
-        R, svc, (rows_c, unknowns_c) = commutant_nullspace(
-            kin1, kin2, params_gammas, generators
-        )
+        R, svc, (rows_c, unknowns_c) = commutant_nullspace(leg1, leg2, q, generators)
         # the rank rule on the weight-supported system is the reference here
         unique = _rank_null_dim(sv, (rows, unknowns)) == 1
         assert _unique(sv) == _unique(svc) == unique
@@ -204,7 +206,8 @@ def test_reduced_rows_are_multiples_of_the_kept_ones(Ms, q, params):
     kin1, kin2 = _s_points(params, Ms)
     V12, V21 = adapted_bases(*Ms, q), adapted_bases(*Ms[::-1], q)
     positions, groups = _isotypic_layout(V12)
-    for gen, (A, B) in zip(FERMIONIC, intertwiner_system(kin1, kin2, params, FERMIONIC)):
+    pairs = intertwiner_system(Leg(kin1, params), Leg(kin2, params), FERMIONIC)
+    for gen, (A, B) in zip(FERMIONIC, pairs):
         Y12, Y21 = V12.V_inv @ A @ V12.V, V21.V_inv @ B @ V21.V
         A_red, B_red = V12.reduced_matrix(gen, A), V21.reduced_matrix(gen, B)
         i, j, rows, cols, ri, ci = V12.pairs[gen]
@@ -241,13 +244,13 @@ def test_affine_ablation_needs_two_bound_states(params):
     # >= 2; with an M = 1 factor the bosonic and bulk generators suffice
     for Ms, degenerate in [((2, 2), True), ((3, 3), True), ((3, 2), True),
                            ((1, 1), False), ((1, 3), False), ((3, 1), False)]:
-        sv = commutant_nullspace(*_s_points(params, Ms), params, SANS_AFFINE)[1]
+        sv = s_nullspace(*_s_points(params, Ms), params, SANS_AFFINE)[1]
         assert _unique(sv) != degenerate, Ms
 
 
 def test_commutant_needs_the_bosonic_generators(params):
     with pytest.raises(ValueError):
-        commutant_nullspace(*_s_points(params, (1, 1)), params, ("E2", "F2", "E4", "F4"))
+        s_nullspace(*_s_points(params, (1, 1)), params, ("E2", "F2", "E4", "F4"))
 
 
 def test_cached_bases_carry_no_kinematics(params):
@@ -273,7 +276,7 @@ def test_cached_bases_carry_no_kinematics(params):
     for Ms, misses in [((M1, M2), 2), ((M2, M2), 1)]:
         adapted_bases.cache_clear()
         for xm in (1.3 + 0.8j, -0.7 + 1.6j):
-            solve_intertwiner(kin_at(Ms[0], xm, params), kin_at(Ms[1], 0.9 - 1.1j, params), params)
+            braided_s(kin_at(Ms[0], xm, params), kin_at(Ms[1], 0.9 - 1.1j, params), params)
         assert adapted_bases.cache_info().misses == misses, Ms
 
 
@@ -330,11 +333,11 @@ def test_solver_is_deterministic(params_gammas):
     pairs, weights = _k_system(params_gammas, 4, PRESERVED_CHARGES)
     kin1, kin2 = _s_points(params_gammas, (2, 2))
     X1 = weight_nullspace(pairs, weights)[0]
-    S1 = commutant_nullspace(kin1, kin2, params_gammas)[0]
-    commutant_nullspace(*_s_points(params_gammas, (3, 2)), params_gammas)
+    S1 = s_nullspace(kin1, kin2, params_gammas)[0]
+    s_nullspace(*_s_points(params_gammas, (3, 2)), params_gammas)
     weight_nullspace(*_k_system(params_gammas, 3, BOUNDARY_CHARGES))
     assert np.array_equal(weight_nullspace(pairs, weights)[0], X1)
-    assert np.array_equal(commutant_nullspace(kin1, kin2, params_gammas)[0], S1)
+    assert np.array_equal(s_nullspace(kin1, kin2, params_gammas)[0], S1)
 
 
 def test_gap_does_not_move_with_the_scale_of_a_generator(params_gammas):
@@ -354,12 +357,13 @@ def test_unique_and_ablated_gaps_keep_their_margin(params):
     # three decades below NULL_GAP and ablated ones two above
     for index, Ms in enumerate([(2, 2), (2, 3), (3, 2)]):
         rng = np.random.default_rng([1, index])
-        kin1, kin2 = (sample_kinematics(M, params, rng) for M in Ms)
-        assert spectral_gap(commutant_nullspace(kin1, kin2, params)[1]) <= 1e-9, Ms
-        ablated = commutant_nullspace(kin1, kin2, params, SANS_AFFINE)[1]
+        leg1, leg2 = (Leg(sample_kinematics(M, params, rng), params) for M in Ms)
+        assert spectral_gap(commutant_nullspace(leg1, leg2, params.q)[1]) <= 1e-9, Ms
+        ablated = commutant_nullspace(leg1, leg2, params.q, SANS_AFFINE)[1]
         assert spectral_gap(ablated) >= 1e-4, Ms
     for M in (2, 3, 4, 6):
         kin = sample_kinematics(M, params, np.random.default_rng([1, 100 + M]))
-        assert spectral_gap(weight_nullspace(*boundary_system(kin, params))[1]) <= 1e-9, M
-        ablated = weight_nullspace(*boundary_system(kin, params, PRESERVED_CHARGES))[1]
+        pairs, weights = boundary_system(kin, params)
+        assert spectral_gap(weight_nullspace(pairs, weights)[1]) <= 1e-9, M
+        ablated = weight_nullspace(pairs[:len(PRESERVED_CHARGES)], weights)[1]
         assert spectral_gap(ablated) >= 1e-4, M

@@ -16,17 +16,22 @@ from qab.smatrix import (
     NULL_GAP,
     SANS_AFFINE,
     VerificationError,
-    commutant_nullspace,
-    intertwining_residual,
+    intertwiner_system,
+    pair_residuals,
     product_weights,
-    solve_intertwiner,
     spectral_gap,
     unique_intertwiner,
     ybe_residual,
 )
 from qab.representation import GENERATORS, build_basis
 
-from conftest import graded_permutation
+from conftest import braided_s, graded_permutation, s_nullspace
+
+
+def _intertwining(S, kin1, kin2, params):
+    """Per-generator residual of Ř Delta_12(J) = Delta_21(J) Ř over all twelve."""
+    pairs = intertwiner_system(Leg(kin1, params), Leg(kin2, params), GENERATORS)
+    return dict(zip(GENERATORS, pair_residuals(S, pairs)))
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +47,7 @@ def points(kin_of):
 
 
 def test_fundamental_null_space_is_one_dimensional(points, params):
-    solution = commutant_nullspace(points[1], points["1b"], params)
+    solution = s_nullspace(points[1], points["1b"], params)
     S, sv = unique_intertwiner(solution), solution[1]
     assert S.shape == (16, 16)
     # SVD oracle: exactly one vanishing singular value
@@ -53,13 +58,13 @@ def test_fundamental_null_space_is_one_dimensional(points, params):
     "k1,k2", [(1, "1b"), (2, 1), (2, "2b"), (3, 1), (3, 2)], ids=str
 )
 def test_intertwining_residuals(k1, k2, points, params):
-    S = solve_intertwiner(points[k1], points[k2], params)
-    res = intertwining_residual(S, points[k1], points[k2], params)
+    S = braided_s(points[k1], points[k2], params)
+    res = _intertwining(S, points[k1], points[k2], params)
     assert max(res.values()) < TOL_ALGEBRA, res
 
 
 def test_anchor_normalization(points, params):
-    S = solve_intertwiner(points[2], points[1], params)
+    S = braided_s(points[2], points[1], params)
     s1, s2 = build_basis(2), build_basis(1)
     anchor = s1.index[(0, 0, 0, 2)] * s2.dim + s2.index[(0, 0, 0, 1)]
     assert anchor == 0
@@ -72,7 +77,7 @@ def test_anchor_normalization(points, params):
 
 def test_weight_block_structure(points, params):
     # Ř vanishes between states of different (H1, H3) joint weight
-    R = solve_intertwiner(points[2], points[1], params)
+    R = braided_s(points[2], points[1], params)
     s1, s2 = build_basis(2), build_basis(1)
     w12, w21 = product_weights(s1, s2), product_weights(s2, s1)
     for i in range(len(w21)):
@@ -84,7 +89,7 @@ def test_weight_block_structure(points, params):
 def test_nullspace_vector_satisfies_full_equations(points, params):
     # independent of the solver's internal assembly: apply the coproduct
     # difference directly to the returned matrix
-    R = solve_intertwiner(points[1], points["1b"], params)
+    R = braided_s(points[1], points["1b"], params)
     leg1 = Leg(points[1], params)
     leg2 = Leg(points["1b"], params)
     for gen in DEFAULT_GENERATORS:
@@ -101,7 +106,7 @@ def test_braided_intertwiner_is_the_flipped_s_matrix(k1, k2, points, params):
     leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
     P12 = graded_permutation(leg1.space, leg2.space)
     P21 = graded_permutation(leg2.space, leg1.space)
-    S = P21 @ solve_intertwiner(kin1, kin2, params)
+    S = P21 @ braided_s(kin1, kin2, params)
     assert S[0, 0] == 1
     for gen in GENERATORS:
         delta = coproduct(gen, leg1, leg2).matrix
@@ -112,8 +117,8 @@ def test_braided_intertwiner_is_the_flipped_s_matrix(k1, k2, points, params):
 def test_affine_ablation_raises_dimension(points, params):
     # with both bound-state numbers >= 2 the subalgebra alone no longer fixes
     # S; the affine generators are what force uniqueness
-    sv_full = commutant_nullspace(points[2], points["2b"], params)[1]
-    sv_ablated = commutant_nullspace(points[2], points["2b"], params, SANS_AFFINE)[1]
+    sv_full = s_nullspace(points[2], points["2b"], params)[1]
+    sv_ablated = s_nullspace(points[2], points["2b"], params, SANS_AFFINE)[1]
     assert spectral_gap(sv_full) <= NULL_GAP
     assert spectral_gap(sv_ablated) > NULL_GAP
 
@@ -121,12 +126,12 @@ def test_affine_ablation_raises_dimension(points, params):
 def test_fundamental_leg_stays_unique_without_affine(points, params):
     # known exception: a fundamental (M=1) factor leaves the product
     # irreducible under the subalgebra, so the ablation does not degenerate
-    sv = commutant_nullspace(points[1], points["1b"], params, SANS_AFFINE)[1]
+    sv = s_nullspace(points[1], points["1b"], params, SANS_AFFINE)[1]
     assert spectral_gap(sv) <= NULL_GAP
 
 
 def test_degenerate_request_raises(points, params):
-    solution = commutant_nullspace(points[2], points["2b"], params, SANS_AFFINE)
+    solution = s_nullspace(points[2], points["2b"], params, SANS_AFFINE)
     with pytest.raises(VerificationError, match="no spectral gap"):
         unique_intertwiner(solution)
     # sigma_2 = 0: fewer equations than unknowns, no gap either
@@ -137,8 +142,8 @@ def test_degenerate_request_raises(points, params):
 
 def test_s_at_reflected_legs(points, params):
     kin2r = reflect_kinematics(points["1b"], params)
-    S = solve_intertwiner(points[1], kin2r, params)
-    assert max(intertwining_residual(S, points[1], kin2r, params).values()) < TOL_ALGEBRA
+    S = braided_s(points[1], kin2r, params)
+    assert max(_intertwining(S, points[1], kin2r, params).values()) < TOL_ALGEBRA
 
 
 @pytest.mark.parametrize(
@@ -167,7 +172,7 @@ def _s_form_ybe_residual(kins, params):
     I1, I2, I3 = (np.eye(s.dim) for s in spaces)
 
     def S(i, j):  # P_21 Ř on V_i (x) V_j
-        return graded_permutation(spaces[j], spaces[i]) @ solve_intertwiner(kins[i], kins[j], params)
+        return graded_permutation(spaces[j], spaces[i]) @ braided_s(kins[i], kins[j], params)
 
     S12 = np.kron(S(0, 1), I3)
     S13 = (np.kron(I1, graded_permutation(s3, s2)) @ np.kron(S(0, 2), I2)
