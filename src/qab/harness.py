@@ -437,10 +437,13 @@ def suite_unitarity(cfg: RunConfig):
     tol = cfg.tol("intertwiner")
 
     def check(params, kin):
-        return [_check(
-            "unitarity", "K(p)K(-p)=Id", kin.M,
-            kmatrix.unitarity_residual(kin, params), tol,
-        )]
+        try:
+            residual, extra = kmatrix.unitarity_residual(kin, params), None
+        except VerificationError as exc:
+            # the closed form failed its own cross-check at this point: its
+            # row fails, at relative residual 1, and carries the reason
+            residual, extra = 1.0, {"error": str(exc)}
+        return [_check("unitarity", "K(p)K(-p)=Id", kin.M, residual, tol, extra=extra)]
 
     return _per_point(cfg, 25000, [(M,) for M in cfg.M], check)
 

@@ -14,13 +14,14 @@ dense matrices tagged with a parity; supercharges (i = 2, 4) are odd.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numerics as nm
 from .kinematics import Kinematics, ModelParams, affine_labels, bulk_labels, derive_couplings
-from .numerics import log, qint, rel_residual
+from .numerics import log, qint
 
 # Symmetrized Cartan matrix DA and normalization D = diag(1,-1,-1,-1).
 DA = np.array(
@@ -96,10 +97,7 @@ class GradedOperator:
     parity: int
 
     def __matmul__(self, other: "GradedOperator") -> "GradedOperator":
-        return GradedOperator(
-            nm.mdot(self.matrix, other.matrix),
-            (self.parity + other.parity) % 2,
-        )
+        return GradedOperator(self.matrix @ other.matrix, (self.parity + other.parity) % 2)
 
     def __add__(self, other: "GradedOperator") -> "GradedOperator":
         if self.parity != other.parity:
@@ -112,26 +110,14 @@ class GradedOperator:
         return GradedOperator(self.matrix - other.matrix, self.parity)
 
     def __mul__(self, scalar) -> "GradedOperator":
-        if self.matrix.dtype != object:
-            return GradedOperator(self.matrix * scalar, self.parity)
-        m = self.matrix.copy()  # exact zeros stay as they are, as in nm.mdot
-        nz = m.nonzero()
-        m[nz] = m[nz] * scalar
-        return GradedOperator(m, self.parity)
+        return GradedOperator(self.matrix * scalar, self.parity)
 
     __rmul__ = __mul__
 
     def inv(self) -> "GradedOperator":
         if self.parity != 0:
             raise ValueError("only even operators are invertible here")
-        return GradedOperator(nm.minv(self.matrix), 0)
-
-    def parity_pattern_residual(self, parities) -> float:
-        """Norm of entries violating the zero-pattern of the basis parities."""
-        p = np.asarray(parities)
-        bad = (p[:, None] + p[None, :] + self.parity) % 2 == 1
-        m = self.matrix.astype(complex)  # object (mpmath) entries too
-        return float(np.linalg.norm(np.where(bad, m, 0.0)))
+        return GradedOperator(np.linalg.inv(self.matrix), 0)
 
 
 def identity_operator(space: RepSpace, dtype=complex) -> GradedOperator:
@@ -203,25 +189,75 @@ def all_generators(kin, params, space, dtype=complex) -> dict:
 
 def graded_commutator(A: GradedOperator, B: GradedOperator) -> GradedOperator:
     """[A, B} = AB - (-1)^{|A||B|} BA."""
-    AB, BA = nm.mdot(A.matrix, B.matrix), nm.mdot(B.matrix, A.matrix)
+    AB, BA = A.matrix @ B.matrix, B.matrix @ A.matrix
     return GradedOperator(
         AB + BA if A.parity * B.parity % 2 else AB - BA, (A.parity + B.parity) % 2
     )
 
 
-def quartic_serre_lhs(kind: str, k: int, ops: dict, lam) -> GradedOperator:
-    """{[X1, Xk], [X3, Xk]} - lam Xk X1 X3 Xk for X in {E, F}, with the
-    q-Serre scalar lam = q - 2 + 1/q supplied by the caller.
+#: Weight (l - k, n - m) step of each raising and lowering generator; the
+#: K_i keep every weight.
+SHIFTS = {
+    "E1": (2, 0), "E2": (-1, 1), "E3": (0, -2), "E4": (-1, 1),
+    "F1": (-2, 0), "F2": (1, -1), "F3": (0, 2), "F4": (1, -1),
+}
 
-    At k = 2 this is also the central charge C2 (X = E) or C3 (X = F): their
-    defining brackets [X2, X1}, [X2, X3} are the negatives of these, exactly.
+
+@dataclass(frozen=True)
+class WeightLayout:
+    """The weight spaces of the M bound state, each of dimension <= 2.
+
+    |m,n,k,l> has the weight (l - k, n - m); |0,0,k,l> and |1,1,k-1,l-1>
+    share one.  Weight w = 0..n_w-1 holds the states slots[w] (-1 marks an
+    empty slot); w = n_w is an empty weight, the target of every step that
+    leaves the module, so its blocks stay zero.  An operator with weight
+    step s is then an (n_w + 1, 2, 2) stack of blocks W_w -> W_{w+s}.
     """
-    x1, x3, xk = ops[f"{kind}1"], ops[f"{kind}3"], ops[f"{kind}{k}"]
-    t1 = graded_commutator(
-        graded_commutator(x1, xk), graded_commutator(x3, xk)
-    )
-    t2 = xk @ x1 @ x3 @ xk
-    return t1 - lam * t2
+
+    M: int
+    slots: np.ndarray = field(repr=False)  # (n_w + 1, 2) basis indices
+    weights: np.ndarray = field(repr=False)  # (n_w, 2) weight of each w
+    grid: np.ndarray = field(repr=False)  # w of weight (a, b) at [a + M, b + 1]; n_w if none
+    outside: np.ndarray = field(repr=False)  # (12, d, d): off each generator's weight pattern
+
+    def step(self, shifts) -> np.ndarray:
+        """(len(shifts), n_w + 1): the index of weight w + s for each shift s
+        and weight w; n_w where w + s is no weight of the module."""
+        n_w = len(self.weights)
+        a, b = np.moveaxis(self.weights + np.asarray(shifts)[:, None, :], -1, 0)
+        inside = (np.abs(a) <= self.M) & (np.abs(b) <= 1)
+        w = np.full((len(a), n_w + 1), n_w)
+        w[:, :n_w][inside] = self.grid[a[inside] + self.M, b[inside] + 1]
+        return w
+
+
+@functools.lru_cache(maxsize=32)
+def weight_layout(M: int) -> WeightLayout:
+    """The WeightLayout of the M bound state, built once per M."""
+    space = build_basis(M)
+    weight = np.array([(l - k, n - m) for m, n, k, l in space.states])
+    weights = np.array(sorted(set(map(tuple, weight.tolist()))))
+    n_w = len(weights)
+    grid = np.full((2 * M + 1, 3), n_w)
+    grid[weights[:, 0] + M, weights[:, 1] + 1] = np.arange(n_w)
+    slots = np.full((n_w + 1, 2), -1)
+    for i, (a, b) in enumerate(weight):
+        row = slots[grid[a + M, b + 1]]
+        row[np.argmax(row < 0)] = i
+    shifts = np.array([SHIFTS.get(g, (0, 0)) for g in GENERATORS])
+    inside = np.all(weight[:, None] == weight[None, :] + shifts[:, None, None], axis=-1)
+    inside[len(SHIFTS):] = np.eye(space.dim, dtype=bool)  # the K_i are diagonal
+    layout = WeightLayout(M, slots, weights, grid, ~inside)
+    for a in (slots, weights, grid, layout.outside):
+        a.flags.writeable = False
+    return layout
+
+
+def _diag(d):
+    """(..., 2, 2) blocks with the (..., 2) diagonals d."""
+    out = np.zeros(d.shape + d.shape[-1:], dtype=d.dtype)
+    out[..., [0, 1], [0, 1]] = d
+    return out
 
 
 def verify_algebra(
@@ -233,104 +269,159 @@ def verify_algebra(
     """Residuals of every defining relation of the algebra on this module.
 
     Returns a dict name -> Frobenius-relative residual; the caller compares
-    against the tolerance tier.
+    against the tolerance tier.  Each E_i, F_i is evaluated as its 2 x 2
+    weight blocks (WeightLayout) and each K_i as its diagonal, so no product
+    is larger than 2 x 2: (AB)[w] = A[w + s_B] B[w].  ``weight_pattern``, the
+    largest norm of a generator's entries outside its weight pattern (off
+    the diagonal for the K_i), certifies that the blocks hold every entry.
     """
     q = params.q
     _, g_tilde = derive_couplings(q, params.g)
     alpha, at = params.alpha, params.alpha_tilde
     g = params.g
-    ops = all_generators(kin, params, space, dtype=dtype)
-    k_inv = {i: ops[f"K{i}"].inv() for i in range(1, 5)}
-    lam = q - 2 + 1 / q
-    ident = identity_operator(space, dtype=dtype)
     U, V = kin.U, kin.V
+    lam = q - 2 + 1 / q
+    lay = weight_layout(space.M)
+    dense = np.stack([op.matrix for op in all_generators(kin, params, space, dtype).values()])
     res = {}
+    # Arrays stand left of scalars: an mpmath scalar times an array formats
+    # the array for the TypeError it raises before numpy takes over.
 
-    def put(name, L, R):
-        # R is a matrix, or the scalar 0 for a relation L = 0
-        res[name] = rel_residual(L.matrix, R)
+    def put(names, lhs, rhs=None):
+        # rel_residual of each lhs[i] = rhs[i], or of lhs[i] = 0
+        norm = nm.fnorms(lhs)
+        if rhs is None:
+            r = np.minimum(norm, 1.0)
+        else:
+            r = nm.fnorms(lhs - rhs) / np.maximum(1.0, np.maximum(norm, nm.fnorms(rhs)))
+        res.update(zip(names, r.tolist()))
 
-    # Cartan relations K_i X_j K_i^-1 = q^{±DA_ij} X_j.
-    for i in range(1, 5):
-        Ki = ops[f"K{i}"]
-        for j in range(1, 5):
-            daij = DA[i - 1][j - 1]
-            ej, fj = ops[f"E{j}"], ops[f"F{j}"]
-            put(f"K{i}E{j}", Ki @ ej @ k_inv[i], (q**daij * ej).matrix)
-            put(f"K{i}F{j}", Ki @ fj @ k_inv[i], (q**-daij * fj).matrix)
+    # ops[name] = (blocks, weight step); ops[x + y] is the product of x and y
+    def multiply(pairs):
+        rows = lay.step([ops[y][1] for _, y in pairs])
+        left = np.stack([ops[x][0] for x, _ in pairs])[np.arange(len(pairs))[:, None], rows]
+        blocks = nm.mdot(left, np.stack([ops[y][0] for _, y in pairs]))
+        for (x, y), b in zip(pairs, blocks):
+            ops[x + y] = (b, tuple(np.add(ops[x][1], ops[y][1])))
 
-    # Diagonal and off-diagonal [E_i, F_j} relations.
-    for j in range(1, 5):
-        lhs = graded_commutator(ops[f"E{j}"], ops[f"F{j}"])
-        rhs = (D_DIAG[j - 1] / (q - 1 / q)) * (ops[f"K{j}"] - k_inv[j])
-        put(f"E{j}F{j}", lhs, rhs.matrix)
-    for i in range(1, 5):
-        for j in range(1, 5):
-            if i != j and i + j != 6:
-                lhs = graded_commutator(ops[f"E{i}"], ops[f"F{j}"])
-                put(f"E{i}F{j}", lhs, 0)
+    def blocks(names):
+        return np.stack([ops[name][0] for name in names])
 
-    # Mixed affine relations with g_tilde and alpha_tilde.
-    put(
-        "E2F4",
-        graded_commutator(ops["E2"], ops["F4"]),
-        ((-g_tilde / at) * (ops["K4"] - (U**2) * k_inv[2])).matrix,
+    # E_i, F_i as (8, n_w + 1, 2, 2) blocks; K_i and K_i^-1 as diagonals.
+    n_ef = len(SHIFTS)  # E_i, F_i lead GENERATORS
+    to = lay.step(list(SHIFTS.values()))
+    rows, cols = lay.slots[to][..., :, None], lay.slots[None, :, None, :]
+    ef = np.where(
+        (rows >= 0) & (cols >= 0), dense[np.arange(n_ef)[:, None, None, None], rows, cols], 0
     )
-    put(
-        "E4F2",
-        graded_commutator(ops["E4"], ops["F2"]),
-        ((g_tilde * at) * (ops["K2"] - (U**-2) * k_inv[4])).matrix,
-    )
+    ops = {name: (b, SHIFTS[name]) for name, b in zip(SHIFTS, ef)}
+    mask = lay.slots >= 0
+
+    def inv(d):
+        return np.divide(1, d, out=np.zeros_like(d), where=mask)
+
+    kd = np.where(mask, dense[n_ef:, lay.slots, lay.slots], 0)
+    # The blocks hold every entry: nothing lies off the weight patterns.
+    # The d x d matrices are needed no further.
+    pattern = max(nm.fnorm(m[off]) for m, off in zip(dense, lay.outside))
+    del dense
+    kd_inv = inv(kd)
+    ident = np.where(mask, 1, 0).astype(dtype)
+
+    # Cartan relations K_i X_j K_i^-1 = q^{±DA_ij} X_j, elementwise.
+    lhs = nm.emul(kd[:, to, :, None], ef, kd_inv[:, None, :, None, :])
+    power = np.array([[q ** (sign * DA[i][j]) for sign in (1, -1) for j in range(4)]
+                      for i in range(4)], dtype=dtype)
+    rhs = nm.emul(power[:, :, None, None, None], ef)
+    order = (4, 2, 4) + ef.shape[1:]  # (i, E|F, j) -> (i, j, E|F)
+    put([f"K{i}{x}{j}" for i in range(1, 5) for j in range(1, 5) for x in "EF"],
+        *(np.swapaxes(a.reshape(order), 1, 2).reshape((32,) + ef.shape[1:]) for a in (lhs, rhs)))
+
+    # The 28 graded brackets [X, Y} of two generators, in one batch.
+    pairs = [(f"E{i}", f"F{j}") for i in range(1, 5) for j in range(1, 5)]
+    pairs += [(f"{x}{j}", f"{x}{k}") for x in "EF" for j in (1, 3) for k in (2, 4)]
+    pairs += [(f"{x}{j}", f"{x}{k}") for x in "EF" for j, k in ((1, 3), (2, 4))]
+    multiply(pairs + [(y, x) for x, y in pairs] + [(f"{x}{k}",) * 2 for x in "EF" for k in (2, 4)])
+    for x, y in pairs:
+        (xy, s), (yx, _) = ops[x + y], ops[y + x]
+        both_odd = GENERATOR_PARITY[x] * GENERATOR_PARITY[y]
+        ops[f"[{x},{y}]"] = (xy + yx if both_odd else xy - yx, s)
+
+    # Diagonal and off-diagonal [E_i, F_j} relations, and the mixed affine
+    # ones with g_tilde and alpha_tilde.
+    put([f"E{j}F{j}" for j in range(1, 5)], blocks(f"[E{j},F{j}]" for j in range(1, 5)),
+        _diag(np.stack([(kd[j] - kd_inv[j]) * (D_DIAG[j] / (q - 1 / q)) for j in range(4)])))
+    off = [(i, j) for i in range(1, 5) for j in range(1, 5) if i != j and i + j != 6]
+    put([f"E{i}F{j}" for i, j in off], blocks(f"[E{i},F{j}]" for i, j in off))
+    put(["E2F4", "E4F2"], blocks(["[E2,F4]", "[E4,F2]"]), _diag(np.stack([
+        (kd[3] - kd_inv[1] * U**2) * (-g_tilde / at),
+        (kd[1] - kd_inv[3] * U**-2) * (g_tilde * at),
+    ])))
+
+    # The cubic and quartic Serre products, in one batch.  The quartic
+    # X_k X1 X3 X_k is (X_k X1)(X3 X_k), both factors from the brackets.
+    cubic = [(f"{x}{j}", f"{x}{k}") for x in "EF" for j in (1, 3) for k in (2, 4)]
+    quartic = [(x, k) for k in (2, 4) for x in "EF"]
+    batch = []
+    for xj, xk in cubic:
+        inner = f"[{xj},{xk}]"
+        batch += [(xj, inner), (inner, xj), (xj + xk, xj)]
+    for x, k in quartic:
+        one, three = f"[{x}1,{x}{k}]", f"[{x}3,{x}{k}]"
+        batch += [(one, three), (three, one), (f"{x}{k}{x}1", f"{x}3{x}{k}")]
+    multiply(batch)
 
     # Cubic Serre relations and the vanishing quadratics.
-    for kind in ("E", "F"):
-        for j in (1, 3):
-            for k in (2, 4):
-                xj, xk = ops[f"{kind}{j}"], ops[f"{kind}{k}"]
-                lhs = graded_commutator(xj, graded_commutator(xj, xk)) - lam * (
-                    xj @ xk @ xj
-                )
-                put(f"serre_{kind}{j}{k}", lhs, 0)
-        x1, x2, x3, x4 = (ops[f"{kind}{i}"] for i in (1, 2, 3, 4))
-        put(f"{kind}1{kind}3", graded_commutator(x1, x3), 0)
-        put(f"{kind}2{kind}2", x2 @ x2, 0)
-        put(f"{kind}4{kind}4", x4 @ x4, 0)
-        put(f"{kind}2{kind}4", graded_commutator(x2, x4), 0)
+    for x in "EF":
+        serre = [
+            ops[f"{xj}[{xj},{xk}]"][0] - ops[f"[{xj},{xk}]{xj}"][0]
+            - nm.emul(ops[xj + xk + xj][0], lam)
+            for xj, xk in cubic if xj[0] == x
+        ]
+        put([f"serre_{x}{j}{k}" for j in (1, 3) for k in (2, 4)]
+            + [f"{x}1{x}3", f"{x}2{x}2", f"{x}4{x}4", f"{x}2{x}4"],
+            np.concatenate([serre, blocks([f"[{x}1,{x}3]", f"{x}2{x}2", f"{x}4{x}4",
+                                           f"[{x}2,{x}4]"])]))
 
     # Quartic Serre relations with central right-hand sides (k = 2, 4); at
     # k = 2 the left-hand sides are the central charges C2 and C3.
-    quartic = {}
-    for k, (uk, vk, ak) in {
-        2: (U, V, alpha),
-        4: (1 / U, 1 / V, alpha * at * at),
-    }.items():
-        quartic["E", k] = quartic_serre_lhs("E", k, ops, lam)
-        quartic["F", k] = quartic_serre_lhs("F", k, ops, lam)
-        e_val, f_val = g * ak * (1 - vk**2 * uk**2), g / ak * (vk**-2 - uk**-2)
-        put(f"quartic_E{k}", quartic["E", k], (e_val * ident).matrix)
-        put(f"quartic_F{k}", quartic["F", k], (f_val * ident).matrix)
+    lhs, rhs = {}, []
+    for x, k in quartic:
+        one, three = f"[{x}1,{x}{k}]", f"[{x}3,{x}{k}]"
+        t1 = ops[one + three][0] + ops[three + one][0]
+        lhs[x, k] = t1 - nm.emul(ops[f"{x}{k}{x}1{x}3{x}{k}"][0], lam)
+        uk, vk, ak = (U, V, alpha) if k == 2 else (1 / U, 1 / V, alpha * at * at)
+        value = g * ak * (1 - vk**2 * uk**2) if x == "E" else g / ak * (vk**-2 - uk**-2)
+        rhs.append(ident * value)
+    put([f"quartic_{x}{k}" for x, k in quartic], np.stack(list(lhs.values())),
+        _diag(np.stack(rhs)))
 
     # Central charges C1 = K1 K2^2 K3, C2, C3: scalar values and centrality.
-    c1 = ops["K1"] @ ops["K2"] @ ops["K2"] @ ops["K3"]
-    c2, c3 = quartic["E", 2], quartic["F", 2]
-    put("C1_scalar", c1, ((V**-2) * ident).matrix)
-    put("C2_scalar", c2, ((g * alpha * (1 - U**2 * V**2)) * ident).matrix)
-    put("C3_scalar", c3, ((g / alpha * (V**-2 - U**-2)) * ident).matrix)
-    for name, cc in (("C1", c1), ("C2", c2), ("C3", c3)):
-        worst = 0.0
-        for gname in GENERATORS:
-            lhs = graded_commutator(cc, ops[gname])
-            worst = max(worst, rel_residual(lhs.matrix, 0))
-        res[f"{name}_central"] = worst
+    c1 = kd[0] * kd[1] * kd[1] * kd[2]
+    ops["C2"], ops["C3"] = (lhs["E", 2], (0, 0)), (lhs["F", 2], (0, 0))
+    put(["C1_scalar"], c1[None], (ident * V**-2)[None])
+    put(["C2_scalar", "C3_scalar"], blocks(["C2", "C3"]), _diag(np.stack([
+        ident * (g * alpha * (1 - U**2 * V**2)), ident * (g / alpha * (V**-2 - U**-2)),
+    ])))
+    multiply([(c, x) for c in ("C2", "C3") for x in SHIFTS]
+             + [(x, c) for c in ("C2", "C3") for x in SHIFTS])
+    brackets = {"C1": (
+        nm.emul(c1[to][..., :, None], ef) - nm.emul(ef, c1[None, :, None, :]), c1 * kd - kd * c1,
+    )}
+    for c in ("C2", "C3"):
+        cc = ops[c][0]
+        brackets[c] = (
+            blocks(c + x for x in SHIFTS) - blocks(x + c for x in SHIFTS),
+            nm.emul(cc, kd[:, :, None, :]) - nm.emul(kd[:, :, :, None], cc),
+        )
+    for c, (with_ef, with_k) in brackets.items():
+        worst = max(nm.fnorms(with_ef).max(), nm.fnorms(with_k).max())
+        res[f"{c}_central"] = min(float(worst), 1.0)
 
     # K constraints.
-    put("K1K2K3K4", ops["K1"] @ ops["K2"] @ ops["K3"] @ ops["K4"], ident.matrix)
-    put("V2_constraint", c1.inv(), ((V**2) * ident).matrix)
-    c1_affine = ops["K1"] @ ops["K4"] @ ops["K4"] @ ops["K3"]
-    put("V4_constraint", c1_affine.inv(), ((V**-2) * ident).matrix)
+    put(["K1K2K3K4", "V2_constraint", "V4_constraint"], np.stack([
+        kd[0] * kd[1] * kd[2] * kd[3], inv(c1), inv(kd[0] * kd[3] * kd[3] * kd[2]),
+    ]), np.stack([ident, ident * V**2, ident * V**-2]))
 
-    # Parity zero-patterns.
-    res["parity_pattern"] = max(
-        ops[gname].parity_pattern_residual(space.parities) for gname in GENERATORS
-    )
+    res["weight_pattern"] = pattern
     return res

@@ -1,6 +1,7 @@
 """Configuration, sampling, reporting and the command-line interface."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -273,13 +274,18 @@ def test_cli_composite_suites_run_m_3(argv, wanted, tmp_path):
     assert [M for M in wanted if M not in seen] == []
 
 
-def test_cli_closed_form_disagreement_exits_1(tmp_path, capsys):
+def test_cli_closed_form_disagreement_exits_1(tmp_path):
     # at q = 1.5, M = 20 the closed-form K and its explicit x-form part by
-    # more than TOL_ALGEBRA: a failed verification, not a usage error
-    path = tmp_path / "cfg.json"
+    # more than TOL_ALGEBRA: a failed row that carries the reason, not a
+    # usage error and not an abort without a report
+    path, out = tmp_path / "cfg.json", tmp_path / "report.json"
     path.write_text(json.dumps({"q": 1.5}))
-    assert main(["unitarity", "--config", str(path), "--M", "20", "--seed", "1"]) == 1
-    assert "A coefficients disagree with explicit form" in capsys.readouterr().err
+    assert main(["unitarity", "--config", str(path), "--M", "20", "--seed", "1",
+                 "--out", str(out)]) == 1
+    (row,) = json.loads(out.read_text())["checks"]
+    assert row["check"] == "K(p)K(-p)=Id" and not row["passed"]
+    assert "A coefficients disagree with explicit form" in row["error"]
+    assert math.isfinite(row["residual"]) and row["residual"] > row["threshold"]
 
 
 def test_kmatrix_at_m22_and_q15_passes():

@@ -1,7 +1,8 @@
-"""Object-array (mpmath) arithmetic: sparse product, diagonal inverse, norm.
+"""Block arithmetic: the stacked product and the norms, in double precision
+and on object (mpmath) arrays.
 
-Each helper skips exact zeros or uses the diagonal, so it must agree bit for
-bit with the dense form it replaces; the dense forms are kept here as oracles.
+The object kernels skip exact zeros, so they must agree bit for bit with the
+dense forms they replace; the dense forms are kept here as oracles.
 """
 
 import random
@@ -12,7 +13,7 @@ import pytest
 
 from qab import numerics
 from qab.kinematics import ModelParams, on_shell
-from qab.numerics import fnorm, mdot, minv
+from qab.numerics import fnorm, mdot
 from qab.representation import build_basis, verify_algebra
 
 
@@ -20,8 +21,15 @@ def dense_dot(a, b):
     return np.dot(a, b)
 
 
-def lu_inv(a):
-    return np.array((mpmath.matrix(a.tolist()) ** -1).tolist(), dtype=object)
+def dense_emul(*factors):
+    out = factors[0]
+    for f in factors[1:]:
+        out = out * f
+    return out
+
+
+def dense_fnorms(a):
+    return np.array([dense_fnorm(x) for x in a])
 
 
 def dense_fnorm(a):
@@ -62,33 +70,19 @@ def test_mdot_equals_dense_dot_on_object_arrays(prec):
             assert _same(mdot(a, b), dense_dot(a, b))
         zero = np.zeros((3, 3), dtype=object)
         assert _same(mdot(zero, _sparse(rng, 3, 3)), dense_dot(zero, zero))
+        # stacks of 2 x 2 weight blocks, broadcast over the leading axes
+        a = _sparse(rng, 6 * 5, 4).reshape(6, 5, 2, 2)
+        b = _sparse(rng, 5, 4).reshape(5, 2, 2)
+        assert _same(mdot(a, b), np.matmul(a, b))
 
 
-def test_mdot_is_np_dot_on_complex_arrays():
+def test_mdot_is_matmul_on_complex_blocks():
+    # the same two products per entry as np.matmul, summed in the same order;
+    # only BLAS's fused multiply-adds can move the last bit
     rng = np.random.default_rng(0)
-    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    assert np.array_equal(mdot(a, b), np.dot(a, b))
-
-
-@pytest.mark.parametrize("prec", [53, 106, 200])
-def test_minv_equals_mpmath_inverse_on_diagonal(prec):
-    rng = random.Random(prec)
-    with mpmath.workprec(prec):
-        entries = [_mpc(rng) for _ in range(5)] + [mpmath.mpf(3) / 7, 1]
-        a = np.zeros((7, 7), dtype=object)
-        for i, x in enumerate(entries):
-            a[i, i] = x
-        assert _same(minv(a), lu_inv(a))
-
-
-def test_minv_rejects_non_diagonal_object_matrix():
-    a = np.zeros((3, 3), dtype=object)
-    for i in range(3):
-        a[i, i] = mpmath.mpc(1, 1)
-    a[0, 2] = mpmath.mpc(1)
-    with pytest.raises(ValueError, match="diagonal"):
-        minv(a)
+    a = rng.standard_normal((7, 9, 2, 2)) + 1j * rng.standard_normal((7, 9, 2, 2))
+    b = rng.standard_normal((9, 2, 2)) + 1j * rng.standard_normal((9, 2, 2))
+    assert np.allclose(mdot(a, b), np.matmul(a, b), rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("prec", [53, 106])
@@ -103,12 +97,14 @@ def test_fnorm_equals_dense_sum(prec):
 
 @pytest.mark.parametrize("M", [1, 2, 3])
 def test_verify_algebra_unchanged_with_dense_oracles(M, monkeypatch):
+    # the block products, elementwise products and norms that skip exact
+    # zeros give verify_algebra's residuals bit for bit with dense ones
     with mpmath.workprec(106):
         p = ModelParams(q=mpmath.mpc("1.5"), g=mpmath.mpc("0.4"))
         kin = on_shell(M, mpmath.mpc("1.3", "0.8"), p)
         sparse = verify_algebra(kin, p, build_basis(M), dtype=object)
-        monkeypatch.setattr(numerics, "mdot", dense_dot)
-        monkeypatch.setattr(numerics, "minv", lu_inv)
-        monkeypatch.setattr(numerics, "fnorm", dense_fnorm)
+        monkeypatch.setattr(numerics, "mdot", np.matmul)
+        monkeypatch.setattr(numerics, "emul", dense_emul)
+        monkeypatch.setattr(numerics, "fnorms", dense_fnorms)
         dense = verify_algebra(kin, p, build_basis(M), dtype=object)
     assert sparse == dense

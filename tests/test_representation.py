@@ -9,12 +9,15 @@ from qab.kinematics import (
     ModelParams,
     affine_labels,
     bulk_labels,
+    derive_couplings,
     make_kinematics,
     on_shell,
     solve_shortening,
 )
-from qab.numerics import TOL_ALGEBRA, log, qint
+from qab.numerics import TOL_ALGEBRA, log, qint, rel_residual
 from qab.representation import (
+    D_DIAG,
+    DA,
     GENERATOR_PARITY,
     GENERATORS,
     GradedOperator,
@@ -22,9 +25,126 @@ from qab.representation import (
     build_basis,
     graded_commutator,
     identity_operator,
-    quartic_serre_lhs,
     verify_algebra,
+    weight_layout,
 )
+
+#: Weight (l - k, n - m) step of each generator, read off its action on
+#: |m,n,k,l>; the K_i keep the weight and are diagonal.
+WEIGHT_STEP = {
+    "E1": (2, 0), "F1": (-2, 0), "E3": (0, -2), "F3": (0, 2),
+    "E2": (-1, 1), "E4": (-1, 1), "F2": (1, -1), "F4": (1, -1),
+}
+
+
+def outside_pattern(gen, space) -> np.ndarray:
+    """The entries outside gen's weight pattern (off the diagonal for the
+    K_i), from the basis states alone."""
+    w = np.array([(l - k, n - m) for m, n, k, l in space.states])
+    if gen in WEIGHT_STEP:
+        return ~np.all(w[:, None] == w[None, :] + WEIGHT_STEP[gen], axis=-1)
+    return ~np.eye(space.dim, dtype=bool)
+
+
+def weight_pattern_residual(op, gen, space) -> float:
+    """Norm of op's entries outside gen's weight pattern."""
+    off = np.where(outside_pattern(gen, space), op.matrix, 0)
+    return float(np.linalg.norm(off.astype(complex)))
+
+
+def dense_inv(op: GradedOperator) -> GradedOperator:
+    m = op.matrix
+    if m.dtype == object:
+        inverse = mpmath.matrix(m.tolist()) ** -1
+        return GradedOperator(np.array(inverse.tolist(), dtype=object), 0)
+    return op.inv()
+
+
+def quartic_serre_lhs(kind: str, k: int, ops: dict, lam) -> GradedOperator:
+    """{[X1, Xk], [X3, Xk]} - lam Xk X1 X3 Xk for X in {E, F}, with the
+    q-Serre scalar lam = q - 2 + 1/q supplied by the caller.
+
+    At k = 2 this is also the central charge C2 (X = E) or C3 (X = F): their
+    defining brackets [X2, X1}, [X2, X3} are the negatives of these, exactly.
+    """
+    x1, x3, xk = ops[f"{kind}1"], ops[f"{kind}3"], ops[f"{kind}{k}"]
+    t1 = graded_commutator(
+        graded_commutator(x1, xk), graded_commutator(x3, xk)
+    )
+    t2 = xk @ x1 @ x3 @ xk
+    return t1 - t2 * lam
+
+
+def dense_verify_algebra(ops, kin, params, space) -> dict:
+    """verify_algebra on the dense d x d generator matrices ``ops``: the
+    evaluation the weight blocks replaced, kept as their oracle."""
+    q = params.q
+    _, g_tilde = derive_couplings(q, params.g)
+    alpha, at = params.alpha, params.alpha_tilde
+    g = params.g
+    k_inv = {i: dense_inv(ops[f"K{i}"]) for i in range(1, 5)}
+    lam = q - 2 + 1 / q
+    ident = identity_operator(space, dtype=ops["K1"].matrix.dtype)
+    U, V = kin.U, kin.V
+    res = {}
+
+    def put(name, L, R):
+        res[name] = rel_residual(L.matrix, R)
+
+    for i in range(1, 5):
+        Ki = ops[f"K{i}"]
+        for j in range(1, 5):
+            daij = DA[i - 1][j - 1]
+            ej, fj = ops[f"E{j}"], ops[f"F{j}"]
+            put(f"K{i}E{j}", Ki @ ej @ k_inv[i], (ej * q**daij).matrix)
+            put(f"K{i}F{j}", Ki @ fj @ k_inv[i], (fj * q**-daij).matrix)
+    for j in range(1, 5):
+        lhs = graded_commutator(ops[f"E{j}"], ops[f"F{j}"])
+        rhs = (ops[f"K{j}"] - k_inv[j]) * (D_DIAG[j - 1] / (q - 1 / q))
+        put(f"E{j}F{j}", lhs, rhs.matrix)
+    for i in range(1, 5):
+        for j in range(1, 5):
+            if i != j and i + j != 6:
+                put(f"E{i}F{j}", graded_commutator(ops[f"E{i}"], ops[f"F{j}"]), 0)
+    put("E2F4", graded_commutator(ops["E2"], ops["F4"]),
+        ((ops["K4"] - k_inv[2] * U**2) * (-g_tilde / at)).matrix)
+    put("E4F2", graded_commutator(ops["E4"], ops["F2"]),
+        ((ops["K2"] - k_inv[4] * U**-2) * (g_tilde * at)).matrix)
+    for kind in ("E", "F"):
+        for j in (1, 3):
+            for k in (2, 4):
+                xj, xk = ops[f"{kind}{j}"], ops[f"{kind}{k}"]
+                lhs = graded_commutator(xj, graded_commutator(xj, xk)) - (xj @ xk @ xj) * lam
+                put(f"serre_{kind}{j}{k}", lhs, 0)
+        x1, x2, x3, x4 = (ops[f"{kind}{i}"] for i in (1, 2, 3, 4))
+        put(f"{kind}1{kind}3", graded_commutator(x1, x3), 0)
+        put(f"{kind}2{kind}2", x2 @ x2, 0)
+        put(f"{kind}4{kind}4", x4 @ x4, 0)
+        put(f"{kind}2{kind}4", graded_commutator(x2, x4), 0)
+    quartic = {}
+    for k, (uk, vk, ak) in {2: (U, V, alpha), 4: (1 / U, 1 / V, alpha * at * at)}.items():
+        quartic["E", k] = quartic_serre_lhs("E", k, ops, lam)
+        quartic["F", k] = quartic_serre_lhs("F", k, ops, lam)
+        e_val, f_val = g * ak * (1 - vk**2 * uk**2), g / ak * (vk**-2 - uk**-2)
+        put(f"quartic_E{k}", quartic["E", k], (ident * e_val).matrix)
+        put(f"quartic_F{k}", quartic["F", k], (ident * f_val).matrix)
+    c1 = ops["K1"] @ ops["K2"] @ ops["K2"] @ ops["K3"]
+    c2, c3 = quartic["E", 2], quartic["F", 2]
+    put("C1_scalar", c1, (ident * V**-2).matrix)
+    put("C2_scalar", c2, (ident * (g * alpha * (1 - U**2 * V**2))).matrix)
+    put("C3_scalar", c3, (ident * (g / alpha * (V**-2 - U**-2))).matrix)
+    for name, cc in (("C1", c1), ("C2", c2), ("C3", c3)):
+        res[f"{name}_central"] = max(
+            rel_residual(graded_commutator(cc, ops[gen]).matrix, 0) for gen in GENERATORS
+        )
+    put("K1K2K3K4", ops["K1"] @ ops["K2"] @ ops["K3"] @ ops["K4"], ident.matrix)
+    put("V2_constraint", dense_inv(c1), (ident * V**2).matrix)
+    c1_affine = ops["K1"] @ ops["K4"] @ ops["K4"] @ ops["K3"]
+    put("V4_constraint", dense_inv(c1_affine), (ident * V**-2).matrix)
+    res["weight_pattern"] = max(
+        weight_pattern_residual(ops[gen], gen, space) for gen in GENERATORS
+    )
+    return res
 
 
 def test_basis_dimensions_and_layout():
@@ -55,11 +175,18 @@ def test_generator_parities():
 
 
 def test_parity_zero_patterns(params, kin_of):
+    # each generator vanishes off its weight pattern, and the weight pattern
+    # lies inside the parity pattern: weight_pattern certifies parity too
     kin = kin_of(2, 1.3 + 0.8j)
     space = build_basis(2)
     ops = all_generators(kin, params, space)
-    for name, op in ops.items():
-        assert op.parity_pattern_residual(space.parities) < 1e-14, name
+    p = space.parities
+    for i, (name, op) in enumerate(ops.items()):
+        outside = outside_pattern(name, space)
+        odd = (p[:, None] + p[None, :] + op.parity) % 2 == 1
+        assert not np.any(odd & ~outside), name
+        assert weight_pattern_residual(op, name, space) == 0, name
+        assert np.array_equal(weight_layout(2).outside[i], outside), name
 
 
 def test_cartan_generators_diagonal(params, kin_of):
@@ -308,3 +435,69 @@ def test_identity_operator():
     ident = identity_operator(space)
     assert np.linalg.norm(ident.matrix - np.eye(8)) == 0
     assert ident.parity == 0
+
+
+#: q off the unit circle, on the real line and in the complex plane.
+Q_POINTS = (1.1, 1.5, 1.105273192803462 + 0.4673020107703806j)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_verify_algebra_matches_dense_oracle_at_106_bits(M):
+    with mpmath.workprec(106):
+        for q in (mpmath.mpc("1.5"), mpmath.mpc(Q_POINTS[2])):
+            p = ModelParams(q=q, g=mpmath.mpc("0.4"))
+            kin = on_shell(M, mpmath.mpc("1.3", "0.8"), p)
+            space = build_basis(M)
+            res = verify_algebra(kin, p, space, dtype=object)
+            want = dense_verify_algebra(all_generators(kin, p, space, dtype=object), kin, p, space)
+            assert list(res) == list(want)
+            for key, value in want.items():
+                assert abs(res[key] - value) < 1e-25, (q, key, res[key], value)
+
+
+@pytest.mark.parametrize("q", Q_POINTS)
+def test_verify_algebra_verdicts_match_dense_oracle(q):
+    # double precision: the two evaluations round differently, but every
+    # relation keeps its verdict, also where roundoff fails it (q = 1.5, M >= 7)
+    p = ModelParams(q=q, g=0.4)
+    for M in range(1, 9):
+        kin = on_shell(M, 1.3 + 0.8j, p)
+        space = build_basis(M)
+        res = verify_algebra(kin, p, space)
+        want = dense_verify_algebra(all_generators(kin, p, space), kin, p, space)
+        assert list(res) == list(want)
+        flipped = [k for k in want if (res[k] <= TOL_ALGEBRA) != (want[k] <= TOL_ALGEBRA)]
+        assert flipped == [], (M, [(k, res[k], want[k]) for k in flipped])
+
+
+def _perturbed_e2(params, monkeypatch, change):
+    """verify_algebra and its dense oracle at M = 3 with ``change`` applied
+    to E2's matrix in the generators both receive."""
+    kin = on_shell(3, 1.3 + 0.8j, params)
+    space = build_basis(3)
+    ops = all_generators(kin, params, space)
+    change(ops["E2"].matrix)
+    monkeypatch.setattr(representation, "all_generators", lambda *args: ops)
+    return verify_algebra(kin, params, space), dense_verify_algebra(ops, kin, params, space)
+
+
+def test_perturbed_in_pattern_entry_fails_both_paths(params, monkeypatch):
+    def scale_first_entry(m):
+        m[tuple(np.argwhere(m)[0])] *= 1 + 1e-6
+
+    res, want = _perturbed_e2(params, monkeypatch, scale_first_entry)
+    worst = max(want, key=want.get)
+    assert want[worst] > TOL_ALGEBRA and max(res, key=res.get) == worst
+    assert abs(res[worst] - want[worst]) < 0.01 * want[worst], (worst, res[worst], want[worst])
+    assert res["weight_pattern"] == 0
+
+
+def test_off_pattern_entry_fails_weight_pattern(params, monkeypatch):
+    space = build_basis(3)
+
+    def add_off_pattern(m):
+        m[tuple(np.argwhere(outside_pattern("E2", space))[0])] += 1e-6
+
+    res, want = _perturbed_e2(params, monkeypatch, add_off_pattern)
+    assert res["weight_pattern"] >= 1e-6 > TOL_ALGEBRA
+    assert want["weight_pattern"] == res["weight_pattern"]
