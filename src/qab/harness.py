@@ -230,6 +230,21 @@ def _check(suite, name, M, residual, threshold, invert=False, extra=None):
     return row
 
 
+def _guarded(suite, name, tol, check):
+    """``check`` with a VerificationError at its point turned into the
+    point's one failed row ``name``, at relative residual 1, whose ``error``
+    field carries the message."""
+
+    def guarded(params, *kins):
+        try:
+            return check(params, *kins)
+        except VerificationError as exc:
+            Ms = tuple(kin.M for kin in kins)
+            return [_check(suite, name, Ms, 1.0, tol, extra={"error": str(exc)})]
+
+    return guarded
+
+
 def _map_points(fn, jobs):
     """Run independent per-point jobs serially, in order.
 
@@ -370,7 +385,7 @@ def suite_ybe(cfg: RunConfig):
         Ms = tuple(k.M for k in kins)
         return [_check("ybe", "yang-baxter", Ms, smatrix.ybe_residual(*kins, params), tol)]
 
-    return _per_point(cfg, 13000, triples, check)
+    return _per_point(cfg, 13000, triples, _guarded("ybe", "yang-baxter", tol, check))
 
 
 def suite_kmatrix(cfg: RunConfig):
@@ -430,21 +445,18 @@ def suite_bybe(cfg: RunConfig):
             ))
         return rows
 
-    return _per_point(cfg, 21000, list(product(cfg.M, repeat=2)), check)
+    return _per_point(cfg, 21000, list(product(cfg.M, repeat=2)),
+                      _guarded("bybe", "reflection-equation", tol, check))
 
 
 def suite_unitarity(cfg: RunConfig):
     tol = cfg.tol("intertwiner")
 
     def check(params, kin):
-        try:
-            residual, extra = kmatrix.unitarity_residual(kin, params), None
-        except VerificationError as exc:
-            # the closed form failed its own cross-check at this point: its
-            # row fails, at relative residual 1, and carries the reason
-            residual, extra = 1.0, {"error": str(exc)}
-        return [_check("unitarity", "K(p)K(-p)=Id", kin.M, residual, tol, extra=extra)]
+        residual = kmatrix.unitarity_residual(kin, params)
+        return [_check("unitarity", "K(p)K(-p)=Id", kin.M, residual, tol)]
 
+    check = _guarded("unitarity", "K(p)K(-p)=Id", tol, check)
     return _per_point(cfg, 25000, [(M,) for M in cfg.M], check)
 
 

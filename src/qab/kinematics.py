@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numerics import qint, sqrt
+from .numerics import qint, rel_residual, sqrt
 
 DEFAULT_TOL = 1e-10
 
@@ -91,8 +91,7 @@ def shortening_residual(x_plus, x_minus, M, params: ModelParams) -> float:
     q = params.q
     xi, g_tilde = derive_couplings(q, params.g)
     lhs = q**-M * (x_plus + 1 / x_plus) - q**M * (x_minus + 1 / x_minus)
-    rhs = (q**M - q**-M) * xi + 1j * qint(M, q) / g_tilde
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+    return rel_residual(lhs, (q**M - q**-M) * xi + 1j * qint(M, q) / g_tilde)
 
 
 def solve_shortening(x_minus, M: int, params: ModelParams):
@@ -148,7 +147,7 @@ def _central_elements(M, x_plus, x_minus, params):
     v2_a = q**-M * (xi * x_plus + 1) / (xi * x_minus + 1)
     v2_b = q**M * (x_plus / x_minus) * (x_minus + xi) / (x_plus + xi)
     for name, lhs, rhs in (("U^2", u2_a, u2_b), ("V^2", v2_a, v2_b)):
-        res = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+        res = rel_residual(lhs, rhs)
         if res > DEFAULT_TOL:
             raise KinematicsError(
                 f"{name} expressions disagree (residual {res:.3e}); "
@@ -160,7 +159,7 @@ def _central_elements(M, x_plus, x_minus, params):
     za = q**-M * _theta(x_plus, xi)
     zb = q**M * _theta(x_minus, xi)
     for other in (za, zb):
-        res = abs(z - other) / max(1.0, abs(z), abs(other))
+        res = rel_residual(z, other)
         if res > DEFAULT_TOL:
             raise KinematicsError(f"z expressions disagree (residual {res:.3e})")
     return U, V, z

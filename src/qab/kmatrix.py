@@ -32,7 +32,6 @@ from .smatrix import (
     VerificationError,
     _on_right,
     commutant_nullspace,
-    leg_weights,
     unique_intertwiner,
 )
 
@@ -205,7 +204,7 @@ def boundary_system(kin: Kinematics, params: ModelParams):
     ops_ref = all_generators(reflect_kinematics(kin, params), params, space)
     ops.update(twisted_boundary_charges(ops, params))
     ops_ref.update(twisted_boundary_charges(ops_ref, params))
-    return [(ops[n].matrix, ops_ref[n].matrix) for n in BOUNDARY_CHARGES], leg_weights(space)
+    return [(ops[n].matrix, ops_ref[n].matrix) for n in BOUNDARY_CHARGES], space.weights
 
 
 def unitarity_residual(kin: Kinematics, params: ModelParams) -> float:
@@ -229,12 +228,9 @@ def ck_symmetry_residual(kin: Kinematics, params: ModelParams) -> np.ndarray:
     C = c_coefficients(kin, params)
     z = kin.z
     sign = -1.0 if M % 2 == 0 else 1.0
-    out = []
-    for k in range(M // 2):  # (M - 1) // 2 pairs for odd M, the middle C_k is free
-        lhs = z**k * C[k]
-        rhs = sign * z ** (M - k - 1) * C[M - k - 1]
-        out.append(abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
-    return np.array(out)
+    # (M - 1) // 2 pairs for odd M, the middle C_k is free
+    return np.array([nm.rel_residual(z**k * C[k], sign * z ** (M - k - 1) * C[M - k - 1])
+                     for k in range(M // 2)])
 
 
 def reflection_smatrices(kin1: Kinematics, kin2: Kinematics, params: ModelParams):
@@ -267,8 +263,7 @@ def boundary_ybe_residual(K1: np.ndarray, K2: np.ndarray, smatrices) -> float:
 
 def rational_shortening_residual(x_plus, x_minus, M: int, g) -> float:
     lhs = x_plus + 1 / x_plus - x_minus - 1 / x_minus
-    rhs = 1j * M / g
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+    return nm.rel_residual(lhs, 1j * M / g)
 
 
 def rational_limit_kmatrix(

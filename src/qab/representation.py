@@ -41,16 +41,24 @@ GENERATOR_PARITY = {
 }
 GENERATORS = tuple(GENERATOR_PARITY)
 
+#: Weight (H1, H3) = (l - k, n - m) step of each raising and lowering
+#: generator, E1..E4 then F1..F4.  K1 = q^H1 and K3 = q^H3, so
+#: K_i E_j K_i^-1 = q^DA[i-1][j-1] E_j makes E_j step by
+#: (DA[0][j-1], DA[2][j-1]) and F_j by the opposite; the K_i keep every weight.
+SHIFTS = {f"{x}{j + 1}": (sign * int(DA[0][j]), sign * int(DA[2][j]))
+          for x, sign in (("E", 1), ("F", -1)) for j in range(4)}
+
 
 @dataclass(frozen=True)
 class RepSpace:
-    """Enumerated bound-state basis for a given M."""
+    """Enumerated bound-state basis for a given M, equal and hashed by (M, states)."""
 
     M: int
     states: tuple  # tuples (m, n, k, l), family-major
-    index: dict = field(repr=False)
-    families: dict = field(repr=False)  # family -> list of basis indices, k ascending
-    parities: np.ndarray = field(repr=False, compare=False)  # (m + n) % 2 per state
+    index: dict = field(repr=False, compare=False)
+    families: dict = field(repr=False, compare=False)  # family -> basis indices, k ascending
+    weights: np.ndarray = field(repr=False, compare=False)  # (d, 2): (l - k, n - m) per state
+    parities: np.ndarray = field(repr=False, compare=False)  # (m + n) % 2, that of n - m
 
     @property
     def dim(self) -> int:
@@ -81,10 +89,8 @@ def build_basis(M: int) -> RepSpace:
         states.append((0, 1, k, M - k - 1))
     index = {s: i for i, s in enumerate(states)}
     assert len(states) == 4 * M
-    parities = np.array([(m + n) % 2 for m, n, _, _ in states])
-    return RepSpace(
-        M=M, states=tuple(states), index=index, families=families, parities=parities
-    )
+    weights = np.array([(l - k, n - m) for m, n, k, l in states])
+    return RepSpace(M, tuple(states), index, families, weights, weights[:, 1] % 2)
 
 
 @dataclass(frozen=True)
@@ -195,14 +201,6 @@ def graded_commutator(A: GradedOperator, B: GradedOperator) -> GradedOperator:
     )
 
 
-#: Weight (l - k, n - m) step of each raising and lowering generator; the
-#: K_i keep every weight.
-SHIFTS = {
-    "E1": (2, 0), "E2": (-1, 1), "E3": (0, -2), "E4": (-1, 1),
-    "F1": (-2, 0), "F2": (1, -1), "F3": (0, 2), "F4": (1, -1),
-}
-
-
 @dataclass(frozen=True)
 class WeightLayout:
     """The weight spaces of the M bound state, each of dimension <= 2.
@@ -232,10 +230,9 @@ class WeightLayout:
 
 
 @functools.lru_cache(maxsize=32)
-def weight_layout(M: int) -> WeightLayout:
-    """The WeightLayout of the M bound state, built once per M."""
-    space = build_basis(M)
-    weight = np.array([(l - k, n - m) for m, n, k, l in space.states])
+def weight_layout(space: RepSpace) -> WeightLayout:
+    """The WeightLayout of ``space``, built once per M: equal spaces share it."""
+    M, weight = space.M, space.weights
     weights = np.array(sorted(set(map(tuple, weight.tolist()))))
     n_w = len(weights)
     grid = np.full((2 * M + 1, 3), n_w)
@@ -281,7 +278,7 @@ def verify_algebra(
     g = params.g
     U, V = kin.U, kin.V
     lam = q - 2 + 1 / q
-    lay = weight_layout(space.M)
+    lay = weight_layout(space)
     dense = np.stack([op.matrix for op in all_generators(kin, params, space, dtype).values()])
     res = {}
     # Arrays stand left of scalars: an mpmath scalar times an array formats

@@ -38,11 +38,9 @@ import numpy as np
 from .coalgebra import Leg, coproduct
 from .kinematics import Kinematics, ModelParams
 from .numerics import qint, rel_residual, sqrt
-from .representation import BOSONIC_GENERATORS, DA, RepSpace
+from .representation import BOSONIC_GENERATORS, SHIFTS, RepSpace
 
-DEFAULT_GENERATORS = tuple(
-    f"{kind}{i}" for kind in ("E", "F") for i in (1, 2, 3, 4)
-)
+DEFAULT_GENERATORS = tuple(SHIFTS)
 #: The ablation set: without the affine E4, F4 the null space of a pair of
 #: bound states (both M >= 2) is no longer one-dimensional.
 SANS_AFFINE = tuple(g for g in DEFAULT_GENERATORS if g not in ("E4", "F4"))
@@ -60,15 +58,10 @@ class VerificationError(RuntimeError):
     """A verification cannot complete: no unique S or K, or two forms disagree."""
 
 
-def leg_weights(space: RepSpace) -> list:
-    """(H1, H3) weight of every basis state of one leg."""
-    return [(l - k, n - m) for (m, n, k, l) in space.states]
-
-
 def product_weights(space1: RepSpace, space2: RepSpace) -> list:
-    """(H1, H3) weight of every basis state of space1 (x) space2."""
-    w2 = leg_weights(space2)
-    return [(a1 + b1, a3 + b3) for (a1, a3) in leg_weights(space1) for (b1, b3) in w2]
+    """(H1, H3) weight of every basis state of space1 (x) space2, the sum of
+    its legs' weights, as [H1, H3] lists."""
+    return (space1.weights[:, None] + space2.weights[None, :]).reshape(-1, 2).tolist()
 
 
 def weight_nullspace(pairs, weights):
@@ -140,19 +133,11 @@ class AdaptedBases(NamedTuple):
         return X
 
 
-def _key_shift(gen: str) -> tuple:
-    """The step of E_i or F_i (i = 2, 4) on the key (H1, -H3) of a state:
-    K1 E_i K1^-1 = q^DA[0, i] E_i and K3 E_i K3^-1 = q^DA[2, i] E_i, and
-    F_i steps the other way."""
-    i, sign = int(gen[1]) - 1, 1 if gen[0] == "E" else -1
-    return sign * int(DA[0][i]), -sign * int(DA[2][i])
-
-
 def _position_pairs(blocks, shift):
-    """Where the reduced matrix of a fermionic generator with key step
-    ``shift`` is read: (i, j, rows, cols, ri, ci), its entry [i, j] being
-    (V^-1 Delta V)[rows, cols][ri, ci].  ``blocks`` holds (l1, l3, mult,
-    first column, first reduced index) per lambda.
+    """Where the reduced matrix of a fermionic generator with step ``shift``
+    on (H1, -H3), the key of lambda, is read: (i, j, rows, cols, ri, ci), its
+    entry [i, j] being (V^-1 Delta V)[rows, cols][ri, ci].  ``blocks`` holds
+    (l1, l3, mult, first column, first reduced index) per lambda.
 
     The generator is a rank-(1/2, 1/2) q-tensor of the bosonic pair, so by
     the q-Wigner-Eckart theorem it maps copy alpha of lambda to copy beta of
@@ -255,7 +240,7 @@ def _adapted_basis(ops, weights, q) -> AdaptedBases:
     return AdaptedBases(
         V, V_inv, tuple(np.concatenate(x) for x in (ui, uj, ki, kj)),
         float(sv.max() / sv.min()), np.array(labels),
-        {g: _position_pairs(blocks, _key_shift(g)) for g in FERMIONIC},
+        {g: _position_pairs(blocks, (SHIFTS[g][0], -SHIFTS[g][1])) for g in FERMIONIC},
     )
 
 

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from qab import smatrix
+from qab import kmatrix, smatrix
 from qab.coalgebra import Leg
 from qab.harness import (
     ConfigError,
@@ -21,7 +21,7 @@ from qab.harness import (
     sample_kinematics,
 )
 from qab.kinematics import shortening_residual
-from qab.smatrix import NULL_GAP, spectral_gap
+from qab.smatrix import NULL_GAP, VerificationError, spectral_gap
 
 
 def test_defaults_applied():
@@ -286,6 +286,32 @@ def test_cli_closed_form_disagreement_exits_1(tmp_path):
     assert row["check"] == "K(p)K(-p)=Id" and not row["passed"]
     assert "A coefficients disagree with explicit form" in row["error"]
     assert math.isfinite(row["residual"]) and row["residual"] > row["threshold"]
+
+
+@pytest.mark.parametrize("suite,check,M,target", [
+    ("ybe", "yang-baxter", [1, 1, 1], (smatrix, "ybe_residual")),
+    ("bybe", "reflection-equation", [1, 1], (kmatrix, "reflection_smatrices")),
+])
+def test_composite_verification_error_is_a_failed_row(suite, check, M, target, monkeypatch,
+                                                     tmp_path):
+    # a point whose S cannot be solved fails its one row, which carries the
+    # reason, and the other points keep theirs; qab exits 1 with the report
+    calls = []
+
+    def fail_first(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise VerificationError("no spectral gap: sigma_1 / sigma_2 = 0.5")
+        return real(*args)
+
+    real = getattr(*target)
+    monkeypatch.setattr(*target, fail_first)
+    out = tmp_path / "report.json"
+    assert main([suite, "--M", "1,2", "--seed", "7", "--out", str(out)]) == 1
+    rows = json.loads(out.read_text())["checks"]
+    assert len(rows) > 1 and all(r["passed"] for r in rows[1:])
+    assert (rows[0]["check"], rows[0]["M"], rows[0]["passed"]) == (check, M, False)
+    assert rows[0]["residual"] == 1.0 and "no spectral gap" in rows[0]["error"]
 
 
 def test_kmatrix_at_m22_and_q15_passes():

@@ -20,8 +20,10 @@ from qab.representation import (
     DA,
     GENERATOR_PARITY,
     GENERATORS,
+    SHIFTS,
     GradedOperator,
     all_generators,
+    bosonic_generators,
     build_basis,
     graded_commutator,
     identity_operator,
@@ -168,6 +170,40 @@ def test_basis_parities():
         assert space.parities[i] == 1
 
 
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+def test_space_weights_are_the_k1_k3_exponents(M):
+    # K1 = q^H1 and K3 = q^H3 on each state, so the diagonals give (H1, H3)
+    q = 1.3
+    space = build_basis(M)
+    ops = bosonic_generators(q, space)
+    for col, K in enumerate(("K1", "K3")):
+        h = np.log(np.diag(ops[K].matrix).real) / np.log(q)
+        assert np.allclose(h, space.weights[:, col], rtol=0, atol=1e-12), K
+
+
+def test_shifts_come_from_the_cartan_matrix():
+    # derived from DA, they equal the steps read off each generator's action
+    assert list(SHIFTS) == [f"{x}{i}" for x in "EF" for i in (1, 2, 3, 4)]
+    assert SHIFTS == WEIGHT_STEP
+
+
+def test_equal_spaces_share_one_weight_layout():
+    assert build_basis(3) == build_basis(3) != build_basis(2)
+    assert weight_layout(build_basis(3)) is weight_layout(build_basis(3))
+
+
+def test_verify_algebra_builds_no_basis(params, kin_of, monkeypatch):
+    # the weight layout reads the caller's space: no second basis per check
+    space, kin = build_basis(3), kin_of(3, 1.3 + 0.8j)
+    weight_layout.cache_clear()
+
+    def no_basis(M):
+        raise AssertionError("build_basis called")
+
+    monkeypatch.setattr(representation, "build_basis", no_basis)
+    assert verify_algebra(kin, params, space)["weight_pattern"] == 0
+
+
 def test_generator_parities():
     assert GENERATOR_PARITY["E1"] == 0 and GENERATOR_PARITY["E3"] == 0
     assert GENERATOR_PARITY["E2"] == 1 and GENERATOR_PARITY["E4"] == 1
@@ -186,7 +222,7 @@ def test_parity_zero_patterns(params, kin_of):
         odd = (p[:, None] + p[None, :] + op.parity) % 2 == 1
         assert not np.any(odd & ~outside), name
         assert weight_pattern_residual(op, name, space) == 0, name
-        assert np.array_equal(weight_layout(2).outside[i], outside), name
+        assert np.array_equal(weight_layout(space).outside[i], outside), name
 
 
 def test_cartan_generators_diagonal(params, kin_of):

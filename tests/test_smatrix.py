@@ -86,6 +86,14 @@ def test_weight_block_structure(points, params):
                 assert abs(R[i, j]) < 1e-14
 
 
+@pytest.mark.parametrize("M1,M2", [(1, 1), (2, 1), (1, 3), (3, 2)])
+def test_product_weights_sum_the_leg_weights(M1, M2):
+    s1, s2 = build_basis(M1), build_basis(M2)
+    legs = [[(l - k, n - m) for m, n, k, l in s.states] for s in (s1, s2)]
+    expected = [(a1 + b1, a3 + b3) for a1, a3 in legs[0] for b1, b3 in legs[1]]
+    assert list(map(tuple, product_weights(s1, s2))) == expected
+
+
 def test_nullspace_vector_satisfies_full_equations(points, params):
     # independent of the solver's internal assembly: apply the coproduct
     # difference directly to the returned matrix
