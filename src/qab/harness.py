@@ -26,6 +26,7 @@ from .coalgebra import Leg, coproduct_map
 from .kinematics import (
     KinematicsError,
     ModelParams,
+    PoleError,
     derive_couplings,
     on_shell,
     reflect_kinematics,
@@ -231,22 +232,23 @@ def _check(suite, name, M, residual, threshold, invert=False, extra=None):
 
 
 def _guarded(suite, name, tol, check):
-    """``check`` with a VerificationError at its point turned into the
-    point's one failed row ``name``, at relative residual 1, whose ``error``
-    field carries the message."""
+    """``check`` with a VerificationError, PoleError or LinAlgError at its
+    point turned into the point's one failed row ``name``, at relative
+    residual 1, whose ``error`` field carries the exception's type and message."""
 
     def guarded(params, *kins):
         try:
             return check(params, *kins)
-        except VerificationError as exc:
+        except (VerificationError, PoleError, np.linalg.LinAlgError) as exc:
             Ms = tuple(kin.M for kin in kins)
-            return [_check(suite, name, Ms, 1.0, tol, extra={"error": str(exc)})]
+            error = f"{type(exc).__name__}: {exc}"
+            return [_check(suite, name, Ms, 1.0, tol, extra={"error": error})]
 
     return guarded
 
 
 def _map_points(fn, jobs):
-    """Run independent per-point jobs serially, in order.
+    """Run independent jobs (points, or all points of one M) serially, in order.
 
     No thread pool: on top of multithreaded BLAS it oversubscribes the cores,
     and in the pure-Python suites its threads only contend for the GIL; on 2
@@ -270,28 +272,26 @@ def suite_rep_check(cfg: RunConfig):
         params = _mp_params(params)
     tol = cfg.tol("algebra")
 
-    def one(job):
-        M, s = job
-        rng = _point_rng(cfg.seed, M * 1000 + s)
-        kin = sample_kinematics(M, cfg.params(), rng)
+    def one(M):
+        # every sample of one M in one verify_algebra pass, each drawn as alone
+        kins = [sample_kinematics(M, cfg.params(), _point_rng(cfg.seed, M * 1000 + s))
+                for s in range(cfg.samples)]
         if high:
             # re-solve x+ at working precision so shortening holds exactly
-            kin = on_shell(M, mpmath.mpc(kin.x_minus), params, near=kin.x_plus)
-        space = build_basis(M)
-        dtype = object if high else complex
-        residuals = verify_algebra(kin, params, space, dtype=dtype)
-        worst = max(residuals, key=residuals.get)
-        return _check(
-            "rep-check", f"defining-relations[s{s}]", M, residuals[worst], tol,
-            extra={"worst_relation": worst},
-        )
+            kins = [on_shell(M, mpmath.mpc(k.x_minus), params, near=k.x_plus) for k in kins]
+        rows = []
+        for s, res in enumerate(verify_algebra(
+                kins, params, build_basis(M), dtype=object if high else complex)):
+            worst = max(res, key=res.get)
+            rows.append(_check("rep-check", f"defining-relations[s{s}]", M, res[worst], tol,
+                               extra={"worst_relation": worst}))
+        return rows
 
-    jobs = [(M, s) for M in cfg.M for s in range(cfg.samples)]
     if not high:
-        return _map_points(one, jobs)
+        return [row for rows in _map_points(one, cfg.M) for row in rows]
     # the working precision holds inside this suite only, not process-wide
     with mpmath.workprec(int(cfg.precision.split(":")[1])):
-        return _map_points(one, jobs)
+        return [row for rows in _map_points(one, cfg.M) for row in rows]
 
 
 def _gap_check(suite, name, M, solution, invert=False, extra=None):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 import operator
 
 import mpmath
@@ -50,11 +51,16 @@ def qint(n: int, q):
 def fnorm(a) -> float:
     """Frobenius norm that also accepts object (mpmath) arrays.
 
-    Object arrays skip exact zeros, which never change an mpmath sum.
+    Object arrays sum |x|^2 exactly and round once (``mpmath.fsum``), skipping
+    exact zeros; a 0-d input takes ``np.linalg.norm``'s product and sum alone.
     """
     a = np.asarray(a)
     if a.dtype == object:
-        return float(mpmath.sqrt(sum(abs(x) ** 2 for x in a.flat if x)))
+        terms = (x for x in a.flat if x)
+        return float(mpmath.sqrt(mpmath.fsum(terms, absolute=True, squared=True)))
+    if a.ndim == 0:
+        z = complex(a)
+        return math.sqrt(z.real * z.real + z.imag * z.imag)
     return float(np.linalg.norm(a))
 
 

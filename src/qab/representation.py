@@ -258,45 +258,76 @@ def _diag(d):
 
 
 def verify_algebra(
-    kin: Kinematics,
+    kins: list[Kinematics],
     params: ModelParams,
     space: RepSpace,
     dtype=complex,
-) -> dict:
-    """Residuals of every defining relation of the algebra on this module.
+) -> list[dict]:
+    """Residuals of every defining relation at the points ``kins`` of one M, in
+    one pass: per point, in order, a dict name -> Frobenius-relative residual.
 
-    Returns a dict name -> Frobenius-relative residual; the caller compares
-    against the tolerance tier.  Each E_i, F_i is evaluated as its 2 x 2
-    weight blocks (WeightLayout) and each K_i as its diagonal, so no product
-    is larger than 2 x 2: (AB)[w] = A[w + s_B] B[w].  ``weight_pattern``, the
-    largest norm of a generator's entries outside its weight pattern (off
-    the diagonal for the K_i), certifies that the blocks hold every entry.
+    Each E_i, F_i is evaluated as its 2 x 2 weight blocks (WeightLayout) and
+    each K_i as its diagonal: (AB)[w] = A[w + s_B] B[w].  A point axis stands
+    just before the weight axis, and each (relation, point) block's norm sums
+    it in C order, as for one point alone.  ``weight_pattern``, the largest
+    norm of a generator's entries off its weight pattern (off the diagonal for
+    the K_i), certifies that the blocks hold every entry.
     """
     q = params.q
     _, g_tilde = derive_couplings(q, params.g)
     alpha, at = params.alpha, params.alpha_tilde
     g = params.g
-    U, V = kin.U, kin.V
     lam = q - 2 + 1 / q
     lay = weight_layout(space)
-    dense = np.stack([op.matrix for op in all_generators(kin, params, space, dtype).values()])
-    res = {}
+    n_ef = len(SHIFTS)  # E_i, F_i lead GENERATORS
+    to = lay.step(list(SHIFTS.values()))
+    rows, cols = lay.slots[to][..., :, None], lay.slots[None, :, None, :]
+    mask = lay.slots >= 0
+    pt = np.arange(len(kins))[:, None]  # the point axis, beside an (n, 1, n_w + 1) step
+
+    # Per point: E_i, F_i as (8, n_w + 1, 2, 2) blocks, K_i as (4, n_w + 1, 2)
+    # diagonals and the norm off the weight patterns, its d x d matrices
+    # dropped before the next point's are built.
+    ef, kd, pattern = [], [], []
+    for kin in kins:
+        dense = np.stack([op.matrix for op in all_generators(kin, params, space, dtype).values()])
+        ef.append(np.where((rows >= 0) & (cols >= 0),
+                           dense[np.arange(n_ef)[:, None, None, None], rows, cols], 0))
+        kd.append(np.where(mask, dense[n_ef:, lay.slots, lay.slots], 0))
+        pattern.append(max(nm.fnorm(m[off]) for m, off in zip(dense, lay.outside)))
+        del dense
+    ef, kd = np.stack(ef, axis=1), np.stack(kd, axis=1)
+    res = [{} for _ in kins]
+
+    def column(f):
+        # f(U, V) of each point, in Python as for one point alone, as a
+        # column over the point axis of a (P, n_w + 1, 2) diagonal
+        return np.array([f(kin.U, kin.V) for kin in kins], dtype=dtype).reshape(-1, 1, 1)
+
     # Arrays stand left of scalars: an mpmath scalar times an array formats
     # the array for the TypeError it raises before numpy takes over.
 
+    def norms(a):
+        # (relations, points): the norm of each (relation, point) block,
+        # summed in its C order whatever the layout numpy gave ``a``
+        a = np.ascontiguousarray(a)
+        return nm.fnorms(a.reshape((-1,) + a.shape[2:])).reshape(a.shape[:2])
+
     def put(names, lhs, rhs=None):
-        # rel_residual of each lhs[i] = rhs[i], or of lhs[i] = 0
-        norm = nm.fnorms(lhs)
+        # rel_residual of each lhs[i] = rhs[i], or of lhs[i] = 0, at every point
+        norm = norms(lhs)
         if rhs is None:
             r = np.minimum(norm, 1.0)
         else:
-            r = nm.fnorms(lhs - rhs) / np.maximum(1.0, np.maximum(norm, nm.fnorms(rhs)))
-        res.update(zip(names, r.tolist()))
+            r = norms(lhs - rhs) / np.maximum(1.0, np.maximum(norm, norms(rhs)))
+        for out, values in zip(res, r.T.tolist()):
+            out.update(zip(names, values))
 
     # ops[name] = (blocks, weight step); ops[x + y] is the product of x and y
     def multiply(pairs):
-        rows = lay.step([ops[y][1] for _, y in pairs])
-        left = np.stack([ops[x][0] for x, _ in pairs])[np.arange(len(pairs))[:, None], rows]
+        steps = lay.step([ops[y][1] for _, y in pairs])
+        left = np.stack([ops[x][0] for x, _ in pairs])
+        left = left[np.arange(len(pairs))[:, None, None], pt, steps[:, None]]
         blocks = nm.mdot(left, np.stack([ops[y][0] for _, y in pairs]))
         for (x, y), b in zip(pairs, blocks):
             ops[x + y] = (b, tuple(np.add(ops[x][1], ops[y][1])))
@@ -304,32 +335,19 @@ def verify_algebra(
     def blocks(names):
         return np.stack([ops[name][0] for name in names])
 
-    # E_i, F_i as (8, n_w + 1, 2, 2) blocks; K_i and K_i^-1 as diagonals.
-    n_ef = len(SHIFTS)  # E_i, F_i lead GENERATORS
-    to = lay.step(list(SHIFTS.values()))
-    rows, cols = lay.slots[to][..., :, None], lay.slots[None, :, None, :]
-    ef = np.where(
-        (rows >= 0) & (cols >= 0), dense[np.arange(n_ef)[:, None, None, None], rows, cols], 0
-    )
     ops = {name: (b, SHIFTS[name]) for name, b in zip(SHIFTS, ef)}
-    mask = lay.slots >= 0
 
     def inv(d):
         return np.divide(1, d, out=np.zeros_like(d), where=mask)
 
-    kd = np.where(mask, dense[n_ef:, lay.slots, lay.slots], 0)
-    # The blocks hold every entry: nothing lies off the weight patterns.
-    # The d x d matrices are needed no further.
-    pattern = max(nm.fnorm(m[off]) for m, off in zip(dense, lay.outside))
-    del dense
     kd_inv = inv(kd)
     ident = np.where(mask, 1, 0).astype(dtype)
 
     # Cartan relations K_i X_j K_i^-1 = q^{±DA_ij} X_j, elementwise.
-    lhs = nm.emul(kd[:, to, :, None], ef, kd_inv[:, None, :, None, :])
+    lhs = nm.emul(kd[:, pt, to[:, None]][..., :, None], ef, kd_inv[:, None, ..., None, :])
     power = np.array([[q ** (sign * DA[i][j]) for sign in (1, -1) for j in range(4)]
                       for i in range(4)], dtype=dtype)
-    rhs = nm.emul(power[:, :, None, None, None], ef)
+    rhs = nm.emul(power[:, :, None, None, None, None], ef)
     order = (4, 2, 4) + ef.shape[1:]  # (i, E|F, j) -> (i, j, E|F)
     put([f"K{i}{x}{j}" for i in range(1, 5) for j in range(1, 5) for x in "EF"],
         *(np.swapaxes(a.reshape(order), 1, 2).reshape((32,) + ef.shape[1:]) for a in (lhs, rhs)))
@@ -351,8 +369,8 @@ def verify_algebra(
     off = [(i, j) for i in range(1, 5) for j in range(1, 5) if i != j and i + j != 6]
     put([f"E{i}F{j}" for i, j in off], blocks(f"[E{i},F{j}]" for i, j in off))
     put(["E2F4", "E4F2"], blocks(["[E2,F4]", "[E4,F2]"]), _diag(np.stack([
-        (kd[3] - kd_inv[1] * U**2) * (-g_tilde / at),
-        (kd[1] - kd_inv[3] * U**-2) * (g_tilde * at),
+        (kd[3] - kd_inv[1] * column(lambda u, v: u**2)) * (-g_tilde / at),
+        (kd[1] - kd_inv[3] * column(lambda u, v: u**-2)) * (g_tilde * at),
     ])))
 
     # The cubic and quartic Serre products, in one batch.  The quartic
@@ -387,38 +405,44 @@ def verify_algebra(
         one, three = f"[{x}1,{x}{k}]", f"[{x}3,{x}{k}]"
         t1 = ops[one + three][0] + ops[three + one][0]
         lhs[x, k] = t1 - nm.emul(ops[f"{x}{k}{x}1{x}3{x}{k}"][0], lam)
-        uk, vk, ak = (U, V, alpha) if k == 2 else (1 / U, 1 / V, alpha * at * at)
-        value = g * ak * (1 - vk**2 * uk**2) if x == "E" else g / ak * (vk**-2 - uk**-2)
-        rhs.append(ident * value)
+
+        def value(u, v):
+            uk, vk, ak = (u, v, alpha) if k == 2 else (1 / u, 1 / v, alpha * at * at)
+            return g * ak * (1 - vk**2 * uk**2) if x == "E" else g / ak * (vk**-2 - uk**-2)
+        rhs.append(ident * column(value))
     put([f"quartic_{x}{k}" for x, k in quartic], np.stack(list(lhs.values())),
         _diag(np.stack(rhs)))
 
     # Central charges C1 = K1 K2^2 K3, C2, C3: scalar values and centrality.
     c1 = kd[0] * kd[1] * kd[1] * kd[2]
     ops["C2"], ops["C3"] = (lhs["E", 2], (0, 0)), (lhs["F", 2], (0, 0))
-    put(["C1_scalar"], c1[None], (ident * V**-2)[None])
+    put(["C1_scalar"], c1[None], (ident * column(lambda u, v: v**-2))[None])
     put(["C2_scalar", "C3_scalar"], blocks(["C2", "C3"]), _diag(np.stack([
-        ident * (g * alpha * (1 - U**2 * V**2)), ident * (g / alpha * (V**-2 - U**-2)),
+        ident * column(lambda u, v: g * alpha * (1 - u**2 * v**2)),
+        ident * column(lambda u, v: g / alpha * (v**-2 - u**-2)),
     ])))
     multiply([(c, x) for c in ("C2", "C3") for x in SHIFTS]
              + [(x, c) for c in ("C2", "C3") for x in SHIFTS])
     brackets = {"C1": (
-        nm.emul(c1[to][..., :, None], ef) - nm.emul(ef, c1[None, :, None, :]), c1 * kd - kd * c1,
+        nm.emul(c1[pt, to[:, None]][..., :, None], ef) - nm.emul(ef, c1[..., None, :]),
+        c1 * kd - kd * c1,
     )}
     for c in ("C2", "C3"):
         cc = ops[c][0]
         brackets[c] = (
             blocks(c + x for x in SHIFTS) - blocks(x + c for x in SHIFTS),
-            nm.emul(cc, kd[:, :, None, :]) - nm.emul(kd[:, :, :, None], cc),
+            nm.emul(cc, kd[..., None, :]) - nm.emul(kd[..., :, None], cc),
         )
     for c, (with_ef, with_k) in brackets.items():
-        worst = max(nm.fnorms(with_ef).max(), nm.fnorms(with_k).max())
-        res[f"{c}_central"] = min(float(worst), 1.0)
+        for out, a, b in zip(res, norms(with_ef).max(axis=0), norms(with_k).max(axis=0)):
+            out[f"{c}_central"] = min(float(max(a, b)), 1.0)
 
     # K constraints.
     put(["K1K2K3K4", "V2_constraint", "V4_constraint"], np.stack([
         kd[0] * kd[1] * kd[2] * kd[3], inv(c1), inv(kd[0] * kd[3] * kd[3] * kd[2]),
-    ]), np.stack([ident, ident * V**2, ident * V**-2]))
+    ]), np.stack([np.broadcast_to(ident, c1.shape), ident * column(lambda u, v: v**2),
+                  ident * column(lambda u, v: v**-2)]))
 
-    res["weight_pattern"] = pattern
+    for out, p in zip(res, pattern):
+        out["weight_pattern"] = p
     return res

@@ -61,9 +61,8 @@ def test_criterion_1_representation_validity():
     worst = 0.0
     for M in (1, 2, 3, 4):
         space = build_basis(M)
-        for s in range(20):
-            kin = _sample(M, 100 * M + s)
-            res = verify_algebra(kin, PARAMS, space)
+        kins = [_sample(M, 100 * M + s) for s in range(20)]
+        for res in verify_algebra(kins, PARAMS, space):
             worst = max(worst, max(res.values()))
     elapsed = time.monotonic() - t0
     _report(

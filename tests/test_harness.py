@@ -20,7 +20,7 @@ from qab.harness import (
     run_suite,
     sample_kinematics,
 )
-from qab.kinematics import shortening_residual
+from qab.kinematics import PoleError, shortening_residual
 from qab.smatrix import NULL_GAP, VerificationError, spectral_gap
 
 
@@ -312,6 +312,36 @@ def test_composite_verification_error_is_a_failed_row(suite, check, M, target, m
     assert len(rows) > 1 and all(r["passed"] for r in rows[1:])
     assert (rows[0]["check"], rows[0]["M"], rows[0]["passed"]) == (check, M, False)
     assert rows[0]["residual"] == 1.0 and "no spectral gap" in rows[0]["error"]
+
+
+@pytest.mark.parametrize("suite,check,M,target", [
+    ("ybe", "yang-baxter", [1, 1, 1], (smatrix, "weight_nullspace")),
+    ("bybe", "reflection-equation", [1, 1], (smatrix, "weight_nullspace")),
+    ("unitarity", "K(p)K(-p)=Id", [1], (kmatrix, "c_coefficients")),
+])
+@pytest.mark.parametrize("error", [
+    PoleError("C_1 pole: ratio denominator ~ 0"), np.linalg.LinAlgError("SVD did not converge"),
+], ids=["pole", "linalg"])
+def test_solver_error_is_a_failed_row(suite, check, M, target, error, monkeypatch, tmp_path):
+    # a pole or a failed factorisation at the first point fails that point's
+    # one row with the exception's type and message; the other rows pass
+    calls = []
+
+    def fail_first(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise error
+        return real(*args)
+
+    real = getattr(*target)
+    monkeypatch.setattr(*target, fail_first)
+    out = tmp_path / "report.json"
+    assert main([suite, "--M", "1,2", "--seed", "7", "--out", str(out)]) == 1
+    rows = json.loads(out.read_text())["checks"]
+    assert len(rows) > 1 and all(r["passed"] for r in rows[1:])
+    assert (rows[0]["check"], rows[0]["M"], rows[0]["passed"]) == (check, M, False)
+    assert rows[0]["residual"] == 1.0
+    assert rows[0]["error"] == f"{type(error).__name__}: {error}"
 
 
 def test_kmatrix_at_m22_and_q15_passes():

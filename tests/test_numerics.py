@@ -102,9 +102,9 @@ def test_verify_algebra_unchanged_with_dense_oracles(M, monkeypatch):
     with mpmath.workprec(106):
         p = ModelParams(q=mpmath.mpc("1.5"), g=mpmath.mpc("0.4"))
         kin = on_shell(M, mpmath.mpc("1.3", "0.8"), p)
-        sparse = verify_algebra(kin, p, build_basis(M), dtype=object)
+        (sparse,) = verify_algebra([kin], p, build_basis(M), dtype=object)
         monkeypatch.setattr(numerics, "mdot", np.matmul)
         monkeypatch.setattr(numerics, "emul", dense_emul)
         monkeypatch.setattr(numerics, "fnorms", dense_fnorms)
-        dense = verify_algebra(kin, p, build_basis(M), dtype=object)
+        (dense,) = verify_algebra([kin], p, build_basis(M), dtype=object)
     assert sparse == dense

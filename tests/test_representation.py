@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qab import representation
+from qab.harness import sample_kinematics
 from qab.kinematics import (
     ModelParams,
     affine_labels,
@@ -201,7 +202,7 @@ def test_verify_algebra_builds_no_basis(params, kin_of, monkeypatch):
         raise AssertionError("build_basis called")
 
     monkeypatch.setattr(representation, "build_basis", no_basis)
-    assert verify_algebra(kin, params, space)["weight_pattern"] == 0
+    assert verify_algebra([kin], params, space)[0]["weight_pattern"] == 0
 
 
 def test_generator_parities():
@@ -357,13 +358,13 @@ def test_all_generators_evaluates_each_label_set_once(params, kin_of, monkeypatc
 @pytest.mark.parametrize("M", [1, 2, 3, 4])
 def test_all_defining_relations(M, params, kin_of):
     kin = kin_of(M, 1.3 + 0.8j)
-    res = verify_algebra(kin, params, build_basis(M))
+    (res,) = verify_algebra([kin], params, build_basis(M))
     worst = max(res, key=res.get)
     assert res[worst] < TOL_ALGEBRA, (worst, res[worst])
 
 
 def test_relations_at_second_point(params, kin_of):
-    res = verify_algebra(kin_of(3, -0.7 + 1.1j), params, build_basis(3))
+    (res,) = verify_algebra([kin_of(3, -0.7 + 1.1j)], params, build_basis(3))
     assert max(res.values()) < TOL_ALGEBRA
 
 
@@ -375,7 +376,7 @@ def test_residuals_are_roundoff_not_model_error():
         xm = mpmath.mpc("1.3", "0.8")
         xp = max(solve_shortening(xm, 1, p), key=abs)
         kin = make_kinematics(1, xp, xm, p)
-        res = verify_algebra(kin, p, build_basis(1), dtype=object)
+        (res,) = verify_algebra([kin], p, build_basis(1), dtype=object)
     assert max(res.values()) < 1e-30
 
 
@@ -484,7 +485,7 @@ def test_verify_algebra_matches_dense_oracle_at_106_bits(M):
             p = ModelParams(q=q, g=mpmath.mpc("0.4"))
             kin = on_shell(M, mpmath.mpc("1.3", "0.8"), p)
             space = build_basis(M)
-            res = verify_algebra(kin, p, space, dtype=object)
+            (res,) = verify_algebra([kin], p, space, dtype=object)
             want = dense_verify_algebra(all_generators(kin, p, space, dtype=object), kin, p, space)
             assert list(res) == list(want)
             for key, value in want.items():
@@ -499,7 +500,7 @@ def test_verify_algebra_verdicts_match_dense_oracle(q):
     for M in range(1, 9):
         kin = on_shell(M, 1.3 + 0.8j, p)
         space = build_basis(M)
-        res = verify_algebra(kin, p, space)
+        (res,) = verify_algebra([kin], p, space)
         want = dense_verify_algebra(all_generators(kin, p, space), kin, p, space)
         assert list(res) == list(want)
         flipped = [k for k in want if (res[k] <= TOL_ALGEBRA) != (want[k] <= TOL_ALGEBRA)]
@@ -514,7 +515,7 @@ def _perturbed_e2(params, monkeypatch, change):
     ops = all_generators(kin, params, space)
     change(ops["E2"].matrix)
     monkeypatch.setattr(representation, "all_generators", lambda *args: ops)
-    return verify_algebra(kin, params, space), dense_verify_algebra(ops, kin, params, space)
+    return verify_algebra([kin], params, space)[0], dense_verify_algebra(ops, kin, params, space)
 
 
 def test_perturbed_in_pattern_entry_fails_both_paths(params, monkeypatch):
@@ -537,3 +538,52 @@ def test_off_pattern_entry_fails_weight_pattern(params, monkeypatch):
     res, want = _perturbed_e2(params, monkeypatch, add_off_pattern)
     assert res["weight_pattern"] >= 1e-6 > TOL_ALGEBRA
     assert want["weight_pattern"] == res["weight_pattern"]
+
+
+def _rep_check_points(M, params, n):
+    """The first n points rep-check samples at seed 7 and bound-state number M."""
+    return [sample_kinematics(M, params, np.random.default_rng([7, M * 1000 + s]))
+            for s in range(n)]
+
+
+@pytest.mark.parametrize("M", range(1, 7))
+@pytest.mark.parametrize("q", [1.1, Q_POINTS[2], "high:106"])
+def test_batched_verify_algebra_equals_one_point_calls(M, q):
+    # P points in one pass give each point's residuals bit for bit, in the
+    # same key order, as P one-point calls
+    p = ModelParams(q=1.5 if q == "high:106" else q, g=0.4)
+    kins, dtype = _rep_check_points(M, p, 5), complex
+    with mpmath.workprec(106):
+        if q == "high:106":
+            p, dtype = ModelParams(q=mpmath.mpc("1.5"), g=mpmath.mpc("0.4")), object
+            kins = [on_shell(M, mpmath.mpc(k.x_minus), p, near=k.x_plus) for k in kins]
+        space = build_basis(M)
+        alone = [verify_algebra([kin], p, space, dtype=dtype)[0] for kin in kins]
+        for P in (1, 2, 3, 5):
+            batched = verify_algebra(kins[:P], p, space, dtype=dtype)
+            assert [list(r.items()) for r in batched] == [list(r.items()) for r in alone[:P]]
+
+
+@pytest.mark.parametrize("where", ["in-pattern", "off-pattern"])
+def test_defect_at_one_point_moves_only_its_residuals(where, params, monkeypatch):
+    # a defect planted in one point's E2 shows in that point's residuals alone
+    space = build_basis(3)
+    kins = _rep_check_points(3, params, 3)
+    clean = verify_algebra(kins, params, space)
+    build = representation.all_generators
+
+    def planted(kin, *args):
+        ops = build(kin, *args)
+        if kin is kins[1]:
+            m = ops["E2"].matrix
+            if where == "in-pattern":
+                m[tuple(np.argwhere(m)[0])] *= 1 + 1e-6
+            else:
+                m[tuple(np.argwhere(outside_pattern("E2", space))[0])] += 1e-6
+        return ops
+
+    monkeypatch.setattr(representation, "all_generators", planted)
+    res = verify_algebra(kins, params, space)
+    assert res[0] == clean[0] and res[2] == clean[2]
+    key = "weight_pattern" if where == "off-pattern" else max(res[1], key=res[1].get)
+    assert res[1][key] > TOL_ALGEBRA >= clean[1][key]
