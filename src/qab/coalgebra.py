@@ -6,6 +6,9 @@ convention under which the (sign-free) coproduct displays become algebra
 homomorphisms in the representation.  The legs are taken in the order given:
 coproduct(J, leg2, leg1) is Delta_21(J) on V2 (x) V1, which is all the
 opposite coproduct needs, so no graded flip of legs is ever built.
+A coproduct is returned as its Kronecker terms of one-leg matrices, with the
+Koszul sign folded into the first factor; only graded_tensor and
+coproduct_map, which the coalgebra checks read, form dense two-leg matrices.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .kinematics import Kinematics, ModelParams, derive_couplings, on_shell, ref
 from .numerics import qint, rel_residual
 from .representation import (
     D_DIAG,
+    GENERATOR_PARITY,
     GENERATORS,
     GradedOperator,
     all_generators,
@@ -28,21 +32,28 @@ from .representation import (
 )
 
 
+def koszul_term(A: GradedOperator, B: GradedOperator, space1) -> tuple:
+    """A (x) B as the term (A', B) of one-leg matrices, A (x) B = kron(A', B):
+    column j1 of A' is that of A times the Koszul sign (-1)^{|B| p(j1)}."""
+    if B.parity == 0:
+        return A.matrix, B.matrix
+    return A.matrix * (1 - 2 * space1.parities), B.matrix
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b), each entry the same single product, without np.kron's
+    per-call axis bookkeeping (most of its time at these sizes)."""
+    kron = a[:, None, :, None] * b[None, :, None, :]
+    return kron.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def graded_tensor(
     A: GradedOperator, B: GradedOperator, space1, space2
 ) -> GradedOperator:
     """A (x) B with the Koszul sign applied against the first-leg input parity."""
-    p1 = space1.parities
-    if A.matrix.shape[0] != len(p1) or B.matrix.shape[0] != space2.dim:
+    if A.matrix.shape[0] != space1.dim or B.matrix.shape[0] != space2.dim:
         raise ValueError("operator/space dimension mismatch")
-    sign = np.where((p1 * B.parity) % 2 == 1, -1.0, 1.0)
-    left = A.matrix * sign[None, :]  # column j1 picks up (-1)^{|B| p(j1)}
-    right = B.matrix
-    # np.kron(left, right), each entry the same single product, without
-    # np.kron's per-call axis bookkeeping (most of its time at these sizes)
-    kron = left[:, None, :, None] * right[None, :, None, :]
-    shape = (left.shape[0] * right.shape[0], left.shape[1] * right.shape[1])
-    return GradedOperator(kron.reshape(shape), (A.parity + B.parity) % 2)
+    return GradedOperator(_kron(*koszul_term(A, B, space1)), (A.parity + B.parity) % 2)
 
 
 class Leg:
@@ -71,8 +82,10 @@ def _u_power(gen: str) -> int:
     return (1 if i == 2 else 0) + (-1 if i == 4 else 0)
 
 
-def coproduct(gen: str, leg1: Leg, leg2: Leg) -> GradedOperator:
-    """Standard coproduct Delta(J) as a matrix on V1 (x) V2.
+def coproduct(gen: str, leg1: Leg, leg2: Leg) -> list:
+    """Standard coproduct Delta(J) on V1 (x) V2 as its terms: a list of one
+    or two koszul_term pairs (A, B) of one-leg matrices, Delta(J) being the
+    sum of kron(A, B) over them.
 
     Delta(E_j) = E_j (x) 1 + K_j^-1 U^{d_j} (x) E_j and
     Delta(F_j) = F_j (x) K_j + U^{-d_j} (x) F_j with d_j = delta_{j,2} - delta_{j,4}
@@ -81,21 +94,23 @@ def coproduct(gen: str, leg1: Leg, leg2: Leg) -> GradedOperator:
     s1, s2 = leg1.space, leg2.space
     o1, o2 = leg1.gens, leg2.gens
     if gen.startswith("K"):
-        return graded_tensor(o1[gen], o2[gen], s1, s2)
+        return [koszul_term(o1[gen], o2[gen], s1)]
     u = leg1.U ** _u_power(gen)
     if gen.startswith("E"):
-        k_inv = o1["K" + gen[1]].inv()
-        return graded_tensor(o1[gen], identity_operator(s2), s1, s2) + graded_tensor(
-            u * k_inv, o2[gen], s1, s2
-        )
-    return graded_tensor(o1[gen], o2["K" + gen[1]], s1, s2) + graded_tensor(
-        (1 / u) * identity_operator(s1), o2[gen], s1, s2
-    )
+        return [koszul_term(o1[gen], identity_operator(s2), s1),
+                koszul_term(u * o1["K" + gen[1]].inv(), o2[gen], s1)]
+    return [koszul_term(o1[gen], o2["K" + gen[1]], s1),
+            koszul_term((1 / u) * identity_operator(s1), o2[gen], s1)]
 
 
 def coproduct_map(leg1: Leg, leg2: Leg) -> dict:
-    """All generators' coproduct matrices (an algebra homomorphism's image)."""
-    return {g: coproduct(g, leg1, leg2) for g in GENERATORS}
+    """All generators' coproducts as dense matrices on V1 (x) V2 (an algebra
+    homomorphism's image), for the coalgebra checks."""
+    return {
+        g: GradedOperator(sum(_kron(a, b) for a, b in coproduct(g, leg1, leg2)),
+                          GENERATOR_PARITY[g])
+        for g in GENERATORS
+    }
 
 
 # ---------------------------------------------------------------------------

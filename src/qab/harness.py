@@ -345,7 +345,8 @@ def suite_coalgebra(cfg: RunConfig):
             ),
         ]
 
-    return _per_point(cfg, 5000, list(product(cfg.M, repeat=2)), check)
+    return _per_point(cfg, 5000, list(product(cfg.M, repeat=2)),
+                      _guarded("coalgebra", "coproduct-homomorphism", tol, check))
 
 
 def suite_smatrix(cfg: RunConfig):
@@ -371,7 +372,8 @@ def suite_smatrix(cfg: RunConfig):
             ))
         return rows
 
-    return _per_point(cfg, 9000, list(product(cfg.M, repeat=2)), check)
+    return _per_point(cfg, 9000, list(product(cfg.M, repeat=2)),
+                      _guarded("smatrix", "null-dimension", NULL_GAP, check))
 
 
 def suite_ybe(cfg: RunConfig):
@@ -418,7 +420,8 @@ def suite_kmatrix(cfg: RunConfig):
             rows.append(_check("kmatrix", "ck-covariance", M, sym.max(), tol_a))
         return rows
 
-    return _per_point(cfg, 17000, [(M,) for M in cfg.M], check)
+    return _per_point(cfg, 17000, [(M,) for M in cfg.M],
+                      _guarded("kmatrix", "null-dimension", NULL_GAP, check))
 
 
 def suite_bybe(cfg: RunConfig):

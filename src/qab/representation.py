@@ -121,9 +121,12 @@ class GradedOperator:
     __rmul__ = __mul__
 
     def inv(self) -> "GradedOperator":
-        if self.parity != 0:
-            raise ValueError("only even operators are invertible here")
-        return GradedOperator(np.linalg.inv(self.matrix), 0)
+        """The inverse of a diagonal operator: every operator inverted here is
+        a K_i or a product of K_i, so it is the reciprocal of the diagonal."""
+        d = np.diagonal(self.matrix)
+        if self.parity != 0 or np.count_nonzero(self.matrix) != np.count_nonzero(d):
+            raise ValueError("only even diagonal operators are inverted here")
+        return GradedOperator(np.diag(1 / d), 0)
 
 
 def identity_operator(space: RepSpace, dtype=complex) -> GradedOperator:

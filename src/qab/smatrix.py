@@ -26,6 +26,11 @@ the system is C_red A_red - B_red C_red = 0 on the N x N reduced matrices,
 N = sum mult(lambda), solved with lambda as the weight of each reduced
 index.  The bases and the position pairs depend on (M1, M2, q) only and are
 cached (``adapted_bases``).
+
+Every coproduct enters as its one or two Kronecker terms (a, b) of one-leg
+matrices (coalgebra.coproduct), and each term acts on a matrix whose rows
+are the two legs by reshape (_times): the basis build, the reduced matrices
+and the residuals of Ř never form a two-leg generator.
 """
 
 from __future__ import annotations
@@ -64,6 +69,38 @@ def product_weights(space1: RepSpace, space2: RepSpace) -> list:
     return (space1.weights[:, None] + space2.weights[None, :]).reshape(-1, 2).tolist()
 
 
+def _on_left(R: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """(R (x) 1) T: R acts on the leading legs of the rows of T."""
+    return (R @ T.reshape(R.shape[1], -1)).reshape(-1, T.shape[1])
+
+
+def _on_right(R: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """(1 (x) R) T: R acts on the trailing legs of the rows of T."""
+    return (R @ T.reshape(-1, R.shape[1], T.shape[1])).reshape(-1, T.shape[1])
+
+
+def _times(op, T: np.ndarray) -> np.ndarray:
+    """op T, for ``op`` a one-leg matrix or the terms (a, b) of a coproduct,
+    op = sum of kron(a, b) over them.  Each factor acts on its own leg of the
+    rows of T (_on_left, _on_right), so no two-leg operator is formed."""
+    if isinstance(op, np.ndarray):
+        return op @ T
+    return sum(_on_left(a, _on_right(b, T)) for a, b in op)
+
+
+def _transpose(op):
+    """op^T, for ``op`` as _times takes it: kron(a, b)^T = kron(a^T, b^T)."""
+    return op.T if isinstance(op, np.ndarray) else [(a.T, b.T) for a, b in op]
+
+
+def _block(terms, rows, cols) -> np.ndarray:
+    """op[np.ix_(rows, cols)] of op = sum of kron(a, b) over ``terms``, entry
+    by entry: the products and the sum of the dense kron, and no more."""
+    d2 = len(terms[0][1])
+    (r1, r2), (c1, c2) = np.divmod(np.asarray(rows)[:, None], d2), np.divmod(cols, d2)
+    return sum(a[r1, c1] * b[r2, c2] for a, b in terms)
+
+
 def weight_nullspace(pairs, weights):
     """Null space of X -> X A - B X over every (A, B) in ``pairs``, X being
     supported on the entries X[i, j] with weights[i] == weights[j].
@@ -74,29 +111,27 @@ def weight_nullspace(pairs, weights):
     B[a, i] != 0; rows reached by no entry are identically zero and are never
     built.  Each pair's block of rows is divided by its largest coefficient,
     which keeps its null space but puts every generator on one scale (the
-    boundary charges grow like q^M), assembled dense and reduced to its
-    triangular QR factor, the stacked factors once more, so that no more
-    than one pair's rows are held at a time, and an SVD of that gives the
-    singular values of the whole system R with its right singular vectors.
+    boundary charges grow like q^M).  The blocks are stacked into one dense
+    system, reduced to its triangular QR factor R, and an SVD of R gives the
+    singular values of the whole system with its right singular vectors.
     Returns (X, sv, (m, n)): X holds the right singular vector of the
     smallest sigma, and sv all n singular values, descending, padded with
-    zeros when R has fewer rows than unknowns.
+    zeros when the system has fewer rows than unknowns.
     """
     w = np.asarray(weights)
     ui, uj = np.nonzero((w[:, None, :] == w[None, :, :]).all(axis=-1))
     dim, n = len(w), len(ui)
-    factors, m = [], 0
-    for A, B in pairs:
-        e, b = np.nonzero(A[uj])  # entry e times A[uj, b] lands on row (ui, b)
-        f, a = np.nonzero(B[:, ui].T)  # and entry f times -B[a, ui] on (a, uj)
-        rows = np.unique(np.concatenate([ui[e] * dim + b, a * dim + uj[f]]), return_inverse=True)[1]
-        values = np.concatenate([A[uj[e], b], -B[a, ui[f]]])
-        block = np.zeros((rows.max() + 1, n), dtype=complex)
-        np.add.at(block, (rows, np.concatenate([e, f])), values / np.abs(values).max())
-        m += len(block)
-        # only a block taller than wide shrinks under QR
-        factors.append(np.linalg.qr(block, mode="r") if len(block) > n else block)
-    _, sv, vh = np.linalg.svd(np.linalg.qr(np.vstack(factors), mode="r"))
+    A, B = (np.array(side) for side in zip(*pairs))  # pair p's matrices at [p]
+    # entry e times A[p, uj, b] lands on row (p, ui, b), f times -B[p, a, ui] on (p, a, uj)
+    (p, e, b), (r, f, a) = np.nonzero(A[:, uj]), np.nonzero(B[:, :, ui].transpose(0, 2, 1))
+    keys = np.concatenate([(p * dim + ui[e]) * dim + b, (r * dim + a) * dim + uj[f]])
+    keys, row = np.unique(keys, return_inverse=True)
+    m = len(keys)
+    scale = np.maximum(np.abs(A[:, uj]).max(axis=(1, 2)), np.abs(B[:, :, ui]).max(axis=(1, 2)))
+    system = np.zeros((m, n), dtype=complex)
+    np.add.at(system, (row, np.concatenate([e, f])),
+              np.concatenate([A[p, uj[e], b] / scale[p], -B[r, a, ui[f]] / scale[r]]))
+    _, sv, vh = np.linalg.svd(np.linalg.qr(system, mode="r"))
     sv = np.concatenate([sv, np.zeros(n - len(sv))])
     X = np.zeros((dim, dim), dtype=complex)
     X[ui, uj] = vh[-1].conj()
@@ -123,14 +158,21 @@ class AdaptedBases(NamedTuple):
     labels: np.ndarray
     pairs: dict
 
-    def reduced_matrix(self, gen: str, delta: np.ndarray) -> np.ndarray:
-        """The N x N reduced matrix of ``delta``, the coproduct of the
-        fermionic ``gen``, at the position pairs of ``pairs[gen]``: only those
-        rows and columns of V^-1 delta V are computed."""
+    def reduced_matrix(self, gen: str, delta) -> np.ndarray:
+        """The N x N reduced matrix of ``delta``, the terms of the coproduct
+        of the fermionic ``gen``, at the position pairs of ``pairs[gen]``:
+        only those rows and columns of V^-1 delta V are computed, and delta
+        acts on V[:, cols] term by term."""
         i, j, rows, cols, ri, ci = self.pairs[gen]
         X = np.zeros((len(self.labels), len(self.labels)), dtype=complex)
-        X[i, j] = (self.V_inv[rows] @ delta @ self.V[:, cols])[ri, ci]
+        X[i, j] = (self.V_inv[rows] @ _times(delta, self.V[:, cols]))[ri, ci]
         return X
+
+
+def _ranges(counts):
+    """(k, t) over t = 0..counts[k] - 1 for every k in turn."""
+    k = np.repeat(np.arange(len(counts)), counts)
+    return k, np.arange(len(k)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def _position_pairs(blocks, shift):
@@ -149,36 +191,35 @@ def _position_pairs(blocks, shift):
     its first such pair: its equations are then those of all its pairs, up to
     the block's factor, which Delta_12 and Delta_21 share.
     """
-    i, j, rows, cols = [], [], [], []
-    for l1, l3, mult, col, off in blocks:
-        for m1, m3, mult_m, col_m, off_m in blocks:
-            if abs(m1 - l1) != 1 or abs(m3 - l3) != 1:
-                continue
-            s1, s3 = (m1 - l1 - shift[0]) // 2, (m3 - l3 - shift[1]) // 2
-            a, b = max(0, -s1), max(0, -s3)
-            if a > l1 or a + s1 > m1 or b > l3 or b + s3 > m3:
-                continue
-            beta, alpha = np.indices((mult_m, mult)).reshape(2, -1)
-            i.append(off_m + beta)
-            j.append(off + alpha)
-            rows.append(col_m + beta * (m1 + 1) * (m3 + 1) + (b + s3) * (m1 + 1) + a + s1)
-            cols.append(col + alpha * (l1 + 1) * (l3 + 1) + b * (l1 + 1) + a)
-    rows, ri = np.unique(np.concatenate(rows), return_inverse=True)
-    cols, ci = np.unique(np.concatenate(cols), return_inverse=True)
-    return np.concatenate(i), np.concatenate(j), rows, cols, ri, ci
+    L = np.array(blocks)
+    l1, l3, m1, m3 = L[:, :1], L[:, 1:2], L[:, 0], L[:, 1]  # lambda down, mu across
+    s1, s3 = (m1 - l1 - shift[0]) // 2, (m3 - l3 - shift[1]) // 2
+    a, b = np.maximum(0, -s1), np.maximum(0, -s3)
+    lam, mu = np.nonzero((abs(m1 - l1) == 1) & (abs(m3 - l3) == 1) & (a <= l1)
+                         & (a + s1 <= m1) & (b <= l3) & (b + s3 <= m3))
+    s1, s3, a, b = (x[lam, mu] for x in (s1, s3, a, b))
+    k, t = _ranges(L[mu, 2] * L[lam, 2])  # each block's copy pairs, beta major
+    lam, mu, s1, s3, a, b = (x[k] for x in (lam, mu, s1, s3, a, b))
+    (l1, l3, mult, col, off), (m1, m3, _, col_m, off_m) = L[lam].T, L[mu].T
+    beta, alpha = np.divmod(t, mult)
+    rows, ri = np.unique(col_m + beta * (m1 + 1) * (m3 + 1) + (b + s3) * (m1 + 1) + a + s1,
+                         return_inverse=True)
+    cols, ci = np.unique(col + alpha * (l1 + 1) * (l3 + 1) + b * (l1 + 1) + a,
+                         return_inverse=True)
+    return off_m + beta, off + alpha, rows, cols, ri, ci
 
 
 def _adapted_basis(ops, weights, q) -> AdaptedBases:
-    """The AdaptedBases of the bosonic operators ``ops`` (E1, F1, E3, F3 on
-    a space with the (H1, H3) ``weights``).
+    """The AdaptedBases of the bosonic coproducts ``ops`` (E1, F1, E3, F3 on
+    a space with the (H1, H3) ``weights``, each as its terms).
 
     E1 raises H1 by 2 and E3 lowers H3 by 2, so the highest weights are
     lambda = (l1, l3) = (H1, -H3) with l1, l3 >= 0, taken in ascending order.
     With n the weight-space dimensions, lambda occurs
     n(l1, l3) - n(l1 + 2, l3) - n(l1, l3 + 2) + n(l1 + 2, l3 + 2) times.  An
     orthonormal basis of the null space of E1 and E3 on its weight space
-    gives the highest-weight vectors v, and each is lowered to the columns
-    F1^a F3^b v / N, b = 0..l3 and a = 0..l1, with
+    gives the highest-weight vectors v, and all of them are lowered at once
+    to the columns F1^a F3^b v / N, b = 0..l3 and a = 0..l1, with
     N = prod_{t <= a} ([t][l1 - t + 1])^1/2 prod_{t <= b} ([t][l3 - t + 1])^1/2.
     N depends on lambda and (a, b) alone, so every copy of lambda carries the
     same matrices of E1, F1, E3, F3, and a map that commutes with them is
@@ -193,7 +234,7 @@ def _adapted_basis(ops, weights, q) -> AdaptedBases:
     count = lambda w: len(states.get(w, ()))
     V = np.zeros((dim, dim), dtype=complex)
     columns = {}  # weight -> the columns of V in its weight space
-    ui, uj, ki, kj, labels, blocks = [], [], [], [], [], []
+    labels, blocks = [], []
     col = off = 0
     for l1, l3 in sorted(states):
         mult = (count((l1, l3)) - count((l1 + 2, l3))
@@ -203,44 +244,52 @@ def _adapted_basis(ops, weights, q) -> AdaptedBases:
         here = states[l1, l3]
         above = states.get((l1 + 2, l3), []) + states.get((l1, l3 + 2), [])
         if above:
-            raising = np.vstack([E1[np.ix_(above, here)], E3[np.ix_(above, here)]])
+            raising = np.vstack([_block(E1, above, here), _block(E3, above, here)])
             tops = np.linalg.svd(raising)[2][len(here) - mult:].conj()
         else:
             tops = np.eye(mult)
-        # copy alpha at position p = b (l1 + 1) + a is column col + alpha P + p
-        P = (l1 + 1) * (l3 + 1)
-        beta, alpha, p = np.indices((mult, mult, P)).reshape(3, -1)
-        ui.append(col + beta * P + p)
-        uj.append(col + alpha * P + p)
-        ki.append(off + beta)
-        kj.append(off + alpha)
         labels += [(l1, l3)] * mult
         blocks.append((l1, l3, mult, col, off))
         off += mult
-        for top in tops:
-            chain = np.zeros(dim, dtype=complex)
-            chain[here] = top
-            for b in range(l3 + 1):
-                if b:
-                    chain = F3 @ chain / sqrt(qint(b, q) * qint(l3 - b + 1, q))
-                v = chain
-                for a in range(l1 + 1):
-                    if a:
-                        v = F1 @ v / sqrt(qint(a, q) * qint(l1 - a + 1, q))
-                    V[:, col] = v
-                    columns.setdefault((l1 - 2 * a, l3 - 2 * b), []).append(col)
-                    col += 1
+        # copy alpha at position p = b (l1 + 1) + a is column col + alpha P + p
+        P = (l1 + 1) * (l3 + 1)
+        copies = col + P * np.arange(mult)
+        chain = np.zeros((dim, mult), dtype=complex)
+        chain[here] = tops.T
+        for b in range(l3 + 1):
+            if b:
+                chain = _times(F3, chain) / sqrt(qint(b, q) * qint(l3 - b + 1, q))
+            v = chain
+            for a in range(l1 + 1):
+                if a:
+                    v = _times(F1, v) / sqrt(qint(a, q) * qint(l1 - a + 1, q))
+                at = copies + b * (l1 + 1) + a
+                V[:, at] = v
+                columns.setdefault((l1 - 2 * a, l3 - 2 * b), []).extend(at)
+        col += mult * P
     V_inv = np.zeros_like(V)
     sv = []
+    by_size = {}  # the weight spaces of each dimension, inverted as one stack
     for w, rows in states.items():
-        block = V[np.ix_(rows, columns[w])]
-        sv.append(np.linalg.svd(block, compute_uv=False))
-        V_inv[np.ix_(columns[w], rows)] = np.linalg.inv(block)
+        by_size.setdefault(len(rows), []).append((rows, columns[w]))
+    for group in by_size.values():
+        rows, cols = (np.array(x) for x in zip(*group))
+        stack = V[rows[:, :, None], cols[:, None, :]]
+        sv.append(np.linalg.svd(stack, compute_uv=False).ravel())
+        V_inv[cols[:, :, None], rows[:, None, :]] = np.linalg.inv(stack)
     sv = np.concatenate(sv)
+    # the support: entry (beta, alpha) of c_lambda at every position p of lambda
+    l1, l3, mult, col, off = np.array(blocks).T
+    P = (l1 + 1) * (l3 + 1)
+    k, t = _ranges(mult * mult * P)
+    (beta, alpha), p = np.divmod(t // P[k], mult[k]), t % P[k]
+    # E2 and E4 step lambda alike, as do F2 and F4: they share their pairs
+    shifts = {g: (SHIFTS[g][0], -SHIFTS[g][1]) for g in FERMIONIC}
+    pairs = {shift: _position_pairs(blocks, shift) for shift in set(shifts.values())}
     return AdaptedBases(
-        V, V_inv, tuple(np.concatenate(x) for x in (ui, uj, ki, kj)),
-        float(sv.max() / sv.min()), np.array(labels),
-        {g: _position_pairs(blocks, (SHIFTS[g][0], -SHIFTS[g][1])) for g in FERMIONIC},
+        V, V_inv,
+        (col[k] + beta * P[k] + p, col[k] + alpha * P[k] + p, off[k] + beta, off[k] + alpha),
+        float(sv.max() / sv.min()), np.array(labels), {g: pairs[shifts[g]] for g in FERMIONIC},
     )
 
 
@@ -256,9 +305,8 @@ def adapted_bases(M1: int, M2: int, q) -> AdaptedBases:
     read-only, since every caller shares them.
     """
     leg1, leg2 = Leg.bosonic(M1, q), Leg.bosonic(M2, q)
-    bases = _adapted_basis(
-        {g: coproduct(g, leg1, leg2).matrix for g in BOSONIC},
-        product_weights(leg1.space, leg2.space), q)
+    bases = _adapted_basis({g: coproduct(g, leg1, leg2) for g in BOSONIC},
+                           product_weights(leg1.space, leg2.space), q)
     for a in (bases.V, bases.V_inv, *bases.support, bases.labels,
               *(x for pair in bases.pairs.values() for x in pair)):
         a.flags.writeable = False
@@ -267,11 +315,9 @@ def adapted_bases(M1: int, M2: int, q) -> AdaptedBases:
 
 def intertwiner_system(leg1: Leg, leg2: Leg, generators):
     """The pairs (Delta_12(J), Delta_21(J)) of Ř Delta_12(J) = Delta_21(J) Ř
-    over ``generators``, as weight_nullspace and pair_residuals take them."""
-    return [
-        (coproduct(gen, leg1, leg2).matrix, coproduct(gen, leg2, leg1).matrix)
-        for gen in generators
-    ]
+    over ``generators``, each coproduct as its terms, as reduced_matrix and
+    pair_residuals take them."""
+    return [(coproduct(gen, leg1, leg2), coproduct(gen, leg2, leg1)) for gen in generators]
 
 
 def commutant_nullspace(leg1: Leg, leg2: Leg, q, generators=DEFAULT_GENERATORS):
@@ -325,19 +371,12 @@ def unique_intertwiner(solution) -> np.ndarray:
 
 
 def pair_residuals(X: np.ndarray, pairs) -> list:
-    """||X A - B X|| / max(1, ||X||) for every (A, B) in ``pairs``."""
+    """||X A - B X|| / max(1, ||X||) for every (A, B) in ``pairs``, A and B
+    one-leg matrices (K) or coproduct terms (S), as _times takes them;
+    X A = (A^T X^T)^T."""
     norm = max(1.0, float(np.linalg.norm(X)))
-    return [float(np.linalg.norm(X @ A - B @ X)) / norm for A, B in pairs]
-
-
-def _on_left(R: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """(R (x) 1) T: R acts on the leading legs of the rows of T."""
-    return (R @ T.reshape(R.shape[1], -1)).reshape(-1, T.shape[1])
-
-
-def _on_right(R: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """(1 (x) R) T: R acts on the trailing legs of the rows of T."""
-    return (R @ T.reshape(-1, R.shape[1], T.shape[1])).reshape(-1, T.shape[1])
+    return [float(np.linalg.norm(_times(_transpose(A), X.T).T - _times(B, X))) / norm
+            for A, B in pairs]
 
 
 def ybe_residual(

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from qab.coalgebra import Leg
+from qab.coalgebra import Leg, graded_tensor
 from qab.kinematics import ModelParams, make_kinematics, reflect_kinematics, solve_shortening
 from qab.kmatrix import _k_entries, boundary_system, closed_form_kmatrix
-from qab.representation import build_basis
+from qab.representation import build_basis, identity_operator
 from qab.smatrix import DEFAULT_GENERATORS, commutant_nullspace, unique_intertwiner, weight_nullspace
 
 
@@ -76,3 +76,30 @@ def k_coefficients(K):
     for name, rows, cols in _k_entries(build_basis(len(K) // 4)):
         coeffs.setdefault(name, K[rows, cols])
     return coeffs
+
+
+def dense_coproduct(gen, leg1, leg2):
+    """The dense Delta(gen) on V1 (x) V2 as a GradedOperator, summed from
+    graded_tensor products of the generator matrices of the two Legs: the
+    oracle of coalgebra.coproduct's terms.
+
+    Delta(E_j) = E_j (x) 1 + K_j^-1 U^{d_j} (x) E_j,
+    Delta(F_j) = F_j (x) K_j + U^{-d_j} (x) F_j, Delta(K_j) = K_j (x) K_j,
+    d_j = delta_{j,2} - delta_{j,4}.
+    """
+    s1, s2 = leg1.space, leg2.space
+    o1, o2 = leg1.gens, leg2.gens
+    j = gen[1]
+    if gen[0] == "K":
+        return graded_tensor(o1[gen], o2[gen], s1, s2)
+    u = leg1.U ** {"2": 1, "4": -1}.get(j, 0)
+    if gen[0] == "E":
+        return (graded_tensor(o1[gen], identity_operator(s2), s1, s2)
+                + graded_tensor(u * o1["K" + j].inv(), o2[gen], s1, s2))
+    return (graded_tensor(o1[gen], o2["K" + j], s1, s2)
+            + graded_tensor((1 / u) * identity_operator(s1), o2[gen], s1, s2))
+
+
+def dense(terms) -> np.ndarray:
+    """The matrix sum of np.kron(a, b) over the terms (a, b) of a two-leg operator."""
+    return sum(np.kron(a, b) for a, b in terms)

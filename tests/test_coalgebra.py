@@ -1,5 +1,7 @@
 """Coproducts, graded tensor calculus and the twisted boundary charges."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from qab.coalgebra import (
     TWISTED_CHARGES,
     boundary_d_constants,
     coideal_expansion_check,
+    coproduct,
     coproduct_map,
     graded_tensor,
     Leg,
@@ -18,9 +21,16 @@ from qab.coalgebra import (
 )
 from qab.kinematics import ModelParams, reflect_kinematics
 from qab.numerics import TOL_ALGEBRA, qint
-from qab.representation import all_generators, build_basis, graded_commutator
+from qab.representation import (
+    GENERATOR_PARITY,
+    GENERATORS,
+    GradedOperator,
+    all_generators,
+    build_basis,
+    graded_commutator,
+)
 
-from conftest import graded_permutation
+from conftest import dense, dense_coproduct, graded_permutation, kin_at
 
 
 def test_graded_permutation_squares_to_identity():
@@ -40,6 +50,38 @@ def test_graded_tensor_koszul_sign(params, kin_of):
     left = graded_tensor(ident, B, s, s) @ graded_tensor(A, ident, s, s)
     right = graded_tensor(A, B, s, s)
     assert np.linalg.norm(left.matrix + right.matrix) < 1e-13
+
+
+@pytest.mark.parametrize("q", [1.1, 1.5, 1.2 * np.exp(0.4j)], ids=["q1.1", "q1.5", "q-complex"])
+@pytest.mark.parametrize("pair", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)], ids=str)
+def test_coproduct_terms_sum_to_the_dense_coproduct(pair, q, params):
+    # each coproduct is at most two Kronecker terms of one-leg matrices, the
+    # Koszul sign folded into the first factor: their kron sum is the dense
+    # graded_tensor coproduct bit for bit, in either leg order, and
+    # coproduct_map is that sum
+    p = replace(params, q=q)
+    leg1, leg2 = (Leg(kin_at(M, xm, p), p) for M, xm in zip(pair, (1.3 + 0.8j, 0.9 - 1.1j)))
+    for a, b in ((leg1, leg2), (leg2, leg1)):
+        for gen in GENERATORS:
+            terms = coproduct(gen, a, b)
+            assert 1 <= len(terms) <= 2, gen
+            for x, y in terms:
+                assert x.shape == (a.space.dim,) * 2 and y.shape == (b.space.dim,) * 2, gen
+            assert np.array_equal(dense(terms), dense_coproduct(gen, a, b).matrix), gen
+    for gen, op in coproduct_map(leg1, leg2).items():
+        assert op.parity == GENERATOR_PARITY[gen]
+        assert np.array_equal(op.matrix, dense_coproduct(gen, leg1, leg2).matrix), gen
+
+
+def test_inverse_is_the_reciprocal_of_the_diagonal(params, kin_of):
+    ops = all_generators(kin_of(2, 1.3 + 0.8j), params, build_basis(2))
+    for gen in ("K1", "K2", "K3", "K4"):
+        k = ops[gen].matrix
+        assert np.allclose(ops[gen].inv().matrix @ k, np.eye(len(k)), rtol=0, atol=1e-15)
+    with pytest.raises(ValueError):
+        ops["E1"].inv()  # even but not diagonal
+    with pytest.raises(ValueError):
+        GradedOperator(np.eye(8), 1).inv()  # odd
 
 
 @pytest.mark.parametrize("pair", [(1, 1), (2, 1), (2, 2)], ids=str)

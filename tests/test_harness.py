@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from qab import kmatrix, smatrix
+from qab import coalgebra, kmatrix, smatrix
 from qab.coalgebra import Leg
 from qab.harness import (
     ConfigError,
@@ -318,13 +318,18 @@ def test_composite_verification_error_is_a_failed_row(suite, check, M, target, m
     ("ybe", "yang-baxter", [1, 1, 1], (smatrix, "weight_nullspace")),
     ("bybe", "reflection-equation", [1, 1], (smatrix, "weight_nullspace")),
     ("unitarity", "K(p)K(-p)=Id", [1], (kmatrix, "c_coefficients")),
+    ("smatrix", "null-dimension", [1, 1], (smatrix, "weight_nullspace")),
+    ("kmatrix", "null-dimension", [1], (smatrix, "weight_nullspace")),
+    ("coalgebra", "coproduct-homomorphism", [1, 1], (coalgebra, "hom_check")),
 ])
 @pytest.mark.parametrize("error", [
     PoleError("C_1 pole: ratio denominator ~ 0"), np.linalg.LinAlgError("SVD did not converge"),
-], ids=["pole", "linalg"])
+    VerificationError("[0, 0] matrix element vanishes; resample"),
+], ids=["pole", "linalg", "verification"])
 def test_solver_error_is_a_failed_row(suite, check, M, target, error, monkeypatch, tmp_path):
-    # a pole or a failed factorisation at the first point fails that point's
-    # one row with the exception's type and message; the other rows pass
+    # a pole, a failed factorisation or an unverifiable S or K at the first
+    # point fails that point's one row with the exception's type and
+    # message; the other rows pass
     calls = []
 
     def fail_first(*args):
@@ -342,6 +347,20 @@ def test_solver_error_is_a_failed_row(suite, check, M, target, error, monkeypatc
     assert (rows[0]["check"], rows[0]["M"], rows[0]["passed"]) == (check, M, False)
     assert rows[0]["residual"] == 1.0
     assert rows[0]["error"] == f"{type(error).__name__}: {error}"
+
+
+def test_s_path_builds_no_dense_two_leg_operator(monkeypatch):
+    # the S solves, their bases and the intertwining row act on coproduct
+    # terms: with every dense Kronecker product refused, the suites that
+    # solve S still pass
+    def refuse(*args):
+        raise AssertionError("dense two-leg operator built on the S path")
+
+    monkeypatch.setattr(coalgebra, "graded_tensor", refuse)
+    monkeypatch.setattr(coalgebra, "_kron", refuse)
+    smatrix.adapted_bases.cache_clear()
+    for suite in ("smatrix", "ybe", "bybe"):
+        assert run_suite(suite, load_config(data={"M": [1, 2], "seed": 3}))["passed"], suite
 
 
 def test_kmatrix_at_m22_and_q15_passes():

@@ -44,7 +44,9 @@ from qab.smatrix import (
     weight_nullspace,
 )
 
-from conftest import boundary_k, braided_s, graded_permutation, kin_at, s_nullspace
+from conftest import (
+    boundary_k, braided_s, dense, dense_coproduct, graded_permutation, kin_at, s_nullspace,
+)
 
 #: The reference's rank rule: singular values below this multiple of
 #: max(shape) * eps * sigma_max count as zero.
@@ -93,7 +95,7 @@ def test_smatrix_matches_dense_reference(kin_of, params):
     kin1, kin2 = kin_of(1, 1.3 + 0.8j), kin_of(1, 0.9 - 1.1j)
     leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
     pairs = [
-        (coproduct(g, leg1, leg2).matrix, coproduct(g, leg2, leg1).matrix)
+        (dense_coproduct(g, leg1, leg2).matrix, dense_coproduct(g, leg2, leg1).matrix)
         for g in DEFAULT_GENERATORS
     ]
     R = unique_intertwiner(commutant_nullspace(leg1, leg2, params.q))
@@ -156,7 +158,7 @@ def test_solver_matches_dense_qr_svd(kind, size, generators, q, params_gammas):
         P12, P21 = graded_permutation(s1, s2), graded_permutation(s2, s1)
         pairs = intertwiner_system(leg1, leg2, generators)
         X, sv, (rows, unknowns) = weight_nullspace(
-            [(A, P21 @ B @ P12) for A, B in pairs], product_weights(s1, s2)
+            [(dense(A), P21 @ dense(B) @ P12) for A, B in pairs], product_weights(s1, s2)
         )
         R, svc, (rows_c, unknowns_c) = commutant_nullspace(leg1, leg2, q, generators)
         # the rank rule on the weight-supported system is the reference here
@@ -208,7 +210,7 @@ def test_reduced_rows_are_multiples_of_the_kept_ones(Ms, q, params):
     positions, groups = _isotypic_layout(V12)
     pairs = intertwiner_system(Leg(kin1, params), Leg(kin2, params), FERMIONIC)
     for gen, (A, B) in zip(FERMIONIC, pairs):
-        Y12, Y21 = V12.V_inv @ A @ V12.V, V21.V_inv @ B @ V21.V
+        Y12, Y21 = V12.V_inv @ dense(A) @ V12.V, V21.V_inv @ dense(B) @ V21.V
         A_red, B_red = V12.reduced_matrix(gen, A), V21.reduced_matrix(gen, B)
         i, j, rows, cols, ri, ci = V12.pairs[gen]
         scale = max(np.abs(Y12).max(), np.abs(Y21).max())
@@ -239,6 +241,24 @@ def test_reduced_rows_are_multiples_of_the_kept_ones(Ms, q, params):
         assert kept_blocks > 0
 
 
+@pytest.mark.parametrize("q", [1.1, 1.5])
+@pytest.mark.parametrize("Ms", [(1, 2), (2, 2), (3, 2)], ids=str)
+def test_reduced_matrix_of_terms_is_the_dense_conjugate_at_the_kept_pairs(Ms, q, params):
+    # reduced_matrix applies the coproduct's terms to V[:, cols] by reshape;
+    # its entries are those of the dense V^-1 Delta V at the position pairs
+    params = replace(params, q=q)
+    legs = [Leg(kin, params) for kin in _s_points(params, Ms)]
+    for a, b in (legs, legs[::-1]):
+        bases = adapted_bases(a.space.M, b.space.M, q)
+        for gen in FERMIONIC:
+            Y = bases.V_inv @ dense_coproduct(gen, a, b).matrix @ bases.V
+            i, j, rows, cols, ri, ci = bases.pairs[gen]
+            expected = np.zeros((len(bases.labels),) * 2, dtype=complex)
+            expected[i, j] = Y[rows[ri], cols[ci]]
+            X = bases.reduced_matrix(gen, coproduct(gen, a, b))
+            assert np.abs(X - expected).max() <= 1e-13 * np.abs(Y).max(), (Ms, gen)
+
+
 def test_affine_ablation_needs_two_bound_states(params):
     # the affine supercharges fix S only when both bound-state numbers are
     # >= 2; with an M = 1 factor the bosonic and bulk generators suffice
@@ -264,7 +284,7 @@ def test_cached_bases_carry_no_kinematics(params):
         for a, b in [(leg1, leg2), (leg2, leg1)]:
             cached = adapted_bases(a.space.M, b.space.M, params.q)
             built = smatrix._adapted_basis(
-                {g: coproduct(g, a, b).matrix for g in BOSONIC},
+                {g: coproduct(g, a, b) for g in BOSONIC},
                 product_weights(a.space, b.space), params.q,
             )
             for x, y in [(built.V, cached.V), (built.V_inv, cached.V_inv),
@@ -297,8 +317,8 @@ def test_adapted_bases_block_diagonalise_the_bosonic_coproducts(params):
         V12, V21 = adapted_bases(M1, M2, params.q), adapted_bases(M2, M1, params.q)
         leg1, leg2 = Leg.bosonic(M1, params.q), Leg.bosonic(M2, params.q)
         for g in BOSONIC:
-            a = V12.V_inv @ coproduct(g, leg1, leg2).matrix @ V12.V
-            b = V21.V_inv @ coproduct(g, leg2, leg1).matrix @ V21.V
+            a = V12.V_inv @ dense_coproduct(g, leg1, leg2).matrix @ V12.V
+            b = V21.V_inv @ dense_coproduct(g, leg2, leg1).matrix @ V21.V
             assert np.abs(a - b).max() < 1e-12, (M1, M2, g)
         for bases in (V12, V21):
             assert np.abs(bases.V_inv @ bases.V - np.eye(len(bases.V))).max() < 1e-13
@@ -317,7 +337,7 @@ def test_label_supported_c_red_intertwines_the_bosonic_coproducts(Ms, params):
     # intertwines Delta_12(X) with Delta_21(X) for every bosonic X
     V12, V21 = adapted_bases(*Ms, params.q), adapted_bases(*Ms[::-1], params.q)
     leg1, leg2 = Leg.bosonic(Ms[0], params.q), Leg.bosonic(Ms[1], params.q)
-    pairs = [(coproduct(g, leg1, leg2).matrix, coproduct(g, leg2, leg1).matrix)
+    pairs = [(dense_coproduct(g, leg1, leg2).matrix, dense_coproduct(g, leg2, leg1).matrix)
              for g in BOSONIC]
     same = (V12.labels[:, None] == V12.labels[None, :]).all(axis=-1)
     ui, uj, ki, kj = V12.support

@@ -8,8 +8,9 @@ S-form identities.
 import numpy as np
 import pytest
 
-from qab.coalgebra import Leg, coproduct
+from qab.coalgebra import Leg
 from qab.kinematics import reflect_kinematics
+from qab.kmatrix import boundary_system
 from qab.numerics import TOL_ALGEBRA, TOL_COMPOSITE, rel_residual
 from qab.smatrix import (
     DEFAULT_GENERATORS,
@@ -25,7 +26,7 @@ from qab.smatrix import (
 )
 from qab.representation import GENERATORS, build_basis
 
-from conftest import braided_s, graded_permutation, s_nullspace
+from conftest import braided_s, dense, dense_coproduct, graded_permutation, s_nullspace
 
 
 def _intertwining(S, kin1, kin2, params):
@@ -101,8 +102,8 @@ def test_nullspace_vector_satisfies_full_equations(points, params):
     leg1 = Leg(points[1], params)
     leg2 = Leg(points["1b"], params)
     for gen in DEFAULT_GENERATORS:
-        A = coproduct(gen, leg1, leg2).matrix
-        B = coproduct(gen, leg2, leg1).matrix
+        A = dense_coproduct(gen, leg1, leg2).matrix
+        B = dense_coproduct(gen, leg2, leg1).matrix
         assert np.linalg.norm(R @ A - B @ R) < 1e-12, gen
 
 
@@ -117,9 +118,27 @@ def test_braided_intertwiner_is_the_flipped_s_matrix(k1, k2, points, params):
     S = P21 @ braided_s(kin1, kin2, params)
     assert S[0, 0] == 1
     for gen in GENERATORS:
-        delta = coproduct(gen, leg1, leg2).matrix
-        delta_op = P21 @ coproduct(gen, leg2, leg1).matrix @ P12
+        delta = dense_coproduct(gen, leg1, leg2).matrix
+        delta_op = P21 @ dense_coproduct(gen, leg2, leg1).matrix @ P12
         assert rel_residual(S @ delta, delta_op @ S) < TOL_ALGEBRA, gen
+
+
+@pytest.mark.parametrize("k1,k2", [(1, 2), (3, 2)], ids=str)
+def test_pair_residuals_on_terms_match_the_dense_products(k1, k2, points, params):
+    # an S pair is two lists of coproduct terms, applied by reshape, and a K
+    # pair two one-leg matrices; either residual must equal
+    # ||X A - B X|| / max(1, ||X||) formed with the dense matrices
+    rng = np.random.default_rng(0)
+    leg1, leg2 = Leg(points[k1], params), Leg(points[k2], params)
+    s_pairs = intertwiner_system(leg1, leg2, GENERATORS)
+    k_pairs = boundary_system(points[k1], params)[0]
+    for pairs, dense_pairs in ((s_pairs, [(dense(A), dense(B)) for A, B in s_pairs]),
+                               (k_pairs, k_pairs)):
+        dim = len(dense_pairs[0][0])
+        X = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        for (A, B), res in zip(dense_pairs, pair_residuals(X, pairs)):
+            expected = np.linalg.norm(X @ A - B @ X) / max(1.0, np.linalg.norm(X))
+            assert abs(res - expected) <= 1e-13 * expected
 
 
 def test_affine_ablation_raises_dimension(points, params):
