@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import numerics as nm
-from .coalgebra import TWISTED_CHARGES, Leg, twisted_boundary_charges
+from .coalgebra import TWISTED_CHARGES, twisted_boundary_charges
 from .kinematics import (
     Kinematics,
     KinematicsError,
@@ -235,15 +235,14 @@ def ck_symmetry_residual(kin: Kinematics, params: ModelParams) -> np.ndarray:
 
 def reflection_smatrices(kin1: Kinematics, kin2: Kinematics, params: ModelParams):
     """The four braided S-matrices (Ř(1,2), Ř(1,2r), Ř(2,1r), Ř(2r,1r)) of
-    the reflection equation, solved as intertwiners on the Legs of the two
-    points and of their reflections, each built once.  They do not depend on
-    the K matrices, so one solve serves both the reflection equation and its
+    the reflection equation, solved as intertwiners at the two points and
+    their reflections, each reflected once.  They do not depend on the K
+    matrices, so one solve serves both the reflection equation and its
     trivial-C_k control.
     """
-    kins = (kin1, kin2, *(reflect_kinematics(k, params) for k in (kin1, kin2)))
-    leg1, leg2, leg1r, leg2r = (Leg(kin, params) for kin in kins)
-    pairs = ((leg1, leg2), (leg1, leg2r), (leg2, leg1r), (leg2r, leg1r))
-    return tuple(unique_intertwiner(commutant_nullspace(a, b, params.q)) for a, b in pairs)
+    kin1r, kin2r = (reflect_kinematics(k, params) for k in (kin1, kin2))
+    pairs = ((kin1, kin2), (kin1, kin2r), (kin2, kin1r), (kin2r, kin1r))
+    return tuple(unique_intertwiner(commutant_nullspace(a, b, params)) for a, b in pairs)
 
 
 def boundary_ybe_residual(K1: np.ndarray, K2: np.ndarray, smatrices) -> float:

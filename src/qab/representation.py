@@ -136,6 +136,62 @@ def identity_operator(space: RepSpace, dtype=complex) -> GradedOperator:
 #: The generators that carry no kinematics: the bosonic U_q(su(2)) pairs.
 BOSONIC_GENERATORS = ("E1", "F1", "K1", "E3", "F3", "K3")
 
+#: Target state and value key of each step from |m,n,k,l>: E1, F1, E3, F3
+#: and the label parts a, b of E2, E4 and c, d of F2, F4.  A key indexes
+#: the step's value table (bosonic_generators, _label_tables).
+_STEP_RULES = {
+    "E1": lambda m, n, k, l: ((m, n, k - 1, l + 1), k),
+    "F1": lambda m, n, k, l: ((m, n, k + 1, l - 1), l),
+    "E3": lambda m, n, k, l: ((m + 1, n - 1, k, l), 0),
+    "F3": lambda m, n, k, l: ((m - 1, n + 1, k, l), 0),
+    "a": lambda m, n, k, l: ((m, n + 1, k, l - 1), 2 * l + m),
+    "b": lambda m, n, k, l: ((m - 1, n, k + 1, l), 0),
+    "c": lambda m, n, k, l: ((m + 1, n, k - 1, l), k),
+    "d": lambda m, n, k, l: ((m, n - 1, k, l + 1), m),
+}
+
+
+def _distinct(values):
+    """(the distinct ``values`` in order of appearance, the key of each value)."""
+    table = list(dict.fromkeys(values))
+    return tuple(table), np.array([table.index(v) for v in values], dtype=int)
+
+
+@functools.lru_cache(maxsize=32)
+def _steps(space: RepSpace) -> tuple:
+    """(steps, exponents): the step pattern of every generator on ``space``,
+    free of q and of the kinematics, so built once per M (equal spaces share
+    it).  steps maps a name to (rows, cols, keys), the entries [rows, cols]
+    of the step and the key of each into its value table; a target outside
+    the basis has an occupation out of range, and no entry.  The diagonal
+    K1, K3 and the K2, K4 pair "h" key the distinct exponents l - k, n - m
+    and h = (k - l + m - n) / 2, which ``exponents`` holds as Python numbers:
+    q ** e is then the scalar power of the loop over the basis it replaced.
+    """
+    index, states = space.index, space.states
+    steps, exponents = {}, {}
+    for name, rule in _STEP_RULES.items():
+        entries = [(index[t], col, key) for col, s in enumerate(states)
+                   for t, key in [rule(*s)] if t in index]
+        steps[name] = tuple(np.array(entries, dtype=int).reshape(-1, 3).T)
+    diag = np.arange(space.dim)
+    for name, values in (("K1", [l - k for m, n, k, l in states]),
+                         ("K3", [n - m for m, n, k, l in states]),
+                         ("h", [(k - l + m - n) / 2 for m, n, k, l in states])):
+        exponents[name], keys = _distinct(values)
+        steps[name] = (diag, diag, keys)
+    for a in (a for step in steps.values() for a in step):
+        a.flags.writeable = False
+    return steps, exponents
+
+
+def _fill(mat: np.ndarray, step, table) -> np.ndarray:
+    """Add table[keys] at the entries [rows, cols] of ``step`` to ``mat``:
+    each entry is 0 + its value, as the loop over the basis summed it."""
+    rows, cols, keys = step
+    mat[rows, cols] += np.array(table, dtype=mat.dtype)[keys]
+    return mat
+
 
 def bosonic_generators(q, space, dtype=complex) -> dict:
     """Matrices of E1, F1, K1, E3, F3, K3 on the bound state.
@@ -143,22 +199,32 @@ def bosonic_generators(q, space, dtype=complex) -> dict:
     They step the oscillator levels (k, l) and the fermion numbers (m, n)
     alone, with K1 = q^{l-k} and K3 = q^{n-m}, so they depend on q and M only.
     """
+    steps, exponents = _steps(space)
     qn = [qint(j, q) for j in range(space.M + 1)]
-    mats = {gen: np.zeros((space.dim, space.dim), dtype=dtype) for gen in BOSONIC_GENERATORS}
-    for col, (m, n, k, l) in enumerate(space.states):
-        for gen, target, value in (
-            ("E1", (m, n, k - 1, l + 1), qn[k]),
-            ("F1", (m, n, k + 1, l - 1), qn[l]),
-            ("E3", (m + 1, n - 1, k, l), 1),
-            ("F3", (m - 1, n + 1, k, l), 1),
-        ):
-            # a target outside the basis has an occupation out of range
-            row = space.index.get(target)
-            if row is not None:
-                mats[gen][row, col] += value
-        mats["K1"][col, col] += q ** (l - k)
-        mats["K3"][col, col] += q ** (n - m)
-    return {gen: GradedOperator(mat, 0) for gen, mat in mats.items()}
+    tables = {"E1": qn, "F1": qn, "E3": [1], "F3": [1],
+              **{k: [q ** e for e in exponents[k]] for k in ("K1", "K3")}}
+    return {gen: GradedOperator(_fill(np.zeros((space.dim, space.dim), dtype=dtype),
+                                      steps[gen], tables[gen]), 0)
+            for gen in BOSONIC_GENERATORS}
+
+
+def _label_tables(qn, labels) -> dict:
+    """The value tables of the label parts of E_i and F_i for the labels
+    (a, b, c, d): a sign qn[l] keyed by 2 l + m, b, c qn[k] and d sign,
+    with sign = (-1)^m."""
+    a, b, c, d = labels
+    return {"a": [a * sign * x for x in qn for sign in (1, -1)], "b": [b],
+            "c": [c * x for x in qn], "d": [d * sign for sign in (1, -1)]}
+
+
+def supercharge_steps(q, space) -> dict:
+    """The kinematics-free matrices P_a, P_b, Q_c, Q_d (keys "a" to "d")
+    with E_i = a P_a + b P_b and F_i = c Q_c + d Q_d for the labels
+    (a, b, c, d) of E_i, F_i: bulk at i = 2, affine at i = 4."""
+    steps, _ = _steps(space)
+    tables = _label_tables([qint(j, q) for j in range(space.M + 1)], (1, 1, 1, 1))
+    return {x: _fill(np.zeros((space.dim, space.dim), dtype=complex), steps[x], tables[x])
+            for x in "abcd"}
 
 
 def all_generators(kin, params, space, dtype=complex) -> dict:
@@ -166,33 +232,26 @@ def all_generators(kin, params, space, dtype=complex) -> dict:
 
     The bosonic six come from bosonic_generators.  E2, F2 use the bulk labels
     (a, b, c, d); the affine supercharges E4, F4 use the affine labels and
-    C -> -C.  K_i is q^{H_i} with the diagonal H_i action, V = q^C.
+    C -> -C.  K_i is q^{H_i} with the diagonal H_i action, V = q^C.  Each
+    entry is its scalar expression of q and the labels, at the cached step
+    pattern of ``space``.
     """
     q = params.q
     C = log(kin.V) / log(q)
-    labels = ((2, bulk_labels(kin, params)), (4, affine_labels(kin, params)))
+    steps, exponents = _steps(space)
     qn = [qint(j, q) for j in range(space.M + 1)]
-    mats = {
-        gen: np.zeros((space.dim, space.dim), dtype=dtype)
-        for gen in GENERATORS if gen not in BOSONIC_GENERATORS
-    }
-    for col, (m, n, k, l) in enumerate(space.states):
-        sign = (-1) ** m
-        for i, (a, b, c, d) in labels:
-            for gen, target, value in (
-                (f"E{i}", (m, n + 1, k, l - 1), a * sign * qn[l]),
-                (f"E{i}", (m - 1, n, k + 1, l), b),
-                (f"F{i}", (m + 1, n, k - 1, l), c * qn[k]),
-                (f"F{i}", (m, n - 1, k, l + 1), d * sign),
-            ):
-                row = space.index.get(target)
-                if row is not None:
-                    mats[gen][row, col] += value
-        h = (k - l + m - n) / 2
-        mats["K2"][col, col] += q ** -(C - h)
-        mats["K4"][col, col] += q ** (C + h)
     ops = bosonic_generators(q, space, dtype)
-    ops.update((gen, GradedOperator(mat, GENERATOR_PARITY[gen])) for gen, mat in mats.items())
+    for i, labels in ((2, bulk_labels(kin, params)), (4, affine_labels(kin, params))):
+        tables = _label_tables(qn, labels)
+        for gen, parts in ((f"E{i}", "ab"), (f"F{i}", "cd")):
+            mat = np.zeros((space.dim, space.dim), dtype=dtype)
+            for x in parts:
+                _fill(mat, steps[x], tables[x])
+            ops[gen] = GradedOperator(mat, GENERATOR_PARITY[gen])
+    h = exponents["h"]
+    for gen, table in (("K2", [q ** -(C - x) for x in h]), ("K4", [q ** (C + x) for x in h])):
+        ops[gen] = GradedOperator(
+            _fill(np.zeros((space.dim, space.dim), dtype=dtype), steps["h"], table), 0)
     return {gen: ops[gen] for gen in GENERATORS}
 
 

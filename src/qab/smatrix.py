@@ -7,8 +7,10 @@ is coproduct(J, leg2, leg1).  S = P Ř for the graded flip P of V2 (x) V1
 onto V1 (x) V2, but no P is built: each factor of Ř in the Yang-Baxter and
 reflection equations acts on two adjacent legs.  The boundary K-matrix is
 the same kind of null space on one leg.  Both come out of one dense QR +
-SVD solver (``weight_nullspace``) for an unknown supported on the entries
-that join indices of equal weight.  ``unique_intertwiner`` is the one
+SVD solve (``layout_nullspace``) for an unknown supported on the entries
+that join indices of equal weight, on a layout of the system's rows and
+unknowns (``nullspace_layout``): K's is read off its matrices per call
+(``weight_nullspace``), S's is cached.  ``unique_intertwiner`` is the one
 uniqueness rule: a spectral gap sigma_1 / sigma_2 <= NULL_GAP, and the
 normalization at the [0, 0] entry.
 
@@ -27,9 +29,27 @@ N = sum mult(lambda), solved with lambda as the weight of each reduced
 index.  The bases and the position pairs depend on (M1, M2, q) only and are
 cached (``adapted_bases``).
 
+Only the supercharges carry kinematics, and linearly.  For i = 2, 4,
+E_i = a P_a + b P_b and F_i = c Q_c + d Q_d with the kinematics-free steps
+of representation.supercharge_steps and the labels (a, b, c, d) of E_i, F_i
+(bulk at i = 2, affine at i = 4), and K2 = V^-1 q^h, K4 = V q^h with
+h = (k - l + m - n) / 2.  So Delta_12(E_i) is the sum of four Koszul-signed
+pieces P_a (x) 1, P_b (x) 1, s q^-h (x) P_a and s q^-h (x) P_b, s the parity
+sign of leg 1, with the coefficients a1, b1, (U1 V1)^d a2 and (U1 V1)^d b2,
+d = 1 at i = 2 and -1 at i = 4; Delta_12(F_i) is that of Q_c (x) q^h,
+Q_d (x) q^h, s (x) Q_c and s (x) Q_d with V2^-d c1, V2^-d d1, U1^-d c2 and
+U1^-d d2.  The reduced matrices of the eight pieces of a leg order depend
+on (M1, M2, q) alone, E2 and E4 share theirs, as do F2 and F4, and only
+their entries at the position pairs are kept (reduced_pieces).  The rows
+and unknowns of the system are cached per generator set as well, from
+the entries where a piece is nonzero (commutant_layout).  A solve then
+contracts the pieces with four scalars per supercharge and leg order,
+fills the cached layout and factors it: it builds no generator matrix and
+no coproduct of its points.
+
 Every coproduct enters as its one or two Kronecker terms (a, b) of one-leg
 matrices (coalgebra.coproduct), and each term acts on a matrix whose rows
-are the two legs by reshape (_times): the basis build, the reduced matrices
+are the two legs by reshape (_times): the basis build, the reduced pieces
 and the residuals of Ř never form a two-leg generator.
 """
 
@@ -41,9 +61,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .coalgebra import Leg, coproduct
-from .kinematics import Kinematics, ModelParams
+from .kinematics import Kinematics, ModelParams, affine_labels, bulk_labels
 from .numerics import qint, rel_residual, sqrt
-from .representation import BOSONIC_GENERATORS, SHIFTS, RepSpace
+from .representation import (
+    BOSONIC_GENERATORS,
+    SHIFTS,
+    RepSpace,
+    build_basis,
+    supercharge_steps,
+)
 
 DEFAULT_GENERATORS = tuple(SHIFTS)
 #: The ablation set: without the affine E4, F4 the null space of a pair of
@@ -101,41 +127,80 @@ def _block(terms, rows, cols) -> np.ndarray:
     return sum(a[r1, c1] * b[r2, c2] for a, b in terms)
 
 
-def weight_nullspace(pairs, weights):
-    """Null space of X -> X A - B X over every (A, B) in ``pairs``, X being
-    supported on the entries X[i, j] with weights[i] == weights[j].
+class NullspaceLayout(NamedTuple):
+    """Where the system of X -> X A - B X over a stack of pairs puts each
+    coefficient (nullspace_layout): the unknowns X[ui, uj], and the
+    row[t], col[t] of the t-th coefficient, A's at A[a_at] then B's at
+    B[b_at], each an index tuple (pair, row, column) into the stacks."""
+
+    ui: np.ndarray
+    uj: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    a_at: tuple
+    b_at: tuple
+    shape: tuple
+
+
+def nullspace_layout(a_mask, b_mask, weights) -> NullspaceLayout:
+    """The layout of the null space of X -> X A - B X over every pair
+    (A[p], B[p]) that is nonzero at most where the stacks ``a_mask`` and
+    ``b_mask`` are, X being supported on the entries X[i, j] with
+    weights[i] == weights[j].
 
     The equation (X A - B X)[a, b] = 0 has the coefficient
     delta_ai A[j, b] - delta_bj B[a, i] on the entry X[i, j], so support entry
     (i, j) reaches only the rows (i, b) with A[j, b] != 0 and (a, j) with
     B[a, i] != 0; rows reached by no entry are identically zero and are never
-    built.  Each pair's block of rows is divided by its largest coefficient,
-    which keeps its null space but puts every generator on one scale (the
-    boundary charges grow like q^M).  The blocks are stacked into one dense
-    system, reduced to its triangular QR factor R, and an SVD of R gives the
-    singular values of the whole system with its right singular vectors.
-    Returns (X, sv, (m, n)): X holds the right singular vector of the
-    smallest sigma, and sv all n singular values, descending, padded with
-    zeros when the system has fewer rows than unknowns.
+    built.  The rows are ordered by (pair, a, b).
     """
     w = np.asarray(weights)
     ui, uj = np.nonzero((w[:, None, :] == w[None, :, :]).all(axis=-1))
-    dim, n = len(w), len(ui)
-    A, B = (np.array(side) for side in zip(*pairs))  # pair p's matrices at [p]
+    dim = len(w)
     # entry e times A[p, uj, b] lands on row (p, ui, b), f times -B[p, a, ui] on (p, a, uj)
-    (p, e, b), (r, f, a) = np.nonzero(A[:, uj]), np.nonzero(B[:, :, ui].transpose(0, 2, 1))
+    (p, e, b), (r, f, a) = np.nonzero(a_mask[:, uj]), np.nonzero(b_mask[:, :, ui].transpose(0, 2, 1))
     keys = np.concatenate([(p * dim + ui[e]) * dim + b, (r * dim + a) * dim + uj[f]])
     keys, row = np.unique(keys, return_inverse=True)
-    m = len(keys)
-    scale = np.maximum(np.abs(A[:, uj]).max(axis=(1, 2)), np.abs(B[:, :, ui]).max(axis=(1, 2)))
-    system = np.zeros((m, n), dtype=complex)
-    np.add.at(system, (row, np.concatenate([e, f])),
-              np.concatenate([A[p, uj[e], b] / scale[p], -B[r, a, ui[f]] / scale[r]]))
+    return NullspaceLayout(ui, uj, row, np.concatenate([e, f]), (p, uj[e], b), (r, a, ui[f]),
+                           (len(keys), len(ui)))
+
+
+def layout_nullspace(layout: NullspaceLayout, A: np.ndarray, B: np.ndarray):
+    """The null space of X -> X A - B X over the pairs of the stacks A and B,
+    on the rows and unknowns of ``layout``.
+
+    Each pair's block of rows is divided by its largest coefficient, which
+    keeps its null space but puts every generator on one scale (the
+    boundary charges grow like q^M).  The blocks are stacked into one dense
+    system, reduced to its triangular QR factor R, and an SVD of R gives the
+    singular values of the whole system with its right singular vectors.
+    Returns (x, sv): x holds the right singular vector of the smallest sigma
+    over the unknowns X[layout.ui, layout.uj], and sv all n singular values,
+    descending, padded with zeros when the system has fewer rows than
+    unknowns.
+    """
+    scale = np.maximum(np.abs(A).max(axis=(1, 2)), np.abs(B).max(axis=(1, 2)))
+    p, r = layout.a_at[0], layout.b_at[0]
+    system = np.zeros(layout.shape, dtype=complex)
+    np.add.at(system, (layout.row, layout.col),
+              np.concatenate([A[layout.a_at] / scale[p], -B[layout.b_at] / scale[r]]))
     _, sv, vh = np.linalg.svd(np.linalg.qr(system, mode="r"))
-    sv = np.concatenate([sv, np.zeros(n - len(sv))])
-    X = np.zeros((dim, dim), dtype=complex)
-    X[ui, uj] = vh[-1].conj()
-    return X, sv, (m, n)
+    return vh[-1].conj(), np.concatenate([sv, np.zeros(layout.shape[1] - len(sv))])
+
+
+def weight_nullspace(pairs, weights):
+    """Null space of X -> X A - B X over every (A, B) in ``pairs``, X being
+    supported on the entries X[i, j] with weights[i] == weights[j]: the
+    layout of the pairs' nonzero entries (nullspace_layout), solved by
+    layout_nullspace.  Returns (X, sv, (m, n)): X holds the null vector, sv
+    the singular values and (m, n) the system's rows and unknowns.
+    """
+    A, B = (np.array(side) for side in zip(*pairs))  # pair p's matrices at [p]
+    layout = nullspace_layout(A != 0, B != 0, weights)
+    x, sv = layout_nullspace(layout, A, B)
+    X = np.zeros(A.shape[1:], dtype=complex)
+    X[layout.ui, layout.uj] = x
+    return X, sv, layout.shape
 
 
 class AdaptedBases(NamedTuple):
@@ -160,7 +225,8 @@ class AdaptedBases(NamedTuple):
 
     def reduced_matrix(self, gen: str, delta) -> np.ndarray:
         """The N x N reduced matrix of ``delta``, the terms of the coproduct
-        of the fermionic ``gen``, at the position pairs of ``pairs[gen]``:
+        of the fermionic ``gen`` or of one of its pieces, at the position
+        pairs of ``pairs[gen]``:
         only those rows and columns of V^-1 delta V are computed, and delta
         acts on V[:, cols] term by term."""
         i, j, rows, cols, ri, ci = self.pairs[gen]
@@ -313,36 +379,122 @@ def adapted_bases(M1: int, M2: int, q) -> AdaptedBases:
     return bases
 
 
+def _piece_terms(s1: RepSpace, s2: RepSpace, q) -> dict:
+    """The single-term pieces (A, B) of the supercharges' coproducts on
+    s1 (x) s2, "E" those of E2, E4 and "F" those of F2, F4, in the order of
+    their coefficients (_piece_coefficients).  The first factor of an odd
+    second one carries the Koszul sign s of leg 1 (coalgebra.koszul_term)."""
+    st1, st2 = supercharge_steps(q, s1), supercharge_steps(q, s2)
+    sign = 1 - 2 * s1.parities
+    h1, h2 = (-s.weights.sum(axis=1) / 2 for s in (s1, s2))  # h = (k - l + m - n) / 2
+    one, qh = np.eye(s2.dim), np.diag(q**h2)
+    kinv = np.diag(sign * q**-h1)  # K_i^-1 with its V power taken out, signed
+    return {"E": [(st1["a"], one), (st1["b"], one), (kinv, st2["a"]), (kinv, st2["b"])],
+            "F": [(st1["c"], qh), (st1["d"], qh), (np.diag(sign), st2["c"]),
+                  (np.diag(sign), st2["d"])]}
+
+
+@functools.lru_cache(maxsize=64)
+def reduced_pieces(M1: int, M2: int, q) -> dict:
+    """The reduced pieces of V_M1 (x) V_M2 at q, built once per (M1, M2, q),
+    as is adapted_bases: "E" and "F" map to a read-only (4, T) array, row k
+    the entries of the reduced matrix of piece k at the T position pairs
+    of its step (AdaptedBases.pairs), which E2 and E4 (F2 and F4) share."""
+    bases = adapted_bases(M1, M2, q)
+    pieces = {}
+    for x, terms in _piece_terms(build_basis(M1), build_basis(M2), q).items():
+        i, j = bases.pairs[f"{x}2"][:2]
+        pieces[x] = np.array([bases.reduced_matrix(f"{x}2", [term])[i, j] for term in terms])
+        pieces[x].flags.writeable = False
+    return pieces
+
+
+def _piece_coefficients(kin1: Kinematics, kin2: Kinematics, params: ModelParams,
+                        generators) -> dict:
+    """The four coefficients of the pieces of Delta_12(J) on V1 (x) V2 for
+    each fermionic J of ``generators``, as the module docstring derives them."""
+    out = {}
+    for i, d, labels in ((2, 1, bulk_labels), (4, -1, affine_labels)):
+        if {f"E{i}", f"F{i}"} & set(generators):
+            (a1, b1, c1, d1), (a2, b2, c2, d2) = labels(kin1, params), labels(kin2, params)
+            e, f, u = (kin1.U * kin1.V) ** d, kin2.V**-d, kin1.U**-d
+            out[f"E{i}"] = np.array([a1, b1, e * a2, e * b2])
+            out[f"F{i}"] = np.array([f * c1, f * d1, u * c2, u * d2])
+    return out
+
+
+def reduced_coproducts(kin1: Kinematics, kin2: Kinematics, params: ModelParams,
+                       generators) -> np.ndarray:
+    """The stack of the N x N reduced matrices of Delta_12(J) on V1 (x) V2,
+    for J over the fermionic ``generators`` in order: each the cached
+    reduced pieces (reduced_pieces) contracted with its four coefficients."""
+    M1, M2, q = kin1.M, kin2.M, params.q
+    bases, pieces = adapted_bases(M1, M2, q), reduced_pieces(M1, M2, q)
+    coefficients = _piece_coefficients(kin1, kin2, params, generators)
+    out = np.zeros((len(generators),) + (len(bases.labels),) * 2, dtype=complex)
+    for X, gen in zip(out, generators):
+        i, j = bases.pairs[gen][:2]
+        X[i, j] = coefficients[gen] @ pieces[gen[0]]
+    return out
+
+
+@functools.lru_cache(maxsize=128)
+def commutant_layout(M1: int, M2: int, q, generators: tuple):
+    """(layout, unknown): the NullspaceLayout of the reduced system of
+    V_M1 (x) V_M2 at q over the fermionic ``generators``, built once per
+    (M1, M2, q, generators), and the unknown of each entry of the support
+    of C (AdaptedBases.support).  A reduced matrix can be nonzero only where
+    one of its pieces is; room for two generator sets per adapted_bases entry.
+    """
+    V12 = adapted_bases(M1, M2, q)
+    fermionic = [g for g in generators if g not in BOSONIC]
+    n = len(V12.labels)
+    masks = []
+    for bases, pieces in ((V12, reduced_pieces(M1, M2, q)),
+                          (adapted_bases(M2, M1, q), reduced_pieces(M2, M1, q))):
+        mask = np.zeros((len(fermionic), n, n), dtype=bool)
+        for m, gen in zip(mask, fermionic):
+            i, j = bases.pairs[gen][:2]
+            m[i, j] = (pieces[gen[0]] != 0).any(axis=0)
+        masks.append(mask)
+    layout = nullspace_layout(*masks, V12.labels)
+    unknown = np.full((n, n), -1)
+    unknown[layout.ui, layout.uj] = np.arange(len(layout.ui))
+    unknown = unknown[V12.support[2], V12.support[3]]
+    for a in (*layout[:4], *layout.a_at, *layout.b_at, unknown):
+        a.flags.writeable = False
+    return layout, unknown
+
+
 def intertwiner_system(leg1: Leg, leg2: Leg, generators):
     """The pairs (Delta_12(J), Delta_21(J)) of Ř Delta_12(J) = Delta_21(J) Ř
-    over ``generators``, each coproduct as its terms, as reduced_matrix and
-    pair_residuals take them."""
+    over ``generators``, each coproduct as its terms, as pair_residuals takes
+    them: the intertwining check of Ř against the full coproducts."""
     return [(coproduct(gen, leg1, leg2), coproduct(gen, leg2, leg1)) for gen in generators]
 
 
-def commutant_nullspace(leg1: Leg, leg2: Leg, q, generators=DEFAULT_GENERATORS):
-    """Null space of Ř Delta_12(J) = Delta_21(J) Ř over ``generators``, which
-    must include E1, F1, E3, F3, solved in the bosonic commutant
-    Ř = V_21 C V_12^-1: only the other generators give equations, one per
-    entry of C_red A_red - B_red C_red for the reduced matrices A_red of
-    Delta_12(J) and B_red of Delta_21(J).  Returns (Ř, sv, (rows, unknowns))
-    as weight_nullspace does.  With SANS_AFFINE the null space exceeds one
-    dimension: no spectral gap (the ablation).
+def commutant_nullspace(kin1: Kinematics, kin2: Kinematics, params: ModelParams,
+                        generators=DEFAULT_GENERATORS):
+    """Null space of Ř Delta_12(J) = Delta_21(J) Ř over ``generators`` at the
+    points kin1, kin2, which must include E1, F1, E3, F3, solved in the
+    bosonic commutant Ř = V_21 C V_12^-1: only the other generators give
+    equations, one per entry of C_red A_red - B_red C_red for the reduced
+    matrices A_red of Delta_12(J) and B_red of Delta_21(J)
+    (reduced_coproducts), on the cached layout (commutant_layout).  Returns
+    (Ř, sv, (rows, unknowns)) as weight_nullspace does.  With SANS_AFFINE
+    the null space exceeds one dimension: no spectral gap (the ablation).
     """
     if not set(BOSONIC) <= set(generators):
         raise ValueError(f"the commutant needs {', '.join(BOSONIC)} among the generators")
-    V12 = adapted_bases(leg1.space.M, leg2.space.M, q)
-    V21 = adapted_bases(leg2.space.M, leg1.space.M, q)
+    M1, M2, q = kin1.M, kin2.M, params.q
+    V12, V21 = adapted_bases(M1, M2, q), adapted_bases(M2, M1, q)
+    layout, unknown = commutant_layout(M1, M2, q, tuple(generators))
     fermionic = [g for g in generators if g not in BOSONIC]
-    pairs = [
-        (V12.reduced_matrix(g, A), V21.reduced_matrix(g, B))
-        for g, (A, B) in zip(fermionic, intertwiner_system(leg1, leg2, fermionic))
-    ]
-    C_red, sv, shape = weight_nullspace(pairs, V12.labels)
-    ui, uj, ki, kj = V12.support
+    x, sv = layout_nullspace(layout, reduced_coproducts(kin1, kin2, params, fermionic),
+                             reduced_coproducts(kin2, kin1, params, fermionic))
     C = np.zeros_like(V12.V)
-    C[ui, uj] = C_red[ki, kj]
-    return V21.V @ C @ V12.V_inv, sv, shape
+    C[V12.support[0], V12.support[1]] = x[unknown]
+    return V21.V @ C @ V12.V_inv, sv, layout.shape
 
 
 def spectral_gap(sv) -> float:
@@ -384,14 +536,12 @@ def ybe_residual(
 ) -> float:
     """Relative residual of (Ř23 (x) 1)(1 (x) Ř13)(Ř12 (x) 1) =
     (1 (x) Ř12)(Ř13 (x) 1)(1 (x) Ř23), from V1 (x) V2 (x) V3 to
-    V3 (x) V2 (x) V1.  Each point's Leg is built once and each factor acts
-    on its two legs of the identity, by reshape, so no factor is embedded in
-    the three-leg space.
+    V3 (x) V2 (x) V1.  Each factor acts on its two legs of the identity, by
+    reshape, so no factor is embedded in the three-leg space.
     """
-    leg1, leg2, leg3 = (Leg(kin, params) for kin in (kin1, kin2, kin3))
-    R12, R13, R23 = (unique_intertwiner(commutant_nullspace(a, b, params.q))
-                     for a, b in ((leg1, leg2), (leg1, leg3), (leg2, leg3)))
-    dim = len(R12) * leg3.space.dim
+    R12, R13, R23 = (unique_intertwiner(commutant_nullspace(a, b, params))
+                     for a, b in ((kin1, kin2), (kin1, kin3), (kin2, kin3)))
+    dim = len(R12) * build_basis(kin3.M).dim
     # a fresh identity per side, freed by its first factor: at most three
     # dim x dim arrays are alive at once
     lhs = _on_left(R23, _on_right(R13, _on_left(R12, np.eye(dim))))

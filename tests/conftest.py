@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
-from qab.coalgebra import Leg, graded_tensor
+from qab.coalgebra import graded_tensor
 from qab.kinematics import ModelParams, make_kinematics, reflect_kinematics, solve_shortening
 from qab.kmatrix import _k_entries, boundary_system, closed_form_kmatrix
 from qab.representation import build_basis, identity_operator
-from qab.smatrix import DEFAULT_GENERATORS, commutant_nullspace, unique_intertwiner, weight_nullspace
+from qab.smatrix import (
+    BOSONIC,
+    DEFAULT_GENERATORS,
+    adapted_bases,
+    commutant_nullspace,
+    intertwiner_system,
+    unique_intertwiner,
+    weight_nullspace,
+)
 
 
 @pytest.fixture(scope="session")
@@ -32,8 +40,27 @@ def kin_of(params):
 
 
 def s_nullspace(kin1, kin2, params, generators=DEFAULT_GENERATORS):
-    """commutant_nullspace on the Legs of two points."""
-    return commutant_nullspace(Leg(kin1, params), Leg(kin2, params), params.q, generators)
+    """commutant_nullspace at two points."""
+    return commutant_nullspace(kin1, kin2, params, generators)
+
+
+def leg_commutant_nullspace(leg1, leg2, q, generators=DEFAULT_GENERATORS):
+    """The commutant solve from the full coproducts of two Legs: each reduced
+    matrix is reduced_matrix of the coproduct's terms, and the system's rows
+    are read off their nonzero entries by weight_nullspace.  The oracle of
+    commutant_nullspace, which contracts cached pieces on a cached layout."""
+    V12 = adapted_bases(leg1.space.M, leg2.space.M, q)
+    V21 = adapted_bases(leg2.space.M, leg1.space.M, q)
+    fermionic = [g for g in generators if g not in BOSONIC]
+    pairs = [
+        (V12.reduced_matrix(g, A), V21.reduced_matrix(g, B))
+        for g, (A, B) in zip(fermionic, intertwiner_system(leg1, leg2, fermionic))
+    ]
+    C_red, sv, shape = weight_nullspace(pairs, V12.labels)
+    ui, uj, ki, kj = V12.support
+    C = np.zeros_like(V12.V)
+    C[ui, uj] = C_red[ki, kj]
+    return V21.V @ C @ V12.V_inv, sv, shape
 
 
 def braided_s(kin1, kin2, params):

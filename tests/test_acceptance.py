@@ -80,13 +80,13 @@ def test_criterion_2_smatrix_uniqueness():
         kin1 = _sample(M1, 200 + 2 * i)
         kin2 = _sample(M2, 201 + 2 * i)
         leg1, leg2 = Leg(kin1, PARAMS), Leg(kin2, PARAMS)
-        S = unique_intertwiner(commutant_nullspace(leg1, leg2, PARAMS.q))
+        S = unique_intertwiner(commutant_nullspace(kin1, kin2, PARAMS))
         worst = max(worst, *pair_residuals(S, intertwiner_system(leg1, leg2, GENERATORS)))
         if min(M1, M2) >= 2:
             # the affine supercharges are what force uniqueness; with a
             # fundamental leg the subalgebra suffices, so the ablation is
             # probed on the bound-state pairs
-            sv = commutant_nullspace(leg1, leg2, PARAMS.q, SANS_AFFINE)[1]
+            sv = commutant_nullspace(kin1, kin2, PARAMS, SANS_AFFINE)[1]
             ablation_ok &= spectral_gap(sv) > NULL_GAP
     _report(
         2, "S-matrix uniqueness and affine ablation",

@@ -100,7 +100,7 @@ def test_sampled_points_generically_unique_smatrix():
     for _ in range(n):
         kin1 = sample_kinematics(2, params, rng)
         kin2 = sample_kinematics(1, params, rng)
-        solution = smatrix.commutant_nullspace(Leg(kin1, params), Leg(kin2, params), params.q)
+        solution = smatrix.commutant_nullspace(kin1, kin2, params)
         good += spectral_gap(solution[1]) <= NULL_GAP
     assert good >= int(0.95 * n)
 
@@ -274,6 +274,33 @@ def test_cli_composite_suites_run_m_3(argv, wanted, tmp_path):
     assert [M for M in wanted if M not in seen] == []
 
 
+def test_ybe_runs_every_triple_it_is_asked_for():
+    # the suite runs all eight triples of M = (1, 2); ``all`` keeps its
+    # first six (ALL_SEED_7_ROWS)
+    rows = run_suite("ybe", load_config(data={"M": [1, 2], "seed": 3}))["checks"]
+    assert [r["M"] for r in rows] == [[a, b, c] for a in (1, 2) for b in (1, 2) for c in (1, 2)]
+    assert all(r["passed"] for r in rows)
+
+
+def test_composite_s_solves_build_no_leg(monkeypatch):
+    # ybe and bybe solve every S from the kinematics alone: with Leg.__init__
+    # and all_generators refused, and every S cache cold, both still pass
+    from qab import representation
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Leg or the generator matrices built on the S path")
+
+    build = representation.all_generators
+    for name, mod in list(sys.modules.items()):
+        if (name == "qab" or name.startswith("qab.")) and vars(mod).get("all_generators") is build:
+            monkeypatch.setattr(mod, "all_generators", refuse)
+    monkeypatch.setattr(Leg, "__init__", refuse)
+    for cache in (smatrix.adapted_bases, smatrix.reduced_pieces, smatrix.commutant_layout):
+        cache.cache_clear()
+    for suite in ("ybe", "bybe"):
+        assert run_suite(suite, load_config(data={"M": [1, 2], "seed": 3}))["passed"], suite
+
+
 def test_cli_closed_form_disagreement_exits_1(tmp_path):
     # at q = 1.5, M = 20 the closed-form K and its explicit x-form part by
     # more than TOL_ALGEBRA: a failed row that carries the reason, not a
@@ -315,10 +342,10 @@ def test_composite_verification_error_is_a_failed_row(suite, check, M, target, m
 
 
 @pytest.mark.parametrize("suite,check,M,target", [
-    ("ybe", "yang-baxter", [1, 1, 1], (smatrix, "weight_nullspace")),
-    ("bybe", "reflection-equation", [1, 1], (smatrix, "weight_nullspace")),
+    ("ybe", "yang-baxter", [1, 1, 1], (smatrix, "layout_nullspace")),
+    ("bybe", "reflection-equation", [1, 1], (smatrix, "layout_nullspace")),
     ("unitarity", "K(p)K(-p)=Id", [1], (kmatrix, "c_coefficients")),
-    ("smatrix", "null-dimension", [1, 1], (smatrix, "weight_nullspace")),
+    ("smatrix", "null-dimension", [1, 1], (smatrix, "layout_nullspace")),
     ("kmatrix", "null-dimension", [1], (smatrix, "weight_nullspace")),
     ("coalgebra", "coproduct-homomorphism", [1, 1], (coalgebra, "hom_check")),
 ])
@@ -418,16 +445,17 @@ def test_bybe_solves_each_smatrix_once_per_point(monkeypatch):
     # four (M1, M2) pairs at M = (1, 2), four S matrices per pair; the
     # trivial-C_k control reuses the reflection equation's matrices
     assert len(calls) == 16
-    # the four solves of a pair share the Legs of its two points and of
-    # their reflections
+    # the four solves of a pair share its two points and their reflections,
+    # each reflected once
     for i in range(0, 16, 4):
-        assert len({id(leg) for args in calls[i:i + 4] for leg in args[:2]}) == 4
+        assert len({id(kin) for args in calls[i:i + 4] for kin in args[:2]}) == 4
 
 
 def test_all_builds_each_points_generators_once(monkeypatch):
     # every check takes the Legs its caller built, so ``qab all --seed 7``
     # builds the generator matrices once per distinct (kinematics, dtype),
-    # counted through every module that imports all_generators
+    # counted through every module that imports all_generators; the S
+    # solves of ybe and bybe build none
     from qab import representation
 
     built = []
@@ -441,7 +469,7 @@ def test_all_builds_each_points_generators_once(monkeypatch):
         if (name == "qab" or name.startswith("qab.")) and vars(mod).get("all_generators") is build:
             monkeypatch.setattr(mod, "all_generators", counted)
     run_suite("all", load_config(data={"seed": 7}))
-    assert len(built) == len(set(built)) == 67
+    assert len(built) == len(set(built)) == 33
 
 
 def test_limits_honour_config_alpha():
@@ -494,8 +522,8 @@ def test_null_dimension_row_fails_without_a_gap(monkeypatch):
     # row, and the point reports that row alone instead of aborting the suite
     solve = smatrix.commutant_nullspace
 
-    def flat_gap(leg1, leg2, q, generators=smatrix.DEFAULT_GENERATORS):
-        S, sv, shape = solve(leg1, leg2, q, generators)
+    def flat_gap(kin1, kin2, params, generators=smatrix.DEFAULT_GENERATORS):
+        S, sv, shape = solve(kin1, kin2, params, generators)
         sv = sv.copy()
         sv[-2] = 2 * sv[-1]
         return S, sv, shape

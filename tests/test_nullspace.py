@@ -35,17 +35,26 @@ from qab.smatrix import (
     NULL_GAP,
     SANS_AFFINE,
     adapted_bases,
+    commutant_layout,
     commutant_nullspace,
     intertwiner_system,
     pair_residuals,
     product_weights,
+    reduced_coproducts,
     spectral_gap,
     unique_intertwiner,
     weight_nullspace,
 )
 
 from conftest import (
-    boundary_k, braided_s, dense, dense_coproduct, graded_permutation, kin_at, s_nullspace,
+    boundary_k,
+    braided_s,
+    dense,
+    dense_coproduct,
+    graded_permutation,
+    kin_at,
+    leg_commutant_nullspace,
+    s_nullspace,
 )
 
 #: The reference's rank rule: singular values below this multiple of
@@ -98,7 +107,7 @@ def test_smatrix_matches_dense_reference(kin_of, params):
         (dense_coproduct(g, leg1, leg2).matrix, dense_coproduct(g, leg2, leg1).matrix)
         for g in DEFAULT_GENERATORS
     ]
-    R = unique_intertwiner(commutant_nullspace(leg1, leg2, params.q))
+    R = unique_intertwiner(commutant_nullspace(kin1, kin2, params))
     assert R[0, 0] == 1
     assert rel_residual(R, _dense_null_vector(pairs)) < 1e-12
 
@@ -153,14 +162,15 @@ def test_solver_matches_dense_qr_svd(kind, size, generators, q, params_gammas):
     if kind == "S":
         # the commutant solve of Ř against the weight-supported dense solve of
         # S = P_21 Ř, which maps V1 (x) V2 to itself: S Delta_12 = Delta^op S
-        leg1, leg2 = (Leg(kin, params_gammas) for kin in _s_points(params_gammas, size))
+        kins = _s_points(params_gammas, size)
+        leg1, leg2 = (Leg(kin, params_gammas) for kin in kins)
         s1, s2 = leg1.space, leg2.space
         P12, P21 = graded_permutation(s1, s2), graded_permutation(s2, s1)
         pairs = intertwiner_system(leg1, leg2, generators)
         X, sv, (rows, unknowns) = weight_nullspace(
             [(dense(A), P21 @ dense(B) @ P12) for A, B in pairs], product_weights(s1, s2)
         )
-        R, svc, (rows_c, unknowns_c) = commutant_nullspace(leg1, leg2, q, generators)
+        R, svc, (rows_c, unknowns_c) = commutant_nullspace(*kins, params_gammas, generators)
         # the rank rule on the weight-supported system is the reference here
         unique = _rank_null_dim(sv, (rows, unknowns)) == 1
         assert _unique(sv) == _unique(svc) == unique
@@ -257,6 +267,60 @@ def test_reduced_matrix_of_terms_is_the_dense_conjugate_at_the_kept_pairs(Ms, q,
             expected[i, j] = Y[rows[ri], cols[ci]]
             X = bases.reduced_matrix(gen, coproduct(gen, a, b))
             assert np.abs(X - expected).max() <= 1e-13 * np.abs(Y).max(), (Ms, gen)
+
+
+#: q real and complex, for the cached pieces against the full coproducts.
+PIECE_QS = {"q1.1": 1.1, "q1.5": 1.5, "q-complex": 1.2 * np.exp(0.4j)}
+SMALL_PAIRS = [(M1, M2) for M1 in (1, 2, 3) for M2 in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("q", PIECE_QS.values(), ids=PIECE_QS.keys())
+@pytest.mark.parametrize("Ms", SMALL_PAIRS, ids=str)
+def test_reduced_pieces_give_the_reduced_full_coproducts(Ms, q, params_gammas):
+    # every supercharge's reduced matrix, contracted from the cached pieces
+    # with four coefficients, is reduced_matrix of the coproduct's terms at
+    # the two points, in either leg order
+    p = replace(params_gammas, q=q)
+    kins = _s_points(p, Ms)
+    legs = [Leg(kin, p) for kin in kins]
+    for (ka, kb), (la, lb) in ((kins, legs), (kins[::-1], legs[::-1])):
+        bases = adapted_bases(la.space.M, lb.space.M, q)
+        got = reduced_coproducts(ka, kb, p, FERMIONIC)
+        for X, gen in zip(got, FERMIONIC):
+            Y = bases.reduced_matrix(gen, coproduct(gen, la, lb))
+            assert np.linalg.norm(X - Y) <= 1e-13 * np.linalg.norm(Y), (Ms, gen)
+
+
+@pytest.mark.parametrize("q", PIECE_QS.values(), ids=PIECE_QS.keys())
+@pytest.mark.parametrize("Ms", SMALL_PAIRS, ids=str)
+def test_cached_commutant_solve_matches_the_leg_oracle(Ms, q, params_gammas):
+    # the cached layout has the oracle's rows and unknowns for both
+    # generator sets, the same verdict, and the same unique Ř
+    p = replace(params_gammas, q=q)
+    kins = _s_points(p, Ms)
+    legs = [Leg(kin, p) for kin in kins]
+    for generators in (DEFAULT_GENERATORS, SANS_AFFINE):
+        R, sv, shape = commutant_nullspace(*kins, p, generators)
+        R_o, sv_o, shape_o = leg_commutant_nullspace(*legs, q, generators)
+        assert shape == shape_o and _unique(sv) == _unique(sv_o), (Ms, generators)
+        if generators == DEFAULT_GENERATORS:
+            assert _unique(sv)
+            s, x = ((Y / np.linalg.norm(Y)).ravel() for Y in (R, R_o))
+            assert np.linalg.norm(s - x * np.vdot(x, s)) < 1e-12, Ms
+
+
+def test_commutant_layout_is_built_once_per_key(params):
+    # one layout per (M1, M2, q, generators), whatever the points
+    commutant_layout.cache_clear()
+    p15 = replace(params, q=1.5)
+    for xm in (1.3 + 0.8j, -0.7 + 1.6j, 0.4 + 1.9j):
+        for p in (params, p15):
+            for Ms in ((2, 3), (3, 2)):
+                kins = kin_at(Ms[0], xm, p), kin_at(Ms[1], 0.9 - 1.1j, p)
+                for generators in (DEFAULT_GENERATORS, SANS_AFFINE):
+                    commutant_nullspace(*kins, p, generators)
+    info = commutant_layout.cache_info()
+    assert info.misses == info.currsize == 8 and info.hits == 16
 
 
 def test_affine_ablation_needs_two_bound_states(params):
@@ -377,9 +441,9 @@ def test_unique_and_ablated_gaps_keep_their_margin(params):
     # three decades below NULL_GAP and ablated ones two above
     for index, Ms in enumerate([(2, 2), (2, 3), (3, 2)]):
         rng = np.random.default_rng([1, index])
-        leg1, leg2 = (Leg(sample_kinematics(M, params, rng), params) for M in Ms)
-        assert spectral_gap(commutant_nullspace(leg1, leg2, params.q)[1]) <= 1e-9, Ms
-        ablated = commutant_nullspace(leg1, leg2, params.q, SANS_AFFINE)[1]
+        kins = [sample_kinematics(M, params, rng) for M in Ms]
+        assert spectral_gap(commutant_nullspace(*kins, params)[1]) <= 1e-9, Ms
+        ablated = commutant_nullspace(*kins, params, SANS_AFFINE)[1]
         assert spectral_gap(ablated) >= 1e-4, Ms
     for M in (2, 3, 4, 6):
         kin = sample_kinematics(M, params, np.random.default_rng([1, 100 + M]))

@@ -28,6 +28,7 @@ from qab.representation import (
     build_basis,
     graded_commutator,
     identity_operator,
+    supercharge_steps,
     verify_algebra,
     weight_layout,
 )
@@ -338,6 +339,20 @@ def test_all_generators_match_oracle_bit_for_bit_mpmath(M):
         )
         kin = on_shell(M, mpmath.mpc("1.3", "0.8"), p)
         _assert_matches_oracle(kin, p, build_basis(M), object)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+def test_supercharges_are_linear_in_their_labels(M, params_gammas):
+    # E_i = a P_a + b P_b and F_i = c Q_c + d Q_d with kinematics-free steps,
+    # the bulk labels at i = 2 and the affine ones at i = 4
+    kin, space = on_shell(M, 1.3 + 0.8j, params_gammas), build_basis(M)
+    ops = all_generators(kin, params_gammas, space)
+    steps = supercharge_steps(params_gammas.q, space)
+    for i, (a, b, c, d) in ((2, bulk_labels(kin, params_gammas)),
+                            (4, affine_labels(kin, params_gammas))):
+        for gen, want in ((f"E{i}", a * steps["a"] + b * steps["b"]),
+                          (f"F{i}", c * steps["c"] + d * steps["d"])):
+            assert np.abs(ops[gen].matrix - want).max() <= 1e-15 * np.abs(want).max(), gen
 
 
 def test_all_generators_evaluates_each_label_set_once(params, kin_of, monkeypatch):
