@@ -236,9 +236,9 @@ def _guarded(suite, name, tol, check):
     point turned into the point's one failed row ``name``, at relative
     residual 1, whose ``error`` field carries the exception's type and message."""
 
-    def guarded(params, *kins):
+    def guarded(params, *kins, **kwargs):
         try:
-            return check(params, *kins)
+            return check(params, *kins, **kwargs)
         except (VerificationError, PoleError, np.linalg.LinAlgError) as exc:
             Ms = tuple(kin.M for kin in kins)
             error = f"{type(exc).__name__}: {exc}"
@@ -305,18 +305,21 @@ def _gap_check(suite, name, M, solution, invert=False, extra=None):
     })
 
 
-def _per_point(cfg: RunConfig, offset: int, jobs, check):
+def _per_point(cfg: RunConfig, offset: int, jobs, check, pass_rng=False):
     """Run ``check(params, *kins)`` once per job and flatten the rows.
 
     Job idx is a tuple of bound-state numbers; it draws its rng from
     (seed, offset + idx) and samples one kinematic point per M, in order.
+    With ``pass_rng`` the check also takes that rng as ``rng``, to draw from
+    after the kinematics.
     """
     params = cfg.params()
 
     def one(job):
         idx, Ms = job
         rng = _point_rng(cfg.seed, offset + idx)
-        return check(params, *[sample_kinematics(M, params, rng) for M in Ms])
+        kins = [sample_kinematics(M, params, rng) for M in Ms]
+        return check(params, *kins, rng=rng) if pass_rng else check(params, *kins)
 
     return [row for rows in _map_points(one, list(enumerate(jobs))) for row in rows]
 
@@ -383,11 +386,13 @@ def suite_ybe(cfg: RunConfig, first=None):
     # every triple of cfg.M, in order, or the ``first`` of them (``all``)
     triples = sorted(set(product(cfg.M, repeat=3)))[:first]
 
-    def check(params, *kins):
+    def check(params, *kins, rng):
+        # the probes come from the point's rng, after its kinematics
         Ms = tuple(k.M for k in kins)
-        return [_check("ybe", "yang-baxter", Ms, smatrix.ybe_residual(*kins, params), tol)]
+        return [_check("ybe", "yang-baxter", Ms, smatrix.ybe_residual(*kins, params, rng), tol)]
 
-    return _per_point(cfg, 13000, triples, _guarded("ybe", "yang-baxter", tol, check))
+    return _per_point(cfg, 13000, triples, _guarded("ybe", "yang-baxter", tol, check),
+                      pass_rng=True)
 
 
 def suite_kmatrix(cfg: RunConfig):
@@ -520,8 +525,8 @@ SUITES = (*_SUITE_FNS, "all")
 
 #: What ``all`` passes a suite besides the config: the first six YBE
 #: triples only.  The 64 rows of ``all`` at its default M = (1, 2), which
-#: the tests and the benchmark gate pin, hold six; all eight made
-#: ``qab all`` about 30 % slower.
+#: the tests and the benchmark gate pin, hold six; all eight make
+#: ``qab all`` about 13 % slower.
 _ALL_OPTIONS = {"ybe": {"first": 6}}
 
 

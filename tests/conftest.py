@@ -5,9 +5,12 @@ from qab.coalgebra import graded_tensor
 from qab.kinematics import ModelParams, make_kinematics, reflect_kinematics, solve_shortening
 from qab.kmatrix import _k_entries, boundary_system, closed_form_kmatrix
 from qab.representation import build_basis, identity_operator
+from qab.numerics import rel_residual
 from qab.smatrix import (
     BOSONIC,
     DEFAULT_GENERATORS,
+    _on_left,
+    _on_right,
     adapted_bases,
     commutant_nullspace,
     intertwiner_system,
@@ -66,6 +69,19 @@ def leg_commutant_nullspace(leg1, leg2, q, generators=DEFAULT_GENERATORS):
 def braided_s(kin1, kin2, params):
     """The unique braided Ř: V1 (x) V2 -> V2 (x) V1 of two points, Ř[0, 0] = 1."""
     return unique_intertwiner(s_nullspace(kin1, kin2, params))
+
+
+def dense_ybe_residual(kin1, kin2, kin3, params):
+    """Relative residual of (Ř23 (x) 1)(1 (x) Ř13)(Ř12 (x) 1) =
+    (1 (x) Ř12)(Ř13 (x) 1)(1 (x) Ř23) on the whole three-leg space: each
+    factor acts on its two legs of the identity, by reshape.  The oracle of
+    smatrix.ybe_residual, which applies both sides to random probes."""
+    R12, R13, R23 = (braided_s(a, b, params)
+                     for a, b in ((kin1, kin2), (kin1, kin3), (kin2, kin3)))
+    dim = len(R12) * build_basis(kin3.M).dim
+    lhs = _on_left(R23, _on_right(R13, _on_left(R12, np.eye(dim))))
+    rhs = _on_right(R12, _on_left(R13, _on_right(R23, np.eye(dim))))
+    return rel_residual(lhs, rhs)
 
 
 def boundary_k(kin, params):

@@ -13,6 +13,7 @@ from qab.coalgebra import Leg
 from qab.harness import (
     ConfigError,
     RunConfig,
+    _point_rng,
     config_echo,
     emit_report,
     load_config,
@@ -280,6 +281,26 @@ def test_ybe_runs_every_triple_it_is_asked_for():
     rows = run_suite("ybe", load_config(data={"M": [1, 2], "seed": 3}))["checks"]
     assert [r["M"] for r in rows] == [[a, b, c] for a in (1, 2) for b in (1, 2) for c in (1, 2)]
     assert all(r["passed"] for r in rows)
+
+
+def test_ybe_report_is_reproducible():
+    # the same seed gives a byte-identical ybe report, from cold S caches and
+    # from warm ones; each row's probes are drawn from its point's rng,
+    # after its kinematics
+    cfg = load_config(data={"M": [1, 2], "seed": 3})
+    for cache in (smatrix.adapted_bases, smatrix.reduced_pieces, smatrix.commutant_layout):
+        cache.cache_clear()
+    texts = []
+    for _ in range(2):
+        report = run_suite("ybe", cfg)
+        del report["wall_time_s"]
+        texts.append(emit_report(report))
+    assert texts[0] == texts[1]
+    params = cfg.params()
+    for idx, row in enumerate(json.loads(texts[0])["checks"]):
+        rng = _point_rng(3, 13000 + idx)
+        kins = [sample_kinematics(M, params, rng) for M in row["M"]]
+        assert smatrix.ybe_residual(*kins, params, rng) == row["residual"]
 
 
 def test_composite_s_solves_build_no_leg(monkeypatch):

@@ -283,9 +283,8 @@ def test_reduced_pieces_give_the_reduced_full_coproducts(Ms, q, params_gammas):
     p = replace(params_gammas, q=q)
     kins = _s_points(p, Ms)
     legs = [Leg(kin, p) for kin in kins]
-    for (ka, kb), (la, lb) in ((kins, legs), (kins[::-1], legs[::-1])):
+    for got, (la, lb) in zip(reduced_coproducts(*kins, p, FERMIONIC), (legs, legs[::-1])):
         bases = adapted_bases(la.space.M, lb.space.M, q)
-        got = reduced_coproducts(ka, kb, p, FERMIONIC)
         for X, gen in zip(got, FERMIONIC):
             Y = bases.reduced_matrix(gen, coproduct(gen, la, lb))
             assert np.linalg.norm(X - Y) <= 1e-13 * np.linalg.norm(Y), (Ms, gen)
@@ -307,6 +306,26 @@ def test_cached_commutant_solve_matches_the_leg_oracle(Ms, q, params_gammas):
             assert _unique(sv)
             s, x = ((Y / np.linalg.norm(Y)).ravel() for Y in (R, R_o))
             assert np.linalg.norm(s - x * np.vdot(x, s)) < 1e-12, Ms
+
+
+@pytest.mark.parametrize("generators, want", [
+    (DEFAULT_GENERATORS, {"bulk": 2, "affine": 2}), (SANS_AFFINE, {"bulk": 2, "affine": 0}),
+], ids=["default", "sans-affine"])
+def test_s_solve_evaluates_each_points_labels_once(generators, want, params, monkeypatch):
+    # both leg orders of a solve share one evaluation of each point's bulk
+    # and affine labels; the ablation set needs no affine ones
+    calls = {"bulk": 0, "affine": 0}
+    for kind in calls:
+        real = getattr(smatrix, f"{kind}_labels")
+
+        def counted(kin, p, _kind=kind, _real=real):
+            calls[_kind] += 1
+            return _real(kin, p)
+
+        monkeypatch.setattr(smatrix, f"{kind}_labels", counted)
+    commutant_nullspace(kin_at(2, 1.3 + 0.8j, params), kin_at(3, 0.9 - 1.1j, params), params,
+                        generators)
+    assert calls == want
 
 
 def test_commutant_layout_is_built_once_per_key(params):

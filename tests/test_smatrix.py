@@ -5,10 +5,15 @@ to S = P_21 Ř with the dense graded flip of conftest where they check the
 S-form identities.
 """
 
+from dataclasses import replace
+from itertools import product
+
 import numpy as np
 import pytest
 
+from qab import smatrix
 from qab.coalgebra import Leg
+from qab.harness import _point_rng, load_config, run_suite, sample_kinematics
 from qab.kinematics import reflect_kinematics
 from qab.kmatrix import boundary_system
 from qab.numerics import TOL_ALGEBRA, TOL_COMPOSITE, rel_residual
@@ -26,7 +31,14 @@ from qab.smatrix import (
 )
 from qab.representation import GENERATORS, build_basis
 
-from conftest import braided_s, dense, dense_coproduct, graded_permutation, s_nullspace
+from conftest import (
+    braided_s,
+    dense,
+    dense_coproduct,
+    dense_ybe_residual,
+    graded_permutation,
+    s_nullspace,
+)
 
 
 def _intertwining(S, kin1, kin2, params):
@@ -183,12 +195,12 @@ def test_yang_baxter(Ms, points, params, kin_of):
     for M in Ms:
         kins.append(kin_of(M, seeds[M][used[M]]))
         used[M] += 1
-    assert ybe_residual(*kins, params) < TOL_COMPOSITE
+    assert ybe_residual(*kins, params, np.random.default_rng(1)) < TOL_COMPOSITE
 
 
 def test_yang_baxter_full_m2_triple(params, kin_of):
     kins = [kin_of(2, xm) for xm in (0.9 - 1.1j, 1.4 + 0.5j, -1.1 - 0.7j)]
-    assert ybe_residual(*kins, params) < TOL_COMPOSITE
+    assert ybe_residual(*kins, params, np.random.default_rng(1)) < TOL_COMPOSITE
 
 
 def _s_form_ybe_residual(kins, params):
@@ -214,8 +226,64 @@ def _s_form_ybe_residual(kins, params):
     ids=str,
 )
 def test_braided_ybe_matches_s_form(Ms, params, kin_of):
-    # the leg-wise braid relation equals the dense S-form YBE up to a signed
-    # permutation; unequal legs would expose a wrong reshape
+    # the leg-wise braid relation on the identity (the oracle of the probed
+    # check) equals the dense S-form YBE up to a signed permutation; unequal
+    # legs would expose a wrong reshape
     xms = [1.3 + 0.8j, 0.9 - 1.1j, -0.8 + 1.2j]
     kins = [kin_of(M, xm) for M, xm in zip(Ms, xms)]
-    assert abs(ybe_residual(*kins, params) - _s_form_ybe_residual(kins, params)) < 1e-13
+    assert abs(dense_ybe_residual(*kins, params) - _s_form_ybe_residual(kins, params)) < 1e-13
+
+
+#: Every triple of M <= 2, and one with three unequal legs.
+PROBE_TRIPLES = sorted(set(product((1, 2), repeat=3))) + [(3, 1, 2)]
+
+
+@pytest.mark.parametrize("q", [1.1, 1.5])
+@pytest.mark.parametrize("Ms", PROBE_TRIPLES, ids=str)
+def test_probed_ybe_is_within_a_factor_10_of_the_dense_oracle(Ms, q, params):
+    # at seeds 1-15 the residual on four random probes reads the dense
+    # three-leg residual to within a factor of 10 either way
+    p = replace(params, q=q)
+    for seed in range(1, 16):
+        rng = _point_rng(seed, 13000)
+        kins = [sample_kinematics(M, p, rng) for M in Ms]
+        probed, exact = ybe_residual(*kins, p, rng), dense_ybe_residual(*kins, p)
+        assert exact / 10 <= probed <= 10 * exact, (seed, probed, exact)
+
+
+@pytest.mark.parametrize("M", [[1, 2], [3]], ids=str)
+def test_probed_ybe_fails_a_perturbed_entry(M, monkeypatch):
+    # the largest entry of each point's Ř12 off by a relative 1e-6 makes
+    # every probed row FAIL
+    solved = []
+    real = smatrix.unique_intertwiner
+
+    def perturbed(solution):
+        R = real(solution)
+        if len(solved) % 3 == 0:  # Ř12, Ř13, Ř23 per point
+            R[np.unravel_index(np.abs(R).argmax(), R.shape)] *= 1 + 1e-6
+        solved.append(R)
+        return R
+
+    monkeypatch.setattr(smatrix, "unique_intertwiner", perturbed)
+    rows = run_suite("ybe", load_config(data={"M": M, "seed": 3}))["checks"]
+    assert len(rows) == len(M) ** 3 and not any(r["passed"] for r in rows)
+    assert all(r["residual"] > 10 * r["threshold"] for r in rows)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_probed_ybe_fails_a_factor_on_the_wrong_legs(M, monkeypatch):
+    # Ř13 of the left side applied to the leading two legs, where Ř12 put
+    # V2 (x) V1, in place of the trailing two: the row FAILs
+    cfg = load_config(data={"M": [M], "seed": 3})
+    assert run_suite("ybe", cfg)["passed"]  # and every S cache is warm
+    calls = []
+    real = smatrix._on_right
+
+    def first_on_the_left(R, T):
+        calls.append(R)
+        return smatrix._on_left(R, T) if len(calls) == 1 else real(R, T)
+
+    monkeypatch.setattr(smatrix, "_on_right", first_on_the_left)
+    (row,) = run_suite("ybe", cfg)["checks"]
+    assert len(calls) == 3 and not row["passed"] and row["residual"] > 1e-2
