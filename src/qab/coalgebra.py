@@ -147,6 +147,20 @@ def boundary_d_constants(params: ModelParams):
 TWISTED_CHARGES = ("Et321", "Ft321", "Et21", "Ft21", "Et1", "Ft1", "Ct2", "Ct3")
 
 
+def level_one_charges(ops: dict, params: ModelParams) -> tuple:
+    """(Et321, Ft321), the two twisted level-one charges of the boundary
+    coideal algebra, from which twisted_boundary_charges builds the other
+    six; ``ops`` as that function takes it."""
+    d_y, d_x = boundary_d_constants(params)
+    e1p = ops["K1"] @ ops["E1"]
+    e4p = ops["K4"] @ ops["E4"]
+    k4_inv = ops["K4"].inv()
+    theta_f4 = ad_r("E3", ad_r("E2", e1p, ops), ops)
+    theta_e4p = ad_r("F3", ad_r("F2", ops["F1"], ops), ops)
+    return (ops["F4"] @ k4_inv + d_y * (theta_f4 @ k4_inv),
+            e4p @ k4_inv + d_x * (theta_e4p @ k4_inv))
+
+
 def twisted_boundary_charges(ops: dict, params: ModelParams) -> dict:
     """The eight twisted affine charges of the boundary coideal algebra.
 
@@ -154,14 +168,7 @@ def twisted_boundary_charges(ops: dict, params: ModelParams) -> dict:
     yields the charges on one leg, passing coproduct matrices yields their
     images on a tensor product.
     """
-    d_y, d_x = boundary_d_constants(params)
-    e1p = ops["K1"] @ ops["E1"]
-    e4p = ops["K4"] @ ops["E4"]
-    k4_inv = ops["K4"].inv()
-    theta_f4 = ad_r("E3", ad_r("E2", e1p, ops), ops)
-    theta_e4p = ad_r("F3", ad_r("F2", ops["F1"], ops), ops)
-    et321 = ops["F4"] @ k4_inv + d_y * (theta_f4 @ k4_inv)
-    ft321 = e4p @ k4_inv + d_x * (theta_e4p @ k4_inv)
+    et321, ft321 = level_one_charges(ops, params)
     et21 = ad_r("F3", et321, ops)
     ft21 = ad_r("E3", ft321, ops)
     return {
@@ -179,18 +186,19 @@ def twisted_boundary_charges(ops: dict, params: ModelParams) -> dict:
 def coideal_expansion_check(leg1: Leg, leg2: Leg, dmap: dict, params: ModelParams) -> dict:
     """Residuals of the two displayed coproduct expansions of the twisted
     level-one charges, as matrix identities on V1 (x) V2; ``dmap`` is
-    coproduct_map(leg1, leg2)."""
+    coproduct_map(leg1, leg2).  Only the two charges compared are built
+    (level_one_charges), on V1 (x) V2 and on leg 2."""
     s1, s2 = leg1.space, leg2.space
     d_y, d_x = boundary_d_constants(params)
     q = params.q
     U1 = leg1.U
 
-    # Left-hand sides: the twisted charges built from coproduct images.
-    tw_joint = twisted_boundary_charges(dmap, params)
+    # Left-hand sides: the two charges built from coproduct images.
+    lhs_e, lhs_f = level_one_charges(dmap, params)
     # Single-leg building blocks.
     o1 = leg1.gens
     o2 = leg2.gens
-    tw2 = twisted_boundary_charges(o2, params)
+    et321_2, ft321_2 = level_one_charges(o2, params)
     k4i_1 = o1["K4"].inv()
     k5_2 = o2["K1"] @ o2["K2"] @ o2["K3"] @ o2["K4"].inv()
     e1p_1 = o1["K1"] @ o1["E1"]
@@ -202,7 +210,7 @@ def coideal_expansion_check(leg1: Leg, leg2: Leg, dmap: dict, params: ModelParam
     theta_f4_1 = ad_r("E3", ad_r("E2", e1p_1, o1), o1)
     rhs_e = (
         gt(o1["F4"] @ k4i_1, identity_operator(s2))
-        + gt(U1 * k4i_1, tw2["Et321"])
+        + gt(U1 * k4i_1, et321_2)
         + d_y * gt(theta_f4_1 @ k4i_1, k5_2)
         + (d_y * (q**2 - 1))
         * (
@@ -215,7 +223,7 @@ def coideal_expansion_check(leg1: Leg, leg2: Leg, dmap: dict, params: ModelParam
     e4p_1 = o1["K4"] @ o1["E4"]
     rhs_f = (
         gt(e4p_1 @ k4i_1, identity_operator(s2))
-        + gt((1 / U1) * k4i_1, tw2["Ft321"])
+        + gt((1 / U1) * k4i_1, ft321_2)
         + d_x * gt(theta_e4p_1 @ k4i_1, k5_2)
         - (d_x * (q**2 - 1))
         * (
@@ -226,8 +234,8 @@ def coideal_expansion_check(leg1: Leg, leg2: Leg, dmap: dict, params: ModelParam
     )
 
     return {
-        "coideal_E321": rel_residual(tw_joint["Et321"].matrix, rhs_e.matrix),
-        "coideal_F321": rel_residual(tw_joint["Ft321"].matrix, rhs_f.matrix),
+        "coideal_E321": rel_residual(lhs_e.matrix, rhs_e.matrix),
+        "coideal_F321": rel_residual(lhs_f.matrix, rhs_f.matrix),
     }
 
 

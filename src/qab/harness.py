@@ -31,7 +31,7 @@ from .kinematics import (
     on_shell,
     reflect_kinematics,
 )
-from .representation import GENERATORS, build_basis, verify_algebra
+from .representation import build_basis, verify_algebra
 from .smatrix import NULL_GAP, VerificationError, spectral_gap
 
 SCHEMA_VERSION = 1
@@ -231,22 +231,6 @@ def _check(suite, name, M, residual, threshold, invert=False, extra=None):
     return row
 
 
-def _guarded(suite, name, tol, check):
-    """``check`` with a VerificationError, PoleError or LinAlgError at its
-    point turned into the point's one failed row ``name``, at relative
-    residual 1, whose ``error`` field carries the exception's type and message."""
-
-    def guarded(params, *kins, **kwargs):
-        try:
-            return check(params, *kins, **kwargs)
-        except (VerificationError, PoleError, np.linalg.LinAlgError) as exc:
-            Ms = tuple(kin.M for kin in kins)
-            error = f"{type(exc).__name__}: {exc}"
-            return [_check(suite, name, Ms, 1.0, tol, extra={"error": error})]
-
-    return guarded
-
-
 def _map_points(fn, jobs):
     """Run independent jobs (points, or all points of one M) serially, in order.
 
@@ -305,13 +289,17 @@ def _gap_check(suite, name, M, solution, invert=False, extra=None):
     })
 
 
-def _per_point(cfg: RunConfig, offset: int, jobs, check, pass_rng=False):
+def _per_point(cfg: RunConfig, offset: int, jobs, check, suite, name, threshold,
+               pass_rng=False):
     """Run ``check(params, *kins)`` once per job and flatten the rows.
 
     Job idx is a tuple of bound-state numbers; it draws its rng from
     (seed, offset + idx) and samples one kinematic point per M, in order.
     With ``pass_rng`` the check also takes that rng as ``rng``, to draw from
-    after the kinematics.
+    after the kinematics.  A VerificationError, PoleError or LinAlgError of
+    the check turns into the point's one failed row ``name`` of ``suite``,
+    at relative residual 1 against ``threshold``, whose ``error`` field
+    carries the exception's type and message.
     """
     params = cfg.params()
 
@@ -319,7 +307,11 @@ def _per_point(cfg: RunConfig, offset: int, jobs, check, pass_rng=False):
         idx, Ms = job
         rng = _point_rng(cfg.seed, offset + idx)
         kins = [sample_kinematics(M, params, rng) for M in Ms]
-        return check(params, *kins, rng=rng) if pass_rng else check(params, *kins)
+        try:
+            return check(params, *kins, rng=rng) if pass_rng else check(params, *kins)
+        except (VerificationError, PoleError, np.linalg.LinAlgError) as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            return [_check(suite, name, Ms, 1.0, threshold, extra={"error": error})]
 
     return [row for rows in _map_points(one, list(enumerate(jobs))) for row in rows]
 
@@ -348,8 +340,8 @@ def suite_coalgebra(cfg: RunConfig):
             ),
         ]
 
-    return _per_point(cfg, 5000, list(product(cfg.M, repeat=2)),
-                      _guarded("coalgebra", "coproduct-homomorphism", tol, check))
+    return _per_point(cfg, 5000, list(product(cfg.M, repeat=2)), check,
+                      "coalgebra", "coproduct-homomorphism", tol)
 
 
 def suite_smatrix(cfg: RunConfig):
@@ -367,18 +359,18 @@ def suite_smatrix(cfg: RunConfig):
         # the full coproducts of the two points: a check of S independent of
         # the cached pieces it was solved from
         legs = Leg(kin1, params), Leg(kin2, params)
-        res = smatrix.pair_residuals(S, smatrix.intertwiner_system(*legs, GENERATORS))
+        res = smatrix.pair_residuals(S, smatrix.intertwiner_system(*legs))
         rows.append(_check("smatrix", "intertwining", Ms, max(res), tol))
         if min(Ms) >= 2:
             rows.append(_gap_check(
                 "smatrix", "affine-ablation", Ms,
-                smatrix.commutant_nullspace(kin1, kin2, params, smatrix.SANS_AFFINE),
+                smatrix.affine_ablation(kin1, kin2, params),
                 invert=True, extra={"note": "no spectral gap without E4, F4", **conds},
             ))
         return rows
 
-    return _per_point(cfg, 9000, list(product(cfg.M, repeat=2)),
-                      _guarded("smatrix", "null-dimension", NULL_GAP, check))
+    return _per_point(cfg, 9000, list(product(cfg.M, repeat=2)), check,
+                      "smatrix", "null-dimension", NULL_GAP)
 
 
 def suite_ybe(cfg: RunConfig, first=None):
@@ -391,8 +383,7 @@ def suite_ybe(cfg: RunConfig, first=None):
         Ms = tuple(k.M for k in kins)
         return [_check("ybe", "yang-baxter", Ms, smatrix.ybe_residual(*kins, params, rng), tol)]
 
-    return _per_point(cfg, 13000, triples, _guarded("ybe", "yang-baxter", tol, check),
-                      pass_rng=True)
+    return _per_point(cfg, 13000, triples, check, "ybe", "yang-baxter", tol, pass_rng=True)
 
 
 def suite_kmatrix(cfg: RunConfig):
@@ -425,8 +416,8 @@ def suite_kmatrix(cfg: RunConfig):
             rows.append(_check("kmatrix", "ck-covariance", M, sym.max(), tol_a))
         return rows
 
-    return _per_point(cfg, 17000, [(M,) for M in cfg.M],
-                      _guarded("kmatrix", "null-dimension", NULL_GAP, check))
+    return _per_point(cfg, 17000, [(M,) for M in cfg.M], check,
+                      "kmatrix", "null-dimension", NULL_GAP)
 
 
 def suite_bybe(cfg: RunConfig):
@@ -453,8 +444,8 @@ def suite_bybe(cfg: RunConfig):
             ))
         return rows
 
-    return _per_point(cfg, 21000, list(product(cfg.M, repeat=2)),
-                      _guarded("bybe", "reflection-equation", tol, check))
+    return _per_point(cfg, 21000, list(product(cfg.M, repeat=2)), check,
+                      "bybe", "reflection-equation", tol)
 
 
 def suite_unitarity(cfg: RunConfig):
@@ -464,8 +455,8 @@ def suite_unitarity(cfg: RunConfig):
         residual = kmatrix.unitarity_residual(kin, params)
         return [_check("unitarity", "K(p)K(-p)=Id", kin.M, residual, tol)]
 
-    check = _guarded("unitarity", "K(p)K(-p)=Id", tol, check)
-    return _per_point(cfg, 25000, [(M,) for M in cfg.M], check)
+    return _per_point(cfg, 25000, [(M,) for M in cfg.M], check,
+                      "unitarity", "K(p)K(-p)=Id", tol)
 
 
 def suite_limits(cfg: RunConfig):

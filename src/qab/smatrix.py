@@ -7,10 +7,10 @@ is coproduct(J, leg2, leg1).  S = P Ř for the graded flip P of V2 (x) V1
 onto V1 (x) V2, but no P is built: each factor of Ř in the Yang-Baxter and
 reflection equations acts on two adjacent legs.  The boundary K-matrix is
 the same kind of null space on one leg.  Both come out of one dense QR +
-SVD solve (``layout_nullspace``) for an unknown supported on the entries
-that join indices of equal weight, on a layout of the system's rows and
-unknowns (``nullspace_layout``): K's is read off its matrices per call
-(``weight_nullspace``), S's is cached.  ``unique_intertwiner`` is the one
+SVD solve (``system_nullspace``) for an unknown supported on the entries
+that join indices of equal weight, assembled (``layout_system``) on a
+layout of the system's rows and unknowns (``nullspace_layout``): K's is
+read off its matrices per call (``weight_nullspace``), S's is cached.  ``unique_intertwiner`` is the one
 uniqueness rule: a spectral gap sigma_1 / sigma_2 <= NULL_GAP, and the
 normalization at the [0, 0] entry.
 
@@ -40,12 +40,16 @@ d = 1 at i = 2 and -1 at i = 4; Delta_12(F_i) is that of Q_c (x) q^h,
 Q_d (x) q^h, s (x) Q_c and s (x) Q_d with V2^-d c1, V2^-d d1, U1^-d c2 and
 U1^-d d2.  The reduced matrices of the eight pieces of a leg order depend
 on (M1, M2, q) alone, E2 and E4 share theirs, as do F2 and F4, and only
-their entries at the position pairs are kept (reduced_pieces).  The rows
-and unknowns of the system are cached per generator set as well, from
-the entries where a piece is nonzero (commutant_layout).  A solve then
-contracts the pieces with four scalars per supercharge and leg order,
-fills the cached layout and factors it: it builds no generator matrix and
-no coproduct of its points.
+their entries at the position pairs are kept, with the bases
+(AdaptedBases.pieces).  The rows and unknowns of the system over E2, E4,
+F2, F4 are cached once per ordered pair (M1, M2, q) as well, from the
+entries where a piece is nonzero (commutant_layout).  A solve then
+contracts the pieces with four scalars per supercharge and leg order
+(reduced_coproducts), fills the cached layout and factors it: it builds no
+generator matrix and no coproduct of its points.  The affine ablation, the
+negative control of the affine symmetry, is a row subset of that one
+system: the QR and SVD of its E2 and F2 rows, with no null vector and no Ř
+formed (affine_ablation).
 
 Every coproduct enters as its one or two Kronecker terms (a, b) of one-leg
 matrices (coalgebra.coproduct), and each term acts on a matrix whose rows
@@ -65,20 +69,18 @@ from .kinematics import Kinematics, ModelParams, affine_labels, bulk_labels
 from .numerics import qint, rel_residual, sqrt
 from .representation import (
     BOSONIC_GENERATORS,
+    GENERATORS,
     SHIFTS,
     RepSpace,
     build_basis,
     supercharge_steps,
 )
 
-DEFAULT_GENERATORS = tuple(SHIFTS)
-#: The ablation set: without the affine E4, F4 the null space of a pair of
-#: bound states (both M >= 2) is no longer one-dimensional.
-SANS_AFFINE = tuple(g for g in DEFAULT_GENERATORS if g not in ("E4", "F4"))
 #: The raising and lowering generators of the bosonic U_q(su(2)) pairs.
 BOSONIC = tuple(g for g in BOSONIC_GENERATORS if not g.startswith("K"))
-#: The supercharges, the generators that give the commutant's equations.
-FERMIONIC = tuple(g for g in DEFAULT_GENERATORS if g not in BOSONIC)
+#: The supercharges E2, E4, F2, F4, the generators that give the
+#: commutant's equations, in the order of its rows.
+FERMIONIC = tuple(g for g in SHIFTS if g not in BOSONIC)
 
 #: The largest sigma_1 / sigma_2 of a unique intertwiner's system: above it
 #: the null vector is not separated from the next singular vector.
@@ -165,39 +167,40 @@ def nullspace_layout(a_mask, b_mask, weights) -> NullspaceLayout:
                            (len(keys), len(ui)))
 
 
-def layout_nullspace(layout: NullspaceLayout, A: np.ndarray, B: np.ndarray):
-    """The null space of X -> X A - B X over the pairs of the stacks A and B,
-    on the rows and unknowns of ``layout``.
-
-    Each pair's block of rows is divided by its largest coefficient, which
-    keeps its null space but puts every generator on one scale (the
-    boundary charges grow like q^M).  The blocks are stacked into one dense
-    system, reduced to its triangular QR factor R, and an SVD of R gives the
-    singular values of the whole system with its right singular vectors.
-    Returns (x, sv): x holds the right singular vector of the smallest sigma
-    over the unknowns X[layout.ui, layout.uj], and sv all n singular values,
-    descending, padded with zeros when the system has fewer rows than
-    unknowns.
-    """
+def layout_system(layout: NullspaceLayout, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The dense system of X -> X A - B X over the pairs of the stacks A and
+    B, on the rows and unknowns of ``layout``.  Each pair's block of rows is
+    divided by its largest coefficient, which keeps its null space but puts
+    every generator on one scale (the boundary charges grow like q^M)."""
     scale = np.maximum(np.abs(A).max(axis=(1, 2)), np.abs(B).max(axis=(1, 2)))
     p, r = layout.a_at[0], layout.b_at[0]
     system = np.zeros(layout.shape, dtype=complex)
     np.add.at(system, (layout.row, layout.col),
               np.concatenate([A[layout.a_at] / scale[p], -B[layout.b_at] / scale[r]]))
+    return system
+
+
+def system_nullspace(system: np.ndarray):
+    """The null space of a dense ``system``: it is reduced to its triangular
+    QR factor R, and an SVD of R gives the singular values of the whole
+    system with its right singular vectors.  Returns (x, sv): x the right
+    singular vector of the smallest sigma, over the unknowns of the system's
+    layout, and sv all n singular values, descending, padded with zeros when
+    the system has fewer rows than unknowns."""
     _, sv, vh = np.linalg.svd(np.linalg.qr(system, mode="r"))
-    return vh[-1].conj(), np.concatenate([sv, np.zeros(layout.shape[1] - len(sv))])
+    return vh[-1].conj(), np.concatenate([sv, np.zeros(system.shape[1] - len(sv))])
 
 
 def weight_nullspace(pairs, weights):
     """Null space of X -> X A - B X over every (A, B) in ``pairs``, X being
     supported on the entries X[i, j] with weights[i] == weights[j]: the
-    layout of the pairs' nonzero entries (nullspace_layout), solved by
-    layout_nullspace.  Returns (X, sv, (m, n)): X holds the null vector, sv
+    layout of the pairs' nonzero entries (nullspace_layout), assembled
+    (layout_system) and solved (system_nullspace).  Returns (X, sv, (m, n)): X holds the null vector, sv
     the singular values and (m, n) the system's rows and unknowns.
     """
     A, B = (np.array(side) for side in zip(*pairs))  # pair p's matrices at [p]
     layout = nullspace_layout(A != 0, B != 0, weights)
-    x, sv = layout_nullspace(layout, A, B)
+    x, sv = system_nullspace(layout_system(layout, A, B))
     X = np.zeros(A.shape[1:], dtype=complex)
     X[layout.ui, layout.uj] = x
     return X, sv, layout.shape
@@ -213,7 +216,10 @@ class AdaptedBases(NamedTuple):
     lambda = (l1, l3), the weight rule of weight_nullspace; the shared
     ``support`` (ui, uj, ki, kj) expands it, C[ui, uj] = C_red[ki, kj].
     ``pairs`` maps each fermionic generator to the position pairs that
-    reduced_matrix reads.
+    reduced_matrix reads, and ``pieces`` "E" and "F" to a (4, T) array, row
+    k the entries at the T position pairs of its step of the reduced matrix
+    of piece k of the supercharges' coproducts (_piece_terms), which E2 and
+    E4 (F2 and F4) share.
     """
 
     V: np.ndarray
@@ -222,6 +228,7 @@ class AdaptedBases(NamedTuple):
     cond_V: float
     labels: np.ndarray
     pairs: dict
+    pieces: dict
 
     def reduced_matrix(self, gen: str, delta) -> np.ndarray:
         """The N x N reduced matrix of ``delta``, the terms of the coproduct
@@ -275,9 +282,9 @@ def _position_pairs(blocks, shift):
     return off_m + beta, off + alpha, rows, cols, ri, ci
 
 
-def _adapted_basis(ops, weights, q) -> AdaptedBases:
-    """The AdaptedBases of the bosonic coproducts ``ops`` (E1, F1, E3, F3 on
-    a space with the (H1, H3) ``weights``, each as its terms).
+def _adapted_basis(leg1: Leg, leg2: Leg, q) -> AdaptedBases:
+    """The AdaptedBases of leg1 (x) leg2, from the terms of the bosonic
+    coproducts E1, F1, E3, F3 and the (H1, H3) weights of the product.
 
     E1 raises H1 by 2 and E3 lowers H3 by 2, so the highest weights are
     lambda = (l1, l3) = (H1, -H3) with l1, l3 >= 0, taken in ascending order.
@@ -292,7 +299,8 @@ def _adapted_basis(ops, weights, q) -> AdaptedBases:
     c_lambda (x) I on the copies: the support.  The basis maps each weight
     space onto itself, so it is inverted block by block.
     """
-    E1, F1, E3, F3 = (ops[g] for g in BOSONIC)
+    E1, F1, E3, F3 = (coproduct(g, leg1, leg2) for g in BOSONIC)
+    weights = product_weights(leg1.space, leg2.space)
     dim = len(weights)
     states = {}
     for i, (h1, h3) in enumerate(weights):
@@ -352,11 +360,17 @@ def _adapted_basis(ops, weights, q) -> AdaptedBases:
     # E2 and E4 step lambda alike, as do F2 and F4: they share their pairs
     shifts = {g: (SHIFTS[g][0], -SHIFTS[g][1]) for g in FERMIONIC}
     pairs = {shift: _position_pairs(blocks, shift) for shift in set(shifts.values())}
-    return AdaptedBases(
+    bases = AdaptedBases(
         V, V_inv,
         (col[k] + beta * P[k] + p, col[k] + alpha * P[k] + p, off[k] + beta, off[k] + alpha),
         float(sv.max() / sv.min()), np.array(labels), {g: pairs[shifts[g]] for g in FERMIONIC},
+        {},
     )
+    for x, terms in _piece_terms(leg1.space, leg2.space, q).items():
+        i, j = bases.pairs[f"{x}2"][:2]
+        bases.pieces[x] = np.array([bases.reduced_matrix(f"{x}2", [term])[i, j]
+                                    for term in terms])
+    return bases
 
 
 #: Room for every ordered pair of eight bound-state numbers: a suite over
@@ -367,13 +381,11 @@ def adapted_bases(M1: int, M2: int, q) -> AdaptedBases:
 
     Delta(E1), Delta(F1), Delta(E3), Delta(F3) carry no kinematics: the U
     power of their coproducts is 0, and K1, K3 contain no C.  So they are
-    built from kinematics-free legs (Leg.bosonic).  The arrays are
-    read-only, since every caller shares them.
+    built from kinematics-free legs (Leg.bosonic), as are the reduced
+    pieces.  The arrays are read-only, since every caller shares them.
     """
-    leg1, leg2 = Leg.bosonic(M1, q), Leg.bosonic(M2, q)
-    bases = _adapted_basis({g: coproduct(g, leg1, leg2) for g in BOSONIC},
-                           product_weights(leg1.space, leg2.space), q)
-    for a in (bases.V, bases.V_inv, *bases.support, bases.labels,
+    bases = _adapted_basis(Leg.bosonic(M1, q), Leg.bosonic(M2, q), q)
+    for a in (bases.V, bases.V_inv, *bases.support, bases.labels, *bases.pieces.values(),
               *(x for pair in bases.pairs.values() for x in pair)):
         a.flags.writeable = False
     return bases
@@ -382,7 +394,7 @@ def adapted_bases(M1: int, M2: int, q) -> AdaptedBases:
 def _piece_terms(s1: RepSpace, s2: RepSpace, q) -> dict:
     """The single-term pieces (A, B) of the supercharges' coproducts on
     s1 (x) s2, "E" those of E2, E4 and "F" those of F2, F4, in the order of
-    their coefficients (_piece_coefficients).  The first factor of an odd
+    their coefficients (reduced_coproducts).  The first factor of an odd
     second one carries the Koszul sign s of leg 1 (coalgebra.koszul_term)."""
     st1, st2 = supercharge_steps(q, s1), supercharge_steps(q, s2)
     sign = 1 - 2 * s1.parities
@@ -394,116 +406,102 @@ def _piece_terms(s1: RepSpace, s2: RepSpace, q) -> dict:
                   (np.diag(sign), st2["d"])]}
 
 
-@functools.lru_cache(maxsize=64)
-def reduced_pieces(M1: int, M2: int, q) -> dict:
-    """The reduced pieces of V_M1 (x) V_M2 at q, built once per (M1, M2, q),
-    as is adapted_bases: "E" and "F" map to a read-only (4, T) array, row k
-    the entries of the reduced matrix of piece k at the T position pairs
-    of its step (AdaptedBases.pairs), which E2 and E4 (F2 and F4) share."""
-    bases = adapted_bases(M1, M2, q)
-    pieces = {}
-    for x, terms in _piece_terms(build_basis(M1), build_basis(M2), q).items():
-        i, j = bases.pairs[f"{x}2"][:2]
-        pieces[x] = np.array([bases.reduced_matrix(f"{x}2", [term])[i, j] for term in terms])
-        pieces[x].flags.writeable = False
-    return pieces
-
-
-def _piece_coefficients(kin1: Kinematics, kin2: Kinematics, params: ModelParams,
-                        generators) -> tuple:
-    """The four coefficients of the pieces of Delta_12(J) on V1 (x) V2 and of
-    Delta_21(J) on V2 (x) V1 for each fermionic J of ``generators``, as the
-    module docstring derives them: two dicts, both leg orders from one
-    evaluation of each point's labels."""
-    out = {}, {}
-    for i, d, labels in ((2, 1, bulk_labels), (4, -1, affine_labels)):
-        if {f"E{i}", f"F{i}"} & set(generators):
-            points = (kin1, labels(kin1, params)), (kin2, labels(kin2, params))
-            for coefficients, ((ka, (a1, b1, c1, d1)), (kb, (a2, b2, c2, d2))) in zip(
-                    out, (points, points[::-1])):
-                e, f, u = (ka.U * ka.V) ** d, kb.V**-d, ka.U**-d
-                coefficients[f"E{i}"] = np.array([a1, b1, e * a2, e * b2])
-                coefficients[f"F{i}"] = np.array([f * c1, f * d1, u * c2, u * d2])
-    return out
-
-
-def reduced_coproducts(kin1: Kinematics, kin2: Kinematics, params: ModelParams,
-                       generators) -> tuple:
+def reduced_coproducts(kin1: Kinematics, kin2: Kinematics, params: ModelParams) -> tuple:
     """The two sides of the reduced system at kin1, kin2: the stacks of the
     N x N reduced matrices of Delta_12(J) on V1 (x) V2 and of Delta_21(J) on
-    V2 (x) V1, for J over the fermionic ``generators`` in order, each the
-    cached reduced pieces (reduced_pieces) contracted with its four
-    coefficients."""
-    q = params.q
+    V2 (x) V1, for J over FERMIONIC, each the cached pieces
+    (AdaptedBases.pieces) contracted with the four coefficients that the
+    module docstring derives.  Both leg orders come from one evaluation of
+    each point's bulk and affine labels."""
+    points = [(kin, bulk_labels(kin, params), affine_labels(kin, params)) for kin in (kin1, kin2)]
     sides = []
-    for Ms, coefficients in zip(((kin1.M, kin2.M), (kin2.M, kin1.M)),
-                                _piece_coefficients(kin1, kin2, params, generators)):
-        bases, pieces = adapted_bases(*Ms, q), reduced_pieces(*Ms, q)
-        stack = np.zeros((len(generators),) + (len(bases.labels),) * 2, dtype=complex)
-        for X, gen in zip(stack, generators):
+    for (ka, *labels1), (kb, *labels2) in (points, points[::-1]):
+        bases = adapted_bases(ka.M, kb.M, params.q)
+        stack = np.zeros((len(FERMIONIC),) + (len(bases.labels),) * 2, dtype=complex)
+        for X, gen in zip(stack, FERMIONIC):
+            affine = gen[1] == "4"
+            d = -1 if affine else 1
+            (a1, b1, c1, d1), (a2, b2, c2, d2) = labels1[affine], labels2[affine]
+            if gen[0] == "E":
+                e = (ka.U * ka.V) ** d
+                coefficients = np.array([a1, b1, e * a2, e * b2])
+            else:
+                f, u = kb.V**-d, ka.U**-d
+                coefficients = np.array([f * c1, f * d1, u * c2, u * d2])
             i, j = bases.pairs[gen][:2]
-            X[i, j] = coefficients[gen] @ pieces[gen[0]]
+            X[i, j] = coefficients @ bases.pieces[gen[0]]
         sides.append(stack)
     return tuple(sides)
 
 
-@functools.lru_cache(maxsize=128)
-def commutant_layout(M1: int, M2: int, q, generators: tuple):
-    """(layout, unknown): the NullspaceLayout of the reduced system of
-    V_M1 (x) V_M2 at q over the fermionic ``generators``, built once per
-    (M1, M2, q, generators), and the unknown of each entry of the support
-    of C (AdaptedBases.support).  A reduced matrix can be nonzero only where
-    one of its pieces is; room for two generator sets per adapted_bases entry.
+@functools.lru_cache(maxsize=64)
+def commutant_layout(M1: int, M2: int, q):
+    """(layout, unknown, bulk) of the reduced system of V_M1 (x) V_M2 at q,
+    built once per (M1, M2, q): its NullspaceLayout over FERMIONIC, the
+    unknown of each entry of the support of C (AdaptedBases.support), and
+    the indices of the rows of E2 and F2, in order.  A reduced matrix can be
+    nonzero only where one of its pieces is; the cache has the size of
+    adapted_bases.
     """
     V12 = adapted_bases(M1, M2, q)
-    fermionic = [g for g in generators if g not in BOSONIC]
     n = len(V12.labels)
     masks = []
-    for bases, pieces in ((V12, reduced_pieces(M1, M2, q)),
-                          (adapted_bases(M2, M1, q), reduced_pieces(M2, M1, q))):
-        mask = np.zeros((len(fermionic), n, n), dtype=bool)
-        for m, gen in zip(mask, fermionic):
+    for bases in (V12, adapted_bases(M2, M1, q)):
+        mask = np.zeros((len(FERMIONIC), n, n), dtype=bool)
+        for m, gen in zip(mask, FERMIONIC):
             i, j = bases.pairs[gen][:2]
-            m[i, j] = (pieces[gen[0]] != 0).any(axis=0)
+            m[i, j] = (bases.pieces[gen[0]] != 0).any(axis=0)
         masks.append(mask)
     layout = nullspace_layout(*masks, V12.labels)
     unknown = np.full((n, n), -1)
     unknown[layout.ui, layout.uj] = np.arange(len(layout.ui))
     unknown = unknown[V12.support[2], V12.support[3]]
-    for a in (*layout[:4], *layout.a_at, *layout.b_at, unknown):
+    # the rows are ordered by (pair, a, b): each row's pair is that of its coefficients
+    pair = np.empty(layout.shape[0], dtype=int)
+    pair[layout.row] = np.concatenate([layout.a_at[0], layout.b_at[0]])
+    bulk = np.flatnonzero(np.isin(pair, [FERMIONIC.index("E2"), FERMIONIC.index("F2")]))
+    for a in (*layout[:4], *layout.a_at, *layout.b_at, unknown, bulk):
         a.flags.writeable = False
-    return layout, unknown
+    return layout, unknown, bulk
 
 
-def intertwiner_system(leg1: Leg, leg2: Leg, generators):
+def intertwiner_system(leg1: Leg, leg2: Leg):
     """The pairs (Delta_12(J), Delta_21(J)) of Ř Delta_12(J) = Delta_21(J) Ř
-    over ``generators``, each coproduct as its terms, as pair_residuals takes
-    them: the intertwining check of Ř against the full coproducts."""
-    return [(coproduct(gen, leg1, leg2), coproduct(gen, leg2, leg1)) for gen in generators]
+    over all twelve generators, each coproduct as its terms, as
+    pair_residuals takes them: the intertwining check of Ř against the full
+    coproducts."""
+    return [(coproduct(gen, leg1, leg2), coproduct(gen, leg2, leg1)) for gen in GENERATORS]
 
 
-def commutant_nullspace(kin1: Kinematics, kin2: Kinematics, params: ModelParams,
-                        generators=DEFAULT_GENERATORS):
-    """Null space of Ř Delta_12(J) = Delta_21(J) Ř over ``generators`` at the
-    points kin1, kin2, which must include E1, F1, E3, F3, solved in the
-    bosonic commutant Ř = V_21 C V_12^-1: only the other generators give
-    equations, one per entry of C_red A_red - B_red C_red for the reduced
-    matrices A_red of Delta_12(J) and B_red of Delta_21(J)
-    (reduced_coproducts, which evaluates each point's labels once), on the
-    cached layout (commutant_layout).  Returns (Ř, sv, (rows, unknowns)) as
-    weight_nullspace does.  With SANS_AFFINE the null space exceeds one
-    dimension: no spectral gap (the ablation).
+def commutant_nullspace(kin1: Kinematics, kin2: Kinematics, params: ModelParams):
+    """Null space of Ř Delta_12(J) = Delta_21(J) Ř over every generator at
+    the points kin1, kin2, solved in the bosonic commutant
+    Ř = V_21 C V_12^-1: only the supercharges give equations, one per entry
+    of C_red A_red - B_red C_red for the reduced matrices A_red of
+    Delta_12(J) and B_red of Delta_21(J) (reduced_coproducts), on the cached
+    layout (commutant_layout).  Returns (Ř, sv, (rows, unknowns)) as
+    weight_nullspace does.
     """
-    if not set(BOSONIC) <= set(generators):
-        raise ValueError(f"the commutant needs {', '.join(BOSONIC)} among the generators")
     M1, M2, q = kin1.M, kin2.M, params.q
     V12, V21 = adapted_bases(M1, M2, q), adapted_bases(M2, M1, q)
-    layout, unknown = commutant_layout(M1, M2, q, tuple(generators))
-    fermionic = [g for g in generators if g not in BOSONIC]
-    x, sv = layout_nullspace(layout, *reduced_coproducts(kin1, kin2, params, fermionic))
+    layout, unknown, _ = commutant_layout(M1, M2, q)
+    x, sv = system_nullspace(layout_system(layout, *reduced_coproducts(kin1, kin2, params)))
     C = np.zeros_like(V12.V)
     C[V12.support[0], V12.support[1]] = x[unknown]
     return V21.V @ C @ V12.V_inv, sv, layout.shape
+
+
+def affine_ablation(kin1: Kinematics, kin2: Kinematics, params: ModelParams):
+    """The negative control of commutant_nullspace: its system without the
+    equations of the affine E4, F4, i.e. its rows of E2 and F2
+    (commutant_layout), factored as system_nullspace does.  For a pair of
+    bound states (both M >= 2) this null space is no longer
+    one-dimensional.  Returns (None, sv, (rows, unknowns)): no null vector
+    and no Ř is formed.
+    """
+    layout, _, bulk = commutant_layout(kin1.M, kin2.M, params.q)
+    system = layout_system(layout, *reduced_coproducts(kin1, kin2, params))[bulk]
+    return None, system_nullspace(system)[1], system.shape
 
 
 def spectral_gap(sv) -> float:

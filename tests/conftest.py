@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
-from qab.coalgebra import graded_tensor
+from qab.coalgebra import coproduct, graded_tensor
 from qab.kinematics import ModelParams, make_kinematics, reflect_kinematics, solve_shortening
 from qab.kmatrix import _k_entries, boundary_system, closed_form_kmatrix
 from qab.representation import build_basis, identity_operator
 from qab.numerics import rel_residual
 from qab.smatrix import (
-    BOSONIC,
-    DEFAULT_GENERATORS,
+    FERMIONIC,
     _on_left,
     _on_right,
     adapted_bases,
     commutant_nullspace,
-    intertwiner_system,
     unique_intertwiner,
     weight_nullspace,
 )
@@ -42,22 +40,29 @@ def kin_of(params):
     return lambda M, xm: kin_at(M, xm, params)
 
 
-def s_nullspace(kin1, kin2, params, generators=DEFAULT_GENERATORS):
+def s_nullspace(kin1, kin2, params):
     """commutant_nullspace at two points."""
-    return commutant_nullspace(kin1, kin2, params, generators)
+    return commutant_nullspace(kin1, kin2, params)
 
 
-def leg_commutant_nullspace(leg1, leg2, q, generators=DEFAULT_GENERATORS):
-    """The commutant solve from the full coproducts of two Legs: each reduced
-    matrix is reduced_matrix of the coproduct's terms, and the system's rows
-    are read off their nonzero entries by weight_nullspace.  The oracle of
-    commutant_nullspace, which contracts cached pieces on a cached layout."""
+def coproduct_pairs(leg1, leg2, generators):
+    """(Delta_12(J), Delta_21(J)) over ``generators``, each as its terms:
+    intertwiner_system over any generator set."""
+    return [(coproduct(g, leg1, leg2), coproduct(g, leg2, leg1)) for g in generators]
+
+
+def leg_commutant_nullspace(leg1, leg2, q, fermionic=FERMIONIC):
+    """The commutant solve from the full coproducts of two Legs over the
+    supercharges ``fermionic``: each reduced matrix is reduced_matrix of the
+    coproduct's terms, and the system's rows are read off their nonzero
+    entries by weight_nullspace.  The oracle of commutant_nullspace, which
+    contracts cached pieces on a cached layout, and, over E2 and F2, of
+    affine_ablation."""
     V12 = adapted_bases(leg1.space.M, leg2.space.M, q)
     V21 = adapted_bases(leg2.space.M, leg1.space.M, q)
-    fermionic = [g for g in generators if g not in BOSONIC]
     pairs = [
         (V12.reduced_matrix(g, A), V21.reduced_matrix(g, B))
-        for g, (A, B) in zip(fermionic, intertwiner_system(leg1, leg2, fermionic))
+        for g, (A, B) in zip(fermionic, coproduct_pairs(leg1, leg2, fermionic))
     ]
     C_red, sv, shape = weight_nullspace(pairs, V12.labels)
     ui, uj, ki, kj = V12.support

@@ -26,10 +26,10 @@ from qab.kmatrix import (
     reflection_smatrices,
     unitarity_residual,
 )
-from qab.representation import GENERATORS, build_basis, verify_algebra
+from qab.representation import build_basis, verify_algebra
 from qab.smatrix import (
     NULL_GAP,
-    SANS_AFFINE,
+    affine_ablation,
     commutant_nullspace,
     intertwiner_system,
     pair_residuals,
@@ -81,12 +81,12 @@ def test_criterion_2_smatrix_uniqueness():
         kin2 = _sample(M2, 201 + 2 * i)
         leg1, leg2 = Leg(kin1, PARAMS), Leg(kin2, PARAMS)
         S = unique_intertwiner(commutant_nullspace(kin1, kin2, PARAMS))
-        worst = max(worst, *pair_residuals(S, intertwiner_system(leg1, leg2, GENERATORS)))
+        worst = max(worst, *pair_residuals(S, intertwiner_system(leg1, leg2)))
         if min(M1, M2) >= 2:
             # the affine supercharges are what force uniqueness; with a
             # fundamental leg the subalgebra suffices, so the ablation is
             # probed on the bound-state pairs
-            sv = commutant_nullspace(kin1, kin2, PARAMS, SANS_AFFINE)[1]
+            sv = affine_ablation(kin1, kin2, PARAMS)[1]
             ablation_ok &= spectral_gap(sv) > NULL_GAP
     _report(
         2, "S-matrix uniqueness and affine ablation",

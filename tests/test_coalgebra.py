@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qab import coalgebra
 from qab.coalgebra import (
     TWISTED_CHARGES,
     boundary_d_constants,
@@ -124,6 +125,36 @@ def test_coideal_expansions(pair, params, kin_of):
     leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
     res = coideal_expansion_check(leg1, leg2, coproduct_map(leg1, leg2), params)
     assert max(res.values()) < TOL_ALGEBRA, res
+
+
+COIDEAL_QS = {"q1.1": 1.1, "q1.5": 1.5, "q-complex": 1.2 * np.exp(0.4j)}
+
+
+@pytest.mark.parametrize("q", COIDEAL_QS.values(), ids=COIDEAL_QS.keys())
+@pytest.mark.parametrize("pair", [(1, 1), (1, 2), (2, 2)], ids=str)
+def test_coideal_check_builds_only_the_charges_it_compares(pair, q, params, monkeypatch):
+    # the check builds Et321 and Ft321 on V1 (x) V2 and on leg 2 alone, and
+    # its residuals equal bit for bit those from all eight charges of the
+    # joint coproducts and of leg 2
+    p = replace(params, q=q)
+    leg1, leg2 = Leg(kin_at(pair[0], 1.3 + 0.8j, p), p), Leg(kin_at(pair[1], 0.9 - 1.1j, p), p)
+    dmap = coproduct_map(leg1, leg2)
+    full = {id(ops): twisted_boundary_charges(ops, p) for ops in (dmap, leg2.gens)}
+    calls = []
+
+    def from_all_eight(ops, params):
+        calls.append(id(ops))
+        return full[id(ops)]["Et321"], full[id(ops)]["Ft321"]
+
+    def refuse(*args):
+        raise AssertionError("all eight twisted charges built")
+
+    want = coideal_expansion_check(leg1, leg2, dmap, p)
+    monkeypatch.setattr(coalgebra, "twisted_boundary_charges", refuse)
+    assert coideal_expansion_check(leg1, leg2, dmap, p) == want
+    monkeypatch.setattr(coalgebra, "level_one_charges", from_all_eight)
+    assert coideal_expansion_check(leg1, leg2, dmap, p) == want
+    assert sorted(calls) == sorted(full)
 
 
 @pytest.mark.parametrize("M", [1, 2, 3])

@@ -288,7 +288,7 @@ def test_ybe_report_is_reproducible():
     # from warm ones; each row's probes are drawn from its point's rng,
     # after its kinematics
     cfg = load_config(data={"M": [1, 2], "seed": 3})
-    for cache in (smatrix.adapted_bases, smatrix.reduced_pieces, smatrix.commutant_layout):
+    for cache in (smatrix.adapted_bases, smatrix.commutant_layout):
         cache.cache_clear()
     texts = []
     for _ in range(2):
@@ -316,7 +316,7 @@ def test_composite_s_solves_build_no_leg(monkeypatch):
         if (name == "qab" or name.startswith("qab.")) and vars(mod).get("all_generators") is build:
             monkeypatch.setattr(mod, "all_generators", refuse)
     monkeypatch.setattr(Leg, "__init__", refuse)
-    for cache in (smatrix.adapted_bases, smatrix.reduced_pieces, smatrix.commutant_layout):
+    for cache in (smatrix.adapted_bases, smatrix.commutant_layout):
         cache.cache_clear()
     for suite in ("ybe", "bybe"):
         assert run_suite(suite, load_config(data={"M": [1, 2], "seed": 3}))["passed"], suite
@@ -363,10 +363,10 @@ def test_composite_verification_error_is_a_failed_row(suite, check, M, target, m
 
 
 @pytest.mark.parametrize("suite,check,M,target", [
-    ("ybe", "yang-baxter", [1, 1, 1], (smatrix, "layout_nullspace")),
-    ("bybe", "reflection-equation", [1, 1], (smatrix, "layout_nullspace")),
+    ("ybe", "yang-baxter", [1, 1, 1], (smatrix, "system_nullspace")),
+    ("bybe", "reflection-equation", [1, 1], (smatrix, "system_nullspace")),
     ("unitarity", "K(p)K(-p)=Id", [1], (kmatrix, "c_coefficients")),
-    ("smatrix", "null-dimension", [1, 1], (smatrix, "layout_nullspace")),
+    ("smatrix", "null-dimension", [1, 1], (smatrix, "system_nullspace")),
     ("kmatrix", "null-dimension", [1], (smatrix, "weight_nullspace")),
     ("coalgebra", "coproduct-homomorphism", [1, 1], (coalgebra, "hom_check")),
 ])
@@ -543,8 +543,8 @@ def test_null_dimension_row_fails_without_a_gap(monkeypatch):
     # row, and the point reports that row alone instead of aborting the suite
     solve = smatrix.commutant_nullspace
 
-    def flat_gap(kin1, kin2, params, generators=smatrix.DEFAULT_GENERATORS):
-        S, sv, shape = solve(kin1, kin2, params, generators)
+    def flat_gap(kin1, kin2, params):
+        S, sv, shape = solve(kin1, kin2, params)
         sv = sv.copy()
         sv[-2] = 2 * sv[-1]
         return S, sv, shape

@@ -8,7 +8,8 @@ its spectral-gap verdict must call a system unique exactly when the rank
 count finds one null vector; the commutant solve of the braided S-matrix Ř
 (commutant_nullspace) must reproduce the weight-supported one, carried to
 Ř's index sets by the graded flip, and every row that its reduced system
-leaves out must be a multiple of one it keeps.
+leaves out must be a multiple of one it keeps.  The affine ablation, the E2
+and F2 rows of that system, must equal its own separate solve bit for bit.
 """
 
 from dataclasses import replace
@@ -27,21 +28,22 @@ from qab.kmatrix import (
     compare_kmatrices,
 )
 from qab.numerics import TOL_INTERTWINER, rel_residual
-from qab.representation import build_basis
+from qab.representation import SHIFTS, build_basis
 from qab.smatrix import (
     BOSONIC,
-    DEFAULT_GENERATORS,
     FERMIONIC,
     NULL_GAP,
-    SANS_AFFINE,
     adapted_bases,
+    affine_ablation,
     commutant_layout,
     commutant_nullspace,
-    intertwiner_system,
+    layout_system,
+    nullspace_layout,
     pair_residuals,
     product_weights,
     reduced_coproducts,
     spectral_gap,
+    system_nullspace,
     unique_intertwiner,
     weight_nullspace,
 )
@@ -49,6 +51,7 @@ from qab.smatrix import (
 from conftest import (
     boundary_k,
     braided_s,
+    coproduct_pairs,
     dense,
     dense_coproduct,
     graded_permutation,
@@ -56,6 +59,13 @@ from conftest import (
     leg_commutant_nullspace,
     s_nullspace,
 )
+
+#: The raising and lowering generators, whose equations fix Ř, and the
+#: ablation's set without the affine E4, F4.
+EF = tuple(SHIFTS)
+SANS_AFFINE = tuple(g for g in EF if g not in ("E4", "F4"))
+#: The supercharges of the ablation: its rows are those of E2 and F2.
+BULK = ("E2", "F2")
 
 #: The reference's rank rule: singular values below this multiple of
 #: max(shape) * eps * sigma_max count as zero.
@@ -105,7 +115,7 @@ def test_smatrix_matches_dense_reference(kin_of, params):
     leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
     pairs = [
         (dense_coproduct(g, leg1, leg2).matrix, dense_coproduct(g, leg2, leg1).matrix)
-        for g in DEFAULT_GENERATORS
+        for g in EF
     ]
     R = unique_intertwiner(commutant_nullspace(kin1, kin2, params))
     assert R[0, 0] == 1
@@ -146,7 +156,7 @@ def _k_system(params, M, charges):
 
 
 SYSTEMS = {
-    **{f"S{Ms}{tag}": ("S", Ms, DEFAULT_GENERATORS, q)
+    **{f"S{Ms}{tag}": ("S", Ms, EF, q)
        for q, tag in [(1.1, ""), (1.5, "-q1.5")]
        for Ms in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)]},
     **{f"S(2, 2)-sans-affine{tag}": ("S", (2, 2), SANS_AFFINE, q)
@@ -166,11 +176,12 @@ def test_solver_matches_dense_qr_svd(kind, size, generators, q, params_gammas):
         leg1, leg2 = (Leg(kin, params_gammas) for kin in kins)
         s1, s2 = leg1.space, leg2.space
         P12, P21 = graded_permutation(s1, s2), graded_permutation(s2, s1)
-        pairs = intertwiner_system(leg1, leg2, generators)
+        pairs = coproduct_pairs(leg1, leg2, generators)
         X, sv, (rows, unknowns) = weight_nullspace(
             [(dense(A), P21 @ dense(B) @ P12) for A, B in pairs], product_weights(s1, s2)
         )
-        R, svc, (rows_c, unknowns_c) = commutant_nullspace(*kins, params_gammas, generators)
+        solve = affine_ablation if generators == SANS_AFFINE else commutant_nullspace
+        R, svc, (rows_c, unknowns_c) = solve(*kins, params_gammas)
         # the rank rule on the weight-supported system is the reference here
         unique = _rank_null_dim(sv, (rows, unknowns)) == 1
         assert _unique(sv) == _unique(svc) == unique
@@ -181,7 +192,9 @@ def test_solver_matches_dense_qr_svd(kind, size, generators, q, params_gammas):
             s, x = ((Y / np.linalg.norm(Y)).ravel() for Y in (P21 @ R, X))
             assert np.linalg.norm(s - x * np.vdot(x, s)) < 1e-13
         else:
-            # any unit vector of the null space will do: it must solve the system
+            # the ablation forms no Ř; any unit vector of the null space of
+            # its rows will do, here the leg oracle's: it must solve the system
+            R = leg_commutant_nullspace(leg1, leg2, params_gammas.q, BULK)[0]
             assert max(pair_residuals(R / np.linalg.norm(R), pairs)) < 1e-12
         assert list(svc) == sorted(svc, reverse=True)
         return
@@ -218,7 +231,7 @@ def test_reduced_rows_are_multiples_of_the_kept_ones(Ms, q, params):
     kin1, kin2 = _s_points(params, Ms)
     V12, V21 = adapted_bases(*Ms, q), adapted_bases(*Ms[::-1], q)
     positions, groups = _isotypic_layout(V12)
-    pairs = intertwiner_system(Leg(kin1, params), Leg(kin2, params), FERMIONIC)
+    pairs = coproduct_pairs(Leg(kin1, params), Leg(kin2, params), FERMIONIC)
     for gen, (A, B) in zip(FERMIONIC, pairs):
         Y12, Y21 = V12.V_inv @ dense(A) @ V12.V, V21.V_inv @ dense(B) @ V21.V
         A_red, B_red = V12.reduced_matrix(gen, A), V21.reduced_matrix(gen, B)
@@ -277,13 +290,13 @@ SMALL_PAIRS = [(M1, M2) for M1 in (1, 2, 3) for M2 in (1, 2, 3)]
 @pytest.mark.parametrize("q", PIECE_QS.values(), ids=PIECE_QS.keys())
 @pytest.mark.parametrize("Ms", SMALL_PAIRS, ids=str)
 def test_reduced_pieces_give_the_reduced_full_coproducts(Ms, q, params_gammas):
-    # every supercharge's reduced matrix, contracted from the cached pieces
-    # with four coefficients, is reduced_matrix of the coproduct's terms at
-    # the two points, in either leg order
+    # every supercharge's reduced matrix, contracted from the pieces cached
+    # with the bases with four coefficients, is reduced_matrix of the
+    # coproduct's terms at the two points, in either leg order
     p = replace(params_gammas, q=q)
     kins = _s_points(p, Ms)
     legs = [Leg(kin, p) for kin in kins]
-    for got, (la, lb) in zip(reduced_coproducts(*kins, p, FERMIONIC), (legs, legs[::-1])):
+    for got, (la, lb) in zip(reduced_coproducts(*kins, p), (legs, legs[::-1])):
         bases = adapted_bases(la.space.M, lb.space.M, q)
         for X, gen in zip(got, FERMIONIC):
             Y = bases.reduced_matrix(gen, coproduct(gen, la, lb))
@@ -293,27 +306,29 @@ def test_reduced_pieces_give_the_reduced_full_coproducts(Ms, q, params_gammas):
 @pytest.mark.parametrize("q", PIECE_QS.values(), ids=PIECE_QS.keys())
 @pytest.mark.parametrize("Ms", SMALL_PAIRS, ids=str)
 def test_cached_commutant_solve_matches_the_leg_oracle(Ms, q, params_gammas):
-    # the cached layout has the oracle's rows and unknowns for both
-    # generator sets, the same verdict, and the same unique Ř
+    # the cached layout has the oracle's rows and unknowns, the same verdict
+    # and the same unique Ř, and its E2, F2 rows (the ablation) those of the
+    # oracle over E2 and F2, with the same verdict
     p = replace(params_gammas, q=q)
     kins = _s_points(p, Ms)
     legs = [Leg(kin, p) for kin in kins]
-    for generators in (DEFAULT_GENERATORS, SANS_AFFINE):
-        R, sv, shape = commutant_nullspace(*kins, p, generators)
-        R_o, sv_o, shape_o = leg_commutant_nullspace(*legs, q, generators)
-        assert shape == shape_o and _unique(sv) == _unique(sv_o), (Ms, generators)
-        if generators == DEFAULT_GENERATORS:
-            assert _unique(sv)
-            s, x = ((Y / np.linalg.norm(Y)).ravel() for Y in (R, R_o))
-            assert np.linalg.norm(s - x * np.vdot(x, s)) < 1e-12, Ms
+    R, sv, shape = commutant_nullspace(*kins, p)
+    R_o, sv_o, shape_o = leg_commutant_nullspace(*legs, q)
+    assert shape == shape_o and _unique(sv) and _unique(sv_o), Ms
+    s, x = ((Y / np.linalg.norm(Y)).ravel() for Y in (R, R_o))
+    assert np.linalg.norm(s - x * np.vdot(x, s)) < 1e-12, Ms
+    _, sv, shape = affine_ablation(*kins, p)
+    _, sv_o, shape_o = leg_commutant_nullspace(*legs, q, BULK)
+    assert shape == shape_o and _unique(sv) == _unique(sv_o), Ms
 
 
-@pytest.mark.parametrize("generators, want", [
-    (DEFAULT_GENERATORS, {"bulk": 2, "affine": 2}), (SANS_AFFINE, {"bulk": 2, "affine": 0}),
+@pytest.mark.parametrize("solve, want", [
+    (commutant_nullspace, {"bulk": 2, "affine": 2}), (affine_ablation, {"bulk": 2, "affine": 2}),
 ], ids=["default", "sans-affine"])
-def test_s_solve_evaluates_each_points_labels_once(generators, want, params, monkeypatch):
+def test_s_solve_evaluates_each_points_labels_once(solve, want, params, monkeypatch):
     # both leg orders of a solve share one evaluation of each point's bulk
-    # and affine labels; the ablation set needs no affine ones
+    # and affine labels; the ablation assembles the same system, so it
+    # evaluates the affine ones too
     calls = {"bulk": 0, "affine": 0}
     for kind in calls:
         real = getattr(smatrix, f"{kind}_labels")
@@ -323,23 +338,81 @@ def test_s_solve_evaluates_each_points_labels_once(generators, want, params, mon
             return _real(kin, p)
 
         monkeypatch.setattr(smatrix, f"{kind}_labels", counted)
-    commutant_nullspace(kin_at(2, 1.3 + 0.8j, params), kin_at(3, 0.9 - 1.1j, params), params,
-                        generators)
+    solve(kin_at(2, 1.3 + 0.8j, params), kin_at(3, 0.9 - 1.1j, params), params)
     assert calls == want
 
 
 def test_commutant_layout_is_built_once_per_key(params):
-    # one layout per (M1, M2, q, generators), whatever the points
+    # one layout per (M1, M2, q), whatever the points, shared by the solve
+    # and the ablation
     commutant_layout.cache_clear()
     p15 = replace(params, q=1.5)
     for xm in (1.3 + 0.8j, -0.7 + 1.6j, 0.4 + 1.9j):
         for p in (params, p15):
             for Ms in ((2, 3), (3, 2)):
                 kins = kin_at(Ms[0], xm, p), kin_at(Ms[1], 0.9 - 1.1j, p)
-                for generators in (DEFAULT_GENERATORS, SANS_AFFINE):
-                    commutant_nullspace(*kins, p, generators)
+                for solve in (commutant_nullspace, affine_ablation):
+                    solve(*kins, p)
     info = commutant_layout.cache_info()
-    assert info.misses == info.currsize == 8 and info.hits == 16
+    assert info.misses == info.currsize == 4 and info.hits == 20
+
+
+def test_smatrix_suite_builds_one_layout_per_ordered_pair():
+    # qab smatrix --M 2,3 solves and ablates 4 ordered pairs on 4 layouts;
+    # a layout per generator set made 8
+    commutant_layout.cache_clear()
+    run_suite("smatrix", load_config(data={"M": [2, 3]}))
+    assert commutant_layout.cache_info().misses == 4
+
+
+def _separate_ablation(kins, p):
+    """The ablation as its own solve: the layout of the E2, F2 piece masks
+    alone (nullspace_layout), assembled and factored on its own.  Returns
+    (sv, shape)."""
+    (M1, M2), q = (kin.M for kin in kins), p.q
+    V12 = adapted_bases(M1, M2, q)
+    n = len(V12.labels)
+    masks = []
+    for bases in (V12, adapted_bases(M2, M1, q)):
+        mask = np.zeros((len(BULK), n, n), dtype=bool)
+        for m, gen in zip(mask, BULK):
+            i, j = bases.pairs[gen][:2]
+            m[i, j] = (bases.pieces[gen[0]] != 0).any(axis=0)
+        masks.append(mask)
+    layout = nullspace_layout(*masks, V12.labels)
+    keep = [FERMIONIC.index(gen) for gen in BULK]
+    A, B = reduced_coproducts(*kins, p)
+    return system_nullspace(layout_system(layout, A[keep], B[keep]))[1], layout.shape
+
+
+ABLATION_QS = {"q1.1": 1.1, "q1.5": 1.5, "q2": 2.0, "q-complex": 1.2 * np.exp(0.4j)}
+
+
+@pytest.mark.parametrize("q", ABLATION_QS.values(), ids=ABLATION_QS.keys())
+@pytest.mark.parametrize("Ms", [(1, 1), (2, 2), (2, 3), (3, 2), (4, 4)], ids=str)
+def test_affine_ablation_matches_its_separate_solve_bit_for_bit(Ms, q, params_gammas):
+    # the E2, F2 rows of the one system, in order, with their per-pair
+    # scales, are the separate solve's system: the same shape and the same
+    # singular values, bit for bit
+    p = replace(params_gammas, q=q)
+    kins = _s_points(p, Ms)
+    X, sv, shape = affine_ablation(*kins, p)
+    sv_o, shape_o = _separate_ablation(kins, p)
+    assert X is None and shape == shape_o and np.array_equal(sv, sv_o), Ms
+
+
+def test_affine_ablation_forms_no_braided_s(params, monkeypatch):
+    # with the warm cached bases swapped for copies without V and V^-1 the
+    # ablation still runs, and reads the same; the solve, which forms Ř, cannot
+    kins = _s_points(params, (2, 3))
+    _, want, shape = affine_ablation(*kins, params)
+    cached = smatrix.adapted_bases
+    monkeypatch.setattr(smatrix, "adapted_bases",
+                        lambda *key: cached(*key)._replace(V=None, V_inv=None))
+    _, sv, shape_o = affine_ablation(*kins, params)
+    assert shape == shape_o and np.array_equal(sv, want)
+    with pytest.raises((TypeError, IndexError)):
+        commutant_nullspace(*kins, params)
 
 
 def test_affine_ablation_needs_two_bound_states(params):
@@ -347,18 +420,14 @@ def test_affine_ablation_needs_two_bound_states(params):
     # >= 2; with an M = 1 factor the bosonic and bulk generators suffice
     for Ms, degenerate in [((2, 2), True), ((3, 3), True), ((3, 2), True),
                            ((1, 1), False), ((1, 3), False), ((3, 1), False)]:
-        sv = s_nullspace(*_s_points(params, Ms), params, SANS_AFFINE)[1]
+        sv = affine_ablation(*_s_points(params, Ms), params)[1]
         assert _unique(sv) != degenerate, Ms
-
-
-def test_commutant_needs_the_bosonic_generators(params):
-    with pytest.raises(ValueError):
-        s_nullspace(*_s_points(params, (1, 1)), params, ("E2", "F2", "E4", "F4"))
 
 
 def test_cached_bases_carry_no_kinematics(params):
     # bases built from the coproducts at two kinematic points are the cached
-    # ones of each leg order, bit for bit; a solve builds one basis per
+    # ones of each leg order, bit for bit, with their reduced pieces; a
+    # solve builds one basis per
     # ordered pair, so (2, 3) misses the cache twice and (3, 3) once
     M1, M2 = 2, 3
     for xm1, xm2 in [(1.3 + 0.8j, 0.9 - 1.1j), (-0.7 + 1.6j, 1.2 + 0.4j)]:
@@ -366,12 +435,10 @@ def test_cached_bases_carry_no_kinematics(params):
         leg2 = Leg(kin_at(M2, xm2, params), params)
         for a, b in [(leg1, leg2), (leg2, leg1)]:
             cached = adapted_bases(a.space.M, b.space.M, params.q)
-            built = smatrix._adapted_basis(
-                {g: coproduct(g, a, b) for g in BOSONIC},
-                product_weights(a.space, b.space), params.q,
-            )
+            built = smatrix._adapted_basis(a, b, params.q)
             for x, y in [(built.V, cached.V), (built.V_inv, cached.V_inv),
-                         (built.labels, cached.labels)]:
+                         (built.labels, cached.labels),
+                         *((built.pieces[x], cached.pieces[x]) for x in "EF")]:
                 assert np.array_equal(x, y)
             for x, y in [(built.support, cached.support),
                          *((built.pairs[g], cached.pairs[g]) for g in FERMIONIC)]:
@@ -462,7 +529,7 @@ def test_unique_and_ablated_gaps_keep_their_margin(params):
         rng = np.random.default_rng([1, index])
         kins = [sample_kinematics(M, params, rng) for M in Ms]
         assert spectral_gap(commutant_nullspace(*kins, params)[1]) <= 1e-9, Ms
-        ablated = commutant_nullspace(*kins, params, SANS_AFFINE)[1]
+        ablated = affine_ablation(*kins, params)[1]
         assert spectral_gap(ablated) >= 1e-4, Ms
     for M in (2, 3, 4, 6):
         kin = sample_kinematics(M, params, np.random.default_rng([1, 100 + M]))

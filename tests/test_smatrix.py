@@ -18,10 +18,9 @@ from qab.kinematics import reflect_kinematics
 from qab.kmatrix import boundary_system
 from qab.numerics import TOL_ALGEBRA, TOL_COMPOSITE, rel_residual
 from qab.smatrix import (
-    DEFAULT_GENERATORS,
     NULL_GAP,
-    SANS_AFFINE,
     VerificationError,
+    affine_ablation,
     intertwiner_system,
     pair_residuals,
     product_weights,
@@ -29,7 +28,7 @@ from qab.smatrix import (
     unique_intertwiner,
     ybe_residual,
 )
-from qab.representation import GENERATORS, build_basis
+from qab.representation import GENERATORS, SHIFTS, build_basis
 
 from conftest import (
     braided_s,
@@ -43,7 +42,7 @@ from conftest import (
 
 def _intertwining(S, kin1, kin2, params):
     """Per-generator residual of Ř Delta_12(J) = Delta_21(J) Ř over all twelve."""
-    pairs = intertwiner_system(Leg(kin1, params), Leg(kin2, params), GENERATORS)
+    pairs = intertwiner_system(Leg(kin1, params), Leg(kin2, params))
     return dict(zip(GENERATORS, pair_residuals(S, pairs)))
 
 
@@ -113,7 +112,7 @@ def test_nullspace_vector_satisfies_full_equations(points, params):
     R = braided_s(points[1], points["1b"], params)
     leg1 = Leg(points[1], params)
     leg2 = Leg(points["1b"], params)
-    for gen in DEFAULT_GENERATORS:
+    for gen in SHIFTS:
         A = dense_coproduct(gen, leg1, leg2).matrix
         B = dense_coproduct(gen, leg2, leg1).matrix
         assert np.linalg.norm(R @ A - B @ R) < 1e-12, gen
@@ -142,7 +141,7 @@ def test_pair_residuals_on_terms_match_the_dense_products(k1, k2, points, params
     # ||X A - B X|| / max(1, ||X||) formed with the dense matrices
     rng = np.random.default_rng(0)
     leg1, leg2 = Leg(points[k1], params), Leg(points[k2], params)
-    s_pairs = intertwiner_system(leg1, leg2, GENERATORS)
+    s_pairs = intertwiner_system(leg1, leg2)
     k_pairs = boundary_system(points[k1], params)[0]
     for pairs, dense_pairs in ((s_pairs, [(dense(A), dense(B)) for A, B in s_pairs]),
                                (k_pairs, k_pairs)):
@@ -157,7 +156,7 @@ def test_affine_ablation_raises_dimension(points, params):
     # with both bound-state numbers >= 2 the subalgebra alone no longer fixes
     # S; the affine generators are what force uniqueness
     sv_full = s_nullspace(points[2], points["2b"], params)[1]
-    sv_ablated = s_nullspace(points[2], points["2b"], params, SANS_AFFINE)[1]
+    sv_ablated = affine_ablation(points[2], points["2b"], params)[1]
     assert spectral_gap(sv_full) <= NULL_GAP
     assert spectral_gap(sv_ablated) > NULL_GAP
 
@@ -165,12 +164,12 @@ def test_affine_ablation_raises_dimension(points, params):
 def test_fundamental_leg_stays_unique_without_affine(points, params):
     # known exception: a fundamental (M=1) factor leaves the product
     # irreducible under the subalgebra, so the ablation does not degenerate
-    sv = s_nullspace(points[1], points["1b"], params, SANS_AFFINE)[1]
+    sv = affine_ablation(points[1], points["1b"], params)[1]
     assert spectral_gap(sv) <= NULL_GAP
 
 
 def test_degenerate_request_raises(points, params):
-    solution = s_nullspace(points[2], points["2b"], params, SANS_AFFINE)
+    solution = affine_ablation(points[2], points["2b"], params)
     with pytest.raises(VerificationError, match="no spectral gap"):
         unique_intertwiner(solution)
     # sigma_2 = 0: fewer equations than unknowns, no gap either
