@@ -9,7 +9,9 @@ every residual is paired with the tolerance it was judged against.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import io
 import json
 import sys
@@ -18,6 +20,7 @@ import traceback
 from dataclasses import dataclass, field, fields, asdict, replace
 from itertools import product
 
+import mpmath
 import numpy as np
 
 from . import __version__, numerics as nm
@@ -213,22 +216,30 @@ def _point_rng(seed: int, index: int):
     return np.random.default_rng([seed, index])
 
 
-def _check(suite, name, M, residual, threshold, invert=False, extra=None):
+def _check(suite, name, residual, threshold, invert=False, *, M, **extra):
+    """One report row: ``residual`` judged against ``threshold`` (above it for
+    an ``invert``ed negative control) at bound-state numbers ``M``, and the
+    ``extra`` fields."""
     residual = float(residual)
-    passed = residual > threshold if invert else residual <= threshold
-    row = {
+    return {
         "suite": suite,
         "check": name,
         "M": list(M) if isinstance(M, (tuple, list)) else [M],
         "residual": residual,
         "threshold": float(threshold),
-        "passed": bool(passed),
+        "passed": bool(residual > threshold if invert else residual <= threshold),
+        **({"expected": "above-threshold"} if invert else {}),
+        **extra,
     }
-    if invert:
-        row["expected"] = "above-threshold"
-    if extra:
-        row.update(extra)
-    return row
+
+
+def _gap(solution):
+    """The spectral gap sigma_1 / sigma_2 of a null-space ``solution`` (X, sv,
+    shape), and its certificate: sigma_1 and sigma_2 over sigma_max and the
+    system's [rows, unknowns]."""
+    _, sv, shape = solution
+    return spectral_gap(sv), {"sigma_1_over_max": float(sv[-1] / sv[0]),
+                              "sigma_2_over_max": float(sv[-2] / sv[0]), "shape": list(shape)}
 
 
 def _map_points(fn, jobs):
@@ -241,65 +252,45 @@ def _map_points(fn, jobs):
     return [fn(job) for job in jobs]
 
 
-def _mp_params(params: ModelParams) -> ModelParams:
-    import mpmath
-
-    return ModelParams(**{name: mpmath.mpc(getattr(params, name)) for name in COUPLINGS})
-
-
 def suite_rep_check(cfg: RunConfig):
     params = cfg.params()
     high = cfg.precision.startswith("high:")
-    if high:
-        import mpmath
-
-        params = _mp_params(params)
+    # the couplings at working precision: a double converts exactly
+    work = (replace(params, **{n: mpmath.mpc(getattr(params, n)) for n in COUPLINGS})
+            if high else params)
     tol = cfg.tol("algebra")
 
     def one(M):
         # every sample of one M in one verify_algebra pass, each drawn as alone
-        kins = [sample_kinematics(M, cfg.params(), _point_rng(cfg.seed, M * 1000 + s))
+        kins = [sample_kinematics(M, params, _point_rng(cfg.seed, M * 1000 + s))
                 for s in range(cfg.samples)]
         if high:
             # re-solve x+ at working precision so shortening holds exactly
-            kins = [on_shell(M, mpmath.mpc(k.x_minus), params, near=k.x_plus) for k in kins]
+            kins = [on_shell(M, mpmath.mpc(k.x_minus), work, near=k.x_plus) for k in kins]
         rows = []
         for s, res in enumerate(verify_algebra(
-                kins, params, build_basis(M), dtype=object if high else complex)):
+                kins, work, build_basis(M), dtype=object if high else complex)):
             worst = max(res, key=res.get)
-            rows.append(_check("rep-check", f"defining-relations[s{s}]", M, res[worst], tol,
-                               extra={"worst_relation": worst}))
+            rows.append(_check("rep-check", f"defining-relations[s{s}]", res[worst], tol, M=M,
+                               worst_relation=worst))
         return rows
 
-    if not high:
-        return [row for rows in _map_points(one, cfg.M) for row in rows]
     # the working precision holds inside this suite only, not process-wide
-    with mpmath.workprec(int(cfg.precision.split(":")[1])):
+    with mpmath.workprec(int(cfg.precision[5:])) if high else contextlib.nullcontext():
         return [row for rows in _map_points(one, cfg.M) for row in rows]
 
 
-def _gap_check(suite, name, M, solution, invert=False, extra=None):
-    """The row of a null-space ``solution`` (X, sv, shape): its spectral gap
-    sigma_1 / sigma_2 against NULL_GAP, with sigma_1 and sigma_2 over
-    sigma_max and the system's [rows, unknowns] as its certificate."""
-    _, sv, shape = solution
-    return _check(suite, name, M, spectral_gap(sv), NULL_GAP, invert=invert, extra={
-        "sigma_1_over_max": float(sv[-1] / sv[0]),
-        "sigma_2_over_max": float(sv[-2] / sv[0]), "shape": list(shape), **(extra or {}),
-    })
-
-
-def _per_point(cfg: RunConfig, offset: int, jobs, check, suite, name, threshold,
-               pass_rng=False):
-    """Run ``check(params, *kins)`` once per job and flatten the rows.
+def _per_point(cfg: RunConfig, offset: int, jobs, check, suite, name, threshold):
+    """Run ``check(params, rng, row, *kins)`` once per job and flatten the rows.
 
     Job idx is a tuple of bound-state numbers; it draws its rng from
-    (seed, offset + idx) and samples one kinematic point per M, in order.
-    With ``pass_rng`` the check also takes that rng as ``rng``, to draw from
-    after the kinematics.  A VerificationError, PoleError or LinAlgError of
-    the check turns into the point's one failed row ``name`` of ``suite``,
-    at relative residual 1 against ``threshold``, whose ``error`` field
-    carries the exception's type and message.
+    (seed, offset + idx) and samples one kinematic point per M, in order; the
+    check may draw more from ``rng`` after them.  ``row`` is ``_check`` of
+    ``suite`` at the job's bound-state numbers, which a keyword ``M``
+    overrides.  A VerificationError, PoleError or LinAlgError of the check
+    turns into the point's one failed row ``name``, at relative residual 1
+    against ``threshold``, whose ``error`` field carries the exception's type
+    and message.
     """
     params = cfg.params()
 
@@ -307,11 +298,11 @@ def _per_point(cfg: RunConfig, offset: int, jobs, check, suite, name, threshold,
         idx, Ms = job
         rng = _point_rng(cfg.seed, offset + idx)
         kins = [sample_kinematics(M, params, rng) for M in Ms]
+        row = functools.partial(_check, suite, M=Ms)
         try:
-            return check(params, *kins, rng=rng) if pass_rng else check(params, *kins)
+            return check(params, rng, row, *kins)
         except (VerificationError, PoleError, np.linalg.LinAlgError) as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            return [_check(suite, name, Ms, 1.0, threshold, extra={"error": error})]
+            return [row(name, 1.0, threshold, error=f"{type(exc).__name__}: {exc}")]
 
     return [row for rows in _map_points(one, list(enumerate(jobs))) for row in rows]
 
@@ -319,8 +310,7 @@ def _per_point(cfg: RunConfig, offset: int, jobs, check, suite, name, threshold,
 def suite_coalgebra(cfg: RunConfig):
     tol = cfg.tol("algebra")
 
-    def check(params, kin1, kin2):
-        M1, M2 = kin1.M, kin2.M
+    def check(params, rng, row, kin1, kin2):
         leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
         dmap = coproduct_map(leg1, leg2)
         tw = coalgebra.twisted_boundary_charges(leg1.gens, params)
@@ -328,16 +318,12 @@ def suite_coalgebra(cfg: RunConfig):
         exp = coalgebra.coideal_expansion_check(leg1, leg2, dmap, params)
         inv = coalgebra.twisted_central_invariance(kin1, tw, params)
         return [
-            _check("coalgebra", "coproduct-homomorphism", (M1, M2), max(hom.values()), tol),
-            _check("coalgebra", "coideal-expansion", (M1, M2), max(exp.values()), tol),
-            _check(
-                "coalgebra", "twisted-F1-raising", M1,
-                coalgebra.twisted_f1_action_residual(kin1, tw, params), tol,
-            ),
-            _check(
-                "coalgebra", "twisted-central-invariance", M1,
-                max(v for d in inv.values() for v in d.values()), tol,
-            ),
+            row("coproduct-homomorphism", max(hom.values()), tol),
+            row("coideal-expansion", max(exp.values()), tol),
+            row("twisted-F1-raising", coalgebra.twisted_f1_action_residual(kin1, tw, params),
+                tol, M=kin1.M),
+            row("twisted-central-invariance", max(v for d in inv.values() for v in d.values()),
+                tol, M=kin1.M),
         ]
 
     return _per_point(cfg, 5000, list(product(cfg.M, repeat=2)), check,
@@ -347,12 +333,13 @@ def suite_coalgebra(cfg: RunConfig):
 def suite_smatrix(cfg: RunConfig):
     tol = cfg.tol("algebra")
 
-    def check(params, kin1, kin2):
+    def check(params, rng, row, kin1, kin2):
         Ms = (kin1.M, kin2.M)
         conds = {"cond_V": smatrix.adapted_bases(*Ms, params.q).cond_V,  # V1 (x) V2
                  "cond_W": smatrix.adapted_bases(*Ms[::-1], params.q).cond_V}  # V2 (x) V1
         solution = smatrix.commutant_nullspace(kin1, kin2, params)
-        rows = [_gap_check("smatrix", "null-dimension", Ms, solution, extra=conds)]
+        gap, cert = _gap(solution)
+        rows = [row("null-dimension", gap, NULL_GAP, **cert, **conds)]
         if not rows[0]["passed"]:
             return rows  # no unique S to check further
         S = smatrix.unique_intertwiner(solution)
@@ -360,13 +347,11 @@ def suite_smatrix(cfg: RunConfig):
         # the cached pieces it was solved from
         legs = Leg(kin1, params), Leg(kin2, params)
         res = smatrix.pair_residuals(S, smatrix.intertwiner_system(*legs))
-        rows.append(_check("smatrix", "intertwining", Ms, max(res), tol))
+        rows.append(row("intertwining", max(res), tol))
         if min(Ms) >= 2:
-            rows.append(_gap_check(
-                "smatrix", "affine-ablation", Ms,
-                smatrix.affine_ablation(kin1, kin2, params),
-                invert=True, extra={"note": "no spectral gap without E4, F4", **conds},
-            ))
+            gap, cert = _gap(smatrix.affine_ablation(kin1, kin2, params))
+            rows.append(row("affine-ablation", gap, NULL_GAP, invert=True,
+                            note="no spectral gap without E4, F4", **cert, **conds))
         return rows
 
     return _per_point(cfg, 9000, list(product(cfg.M, repeat=2)), check,
@@ -378,42 +363,36 @@ def suite_ybe(cfg: RunConfig, first=None):
     # every triple of cfg.M, in order, or the ``first`` of them (``all``)
     triples = sorted(set(product(cfg.M, repeat=3)))[:first]
 
-    def check(params, *kins, rng):
+    def check(params, rng, row, *kins):
         # the probes come from the point's rng, after its kinematics
-        Ms = tuple(k.M for k in kins)
-        return [_check("ybe", "yang-baxter", Ms, smatrix.ybe_residual(*kins, params, rng), tol)]
+        return [row("yang-baxter", smatrix.ybe_residual(*kins, params, rng), tol)]
 
-    return _per_point(cfg, 13000, triples, check, "ybe", "yang-baxter", tol, pass_rng=True)
+    return _per_point(cfg, 13000, triples, check, "ybe", "yang-baxter", tol)
 
 
 def suite_kmatrix(cfg: RunConfig):
     tol_i = cfg.tol("intertwiner")
-    tol_a = cfg.tol("algebra")
 
-    def check(params, kin):
-        M = kin.M
+    def check(params, rng, row, kin):
         pairs, weights = kmatrix.boundary_system(kin, params)
         solution = smatrix.weight_nullspace(pairs, weights)
-        gap = _gap_check("kmatrix", "null-dimension", M, solution)
-        if not gap["passed"]:
-            return [gap]  # no unique K to check further
+        gap, cert = _gap(solution)
+        rows = [row("null-dimension", gap, NULL_GAP, **cert)]
+        if not rows[0]["passed"]:
+            return rows  # no unique K to check further
         K = kmatrix.closed_form_kmatrix(kin, params)
-        Ks = smatrix.unique_intertwiner(solution)
         rows = [
-            _check(
-                "kmatrix", "closed-vs-intertwiner", M,
-                kmatrix.compare_kmatrices(K, Ks), tol_i,
-            ),
-            _check("kmatrix", "invariance", M, max(smatrix.pair_residuals(K, pairs)), tol_i),
+            row("closed-vs-intertwiner",
+                kmatrix.compare_kmatrices(K, smatrix.unique_intertwiner(solution)), tol_i),
+            row("invariance", max(smatrix.pair_residuals(K, pairs)), tol_i),
         ]
-        if M >= 2:
+        if kin.M >= 2:
             preserved = pairs[:len(kmatrix.PRESERVED_CHARGES)]
-            rows.append(_gap_check(
-                "kmatrix", "twisted-ablation", M, smatrix.weight_nullspace(preserved, weights),
-                invert=True, extra={"note": "no spectral gap without twisted charges"},
-            ))
-            sym = kmatrix.ck_symmetry_residual(kin, params)
-            rows.append(_check("kmatrix", "ck-covariance", M, sym.max(), tol_a))
+            gap, cert = _gap(smatrix.weight_nullspace(preserved, weights))
+            rows.append(row("twisted-ablation", gap, NULL_GAP, invert=True,
+                            note="no spectral gap without twisted charges", **cert))
+            rows.append(row("ck-covariance", kmatrix.ck_symmetry_residual(kin, params).max(),
+                            cfg.tol("algebra")))
         return rows
 
     return _per_point(cfg, 17000, [(M,) for M in cfg.M], check,
@@ -423,25 +402,18 @@ def suite_kmatrix(cfg: RunConfig):
 def suite_bybe(cfg: RunConfig):
     tol = cfg.tol("composite")
 
-    def check(params, *kins):
-        Ms = tuple(kin.M for kin in kins)
+    def check(params, rng, row, *kins):
         smats = kmatrix.reflection_smatrices(*kins, params)
         K1, K2 = (kmatrix.closed_form_kmatrix(kin, params) for kin in kins)
-        rows = [_check(
-            "bybe", "reflection-equation", Ms,
-            kmatrix.boundary_ybe_residual(K1, K2, smats), tol,
-        )]
-        if max(Ms) >= 2:
+        rows = [row("reflection-equation", kmatrix.boundary_ybe_residual(K1, K2, smats), tol)]
+        if max(kin.M for kin in kins) >= 2:
             # the constant C_k = C_0 = gamma_reflected / gamma at every k
             T1, T2 = (kmatrix.closed_form_kmatrix(kin, params, c_override=np.full(
                 kin.M, reflect_kinematics(kin, params).gamma / kin.gamma,
             )) for kin in kins)
-            rows.append(_check(
-                "bybe", "trivial-Ck-control", Ms,
-                kmatrix.boundary_ybe_residual(T1, T2, smats),
-                1e-2, invert=True,
-                extra={"note": "constant C_k must violate the reflection equation"},
-            ))
+            rows.append(row("trivial-Ck-control", kmatrix.boundary_ybe_residual(T1, T2, smats),
+                            1e-2, invert=True,
+                            note="constant C_k must violate the reflection equation"))
         return rows
 
     return _per_point(cfg, 21000, list(product(cfg.M, repeat=2)), check,
@@ -451,9 +423,8 @@ def suite_bybe(cfg: RunConfig):
 def suite_unitarity(cfg: RunConfig):
     tol = cfg.tol("intertwiner")
 
-    def check(params, kin):
-        residual = kmatrix.unitarity_residual(kin, params)
-        return [_check("unitarity", "K(p)K(-p)=Id", kin.M, residual, tol)]
+    def check(params, rng, row, kin):
+        return [row("K(p)K(-p)=Id", kmatrix.unitarity_residual(kin, params), tol)]
 
     return _per_point(cfg, 25000, [(M,) for M in cfg.M], check,
                       "unitarity", "K(p)K(-p)=Id", tol)
@@ -461,43 +432,33 @@ def suite_unitarity(cfg: RunConfig):
 
 def suite_limits(cfg: RunConfig):
     params = cfg.params()
-    checks = []
     rng = _point_rng(cfg.seed, 29000)
 
     # rational limit of the reflection coefficients, O(eps) convergence
     M = max([m for m in cfg.M if m >= 2], default=2)
+    row = functools.partial(_check, "limits", M=M)
     xm = complex(sample_kinematics(1, params, rng).x_minus)
     errs = kmatrix.rational_limit_errors(xm, M, params)
-    for eps, err in zip(kmatrix.RATIONAL_LIMIT_EPS, errs):
-        checks.append(_check(
-            "limits", f"rational-coefficients[eps={eps:g}]", M, err, 10 * eps,
-        ))
+    checks = [row(f"rational-coefficients[eps={eps:g}]", err, 10 * eps)
+              for eps, err in zip(kmatrix.RATIONAL_LIMIT_EPS, errs)]
     rate = np.log10(errs[0] / errs[1]) if errs[1] > 0 else 1.0
-    checks.append(_check(
-        "limits", "rational-convergence-rate", M, abs(rate - 1.0), 0.3,
-        extra={"fitted_rate": float(rate)},
-    ))
+    checks.append(row("rational-convergence-rate", abs(rate - 1.0), 0.3,
+                      fitted_rate=float(rate)))
 
     # fundamental M=1 coefficient limit A_1/A_0 = -1/(z U^2) -> -x-/x+
     p_eps = replace(params, q=1 + 1e-6)
     kin1 = on_shell(1, complex(sample_kinematics(1, params, rng).x_minus), p_eps)
-    checks.append(_check(
-        "limits", "fundamental-A1/A0", 1,
-        abs(-1.0 / (kin1.z * kin1.U**2) + kin1.x_minus / kin1.x_plus), 1e-4,
-    ))
+    checks.append(row("fundamental-A1/A0",
+                      abs(-1.0 / (kin1.z * kin1.U**2) + kin1.x_minus / kin1.x_plus), 1e-4, M=1))
 
     # Yangian limit: rescaled twisted charges stay Cauchy with O(q-1) rate
     q_values = [1 + 1e-2, 1 + 1e-3, 1 + 1e-4]
     M_y = min(cfg.M)
     xm_y = complex(sample_kinematics(M_y, params, rng).x_minus)
-    table = coalgebra.yangian_limit_probe(q_values, xm_y, M_y, params)
-    for name, row in table.items():
-        diverging = row["diffs"][-1] > row["diffs"][0] or not np.isfinite(row["norms"][-1])
-        checks.append(_check(
-            "limits", f"yangian-cauchy[{name}]", M_y,
-            0.0 if not diverging else row["diffs"][-1], 1.0,
-            extra={"diffs": row["diffs"], "ratios": row["ratios"]},
-        ))
+    for name, probe in coalgebra.yangian_limit_probe(q_values, xm_y, M_y, params).items():
+        diverging = probe["diffs"][-1] > probe["diffs"][0] or not np.isfinite(probe["norms"][-1])
+        checks.append(row(f"yangian-cauchy[{name}]", probe["diffs"][-1] if diverging else 0.0,
+                          1.0, M=M_y, diffs=probe["diffs"], ratios=probe["ratios"]))
     return checks
 
 

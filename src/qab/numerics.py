@@ -92,9 +92,14 @@ def emul(*factors):
     arrays = [np.asarray(f) for f in factors]
     if all(a.dtype != object for a in arrays):
         return functools.reduce(operator.mul, factors)
+    return _emul_nonzero(arrays, [a.astype(bool) for a in arrays])
+
+
+def _emul_nonzero(arrays, masks):
+    """``emul`` of ``arrays`` given each one's nonzero mask, unbroadcast."""
     arrays = np.broadcast_arrays(*arrays)
     out = np.zeros(arrays[0].shape, dtype=object)
-    nz = np.nonzero(np.logical_and.reduce([a.astype(bool) for a in arrays]))
+    nz = np.nonzero(functools.reduce(np.logical_and, masks))
     out[nz] = [functools.reduce(operator.mul, xs) for xs in zip(*(a[nz] for a in arrays))]
     return out
 
@@ -106,10 +111,20 @@ def mdot(a, b):
     Each entry folds a[..., i, k] * b[..., k, j] left to right over ascending
     k, as ``np.matmul`` does, in one vectorised step per k; for 2 x 2 weight
     blocks that is several times faster than a BLAS call per block.  Object
-    arrays multiply only nonzero pairs (``emul``); adding an exact zero never
-    changes an mpmath value, so the result is ``np.matmul``'s bit for bit.
+    arrays multiply only nonzero pairs, as ``emul`` does, from the nonzero
+    masks of a and b taken once; adding an exact zero never changes an mpmath
+    value, so the result is ``np.matmul``'s bit for bit.
     """
-    out = emul(a[..., :, :1], b[..., :1, :])
+    if a.dtype != object and b.dtype != object:
+        def term(k):
+            return a[..., :, k:k + 1] * b[..., k:k + 1, :]
+    else:
+        nz_a, nz_b = a.astype(bool), b.astype(bool)
+
+        def term(k):
+            col, row = np.s_[..., :, k:k + 1], np.s_[..., k:k + 1, :]
+            return _emul_nonzero((a[col], b[row]), (nz_a[col], nz_b[row]))
+    out = term(0)
     for k in range(1, a.shape[-1]):
-        out = out + emul(a[..., :, k:k + 1], b[..., k:k + 1, :])
+        out = out + term(k)
     return out

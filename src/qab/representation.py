@@ -397,6 +397,12 @@ def verify_algebra(
     def blocks(names):
         return np.stack([ops[name][0] for name in names])
 
+    def kept(names):
+        # the generators and copies of the products ``names``: every other
+        # product is done with, and a copy pins no multiply batch it views
+        return {**{name: ops[name] for name in SHIFTS},
+                **{name: (ops[name][0].copy(), ops[name][1]) for name in names}}
+
     ops = {name: (b, SHIFTS[name]) for name, b in zip(SHIFTS, ef)}
 
     def inv(d):
@@ -406,13 +412,13 @@ def verify_algebra(
     ident = np.where(mask, 1, 0).astype(dtype)
 
     # Cartan relations K_i X_j K_i^-1 = q^{±DA_ij} X_j, elementwise.
-    lhs = nm.emul(kd[:, pt, to[:, None]][..., :, None], ef, kd_inv[:, None, ..., None, :])
     power = np.array([[q ** (sign * DA[i][j]) for sign in (1, -1) for j in range(4)]
                       for i in range(4)], dtype=dtype)
-    rhs = nm.emul(power[:, :, None, None, None, None], ef)
     order = (4, 2, 4) + ef.shape[1:]  # (i, E|F, j) -> (i, j, E|F)
     put([f"K{i}{x}{j}" for i in range(1, 5) for j in range(1, 5) for x in "EF"],
-        *(np.swapaxes(a.reshape(order), 1, 2).reshape((32,) + ef.shape[1:]) for a in (lhs, rhs)))
+        *(np.swapaxes(a.reshape(order), 1, 2).reshape((32,) + ef.shape[1:]) for a in (
+            nm.emul(kd[:, pt, to[:, None]][..., :, None], ef, kd_inv[:, None, ..., None, :]),
+            nm.emul(power[:, :, None, None, None, None], ef))))
 
     # The 28 graded brackets [X, Y} of two generators, in one batch.
     pairs = [(f"E{i}", f"F{j}") for i in range(1, 5) for j in range(1, 5)]
@@ -439,6 +445,10 @@ def verify_algebra(
     # X_k X1 X3 X_k is (X_k X1)(X3 X_k), both factors from the brackets.
     cubic = [(f"{x}{j}", f"{x}{k}") for x in "EF" for j in (1, 3) for k in (2, 4)]
     quartic = [(x, k) for k in (2, 4) for x in "EF"]
+    ops = kept([f"[{xj},{xk}]" for xj, xk in cubic] + [xj + xk for xj, xk in cubic]
+               + [f"{x}{k}{x}1" for x, k in quartic]
+               + [name for x in "EF"
+                  for name in (f"[{x}1,{x}3]", f"[{x}2,{x}4]", f"{x}2{x}2", f"{x}4{x}4")])
     batch = []
     for xj, xk in cubic:
         inner = f"[{xj},{xk}]"
@@ -477,6 +487,7 @@ def verify_algebra(
 
     # Central charges C1 = K1 K2^2 K3, C2, C3: scalar values and centrality.
     c1 = kd[0] * kd[1] * kd[1] * kd[2]
+    ops = kept([])  # the brackets and the Serre products are done with
     ops["C2"], ops["C3"] = (lhs["E", 2], (0, 0)), (lhs["F", 2], (0, 0))
     put(["C1_scalar"], c1[None], (ident * column(lambda u, v: v**-2))[None])
     put(["C2_scalar", "C3_scalar"], blocks(["C2", "C3"]), _diag(np.stack([

@@ -600,3 +600,73 @@ def test_all_at_seed_7_keeps_its_64_rows_and_passes():
     assert [(r["suite"], r["check"], r["M"]) for r in rows] == ALL_SEED_7_ROWS
     assert len(rows) == 64
     assert [r for r in rows if not r["passed"]] == []
+
+
+#: The fields every report row carries.
+BASE_FIELDS = {"suite", "check", "M", "residual", "threshold", "passed"}
+#: The spectral-gap certificate of a null-space solve.
+GAP_FIELDS = {"sigma_1_over_max", "sigma_2_over_max", "shape"}
+#: The fields beyond BASE_FIELDS of each row kind, (suite, check up to "[").
+ROW_EXTRA_FIELDS = {
+    ("rep-check", "defining-relations"): {"worst_relation"},
+    ("smatrix", "null-dimension"): GAP_FIELDS | {"cond_V", "cond_W"},
+    ("smatrix", "affine-ablation"): GAP_FIELDS | {"cond_V", "cond_W", "expected", "note"},
+    ("kmatrix", "null-dimension"): GAP_FIELDS,
+    ("kmatrix", "twisted-ablation"): GAP_FIELDS | {"expected", "note"},
+    ("bybe", "trivial-Ck-control"): {"expected", "note"},
+    ("limits", "rational-convergence-rate"): {"fitted_rate"},
+    ("limits", "yangian-cauchy"): {"diffs", "ratios"},
+}
+
+
+def _cli_rows(argv, tmp_path):
+    out = tmp_path / "report.json"
+    main([*argv, "--out", str(out)])
+    return json.loads(out.read_text())["checks"]
+
+
+def _extra_fields(row):
+    assert BASE_FIELDS <= set(row), row
+    return set(row) - BASE_FIELDS
+
+
+@pytest.mark.parametrize("argv", [
+    ["all", "--seed", "7"], ["smatrix", "--M", "2"], ["kmatrix", "--M", "2"],
+], ids=["all", "smatrix", "kmatrix"])
+def test_every_row_kind_carries_exactly_its_fields(argv, tmp_path):
+    rows = _cli_rows(argv, tmp_path)
+    kinds = set()
+    for row in rows:
+        kind = (row["suite"], row["check"].split("[")[0])
+        assert _extra_fields(row) == ROW_EXTRA_FIELDS.get(kind, set()), kind
+        kinds.add(kind)
+        if "expected" in row:
+            assert row["expected"] == "above-threshold"
+    if argv[0] == "all":
+        # every kind but the K null-dimension row, which a passing point omits
+        assert set(ROW_EXTRA_FIELDS) - kinds == {("kmatrix", "null-dimension")}
+
+
+def test_failed_rows_carry_their_fields(monkeypatch, tmp_path):
+    # a gapless K system reports its null-dimension row with the certificate;
+    # a point whose check raises reports one row with its error
+    solve = smatrix.weight_nullspace
+
+    def flat_gap(pairs, weights):
+        X, sv, shape = solve(pairs, weights)
+        sv = sv.copy()
+        sv[-2] = 2 * sv[-1]
+        return X, sv, shape
+
+    monkeypatch.setattr(smatrix, "weight_nullspace", flat_gap)
+    (row,) = _cli_rows(["kmatrix", "--M", "2"], tmp_path)
+    assert row["check"] == "null-dimension" and not row["passed"]
+    assert _extra_fields(row) == GAP_FIELDS
+
+    def refuse(*args):
+        raise VerificationError("no spectral gap")
+
+    monkeypatch.setattr(kmatrix, "unitarity_residual", refuse)
+    (row,) = _cli_rows(["unitarity", "--M", "2"], tmp_path)
+    assert _extra_fields(row) == {"error"}
+    assert row["error"] == "VerificationError: no spectral gap" and not row["passed"]
