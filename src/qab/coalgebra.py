@@ -1,4 +1,4 @@
-"""Graded tensor calculus, coproducts and the twisted coideal boundary charges.
+"""Two-leg operators, coproducts and the twisted coideal boundary charges.
 
 The tensor product of graded operators carries the Koszul sign
 (A (x) B)(v (x) w) = (-1)^{|B||v|} (Av) (x) (Bw); this is the unique sign
@@ -6,9 +6,12 @@ convention under which the (sign-free) coproduct displays become algebra
 homomorphisms in the representation.  The legs are taken in the order given:
 coproduct(J, leg2, leg1) is Delta_21(J) on V2 (x) V1, which is all the
 opposite coproduct needs, so no graded flip of legs is ever built.
-A coproduct is returned as its Kronecker terms of one-leg matrices, with the
-Koszul sign folded into the first factor; only graded_tensor and
-coproduct_map, which the coalgebra checks read, form dense two-leg matrices.
+Every operator on two legs is a TwoLeg: its Kronecker terms of one-leg
+matrices, with the Koszul sign folded into the first factor.  Products,
+sums and transposes act on the terms, (a (x) b)(c (x) d) = ac (x) bd, and a
+TwoLeg acts on a matrix whose rows are the two legs by reshape, so no
+two-leg matrix is multiplied; the coalgebra checks form the dense sum of
+terms (TwoLeg.matrix) only for the two operands they compare.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from .kinematics import Kinematics, ModelParams, derive_couplings, on_shell, ref
 from .numerics import qint, rel_residual
 from .representation import (
     D_DIAG,
-    GENERATOR_PARITY,
-    GENERATORS,
     GradedOperator,
     all_generators,
     bosonic_generators,
@@ -32,28 +33,72 @@ from .representation import (
 )
 
 
-def koszul_term(A: GradedOperator, B: GradedOperator, space1) -> tuple:
-    """A (x) B as the term (A', B) of one-leg matrices, A (x) B = kron(A', B):
-    column j1 of A' is that of A times the Koszul sign (-1)^{|B| p(j1)}."""
-    if B.parity == 0:
-        return A.matrix, B.matrix
-    return A.matrix * (1 - 2 * space1.parities), B.matrix
+def _on_left(R: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """(R (x) 1) T: R acts on the leading legs of the rows of T."""
+    return (R @ T.reshape(R.shape[1], -1)).reshape(-1, T.shape[1])
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron(a, b), each entry the same single product, without np.kron's
-    per-call axis bookkeeping (most of its time at these sizes)."""
-    kron = a[:, None, :, None] * b[None, :, None, :]
-    return kron.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+def _on_right(R: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """(1 (x) R) T: R acts on the trailing legs of the rows of T."""
+    return (R @ T.reshape(-1, R.shape[1], T.shape[1])).reshape(-1, T.shape[1])
 
 
-def graded_tensor(
-    A: GradedOperator, B: GradedOperator, space1, space2
-) -> GradedOperator:
-    """A (x) B with the Koszul sign applied against the first-leg input parity."""
-    if A.matrix.shape[0] != space1.dim or B.matrix.shape[0] != space2.dim:
-        raise ValueError("operator/space dimension mismatch")
-    return GradedOperator(_kron(*koszul_term(A, B, space1)), (A.parity + B.parity) % 2)
+class TwoLeg:
+    """An operator on V1 (x) V2 of parity ``parity`` as its Kronecker terms,
+    the sum over t of kron(a[t], b[t]) for the stacks a (T, d1, d1) and
+    b (T, d2, d2); a Koszul sign is folded into a (koszul_term)."""
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, parity: int):
+        self.a, self.b, self.parity = a, b, parity
+
+    def __matmul__(self, other):
+        """The product with a TwoLeg, term by term, or the action on a matrix
+        whose rows are the two legs, each factor on its own (_on_left, _on_right)."""
+        if isinstance(other, np.ndarray):
+            return sum(_on_left(a, _on_right(b, other)) for a, b in zip(self.a, self.b))
+        a, b = ((x[:, None] @ y[None]).reshape(-1, *x.shape[1:])
+                for x, y in ((self.a, other.a), (self.b, other.b)))
+        return TwoLeg(a, b, (self.parity + other.parity) % 2)
+
+    def __add__(self, other: "TwoLeg") -> "TwoLeg":
+        if self.parity != other.parity:
+            raise ValueError("cannot add operators of different parity")
+        return TwoLeg(np.concatenate([self.a, other.a]), np.concatenate([self.b, other.b]),
+                      self.parity)
+
+    def __sub__(self, other: "TwoLeg") -> "TwoLeg":
+        return self + -1 * other
+
+    def __mul__(self, scalar) -> "TwoLeg":
+        return TwoLeg(self.a * scalar, self.b, self.parity)
+
+    __rmul__ = __mul__
+
+    def inv(self) -> "TwoLeg":
+        """The inverse of one term of diagonal factors, as a K_i coproduct is."""
+        if len(self.a) != 1:
+            raise ValueError("only single-term operators are inverted here")
+        return TwoLeg(*(GradedOperator(x[0], 0).inv().matrix[None] for x in (self.a, self.b)),
+                      self.parity)
+
+    @property
+    def T(self) -> "TwoLeg":
+        """The transpose: kron(a, b)^T = kron(a^T, b^T)."""
+        return TwoLeg(self.a.transpose(0, 2, 1), self.b.transpose(0, 2, 1), self.parity)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense sum of the terms, in one matrix product over them."""
+        (T, d1, _), d2 = self.a.shape, self.b.shape[1]
+        dense = self.a.reshape(T, -1).T @ self.b.reshape(T, -1)  # [(i1, j1), (i2, j2)]
+        return dense.reshape(d1, d1, d2, d2).transpose(0, 2, 1, 3).reshape(d1 * d2, -1)
+
+
+def koszul_term(A: GradedOperator, B: GradedOperator, space1) -> TwoLeg:
+    """A (x) B as the one-term TwoLeg kron(A', B): column j1 of A' is that
+    of A times the Koszul sign (-1)^{|B| p(j1)}."""
+    a = A.matrix if B.parity == 0 else A.matrix * (1 - 2 * space1.parities)
+    return TwoLeg(a[None], B.matrix[None], (A.parity + B.parity) % 2)
 
 
 class Leg:
@@ -76,16 +121,9 @@ class Leg:
         return leg
 
 
-def _u_power(gen: str) -> int:
-    """Exponent of the first-leg central U in the standard coproduct tail."""
-    i = int(gen[1])
-    return (1 if i == 2 else 0) + (-1 if i == 4 else 0)
-
-
-def coproduct(gen: str, leg1: Leg, leg2: Leg) -> list:
-    """Standard coproduct Delta(J) on V1 (x) V2 as its terms: a list of one
-    or two koszul_term pairs (A, B) of one-leg matrices, Delta(J) being the
-    sum of kron(A, B) over them.
+def coproduct(gen: str, leg1: Leg, leg2: Leg) -> TwoLeg:
+    """Standard coproduct Delta(J) on V1 (x) V2 as a TwoLeg of one or two
+    terms (koszul_term).
 
     Delta(E_j) = E_j (x) 1 + K_j^-1 U^{d_j} (x) E_j and
     Delta(F_j) = F_j (x) K_j + U^{-d_j} (x) F_j with d_j = delta_{j,2} - delta_{j,4}
@@ -94,23 +132,13 @@ def coproduct(gen: str, leg1: Leg, leg2: Leg) -> list:
     s1, s2 = leg1.space, leg2.space
     o1, o2 = leg1.gens, leg2.gens
     if gen.startswith("K"):
-        return [koszul_term(o1[gen], o2[gen], s1)]
-    u = leg1.U ** _u_power(gen)
+        return koszul_term(o1[gen], o2[gen], s1)
+    u = leg1.U ** {"2": 1, "4": -1}.get(gen[1], 0)  # U^{d_j}
     if gen.startswith("E"):
-        return [koszul_term(o1[gen], identity_operator(s2), s1),
-                koszul_term(u * o1["K" + gen[1]].inv(), o2[gen], s1)]
-    return [koszul_term(o1[gen], o2["K" + gen[1]], s1),
-            koszul_term((1 / u) * identity_operator(s1), o2[gen], s1)]
-
-
-def coproduct_map(leg1: Leg, leg2: Leg) -> dict:
-    """All generators' coproducts as dense matrices on V1 (x) V2 (an algebra
-    homomorphism's image), for the coalgebra checks."""
-    return {
-        g: GradedOperator(sum(_kron(a, b) for a, b in coproduct(g, leg1, leg2)),
-                          GENERATOR_PARITY[g])
-        for g in GENERATORS
-    }
+        return (koszul_term(o1[gen], identity_operator(s2), s1)
+                + koszul_term(u * o1["K" + gen[1]].inv(), o2[gen], s1))
+    return (koszul_term(o1[gen], o2["K" + gen[1]], s1)
+            + koszul_term((1 / u) * identity_operator(s1), o2[gen], s1))
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +192,9 @@ def level_one_charges(ops: dict, params: ModelParams) -> tuple:
 def twisted_boundary_charges(ops: dict, params: ModelParams) -> dict:
     """The eight twisted affine charges of the boundary coideal algebra.
 
-    ``ops`` maps generator names to matrices; passing representation matrices
-    yields the charges on one leg, passing coproduct matrices yields their
-    images on a tensor product.
+    ``ops`` maps generator names to operators; passing representation
+    matrices yields the charges on one leg, passing coproducts (TwoLegs)
+    yields their images on a tensor product.
     """
     et321, ft321 = level_one_charges(ops, params)
     et21 = ad_r("F3", et321, ops)
@@ -185,9 +213,10 @@ def twisted_boundary_charges(ops: dict, params: ModelParams) -> dict:
 
 def coideal_expansion_check(leg1: Leg, leg2: Leg, dmap: dict, params: ModelParams) -> dict:
     """Residuals of the two displayed coproduct expansions of the twisted
-    level-one charges, as matrix identities on V1 (x) V2; ``dmap`` is
-    coproduct_map(leg1, leg2).  Only the two charges compared are built
-    (level_one_charges), on V1 (x) V2 and on leg 2."""
+    level-one charges, as matrix identities on V1 (x) V2; ``dmap`` maps each
+    generator to its coproduct on leg1 (x) leg2.  Only the two charges
+    compared are built (level_one_charges), on V1 (x) V2 and on leg 2, as
+    Kronecker terms: each side is made dense only to be compared."""
     s1, s2 = leg1.space, leg2.space
     d_y, d_x = boundary_d_constants(params)
     q = params.q
@@ -196,27 +225,21 @@ def coideal_expansion_check(leg1: Leg, leg2: Leg, dmap: dict, params: ModelParam
     # Left-hand sides: the two charges built from coproduct images.
     lhs_e, lhs_f = level_one_charges(dmap, params)
     # Single-leg building blocks.
-    o1 = leg1.gens
-    o2 = leg2.gens
+    o1, o2 = leg1.gens, leg2.gens
     et321_2, ft321_2 = level_one_charges(o2, params)
     k4i_1 = o1["K4"].inv()
     k5_2 = o2["K1"] @ o2["K2"] @ o2["K3"] @ o2["K4"].inv()
     e1p_1 = o1["K1"] @ o1["E1"]
     e2p_2 = o2["K2"] @ o2["E2"]
-
-    def gt(Aop, Bop):
-        return graded_tensor(Aop, Bop, s1, s2)
-
+    gt = lambda A, B: koszul_term(A, B, s1)
     theta_f4_1 = ad_r("E3", ad_r("E2", e1p_1, o1), o1)
     rhs_e = (
         gt(o1["F4"] @ k4i_1, identity_operator(s2))
         + gt(U1 * k4i_1, et321_2)
         + d_y * gt(theta_f4_1 @ k4i_1, k5_2)
-        + (d_y * (q**2 - 1))
-        * (
+        + (d_y * (q**2 - 1)) * (
             (1 / q) * gt(k4i_1 @ ad_r("E2", e1p_1, o1), k5_2 @ o2["E3"])
-            - U1 * gt(e1p_1 @ k4i_1, o2["K1"] @ o2["K4"].inv() @ ad_r("E3", e2p_2, o2))
-        )
+            - U1 * gt(e1p_1 @ k4i_1, o2["K1"] @ o2["K4"].inv() @ ad_r("E3", e2p_2, o2)))
     )
 
     theta_e4p_1 = ad_r("F3", ad_r("F2", o1["F1"], o1), o1)
@@ -225,12 +248,10 @@ def coideal_expansion_check(leg1: Leg, leg2: Leg, dmap: dict, params: ModelParam
         gt(e4p_1 @ k4i_1, identity_operator(s2))
         + gt((1 / U1) * k4i_1, ft321_2)
         + d_x * gt(theta_e4p_1 @ k4i_1, k5_2)
-        - (d_x * (q**2 - 1))
-        * (
+        - (d_x * (q**2 - 1)) * (
             gt(k4i_1 @ ad_r("F2", o1["F1"], o1), o2["K3"].inv() @ k5_2 @ o2["F3"])
             - (1 / U1)
-            * gt(k4i_1 @ o1["F1"], ad_r("F3", o2["F2"], o2) @ o2["K1"] @ o2["K4"].inv())
-        )
+            * gt(k4i_1 @ o1["F1"], ad_r("F3", o2["F2"], o2) @ o2["K1"] @ o2["K4"].inv()))
     )
 
     return {

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, numerics as nm
 from . import coalgebra, kmatrix, smatrix
-from .coalgebra import Leg, coproduct_map
+from .coalgebra import Leg, coproduct
 from .kinematics import (
     KinematicsError,
     ModelParams,
@@ -34,7 +34,7 @@ from .kinematics import (
     on_shell,
     reflect_kinematics,
 )
-from .representation import build_basis, verify_algebra
+from .representation import GENERATORS, build_basis, verify_algebra
 from .smatrix import NULL_GAP, VerificationError, spectral_gap
 
 SCHEMA_VERSION = 1
@@ -84,8 +84,9 @@ class RunConfig:
 
 
 def _is_number(value, kinds=(int, float)) -> bool:
-    """JSON number of the given kinds; JSON true/false are not numbers."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
+    """Finite JSON number of the given kinds; true/false, NaN and Infinity are not."""
+    return (isinstance(value, kinds) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _parse_complex(value, where: str) -> complex:
@@ -97,7 +98,7 @@ def _parse_complex(value, where: str) -> complex:
         and all(_is_number(v) for v in value)
     ):
         return complex(value[0], value[1])
-    raise ConfigError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+    raise ConfigError(f"{where}: expected a finite number or [re, im] pair, got {value!r}")
 
 
 def _read_config(path: str) -> dict:
@@ -157,7 +158,7 @@ def load_config(path: str | None = None, data: dict | None = None) -> RunConfig:
             if key not in TOL_TIERS:
                 raise ConfigError(f"tolerances.{key}: unknown tier")
             if not _is_number(val) or val <= 0:
-                raise ConfigError(f"tolerances.{key}: must be a positive number")
+                raise ConfigError(f"tolerances.{key}: must be a positive finite number")
         out["tolerances"] = dict(tols)
     version = data.get("schema_version", SCHEMA_VERSION)
     if not _is_number(version, int) or version != SCHEMA_VERSION:
@@ -168,6 +169,8 @@ def load_config(path: str | None = None, data: dict | None = None) -> RunConfig:
         cfg.params().check_not_root_of_unity(max(cfg.M))
     except KinematicsError as exc:
         raise ConfigError(f"q: {exc}") from None
+    except OverflowError:
+        raise ConfigError(f"q: q^n overflows a double for some n <= {4 * max(cfg.M)}") from None
     return cfg
 
 
@@ -312,7 +315,7 @@ def suite_coalgebra(cfg: RunConfig):
 
     def check(params, rng, row, kin1, kin2):
         leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
-        dmap = coproduct_map(leg1, leg2)
+        dmap = {g: coproduct(g, leg1, leg2) for g in GENERATORS}
         tw = coalgebra.twisted_boundary_charges(leg1.gens, params)
         hom = coalgebra.hom_check(dmap, params)
         exp = coalgebra.coideal_expansion_check(leg1, leg2, dmap, params)

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import numerics as nm
-from .coalgebra import TWISTED_CHARGES, twisted_boundary_charges
+from .coalgebra import TWISTED_CHARGES, _on_right, twisted_boundary_charges
 from .kinematics import (
     Kinematics,
     KinematicsError,
@@ -30,7 +30,6 @@ from .numerics import qint
 from .representation import RepSpace, all_generators, build_basis
 from .smatrix import (
     VerificationError,
-    _on_right,
     commutant_nullspace,
     unique_intertwiner,
 )

@@ -255,12 +255,10 @@ def all_generators(kin, params, space, dtype=complex) -> dict:
     return {gen: ops[gen] for gen in GENERATORS}
 
 
-def graded_commutator(A: GradedOperator, B: GradedOperator) -> GradedOperator:
-    """[A, B} = AB - (-1)^{|A||B|} BA."""
-    AB, BA = A.matrix @ B.matrix, B.matrix @ A.matrix
-    return GradedOperator(
-        AB + BA if A.parity * B.parity % 2 else AB - BA, (A.parity + B.parity) % 2
-    )
+def graded_commutator(A, B):
+    """[A, B} = AB - (-1)^{|A||B|} BA, of GradedOperators or of TwoLegs."""
+    AB, BA = A @ B, B @ A
+    return AB + BA if A.parity * B.parity % 2 else AB - BA
 
 
 @dataclass(frozen=True)

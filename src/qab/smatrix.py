@@ -51,10 +51,10 @@ negative control of the affine symmetry, is a row subset of that one
 system: the QR and SVD of its E2 and F2 rows, with no null vector and no Ř
 formed (affine_ablation).
 
-Every coproduct enters as its one or two Kronecker terms (a, b) of one-leg
-matrices (coalgebra.coproduct), and each term acts on a matrix whose rows
-are the two legs by reshape (_times): the basis build, the reduced pieces
-and the residuals of Ř never form a two-leg generator.
+Every coproduct enters as a TwoLeg of one or two Kronecker terms
+(coalgebra.coproduct), which acts on a matrix whose rows are the two legs
+by reshape (op @ T): the basis build, the reduced pieces and the residuals
+of Ř never form a two-leg generator.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coalgebra import Leg, coproduct
+from .coalgebra import Leg, TwoLeg, _on_left, _on_right, coproduct
 from .kinematics import Kinematics, ModelParams, affine_labels, bulk_labels
 from .numerics import qint, rel_residual, sqrt
 from .representation import (
@@ -97,36 +97,12 @@ def product_weights(space1: RepSpace, space2: RepSpace) -> list:
     return (space1.weights[:, None] + space2.weights[None, :]).reshape(-1, 2).tolist()
 
 
-def _on_left(R: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """(R (x) 1) T: R acts on the leading legs of the rows of T."""
-    return (R @ T.reshape(R.shape[1], -1)).reshape(-1, T.shape[1])
-
-
-def _on_right(R: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """(1 (x) R) T: R acts on the trailing legs of the rows of T."""
-    return (R @ T.reshape(-1, R.shape[1], T.shape[1])).reshape(-1, T.shape[1])
-
-
-def _times(op, T: np.ndarray) -> np.ndarray:
-    """op T, for ``op`` a one-leg matrix or the terms (a, b) of a coproduct,
-    op = sum of kron(a, b) over them.  Each factor acts on its own leg of the
-    rows of T (_on_left, _on_right), so no two-leg operator is formed."""
-    if isinstance(op, np.ndarray):
-        return op @ T
-    return sum(_on_left(a, _on_right(b, T)) for a, b in op)
-
-
-def _transpose(op):
-    """op^T, for ``op`` as _times takes it: kron(a, b)^T = kron(a^T, b^T)."""
-    return op.T if isinstance(op, np.ndarray) else [(a.T, b.T) for a, b in op]
-
-
-def _block(terms, rows, cols) -> np.ndarray:
-    """op[np.ix_(rows, cols)] of op = sum of kron(a, b) over ``terms``, entry
-    by entry: the products and the sum of the dense kron, and no more."""
-    d2 = len(terms[0][1])
+def _block(op: TwoLeg, rows, cols) -> np.ndarray:
+    """op.matrix[np.ix_(rows, cols)], entry by entry: the products and the
+    sum of the dense kron, and no more."""
+    d2 = op.b.shape[1]
     (r1, r2), (c1, c2) = np.divmod(np.asarray(rows)[:, None], d2), np.divmod(cols, d2)
-    return sum(a[r1, c1] * b[r2, c2] for a, b in terms)
+    return sum(a[r1, c1] * b[r2, c2] for a, b in zip(op.a, op.b))
 
 
 class NullspaceLayout(NamedTuple):
@@ -231,14 +207,14 @@ class AdaptedBases(NamedTuple):
     pieces: dict
 
     def reduced_matrix(self, gen: str, delta) -> np.ndarray:
-        """The N x N reduced matrix of ``delta``, the terms of the coproduct
-        of the fermionic ``gen`` or of one of its pieces, at the position
+        """The N x N reduced matrix of ``delta``, the TwoLeg coproduct of
+        the fermionic ``gen`` or one of its pieces, at the position
         pairs of ``pairs[gen]``:
         only those rows and columns of V^-1 delta V are computed, and delta
         acts on V[:, cols] term by term."""
         i, j, rows, cols, ri, ci = self.pairs[gen]
         X = np.zeros((len(self.labels), len(self.labels)), dtype=complex)
-        X[i, j] = (self.V_inv[rows] @ _times(delta, self.V[:, cols]))[ri, ci]
+        X[i, j] = (self.V_inv[rows] @ (delta @ self.V[:, cols]))[ri, ci]
         return X
 
 
@@ -332,11 +308,11 @@ def _adapted_basis(leg1: Leg, leg2: Leg, q) -> AdaptedBases:
         chain[here] = tops.T
         for b in range(l3 + 1):
             if b:
-                chain = _times(F3, chain) / sqrt(qint(b, q) * qint(l3 - b + 1, q))
+                chain = (F3 @ chain) / sqrt(qint(b, q) * qint(l3 - b + 1, q))
             v = chain
             for a in range(l1 + 1):
                 if a:
-                    v = _times(F1, v) / sqrt(qint(a, q) * qint(l1 - a + 1, q))
+                    v = (F1 @ v) / sqrt(qint(a, q) * qint(l1 - a + 1, q))
                 at = copies + b * (l1 + 1) + a
                 V[:, at] = v
                 columns.setdefault((l1 - 2 * a, l3 - 2 * b), []).extend(at)
@@ -368,7 +344,7 @@ def _adapted_basis(leg1: Leg, leg2: Leg, q) -> AdaptedBases:
     )
     for x, terms in _piece_terms(leg1.space, leg2.space, q).items():
         i, j = bases.pairs[f"{x}2"][:2]
-        bases.pieces[x] = np.array([bases.reduced_matrix(f"{x}2", [term])[i, j]
+        bases.pieces[x] = np.array([bases.reduced_matrix(f"{x}2", term)[i, j]
                                     for term in terms])
     return bases
 
@@ -392,8 +368,8 @@ def adapted_bases(M1: int, M2: int, q) -> AdaptedBases:
 
 
 def _piece_terms(s1: RepSpace, s2: RepSpace, q) -> dict:
-    """The single-term pieces (A, B) of the supercharges' coproducts on
-    s1 (x) s2, "E" those of E2, E4 and "F" those of F2, F4, in the order of
+    """The single-term pieces of the supercharges' coproducts on s1 (x) s2,
+    as TwoLegs, "E" those of E2, E4 and "F" those of F2, F4, in the order of
     their coefficients (reduced_coproducts).  The first factor of an odd
     second one carries the Koszul sign s of leg 1 (coalgebra.koszul_term)."""
     st1, st2 = supercharge_steps(q, s1), supercharge_steps(q, s2)
@@ -401,9 +377,10 @@ def _piece_terms(s1: RepSpace, s2: RepSpace, q) -> dict:
     h1, h2 = (-s.weights.sum(axis=1) / 2 for s in (s1, s2))  # h = (k - l + m - n) / 2
     one, qh = np.eye(s2.dim), np.diag(q**h2)
     kinv = np.diag(sign * q**-h1)  # K_i^-1 with its V power taken out, signed
-    return {"E": [(st1["a"], one), (st1["b"], one), (kinv, st2["a"]), (kinv, st2["b"])],
-            "F": [(st1["c"], qh), (st1["d"], qh), (np.diag(sign), st2["c"]),
-                  (np.diag(sign), st2["d"])]}
+    terms = {"E": [(st1["a"], one), (st1["b"], one), (kinv, st2["a"]), (kinv, st2["b"])],
+             "F": [(st1["c"], qh), (st1["d"], qh), (np.diag(sign), st2["c"]),
+                   (np.diag(sign), st2["d"])]}
+    return {x: [TwoLeg(a[None], b[None], 1) for a, b in pieces] for x, pieces in terms.items()}
 
 
 def reduced_coproducts(kin1: Kinematics, kin2: Kinematics, params: ModelParams) -> tuple:
@@ -467,8 +444,8 @@ def commutant_layout(M1: int, M2: int, q):
 
 def intertwiner_system(leg1: Leg, leg2: Leg):
     """The pairs (Delta_12(J), Delta_21(J)) of Ř Delta_12(J) = Delta_21(J) Ř
-    over all twelve generators, each coproduct as its terms, as
-    pair_residuals takes them: the intertwining check of Ř against the full
+    over all twelve generators, each coproduct a TwoLeg, as pair_residuals
+    takes them: the intertwining check of Ř against the full
     coproducts."""
     return [(coproduct(gen, leg1, leg2), coproduct(gen, leg2, leg1)) for gen in GENERATORS]
 
@@ -531,11 +508,9 @@ def unique_intertwiner(solution) -> np.ndarray:
 
 def pair_residuals(X: np.ndarray, pairs) -> list:
     """||X A - B X|| / max(1, ||X||) for every (A, B) in ``pairs``, A and B
-    one-leg matrices (K) or coproduct terms (S), as _times takes them;
-    X A = (A^T X^T)^T."""
+    one-leg matrices (K) or TwoLeg coproducts (S); X A = (A^T X^T)^T."""
     norm = max(1.0, float(np.linalg.norm(X)))
-    return [float(np.linalg.norm(_times(_transpose(A), X.T).T - _times(B, X))) / norm
-            for A, B in pairs]
+    return [float(np.linalg.norm((A.T @ X.T).T - B @ X)) / norm for A, B in pairs]
 
 
 #: The number of random probe vectors of the Yang-Baxter check.

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from qab.coalgebra import coproduct, graded_tensor
+from qab.coalgebra import _on_left, _on_right, coproduct
 from qab.kinematics import ModelParams, make_kinematics, reflect_kinematics, solve_shortening
 from qab.kmatrix import _k_entries, boundary_system, closed_form_kmatrix
-from qab.representation import build_basis, identity_operator
+from qab.representation import GradedOperator, build_basis, identity_operator
 from qab.numerics import rel_residual
 from qab.smatrix import (
     FERMIONIC,
-    _on_left,
-    _on_right,
     adapted_bases,
     commutant_nullspace,
     unique_intertwiner,
@@ -126,10 +124,19 @@ def k_coefficients(K):
     return coeffs
 
 
+def graded_tensor(A, B, space1, space2) -> GradedOperator:
+    """The dense A (x) B on V1 (x) V2, (A (x) B)(v (x) w) = (-1)^{|B||v|} Av (x) Bw:
+    np.kron of the matrices with the Koszul sign on the first-leg columns.
+    The oracle of coalgebra.koszul_term."""
+    assert A.matrix.shape[0] == space1.dim and B.matrix.shape[0] == space2.dim
+    sign = (-1.0) ** (B.parity * space1.parities)
+    return GradedOperator(np.kron(A.matrix * sign, B.matrix), (A.parity + B.parity) % 2)
+
+
 def dense_coproduct(gen, leg1, leg2):
     """The dense Delta(gen) on V1 (x) V2 as a GradedOperator, summed from
     graded_tensor products of the generator matrices of the two Legs: the
-    oracle of coalgebra.coproduct's terms.
+    oracle of coalgebra.coproduct.
 
     Delta(E_j) = E_j (x) 1 + K_j^-1 U^{d_j} (x) E_j,
     Delta(F_j) = F_j (x) K_j + U^{-d_j} (x) F_j, Delta(K_j) = K_j (x) K_j,
@@ -148,6 +155,6 @@ def dense_coproduct(gen, leg1, leg2):
             + graded_tensor((1 / u) * identity_operator(s1), o2[gen], s1, s2))
 
 
-def dense(terms) -> np.ndarray:
-    """The matrix sum of np.kron(a, b) over the terms (a, b) of a two-leg operator."""
-    return sum(np.kron(a, b) for a, b in terms)
+def dense(op) -> np.ndarray:
+    """The matrix sum of np.kron(a, b) over the terms of the TwoLeg ``op``."""
+    return sum(np.kron(a, b) for a, b in zip(op.a, op.b))

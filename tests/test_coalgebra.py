@@ -1,4 +1,4 @@
-"""Coproducts, graded tensor calculus and the twisted boundary charges."""
+"""Two-leg operators, coproducts and the twisted boundary charges."""
 
 from dataclasses import replace
 
@@ -11,8 +11,7 @@ from qab.coalgebra import (
     boundary_d_constants,
     coideal_expansion_check,
     coproduct,
-    coproduct_map,
-    graded_tensor,
+    koszul_term,
     Leg,
     hom_check,
     twisted_boundary_charges,
@@ -21,7 +20,7 @@ from qab.coalgebra import (
     yangian_limit_probe,
 )
 from qab.kinematics import ModelParams, reflect_kinematics
-from qab.numerics import TOL_ALGEBRA, qint
+from qab.numerics import TOL_ALGEBRA, qint, rel_residual
 from qab.representation import (
     GENERATOR_PARITY,
     GENERATORS,
@@ -31,7 +30,13 @@ from qab.representation import (
     graded_commutator,
 )
 
-from conftest import dense, dense_coproduct, graded_permutation, kin_at
+from conftest import dense, dense_coproduct, graded_permutation, graded_tensor, kin_at
+
+
+def coproducts(leg1, leg2):
+    """Every generator's coproduct on leg1 (x) leg2, the map the coalgebra
+    suite builds."""
+    return {g: coproduct(g, leg1, leg2) for g in GENERATORS}
 
 
 def test_graded_permutation_squares_to_identity():
@@ -42,7 +47,8 @@ def test_graded_permutation_squares_to_identity():
 
 
 def test_graded_tensor_koszul_sign(params, kin_of):
-    # (1 (x) B)(A (x) 1) = (-1)^{|A||B|} A (x) B for odd A, B
+    # (1 (x) B)(A (x) 1) = (-1)^{|A||B|} A (x) B for odd A, B: in the dense
+    # oracle and in the Kronecker terms, whose sum it is
     kin = kin_of(1, 1.3 + 0.8j)
     s = build_basis(1)
     ops = all_generators(kin, params, s)
@@ -51,27 +57,67 @@ def test_graded_tensor_koszul_sign(params, kin_of):
     left = graded_tensor(ident, B, s, s) @ graded_tensor(A, ident, s, s)
     right = graded_tensor(A, B, s, s)
     assert np.linalg.norm(left.matrix + right.matrix) < 1e-13
+    terms = koszul_term(ident, B, s) @ koszul_term(A, ident, s)
+    assert terms.parity == 0
+    assert np.array_equal(dense(koszul_term(A, B, s)), right.matrix)
+    assert np.linalg.norm(terms.matrix + right.matrix) < 1e-13
 
 
 @pytest.mark.parametrize("q", [1.1, 1.5, 1.2 * np.exp(0.4j)], ids=["q1.1", "q1.5", "q-complex"])
 @pytest.mark.parametrize("pair", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)], ids=str)
 def test_coproduct_terms_sum_to_the_dense_coproduct(pair, q, params):
-    # each coproduct is at most two Kronecker terms of one-leg matrices, the
-    # Koszul sign folded into the first factor: their kron sum is the dense
-    # graded_tensor coproduct bit for bit, in either leg order, and
-    # coproduct_map is that sum
+    # each coproduct is a TwoLeg of at most two Kronecker terms of one-leg
+    # matrices, the Koszul sign folded into the first factor: their kron sum
+    # is the dense graded_tensor coproduct bit for bit, in either leg order
     p = replace(params, q=q)
     leg1, leg2 = (Leg(kin_at(M, xm, p), p) for M, xm in zip(pair, (1.3 + 0.8j, 0.9 - 1.1j)))
     for a, b in ((leg1, leg2), (leg2, leg1)):
         for gen in GENERATORS:
-            terms = coproduct(gen, a, b)
-            assert 1 <= len(terms) <= 2, gen
-            for x, y in terms:
-                assert x.shape == (a.space.dim,) * 2 and y.shape == (b.space.dim,) * 2, gen
-            assert np.array_equal(dense(terms), dense_coproduct(gen, a, b).matrix), gen
-    for gen, op in coproduct_map(leg1, leg2).items():
-        assert op.parity == GENERATOR_PARITY[gen]
-        assert np.array_equal(op.matrix, dense_coproduct(gen, leg1, leg2).matrix), gen
+            op = coproduct(gen, a, b)
+            assert 1 <= len(op.a) == len(op.b) <= 2, gen
+            assert op.a.shape[1:] == (a.space.dim,) * 2, gen
+            assert op.b.shape[1:] == (b.space.dim,) * 2, gen
+            assert op.parity == GENERATOR_PARITY[gen]
+            assert np.array_equal(dense(op), dense_coproduct(gen, a, b).matrix), gen
+
+
+@pytest.mark.parametrize("q", [1.1, 1.5, 1.2 * np.exp(0.4j)], ids=["q1.1", "q1.5", "q-complex"])
+@pytest.mark.parametrize("pair", [(1, 2), (2, 1), (2, 2)], ids=str)
+def test_two_leg_arithmetic_matches_the_dense_oracle(pair, q, params):
+    # products, sums, scalar multiples, inverses, transposes, graded
+    # commutators and the action on a matrix of two-leg rows, on the terms,
+    # against the same operations on the dense coproducts
+    p = replace(params, q=q)
+    leg1, leg2 = (Leg(kin_at(M, xm, p), p) for M, xm in zip(pair, (1.3 + 0.8j, 0.9 - 1.1j)))
+    d = coproducts(leg1, leg2)
+    o = {g: dense_coproduct(g, leg1, leg2) for g in GENERATORS}
+    rng = np.random.default_rng(1)
+    T = rng.normal(size=(leg1.space.dim * leg2.space.dim, 3)) + 1j
+
+    def close(x, y):
+        assert rel_residual(x, y) <= 1e-14
+
+    for g in GENERATORS:
+        close(d[g].matrix, o[g].matrix)
+        close(d[g] @ T, o[g].matrix @ T)
+        close(d[g].T.matrix, o[g].matrix.T)
+    for j in "1234":
+        E, F, K = d["E" + j], d["F" + j], d["K" + j]
+        oE, oF, oK = o["E" + j], o["F" + j], o["K" + j]
+        assert (E @ F).parity == 0 and len((E @ F).a) == 4
+        close((E @ F).matrix, (oE @ oF).matrix)
+        close((E - 2.5j * F).matrix, (oE - 2.5j * oF).matrix)
+        close((K @ E + E @ K).matrix, (oK @ oE + oE @ oK).matrix)
+        close(K.inv().matrix, oK.inv().matrix)
+        close(graded_commutator(E, F).matrix, graded_commutator(oE, oF).matrix)
+    with pytest.raises(ValueError):
+        d["E1"] + d["E2"]  # even plus odd
+    with pytest.raises(ValueError):
+        d["K1"].inv() - d["F4"]
+    with pytest.raises(ValueError):
+        d["E1"].inv()  # two terms
+    with pytest.raises(ValueError):
+        koszul_term(leg1.gens["E1"], leg2.gens["K1"], leg1.space).inv()  # not diagonal
 
 
 def test_inverse_is_the_reciprocal_of_the_diagonal(params, kin_of):
@@ -89,7 +135,7 @@ def test_inverse_is_the_reciprocal_of_the_diagonal(params, kin_of):
 def test_coproduct_is_homomorphism(pair, params, kin_of):
     kin1 = kin_of(pair[0], 1.3 + 0.8j)
     kin2 = kin_of(pair[1], 0.9 - 1.1j)
-    res = hom_check(coproduct_map(Leg(kin1, params), Leg(kin2, params)), params)
+    res = hom_check(coproducts(Leg(kin1, params), Leg(kin2, params)), params)
     assert max(res.values()) < TOL_ALGEBRA, res
 
 
@@ -101,7 +147,7 @@ def test_mixed_e2f4_relation_on_tensor_product(params, kin_of):
     kin2 = kin_of(1, 0.9 - 1.1j)
     leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
     _, gt = derive_couplings(params.q, params.g)
-    d = coproduct_map(leg1, leg2)
+    d = coproducts(leg1, leg2)
     lhs = graded_commutator(d["E2"], d["F4"])
     U12 = kin1.U * kin2.U
     rhs = (-gt / params.alpha_tilde) * (d["K4"] - U12**2 * d["K2"].inv())
@@ -123,7 +169,7 @@ def test_coideal_expansions(pair, params, kin_of):
     kin1 = kin_of(pair[0], 1.3 + 0.8j)
     kin2 = kin_of(pair[1], 0.9 - 1.1j)
     leg1, leg2 = Leg(kin1, params), Leg(kin2, params)
-    res = coideal_expansion_check(leg1, leg2, coproduct_map(leg1, leg2), params)
+    res = coideal_expansion_check(leg1, leg2, coproducts(leg1, leg2), params)
     assert max(res.values()) < TOL_ALGEBRA, res
 
 
@@ -138,7 +184,7 @@ def test_coideal_check_builds_only_the_charges_it_compares(pair, q, params, monk
     # joint coproducts and of leg 2
     p = replace(params, q=q)
     leg1, leg2 = Leg(kin_at(pair[0], 1.3 + 0.8j, p), p), Leg(kin_at(pair[1], 0.9 - 1.1j, p), p)
-    dmap = coproduct_map(leg1, leg2)
+    dmap = coproducts(leg1, leg2)
     full = {id(ops): twisted_boundary_charges(ops, p) for ops in (dmap, leg2.gens)}
     calls = []
 

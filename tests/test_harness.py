@@ -66,6 +66,24 @@ def test_json_booleans_are_not_numbers(data):
         load_config(data=data)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"q": NaN}', '{"g": Infinity}', '{"alpha": [NaN, 0]}', '{"tolerances": {"algebra": NaN}}',
+     '{"tolerances": {"composite": Infinity}}', '{"q": 1e308}'],
+    ids=["q-nan", "g-inf", "alpha-nan", "tolerance-nan", "tolerance-inf", "q-overflow"],
+)
+def test_non_finite_config_values_exit_2(text, tmp_path, capsys):
+    # Python's json reads NaN and Infinity: a config holding one, or a q
+    # whose powers overflow a double, is rejected before any suite runs
+    data = json.loads(text)
+    with pytest.raises(ConfigError, match=next(iter(data))):
+        load_config(data=data)
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["all", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {next(iter(data))}")
+
+
 def test_config_roundtrip(tmp_path):
     cfg = load_config(data={"q": [1.08, 0.0], "M": [1, 2], "seed": 13})
     echoed = config_echo(cfg)
@@ -397,18 +415,37 @@ def test_solver_error_is_a_failed_row(suite, check, M, target, error, monkeypatc
     assert rows[0]["error"] == f"{type(error).__name__}: {error}"
 
 
-def test_s_path_builds_no_dense_two_leg_operator(monkeypatch):
-    # the S solves, their bases and the intertwining row act on coproduct
-    # terms: with every dense Kronecker product refused, the suites that
-    # solve S still pass
-    def refuse(*args):
-        raise AssertionError("dense two-leg operator built on the S path")
+class _OnlyCompared(np.ndarray):
+    """A dense two-leg matrix that may be subtracted and normed, but not
+    multiplied by another matrix."""
 
-    monkeypatch.setattr(coalgebra, "graded_tensor", refuse)
-    monkeypatch.setattr(coalgebra, "_kron", refuse)
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            raise AssertionError("two D x D two-leg matrices multiplied")
+        inputs = [x.view(np.ndarray) if isinstance(x, _OnlyCompared) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_no_suite_multiplies_two_leg_matrices(monkeypatch):
+    # two-leg operators are multiplied as Kronecker terms: every dense
+    # two-leg matrix that a suite forms (TwoLeg.matrix) is only compared,
+    # no np.kron is taken, and every suite still passes
+    built = []
+
+    def only_compared(op):
+        built.append(op.a.shape[1] * op.b.shape[1])
+        return dense_matrix(op).view(_OnlyCompared)
+
+    def refuse(*args):
+        raise AssertionError("dense Kronecker product formed")
+
+    dense_matrix = coalgebra.TwoLeg.matrix.fget
+    monkeypatch.setattr(coalgebra.TwoLeg, "matrix", property(only_compared))
+    monkeypatch.setattr(np, "kron", refuse)
     smatrix.adapted_bases.cache_clear()
-    for suite in ("smatrix", "ybe", "bybe"):
-        assert run_suite(suite, load_config(data={"M": [1, 2], "seed": 3}))["passed"], suite
+    smatrix.commutant_layout.cache_clear()
+    assert run_suite("all", load_config(data={"M": [1, 2], "seed": 3}))["passed"]
+    assert built and max(built) == 64  # coproduct-homomorphism and coideal-expansion at (2, 2)
 
 
 def test_kmatrix_at_m22_and_q15_passes():

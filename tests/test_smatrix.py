@@ -36,6 +36,7 @@ from conftest import (
     dense_coproduct,
     dense_ybe_residual,
     graded_permutation,
+    kin_at,
     s_nullspace,
 )
 
@@ -286,3 +287,43 @@ def test_probed_ybe_fails_a_factor_on_the_wrong_legs(M, monkeypatch):
     monkeypatch.setattr(smatrix, "_on_right", first_on_the_left)
     (row,) = run_suite("ybe", cfg)["checks"]
     assert len(calls) == 3 and not row["passed"] and row["residual"] > 1e-2
+
+
+#: The couplings' q of the identities of Ř: two real and the CI's complex one.
+R_QS = {"q1.1": 1.1, "q1.5": 1.5, "q-complex": complex(1.105273192803462, 0.4673020107703806)}
+
+
+def braiding_unitarity_error(R12, R21) -> float:
+    """Backward error of Ř21 Ř12 = 1 on V1 (x) V2, of dimension D:
+    ||Ř21 Ř12 - 1||_F / (||Ř21||_2 ||Ř12||_2 sqrt(D))."""
+    D = len(R12)
+    return float(np.linalg.norm(R21 @ R12 - np.eye(D))
+                 / (np.linalg.norm(R21, 2) * np.linalg.norm(R12, 2) * np.sqrt(D)))
+
+
+def regularity_error(R) -> float:
+    """||Ř - 1||_F / sqrt(D) of Ř(p, p) on V (x) V, of dimension D."""
+    return float(np.linalg.norm(R - np.eye(len(R))) / np.sqrt(len(R)))
+
+
+@pytest.mark.parametrize("q", R_QS.values(), ids=R_QS.keys())
+@pytest.mark.parametrize("pair", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)], ids=str)
+def test_braiding_unitarity(pair, q, params):
+    # Ř21 Ř12 = 1: the braided S of the swapped points inverts Ř12 (both
+    # normalized at [0, 0]); an Ř scaled by 2 fails
+    p = replace(params, q=q)
+    kin1, kin2 = kin_at(pair[0], 1.3 + 0.8j, p), kin_at(pair[1], 0.9 - 1.1j, p)
+    R12, R21 = braided_s(kin1, kin2, p), braided_s(kin2, kin1, p)
+    assert braiding_unitarity_error(R12, R21) <= 1e-14
+    assert braiding_unitarity_error(2 * R12, R21) > 1e-14
+
+
+@pytest.mark.parametrize("q", R_QS.values(), ids=R_QS.keys())
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_regularity(M, q, params):
+    # Ř(p, p) = 1: at equal points S is the graded flip; an Ř scaled by 2 fails
+    p = replace(params, q=q)
+    kin = kin_at(M, 1.3 + 0.8j, p)
+    R = braided_s(kin, kin, p)
+    assert regularity_error(R) <= 1e-12
+    assert regularity_error(2 * R) > 1e-12
