@@ -10,9 +10,12 @@ the same kind of null space on one leg.  Both come out of one dense QR +
 SVD solve (``system_nullspace``) for an unknown supported on the entries
 that join indices of equal weight, assembled (``layout_system``) on a
 layout of the system's rows and unknowns (``nullspace_layout``): K's is
-read off its matrices per call (``weight_nullspace``), S's is cached.  ``unique_intertwiner`` is the one
-uniqueness rule: a spectral gap sigma_1 / sigma_2 <= NULL_GAP, and the
-normalization at the [0, 0] entry.
+read off its matrices per call (``weight_nullspace``), S's is cached.
+``unique_intertwiner`` is the one uniqueness rule: a spectral gap
+sigma_1 / sigma_2 <= NULL_GAP, and the normalization at the [0, 0] entry.
+A negative control (``control``) is some generator pairs' rows of the
+system that a solve returns: the affine ablation the E2, F2 rows of S's,
+the twisted ablation the preserved charges' rows of K's.
 
 K's weights are the (H1, H3) weights of its states.  Ř also intertwines
 the bosonic U_q(su(2)) + U_q(su(2)) of E1, F1, E3, F3, whose coproducts
@@ -46,10 +49,7 @@ F2, F4 are cached once per ordered pair (M1, M2, q) as well, from the
 entries where a piece is nonzero (commutant_layout).  A solve then
 contracts the pieces with four scalars per supercharge and leg order
 (reduced_coproducts), fills the cached layout and factors it: it builds no
-generator matrix and no coproduct of its points.  The affine ablation, the
-negative control of the affine symmetry, is a row subset of that one
-system: the QR and SVD of its E2 and F2 rows, with no null vector and no Ř
-formed (affine_ablation).
+generator matrix and no coproduct of its points.
 
 Every coproduct enters as a TwoLeg of one or two Kronecker terms
 (coalgebra.coproduct), which acts on a matrix whose rows are the two legs
@@ -115,6 +115,7 @@ class NullspaceLayout(NamedTuple):
     uj: np.ndarray
     row: np.ndarray
     col: np.ndarray
+    pair: np.ndarray  # the pair of each row
     a_at: tuple
     b_at: tuple
     shape: tuple
@@ -139,8 +140,8 @@ def nullspace_layout(a_mask, b_mask, weights) -> NullspaceLayout:
     (p, e, b), (r, f, a) = np.nonzero(a_mask[:, uj]), np.nonzero(b_mask[:, :, ui].transpose(0, 2, 1))
     keys = np.concatenate([(p * dim + ui[e]) * dim + b, (r * dim + a) * dim + uj[f]])
     keys, row = np.unique(keys, return_inverse=True)
-    return NullspaceLayout(ui, uj, row, np.concatenate([e, f]), (p, uj[e], b), (r, a, ui[f]),
-                           (len(keys), len(ui)))
+    return NullspaceLayout(ui, uj, row, np.concatenate([e, f]), keys // dim**2,
+                           (p, uj[e], b), (r, a, ui[f]), (len(keys), len(ui)))
 
 
 def layout_system(layout: NullspaceLayout, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -171,15 +172,17 @@ def weight_nullspace(pairs, weights):
     """Null space of X -> X A - B X over every (A, B) in ``pairs``, X being
     supported on the entries X[i, j] with weights[i] == weights[j]: the
     layout of the pairs' nonzero entries (nullspace_layout), assembled
-    (layout_system) and solved (system_nullspace).  Returns (X, sv, (m, n)): X holds the null vector, sv
-    the singular values and (m, n) the system's rows and unknowns.
+    (layout_system) and solved (system_nullspace).  Returns (X, sv, (m, n),
+    system, pair): the null vector, the singular values, the system's rows
+    and unknowns, the system, and each row's index into ``pairs``.
     """
     A, B = (np.array(side) for side in zip(*pairs))  # pair p's matrices at [p]
     layout = nullspace_layout(A != 0, B != 0, weights)
-    x, sv = system_nullspace(layout_system(layout, A, B))
+    system = layout_system(layout, A, B)
+    x, sv = system_nullspace(system)
     X = np.zeros(A.shape[1:], dtype=complex)
     X[layout.ui, layout.uj] = x
-    return X, sv, layout.shape
+    return X, sv, layout.shape, system, layout.pair
 
 
 class AdaptedBases(NamedTuple):
@@ -413,12 +416,11 @@ def reduced_coproducts(kin1: Kinematics, kin2: Kinematics, params: ModelParams) 
 
 @functools.lru_cache(maxsize=64)
 def commutant_layout(M1: int, M2: int, q):
-    """(layout, unknown, bulk) of the reduced system of V_M1 (x) V_M2 at q,
-    built once per (M1, M2, q): its NullspaceLayout over FERMIONIC, the
-    unknown of each entry of the support of C (AdaptedBases.support), and
-    the indices of the rows of E2 and F2, in order.  A reduced matrix can be
-    nonzero only where one of its pieces is; the cache has the size of
-    adapted_bases.
+    """(layout, unknown) of the reduced system of V_M1 (x) V_M2 at q, built
+    once per (M1, M2, q): its NullspaceLayout over FERMIONIC and the unknown
+    of each entry of the support of C (AdaptedBases.support).  A reduced
+    matrix can be nonzero only where one of its pieces is; the cache has the
+    size of adapted_bases.
     """
     V12 = adapted_bases(M1, M2, q)
     n = len(V12.labels)
@@ -433,13 +435,9 @@ def commutant_layout(M1: int, M2: int, q):
     unknown = np.full((n, n), -1)
     unknown[layout.ui, layout.uj] = np.arange(len(layout.ui))
     unknown = unknown[V12.support[2], V12.support[3]]
-    # the rows are ordered by (pair, a, b): each row's pair is that of its coefficients
-    pair = np.empty(layout.shape[0], dtype=int)
-    pair[layout.row] = np.concatenate([layout.a_at[0], layout.b_at[0]])
-    bulk = np.flatnonzero(np.isin(pair, [FERMIONIC.index("E2"), FERMIONIC.index("F2")]))
-    for a in (*layout[:4], *layout.a_at, *layout.b_at, unknown, bulk):
+    for a in (*layout[:5], *layout.a_at, *layout.b_at, unknown):
         a.flags.writeable = False
-    return layout, unknown, bulk
+    return layout, unknown
 
 
 def intertwiner_system(leg1: Leg, leg2: Leg):
@@ -456,28 +454,27 @@ def commutant_nullspace(kin1: Kinematics, kin2: Kinematics, params: ModelParams)
     Ř = V_21 C V_12^-1: only the supercharges give equations, one per entry
     of C_red A_red - B_red C_red for the reduced matrices A_red of
     Delta_12(J) and B_red of Delta_21(J) (reduced_coproducts), on the cached
-    layout (commutant_layout).  Returns (Ř, sv, (rows, unknowns)) as
-    weight_nullspace does.
+    layout (commutant_layout).  Returns (Ř, sv, (rows, unknowns), system,
+    pair) as weight_nullspace does, pair indexing FERMIONIC.
     """
     M1, M2, q = kin1.M, kin2.M, params.q
     V12, V21 = adapted_bases(M1, M2, q), adapted_bases(M2, M1, q)
-    layout, unknown, _ = commutant_layout(M1, M2, q)
-    x, sv = system_nullspace(layout_system(layout, *reduced_coproducts(kin1, kin2, params)))
+    layout, unknown = commutant_layout(M1, M2, q)
+    system = layout_system(layout, *reduced_coproducts(kin1, kin2, params))
+    x, sv = system_nullspace(system)
     C = np.zeros_like(V12.V)
     C[V12.support[0], V12.support[1]] = x[unknown]
-    return V21.V @ C @ V12.V_inv, sv, layout.shape
+    return V21.V @ C @ V12.V_inv, sv, layout.shape, system, layout.pair
 
 
-def affine_ablation(kin1: Kinematics, kin2: Kinematics, params: ModelParams):
-    """The negative control of commutant_nullspace: its system without the
-    equations of the affine E4, F4, i.e. its rows of E2 and F2
-    (commutant_layout), factored as system_nullspace does.  For a pair of
-    bound states (both M >= 2) this null space is no longer
-    one-dimensional.  Returns (None, sv, (rows, unknowns)): no null vector
-    and no Ř is formed.
+def control(solution, pairs):
+    """The negative control of a null-space ``solution`` (X, sv, shape,
+    system, pair), as weight_nullspace and commutant_nullspace return it:
+    the rows of its system whose generator pair is one of the indices
+    ``pairs``, in order and with their scales, factored as system_nullspace
+    does.  Returns (None, sv, (rows, unknowns)): no null vector is formed.
     """
-    layout, _, bulk = commutant_layout(kin1.M, kin2.M, params.q)
-    system = layout_system(layout, *reduced_coproducts(kin1, kin2, params))[bulk]
+    system = solution[3][np.isin(solution[4], pairs)]
     return None, system_nullspace(system)[1], system.shape
 
 
@@ -487,7 +484,7 @@ def spectral_gap(sv) -> float:
 
 
 def unique_intertwiner(solution) -> np.ndarray:
-    """The one intertwiner of a null-space ``solution`` (X, sv, shape), as
+    """The one intertwiner of a null-space ``solution`` (X, sv, ...), as
     weight_nullspace and commutant_nullspace return it, scaled so its [0, 0]
     element is 1.
 
@@ -495,7 +492,7 @@ def unique_intertwiner(solution) -> np.ndarray:
     |0,0,0,Mb> of a product Va (x) Vb.  Raises VerificationError unless
     sigma_1 / sigma_2 <= NULL_GAP and that element is nonzero.
     """
-    X, sv, _ = solution
+    X, sv = solution[:2]
     gap = spectral_gap(sv)
     if not gap <= NULL_GAP:
         raise VerificationError(f"no spectral gap: sigma_1 / sigma_2 = {gap:.3g}")

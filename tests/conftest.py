@@ -9,10 +9,18 @@ from qab.numerics import rel_residual
 from qab.smatrix import (
     FERMIONIC,
     adapted_bases,
+    commutant_layout,
     commutant_nullspace,
+    control,
+    layout_system,
+    reduced_coproducts,
+    system_nullspace,
     unique_intertwiner,
     weight_nullspace,
 )
+
+#: The rows of the affine ablation in an S system: those of E2 and F2.
+BULK_ROWS = [FERMIONIC.index(g) for g in ("E2", "F2")]
 
 
 @pytest.fixture(scope="session")
@@ -43,6 +51,25 @@ def s_nullspace(kin1, kin2, params):
     return commutant_nullspace(kin1, kin2, params)
 
 
+def s_ablation(kin1, kin2, params):
+    """The affine ablation at two points as the smatrix suite runs it: the
+    control of the E2, F2 rows of their commutant solve."""
+    return control(commutant_nullspace(kin1, kin2, params), BULK_ROWS)
+
+
+def reassembled_s_ablation(kin1, kin2, params):
+    """The affine ablation by its former separate path, the oracle of
+    s_ablation: the cached layout filled again from reduced_coproducts, and
+    its rows of E2 and F2, each row's pair read off its coefficients'
+    (pair, row, column) indices, factored alone.  Returns (None, sv, shape)."""
+    layout = commutant_layout(kin1.M, kin2.M, params.q)[0]
+    pair = np.empty(layout.shape[0], dtype=int)
+    pair[layout.row] = np.concatenate([layout.a_at[0], layout.b_at[0]])
+    system = layout_system(layout, *reduced_coproducts(kin1, kin2, params))
+    system = system[np.flatnonzero(np.isin(pair, BULK_ROWS))]
+    return None, system_nullspace(system)[1], system.shape
+
+
 def coproduct_pairs(leg1, leg2, generators):
     """(Delta_12(J), Delta_21(J)) over ``generators``, each as its terms:
     intertwiner_system over any generator set."""
@@ -54,15 +81,15 @@ def leg_commutant_nullspace(leg1, leg2, q, fermionic=FERMIONIC):
     supercharges ``fermionic``: each reduced matrix is reduced_matrix of the
     coproduct's terms, and the system's rows are read off their nonzero
     entries by weight_nullspace.  The oracle of commutant_nullspace, which
-    contracts cached pieces on a cached layout, and, over E2 and F2, of
-    affine_ablation."""
+    contracts cached pieces on a cached layout, and, over E2 and F2, of its
+    affine ablation (s_ablation)."""
     V12 = adapted_bases(leg1.space.M, leg2.space.M, q)
     V21 = adapted_bases(leg2.space.M, leg1.space.M, q)
     pairs = [
         (V12.reduced_matrix(g, A), V21.reduced_matrix(g, B))
         for g, (A, B) in zip(fermionic, coproduct_pairs(leg1, leg2, fermionic))
     ]
-    C_red, sv, shape = weight_nullspace(pairs, V12.labels)
+    C_red, sv, shape = weight_nullspace(pairs, V12.labels)[:3]
     ui, uj, ki, kj = V12.support
     C = np.zeros_like(V12.V)
     C[ui, uj] = C_red[ki, kj]

@@ -29,8 +29,8 @@ from qab.kmatrix import (
 from qab.representation import GENERATORS, build_basis, verify_algebra
 from qab.smatrix import (
     NULL_GAP,
-    affine_ablation,
     commutant_nullspace,
+    control,
     intertwiner_system,
     pair_residuals,
     spectral_gap,
@@ -39,7 +39,7 @@ from qab.smatrix import (
     ybe_residual,
 )
 
-from conftest import constant_c_kmatrix, k_coefficients
+from conftest import BULK_ROWS, constant_c_kmatrix, k_coefficients
 
 PARAMS = ModelParams(q=1.1, g=0.4, gamma=1.2 + 0.3j, gamma_bar=0.8 - 0.5j)
 SEED = 7
@@ -80,13 +80,14 @@ def test_criterion_2_smatrix_uniqueness():
         kin1 = _sample(M1, 200 + 2 * i)
         kin2 = _sample(M2, 201 + 2 * i)
         leg1, leg2 = Leg(kin1, PARAMS), Leg(kin2, PARAMS)
-        S = unique_intertwiner(commutant_nullspace(kin1, kin2, PARAMS))
+        solution = commutant_nullspace(kin1, kin2, PARAMS)
+        S = unique_intertwiner(solution)
         worst = max(worst, *pair_residuals(S, intertwiner_system(leg1, leg2)))
         if min(M1, M2) >= 2:
             # the affine supercharges are what force uniqueness; with a
             # fundamental leg the subalgebra suffices, so the ablation is
-            # probed on the bound-state pairs
-            sv = affine_ablation(kin1, kin2, PARAMS)[1]
+            # probed on the bound-state pairs, as the E2, F2 rows of the solve
+            sv = control(solution, BULK_ROWS)[1]
             ablation_ok &= spectral_gap(sv) > NULL_GAP
     _report(
         2, "S-matrix uniqueness and affine ablation",
@@ -117,13 +118,14 @@ def test_criterion_4_kmatrix_equivalence():
         kin = _sample(M, 400 + M)
         K = closed_form_kmatrix(kin, PARAMS)
         pairs, weights = boundary_system(kin, PARAMS)
-        Ks = unique_intertwiner(weight_nullspace(pairs, weights))
+        solution = weight_nullspace(pairs, weights)
+        Ks = unique_intertwiner(solution)
         worst = max(worst, compare_kmatrices(K, Ks))
         if M >= 2:
             # at M = 1 the preserved subalgebra already fixes K; the twisted
             # charges become essential from M = 2 on
-            preserved = pairs[:len(PRESERVED_CHARGES)]
-            ablation_ok &= spectral_gap(weight_nullspace(preserved, weights)[1]) > NULL_GAP
+            preserved = control(solution, range(len(PRESERVED_CHARGES)))
+            ablation_ok &= spectral_gap(preserved[1]) > NULL_GAP
     _report(
         4, "closed-form K equals intertwiner K",
         worst < 1e-9 and ablation_ok,

@@ -581,10 +581,10 @@ def test_null_dimension_row_fails_without_a_gap(monkeypatch):
     solve = smatrix.commutant_nullspace
 
     def flat_gap(kin1, kin2, params):
-        S, sv, shape = solve(kin1, kin2, params)
+        S, sv, *rest = solve(kin1, kin2, params)
         sv = sv.copy()
         sv[-2] = 2 * sv[-1]
-        return S, sv, shape
+        return S, sv, *rest
 
     monkeypatch.setattr(smatrix, "commutant_nullspace", flat_gap)
     report = run_suite("smatrix", load_config(data={"M": [1], "samples": 1}))
@@ -690,10 +690,10 @@ def test_failed_rows_carry_their_fields(monkeypatch, tmp_path):
     solve = smatrix.weight_nullspace
 
     def flat_gap(pairs, weights):
-        X, sv, shape = solve(pairs, weights)
+        X, sv, *rest = solve(pairs, weights)
         sv = sv.copy()
         sv[-2] = 2 * sv[-1]
-        return X, sv, shape
+        return X, sv, *rest
 
     monkeypatch.setattr(smatrix, "weight_nullspace", flat_gap)
     (row,) = _cli_rows(["kmatrix", "--M", "2"], tmp_path)

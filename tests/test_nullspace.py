@@ -8,8 +8,9 @@ its spectral-gap verdict must call a system unique exactly when the rank
 count finds one null vector; the commutant solve of the braided S-matrix Ř
 (commutant_nullspace) must reproduce the weight-supported one, carried to
 Ř's index sets by the graded flip, and every row that its reduced system
-leaves out must be a multiple of one it keeps.  The affine ablation, the E2
-and F2 rows of that system, must equal its own separate solve bit for bit.
+leaves out must be a multiple of one it keeps.  The negative controls, rows
+of their solve's system (control), must equal bit for bit their separate
+solves and the former paths that assembled them again.
 """
 
 from dataclasses import replace
@@ -34,9 +35,9 @@ from qab.smatrix import (
     FERMIONIC,
     NULL_GAP,
     adapted_bases,
-    affine_ablation,
     commutant_layout,
     commutant_nullspace,
+    control,
     layout_system,
     nullspace_layout,
     pair_residuals,
@@ -49,6 +50,7 @@ from qab.smatrix import (
 )
 
 from conftest import (
+    BULK_ROWS,
     boundary_k,
     braided_s,
     coproduct_pairs,
@@ -57,6 +59,8 @@ from conftest import (
     graded_permutation,
     kin_at,
     leg_commutant_nullspace,
+    reassembled_s_ablation,
+    s_ablation,
     s_nullspace,
 )
 
@@ -179,9 +183,9 @@ def test_solver_matches_dense_qr_svd(kind, size, generators, q, params_gammas):
         pairs = coproduct_pairs(leg1, leg2, generators)
         X, sv, (rows, unknowns) = weight_nullspace(
             [(dense(A), P21 @ dense(B) @ P12) for A, B in pairs], product_weights(s1, s2)
-        )
-        solve = affine_ablation if generators == SANS_AFFINE else commutant_nullspace
-        R, svc, (rows_c, unknowns_c) = solve(*kins, params_gammas)
+        )[:3]
+        solve = s_ablation if generators == SANS_AFFINE else commutant_nullspace
+        R, svc, (rows_c, unknowns_c) = solve(*kins, params_gammas)[:3]
         # the rank rule on the weight-supported system is the reference here
         unique = _rank_null_dim(sv, (rows, unknowns)) == 1
         assert _unique(sv) == _unique(svc) == unique
@@ -200,7 +204,7 @@ def test_solver_matches_dense_qr_svd(kind, size, generators, q, params_gammas):
         return
     # the weight-supported dense solve of K against the full Kronecker system
     pairs, weights = _k_system(params_gammas, size, generators)
-    X, sv, _ = weight_nullspace(pairs, weights)
+    X, sv = weight_nullspace(pairs, weights)[:2]
     _, null_dim_o, basis = _kronecker_nullspace(pairs)
     assert _unique(sv) == (null_dim_o == 1)
     x = X.ravel()
@@ -312,23 +316,23 @@ def test_cached_commutant_solve_matches_the_leg_oracle(Ms, q, params_gammas):
     p = replace(params_gammas, q=q)
     kins = _s_points(p, Ms)
     legs = [Leg(kin, p) for kin in kins]
-    R, sv, shape = commutant_nullspace(*kins, p)
+    R, sv, shape = commutant_nullspace(*kins, p)[:3]
     R_o, sv_o, shape_o = leg_commutant_nullspace(*legs, q)
     assert shape == shape_o and _unique(sv) and _unique(sv_o), Ms
     s, x = ((Y / np.linalg.norm(Y)).ravel() for Y in (R, R_o))
     assert np.linalg.norm(s - x * np.vdot(x, s)) < 1e-12, Ms
-    _, sv, shape = affine_ablation(*kins, p)
+    _, sv, shape = s_ablation(*kins, p)
     _, sv_o, shape_o = leg_commutant_nullspace(*legs, q, BULK)
     assert shape == shape_o and _unique(sv) == _unique(sv_o), Ms
 
 
 @pytest.mark.parametrize("solve, want", [
-    (commutant_nullspace, {"bulk": 2, "affine": 2}), (affine_ablation, {"bulk": 2, "affine": 2}),
+    (commutant_nullspace, {"bulk": 2, "affine": 2}), (s_ablation, {"bulk": 2, "affine": 2}),
 ], ids=["default", "sans-affine"])
 def test_s_solve_evaluates_each_points_labels_once(solve, want, params, monkeypatch):
     # both leg orders of a solve share one evaluation of each point's bulk
-    # and affine labels; the ablation assembles the same system, so it
-    # evaluates the affine ones too
+    # and affine labels; the ablation reads rows of that solve's system, so
+    # it evaluates none of its own
     calls = {"bulk": 0, "affine": 0}
     for kind in calls:
         real = getattr(smatrix, f"{kind}_labels")
@@ -343,15 +347,15 @@ def test_s_solve_evaluates_each_points_labels_once(solve, want, params, monkeypa
 
 
 def test_commutant_layout_is_built_once_per_key(params):
-    # one layout per (M1, M2, q), whatever the points, shared by the solve
-    # and the ablation
+    # one layout per (M1, M2, q), whatever the points: a solve, with its
+    # ablation or without, reads it once
     commutant_layout.cache_clear()
     p15 = replace(params, q=1.5)
     for xm in (1.3 + 0.8j, -0.7 + 1.6j, 0.4 + 1.9j):
         for p in (params, p15):
             for Ms in ((2, 3), (3, 2)):
                 kins = kin_at(Ms[0], xm, p), kin_at(Ms[1], 0.9 - 1.1j, p)
-                for solve in (commutant_nullspace, affine_ablation):
+                for solve in (commutant_nullspace, s_ablation):
                     solve(*kins, p)
     info = commutant_layout.cache_info()
     assert info.misses == info.currsize == 4 and info.hits == 20
@@ -363,6 +367,29 @@ def test_smatrix_suite_builds_one_layout_per_ordered_pair():
     commutant_layout.cache_clear()
     run_suite("smatrix", load_config(data={"M": [2, 3]}))
     assert commutant_layout.cache_info().misses == 4
+
+
+def test_a_control_point_assembles_its_system_once(monkeypatch):
+    # the controls are rows of their solve's system: an smatrix point at
+    # (2, 2) contracts its reduced coproducts and fills its layout once, and
+    # a kmatrix point at M >= 2 lays out and fills its system once
+    calls = {name: 0 for name in ("reduced_coproducts", "layout_system", "nullspace_layout")}
+    for name in calls:
+        real = getattr(smatrix, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(smatrix, name, counted)
+    rows = run_suite("smatrix", load_config(data={"M": [2]}))["checks"]
+    assert "affine-ablation" in [r["check"] for r in rows]
+    assert calls["reduced_coproducts"] == calls["layout_system"] == 1
+    for M in (2, 3, 6):
+        calls.update(layout_system=0, nullspace_layout=0)
+        rows = run_suite("kmatrix", load_config(data={"M": [M]}))["checks"]
+        assert "twisted-ablation" in [r["check"] for r in rows]
+        assert calls["nullspace_layout"] == calls["layout_system"] == 1, M
 
 
 def _separate_ablation(kins, p):
@@ -396,23 +423,51 @@ def test_affine_ablation_matches_its_separate_solve_bit_for_bit(Ms, q, params_ga
     # singular values, bit for bit
     p = replace(params_gammas, q=q)
     kins = _s_points(p, Ms)
-    X, sv, shape = affine_ablation(*kins, p)
+    X, sv, shape = s_ablation(*kins, p)
     sv_o, shape_o = _separate_ablation(kins, p)
     assert X is None and shape == shape_o and np.array_equal(sv, sv_o), Ms
 
 
-def test_affine_ablation_forms_no_braided_s(params, monkeypatch):
-    # with the warm cached bases swapped for copies without V and V^-1 the
-    # ablation still runs, and reads the same; the solve, which forms Ř, cannot
+#: q of the controls against their former paths: real, and the complex q of
+#: the CI's complex-q runs.
+CONTROL_QS = {"q1.1": 1.1, "q1.5": 1.5,
+              "q-ci": complex(1.105273192803462, 0.4673020107703806)}
+
+
+@pytest.mark.parametrize("q", CONTROL_QS.values(), ids=CONTROL_QS.keys())
+@pytest.mark.parametrize("Ms", [(2, 2), (2, 3), (3, 3)], ids=str)
+def test_affine_control_matches_the_reassembled_rows(Ms, q, params_gammas):
+    # the E2, F2 rows of the solve's own system factor as the rows of the
+    # system assembled again from the cached layout, bit for bit
+    p = replace(params_gammas, q=q)
+    kins = _s_points(p, Ms)
+    X, sv, shape = s_ablation(*kins, p)
+    _, sv_o, shape_o = reassembled_s_ablation(*kins, p)
+    assert X is None and shape == shape_o and np.array_equal(sv, sv_o), Ms
+
+
+@pytest.mark.parametrize("q", CONTROL_QS.values(), ids=CONTROL_QS.keys())
+@pytest.mark.parametrize("M", range(2, 7))
+def test_twisted_control_matches_the_preserved_solve(M, q, params_gammas):
+    # the preserved charges' rows of the K system factor as the solve over
+    # the preserved pairs alone, on their own layout, bit for bit
+    p = replace(params_gammas, q=q)
+    pairs, weights = _k_system(p, M, BOUNDARY_CHARGES)
+    preserved = len(PRESERVED_CHARGES)
+    X, sv, shape = control(weight_nullspace(pairs, weights), range(preserved))
+    _, sv_o, shape_o = weight_nullspace(pairs[:preserved], weights)[:3]
+    assert X is None and shape == shape_o and np.array_equal(sv, sv_o), M
+
+
+def test_affine_ablation_forms_no_braided_s(params):
+    # the control reads only its solve's system and the pair of each row:
+    # with the solve's Ř and singular values taken away it reads the same,
+    # and it forms no null vector of its own
     kins = _s_points(params, (2, 3))
-    _, want, shape = affine_ablation(*kins, params)
-    cached = smatrix.adapted_bases
-    monkeypatch.setattr(smatrix, "adapted_bases",
-                        lambda *key: cached(*key)._replace(V=None, V_inv=None))
-    _, sv, shape_o = affine_ablation(*kins, params)
-    assert shape == shape_o and np.array_equal(sv, want)
-    with pytest.raises((TypeError, IndexError)):
-        commutant_nullspace(*kins, params)
+    solution = commutant_nullspace(*kins, params)
+    X, want, shape = control(solution, BULK_ROWS)
+    _, sv, shape_o = control((None, None, None, *solution[3:]), BULK_ROWS)
+    assert X is None and shape == shape_o and np.array_equal(sv, want)
 
 
 def test_affine_ablation_needs_two_bound_states(params):
@@ -420,7 +475,7 @@ def test_affine_ablation_needs_two_bound_states(params):
     # >= 2; with an M = 1 factor the bosonic and bulk generators suffice
     for Ms, degenerate in [((2, 2), True), ((3, 3), True), ((3, 2), True),
                            ((1, 1), False), ((1, 3), False), ((3, 1), False)]:
-        sv = affine_ablation(*_s_points(params, Ms), params)[1]
+        sv = s_ablation(*_s_points(params, Ms), params)[1]
         assert _unique(sv) != degenerate, Ms
 
 
@@ -514,9 +569,9 @@ def test_gap_does_not_move_with_the_scale_of_a_generator(params_gammas):
     # each generator's equations are put on one scale, so multiplying one
     # pair by 1e8 leaves the gap and the solution where they were
     pairs, weights = _k_system(params_gammas, 4, BOUNDARY_CHARGES)
-    X, sv, _ = weight_nullspace(pairs, weights)
+    X, sv = weight_nullspace(pairs, weights)[:2]
     (A, B), rest = pairs[0], pairs[1:]
-    Y, sv_scaled, _ = weight_nullspace([(1e8 * A, 1e8 * B), *rest], weights)
+    Y, sv_scaled = weight_nullspace([(1e8 * A, 1e8 * B), *rest], weights)[:2]
     assert 0.5 < spectral_gap(sv_scaled) / spectral_gap(sv) < 2
     K = unique_intertwiner((X, sv, None))
     assert rel_residual(unique_intertwiner((Y, sv_scaled, None)), K) < 1e-13
@@ -528,12 +583,13 @@ def test_unique_and_ablated_gaps_keep_their_margin(params):
     for index, Ms in enumerate([(2, 2), (2, 3), (3, 2)]):
         rng = np.random.default_rng([1, index])
         kins = [sample_kinematics(M, params, rng) for M in Ms]
-        assert spectral_gap(commutant_nullspace(*kins, params)[1]) <= 1e-9, Ms
-        ablated = affine_ablation(*kins, params)[1]
-        assert spectral_gap(ablated) >= 1e-4, Ms
+        solution = commutant_nullspace(*kins, params)
+        assert spectral_gap(solution[1]) <= 1e-9, Ms
+        assert spectral_gap(control(solution, BULK_ROWS)[1]) >= 1e-4, Ms
     for M in (2, 3, 4, 6):
         kin = sample_kinematics(M, params, np.random.default_rng([1, 100 + M]))
         pairs, weights = boundary_system(kin, params)
-        assert spectral_gap(weight_nullspace(pairs, weights)[1]) <= 1e-9, M
-        ablated = weight_nullspace(pairs[:len(PRESERVED_CHARGES)], weights)[1]
+        solution = weight_nullspace(pairs, weights)
+        assert spectral_gap(solution[1]) <= 1e-9, M
+        ablated = control(solution, range(len(PRESERVED_CHARGES)))[1]
         assert spectral_gap(ablated) >= 1e-4, M

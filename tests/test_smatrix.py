@@ -20,7 +20,6 @@ from qab.numerics import TOL_ALGEBRA, TOL_COMPOSITE, rel_residual
 from qab.smatrix import (
     NULL_GAP,
     VerificationError,
-    affine_ablation,
     intertwiner_system,
     pair_residuals,
     product_weights,
@@ -37,6 +36,7 @@ from conftest import (
     dense_ybe_residual,
     graded_permutation,
     kin_at,
+    s_ablation,
     s_nullspace,
 )
 
@@ -157,7 +157,7 @@ def test_affine_ablation_raises_dimension(points, params):
     # with both bound-state numbers >= 2 the subalgebra alone no longer fixes
     # S; the affine generators are what force uniqueness
     sv_full = s_nullspace(points[2], points["2b"], params)[1]
-    sv_ablated = affine_ablation(points[2], points["2b"], params)[1]
+    sv_ablated = s_ablation(points[2], points["2b"], params)[1]
     assert spectral_gap(sv_full) <= NULL_GAP
     assert spectral_gap(sv_ablated) > NULL_GAP
 
@@ -165,12 +165,12 @@ def test_affine_ablation_raises_dimension(points, params):
 def test_fundamental_leg_stays_unique_without_affine(points, params):
     # known exception: a fundamental (M=1) factor leaves the product
     # irreducible under the subalgebra, so the ablation does not degenerate
-    sv = affine_ablation(points[1], points["1b"], params)[1]
+    sv = s_ablation(points[1], points["1b"], params)[1]
     assert spectral_gap(sv) <= NULL_GAP
 
 
 def test_degenerate_request_raises(points, params):
-    solution = affine_ablation(points[2], points["2b"], params)
+    solution = s_ablation(points[2], points["2b"], params)
     with pytest.raises(VerificationError, match="no spectral gap"):
         unique_intertwiner(solution)
     # sigma_2 = 0: fewer equations than unknowns, no gap either
